@@ -21,13 +21,11 @@ from .perm import (
 )
 from .group import (
     ENUM_LIMIT_DEFAULT,
-    GroupKey,
     LimitExceeded,
     PermutationGroup,
     alternating_group,
     equals,
     from_generators,
-    group_key,
     intersect,
     read_generator_file,
     subgroup_of,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals
-from .perm import Permutation, compose, inverse
+from .perm import Permutation, compose
 
 # -- small number theory -----------------------------------------------------
 
@@ -166,10 +166,12 @@ def build_agl(p: int, d: int) -> AffineContext:
     gl_order = 1
     for i in range(d):
         gl_order *= n - p**i
-    assert gl.order() == gl_order, (gl.order(), gl_order)
+    if gl.order() != gl_order:
+        raise RuntimeError(f"|GL| = {gl.order()}, expected {gl_order}")
 
     h = PermutationGroup(gl_gens + translations, n)
-    assert h.order() == n * gl_order, (h.order(), n * gl_order)
+    if h.order() != n * gl_order:
+        raise RuntimeError(f"|AGL| = {h.order()}, expected {n * gl_order}")
 
     diag_gens = []
     for i in range(d):
@@ -177,7 +179,8 @@ def build_agl(p: int, d: int) -> AffineContext:
         rows[i][i] = mu
         diag_gens.append(affine_to_permutation(ctx, rows))
     t_group = PermutationGroup(diag_gens, n)
-    assert t_group.order() == (p - 1) ** d
+    if t_group.order() != (p - 1) ** d:
+        raise RuntimeError(f"|T| = {t_group.order()}, expected {(p - 1) ** d}")
 
     ctx.H = h
     ctx.gl = gl
@@ -406,11 +409,6 @@ def diagonal_chain(ctx: AffineContext) -> list:
 # -- certificate assembly ------------------------------------------------------
 
 
-def _member_of_conjugate(h_group: PermutationGroup, e: Permutation, x_inv: Permutation) -> bool:
-    """e in H^x, tested as e^(x^-1) in H."""
-    return h_group.contains(e.conjugate(x_inv))
-
-
 def affine_chain(
     ctx: AffineContext, ambient: str = "S", limit: int = ENUM_LIMIT_DEFAULT
 ) -> ChainCertificate:
@@ -430,21 +428,15 @@ def affine_chain(
     ident = Permutation.identity(ctx.n)
     levels = [CertLevel([ident], h.order())]
     conjs = [ident]
-    current = None  # None means "all of H"; otherwise the level's element list
+    current = None  # None means "all of H"; otherwise the level's element tables
 
     def refine(new_conjugators):
         nonlocal current
-        inverses = [inverse(x) for x in new_conjugators]
-        if current is None:
-            out = []
-            for e in h.iter_elements(limit):
-                if all(_member_of_conjugate(h, e, xi) for xi in inverses):
-                    out.append(e)
-            current = out
-        else:
-            current = [
-                e for e in current if all(_member_of_conjugate(h, e, xi) for xi in inverses)
-            ]
+        pool = h._iter_element_tbls() if current is None else current
+        current = h._conjugate_members([x._tbl for x in new_conjugators], pool)
+
+    def current_group():
+        return PermutationGroup([Permutation._wrap(t) for t in current], ctx.n)
 
     if ctx.d >= 2:
         for step in subspace_chain(ctx):
@@ -454,15 +446,13 @@ def affine_chain(
             if not len(current) < prev_order:
                 raise RuntimeError(f"chain failed to descend at subspace step {step.coords}")
             levels.append(CertLevel(list(conjs), len(current)))
-        t_level = PermutationGroup(current, ctx.n)
-        if not equals(t_level, ctx.T):
+        if not equals(current_group(), ctx.T):
             raise RuntimeError("subspace chain did not terminate at the diagonal group")
     else:
         x = scalar_conjugator(ctx)
         conjs = conjs + [x]
         refine([x])
-        t_level = PermutationGroup(current, ctx.n)
-        if not equals(t_level, ctx.T):
+        if not equals(current_group(), ctx.T):
             raise RuntimeError("scalar conjugator did not cut H down to the diagonal group")
         levels.append(CertLevel(list(conjs), len(current)))
 

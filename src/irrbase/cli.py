@@ -411,8 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cap on memoized subgroups (default 1000000)")
     po.add_argument("--no-prune", action="store_true",
                     help="disable orbit pruning (regression flag; same results)")
-    po.add_argument("--threads", type=int, default=1,
-                    help="worker threads (results are identical for any value)")
     add_common(po)
     po.set_defaults(func=cmd_oracle)
 
@@ -442,9 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("--threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as e:

@@ -8,16 +8,18 @@ the order is generated by the buckets beyond q.  With the natural order this
 yields ascending base points and makes minimal-coset-representative
 canonicalization a greedy walk down the chain.
 
-Orders are exact Python integers; nothing here overflows.  Intersections and
-fingerprints are enumeration-based and refuse (never truncate) above a
-caller-supplied element limit.
+Orders are exact Python integers; nothing here overflows.  Intersections are
+enumeration-based and refuse (never truncate) above a caller-supplied element
+limit.  Every enumerate-and-filter loop of the package (chain builders,
+certificate verifier, intersections, the coset action's core) runs through
+one conjugate-membership filter, :meth:`PermutationGroup._conjugate_members`.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+import math
+from operator import itemgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
     DegreeMismatchError,
@@ -27,10 +29,6 @@ from .perm import (
     _inverse_tbl,
     parse_cycles,
 )
-
-
-def _is_identity(tbl: tuple) -> bool:
-    return all(i == v for i, v in enumerate(tbl))
 
 #: default cap on enumeration-based operations (elements of the smaller group)
 ENUM_LIMIT_DEFAULT = 2_000_000
@@ -68,6 +66,7 @@ class PermutationGroup:
                     f"generator degree {g.degree} does not match group degree {degree}"
                 )
         self.degree = degree
+        self._ident = _identity_tbl(degree)
         self.generators = tuple(g for g in generators if not g.is_identity())
         if _base_order is None:
             self._pos = tuple(range(degree))  # natural priority: point index itself
@@ -124,7 +123,7 @@ class PermutationGroup:
     def _rebuild_level(self, i: int) -> None:
         lvl = self._levels[i]
         gens = self._gens_at(i)
-        ident = _identity_tbl(self.degree)
+        ident = self._ident
         lvl.orbit = {lvl.point: ident}
         lvl.orbit_order = [lvl.point]
         lvl.inv = {lvl.point: ident}
@@ -145,15 +144,15 @@ class PermutationGroup:
 
     def _sift_tbl(self, tbl: tuple, start: int = 0) -> tuple:
         """Strip tbl through the chain from level `start`; returns the residue table."""
-        for idx in range(start, len(self._levels)):
-            lvl = self._levels[idx]
+        for lvl in self._levels[start:]:
             b = tbl[lvl.point]
             if b == lvl.point:
                 continue
             u_inv = lvl.inv.get(b)
             if u_inv is None:
                 return tbl
-            tbl = _compose_tbl(tbl, u_inv)
+            # _compose_tbl(tbl, u_inv) inlined: a moved point means degree >= 2
+            tbl = itemgetter(*tbl)(u_inv)
         return tbl
 
     def _scan_level(self, i: int) -> Optional[int]:
@@ -165,10 +164,10 @@ class PermutationGroup:
             for s in gens:
                 b = s[a]
                 h = _compose_tbl(_compose_tbl(ua, s), lvl.inv[b])
-                if _is_identity(h):
+                if h == self._ident:
                     continue
                 r = self._sift_tbl(h, i + 1)
-                if not _is_identity(r):
+                if r != self._ident:
                     return self._place(r)
         return None
 
@@ -183,7 +182,7 @@ class PermutationGroup:
 
     def _add_generator(self, tbl: tuple) -> None:
         r = self._sift_tbl(tbl)
-        if _is_identity(r):
+        if r == self._ident:
             return
         idx = self._place(r)
         self._complete(idx)
@@ -198,7 +197,28 @@ class PermutationGroup:
         return [lvl.point + 1 for lvl in self._levels]
 
     def _contains_tbl(self, tbl: tuple) -> bool:
-        return _is_identity(self._sift_tbl(tbl))
+        return self._sift_tbl(tbl) == self._ident
+
+    def _conjugate_members(self, conjugators: Sequence[tuple], pool: Iterable[tuple]) -> list:
+        """The tables e of ``pool``, in pool order, lying in H^x for every conjugator table x.
+
+        ``e ∈ H^x ⟺ x e x⁻¹ ∈ H``; the table of x e x⁻¹ is built as (e then
+        x⁻¹) then x, so each element's itemgetter is made once and shared by
+        all conjugators, whose inverse and itemgetter are made once per call.
+        """
+        if self.degree < 2:
+            return list(pool)  # the identity is the only element of any such group
+        tests = [(itemgetter(*x), _inverse_tbl(x)) for x in conjugators]
+        contains = self._contains_tbl
+        out = []
+        for e in pool:
+            e_then = itemgetter(*e)
+            for x_then, x_inv in tests:
+                if not contains(x_then(e_then(x_inv))):
+                    break
+            else:
+                out.append(e)
+        return out
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -211,24 +231,21 @@ class PermutationGroup:
         return self.contains(p)
 
     def _iter_element_tbls(self) -> Iterator[tuple]:
-        """All element tables exactly once, in a fixed deterministic order."""
+        """All element tables exactly once, in a fixed deterministic order.
+
+        The element for transversal tables u_0, ..., u_{L-1} (one per level,
+        each level's orbit in ascending order, level 0 varying slowest) is
+        u_{L-1} ⋯ u_1 u_0.  It is accumulated from level 0 down, so every table
+        costs one call of a prebuilt itemgetter on its parent's partial product.
+        """
         levels = self._levels
-        n = self.degree
-
-        def rec(i: int) -> Iterator[tuple]:
-            if i == len(levels):
-                yield _identity_tbl(n)
-                return
-            lvl = levels[i]
-            for b in sorted(lvl.orbit):
-                u = lvl.orbit[b]
-                if b == lvl.point:
-                    yield from rec(i + 1)
-                else:
-                    for sub in rec(i + 1):
-                        yield _compose_tbl(sub, u)
-
-        return rec(0)
+        if not levels:
+            return iter((self._ident,))
+        # levels 1.. as itemgetters; level 0's tables start the products as they
+        # are, so the first (usually largest) orbit gets no getter copies
+        steps = [[itemgetter(*lvl.orbit[b]) for b in sorted(lvl.orbit)] for lvl in levels[1:]]
+        top = levels[0].orbit
+        return (e for b in sorted(top) for e in _products(steps, 0, top[b]))
 
     def iter_elements(self, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Permutation]:
         if self._order > limit:
@@ -291,12 +308,18 @@ class PermutationGroup:
         )
 
 
-@dataclass(frozen=True)
-class GroupKey:
-    """Canonical fingerprint of a group's element set; equal keys iff equal groups."""
+def _products(steps: list, i: int, q: tuple) -> Iterator[tuple]:
+    """``v_k(⋯ v_i(q))`` for every choice of one getter v_j from each ``steps[j]``, j >= i.
 
-    order: int
-    digest: str
+    Module-level rather than nested: a nested recursive generator refers to
+    itself through its closure, a reference cycle that would keep ``steps``
+    alive until the cyclic garbage collector runs.
+    """
+    if i == len(steps):
+        yield q
+        return
+    for u_then in steps[i]:
+        yield from _products(steps, i + 1, u_then(q))
 
 
 def from_generators(gens: Sequence[Permutation], degree: int) -> PermutationGroup:
@@ -328,14 +351,9 @@ def alternating_group(n: int) -> PermutationGroup:
         else:
             gens.append(parse_cycles("(" + " ".join(str(i) for i in range(2, n + 1)) + ")", n))
     g = PermutationGroup(gens, n)
-    assert g.order() * 2 == symmetric_group_order(n)
+    if g.order() * 2 != math.factorial(n):
+        raise RuntimeError(f"alternating group of degree {n} has order {g.order()}")
     return g
-
-
-def symmetric_group_order(n: int) -> int:
-    import math
-
-    return math.factorial(n)
 
 
 def intersect(
@@ -350,10 +368,8 @@ def intersect(
             f"intersection too large to enumerate: smaller group has order "
             f"{small.order()}, limit {limit}"
         )
-    members = [
-        Permutation._wrap(t) for t in small._iter_element_tbls() if large._contains_tbl(t)
-    ]
-    return PermutationGroup(members, g1.degree)
+    members = large._conjugate_members([large._ident], small._iter_element_tbls())
+    return PermutationGroup([Permutation._wrap(t) for t in members], g1.degree)
 
 
 def equals(g1: PermutationGroup, g2: PermutationGroup) -> bool:
@@ -369,22 +385,6 @@ def equals(g1: PermutationGroup, g2: PermutationGroup) -> bool:
 
 def subgroup_of(g1: PermutationGroup, g2: PermutationGroup) -> bool:
     return g1.is_subgroup_of(g2)
-
-
-def group_key(g: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT) -> GroupKey:
-    """Fingerprint from the sorted element tables; collision-free at any realistic scale."""
-    if g.order() > limit:
-        raise LimitExceeded(
-            f"group too large: order {g.order()} exceeds enumeration limit {limit}"
-        )
-    tbls = sorted(g._iter_element_tbls())
-    h = hashlib.sha256()
-    h.update(g.degree.to_bytes(8, "big"))
-    for t in tbls:
-        h.update(bytes(v % 256 for v in t))
-        if g.degree > 256:
-            h.update(bytes(v >> 8 for v in t))
-    return GroupKey(order=g.order(), digest=h.hexdigest())
 
 
 def read_generator_file(text: str) -> tuple:

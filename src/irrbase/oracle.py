@@ -21,7 +21,7 @@ from typing import Optional
 
 from .certificate import CertLevel, ChainCertificate
 from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup
-from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl, inverse
+from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
 @dataclass
@@ -89,7 +89,8 @@ def build_coset_action(
     if not h.is_subgroup_of(g):
         raise ValueError("H is not a subgroup of G")
     t, rem = divmod(g.order(), h.order())
-    assert rem == 0
+    if rem != 0:
+        raise RuntimeError(f"|H| = {h.order()} does not divide |G| = {g.order()}")
     if t > limit_t:
         raise LimitExceeded(f"coset index {t} exceeds limit --limit-t {limit_t}")
     if t < 2:
@@ -117,16 +118,11 @@ def build_coset_action(
         raise AssertionError(f"coset enumeration found {len(reps)} cosets, expected {t}")
 
     # faithfulness: the kernel is the intersection of all point stabilizers
-    core = list(h._iter_element_tbls())
+    core = h._iter_element_tbls()
     for rep in reps[1:]:
+        core = h._conjugate_members([rep], core)
         if len(core) == 1:
             break
-        rep_inv = _inverse_tbl(rep)
-        core = [
-            e
-            for e in core
-            if h._contains_tbl(_compose_tbl(_compose_tbl(rep, e), rep_inv))
-        ]
     if len(core) > 1:
         raise ValueError(
             f"action not faithful: subgroup has a core of order {len(core)}"
@@ -218,6 +214,9 @@ def mibs(
         return best_d
 
     value = 1 + depth_of(root)
+    # depth_of refers to itself through its closure; without this the cycle keeps
+    # tbls and memo alive after mibs returns, until the cyclic collector runs
+    del depth_of
 
     # replay the memoized best choices into a witness chain
     points = [0]
@@ -230,7 +229,11 @@ def mibs(
         points.append(pt)
         c = frozenset(e for e in c if tbls[e][pt] == pt)
         orders.append(len(c))
-    assert len(points) == value and orders[-1] == 1
+    if len(points) != value or orders[-1] != 1:
+        raise RuntimeError(
+            f"witness replay gave {len(points)} points ending at order {orders[-1]}, "
+            f"expected {value} points ending at 1"
+        )
 
     conjugators = [action.transversal[p] for p in points]
     levels = [
@@ -330,19 +333,9 @@ def verify_certificate(
         else:
             new = [x for x in lvl.conjugators if not x.is_identity()]
             pool = None  # full recomputation from H
-        # e in H^x  <=>  x e x^-1 in H
-        conj_pairs = [(x._tbl, _inverse_tbl(x._tbl)) for x in new]
-
-        def member(e_tbl):
-            return all(
-                h._contains_tbl(_compose_tbl(_compose_tbl(xt, e_tbl), xt_inv))
-                for xt, xt_inv in conj_pairs
-            )
-
         if pool is None:
-            computed = [e for e in h._iter_element_tbls() if member(e)]
-        else:
-            computed = [e for e in pool if member(e)]
+            pool = h._iter_element_tbls()
+        computed = h._conjugate_members([x._tbl for x in new], pool)
 
         ok = True
         msgs = []
@@ -394,15 +387,15 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
     visited_orders = set()
     current = None  # running stabilizer elements; None = all of G (before any point)
     for p in seq:
-        x = action.transversal[p - 1]
-        x_inv = inverse(x)
+        x = action.transversal[p - 1]._tbl
         if current is None:
             # the first point always descends: its stabilizer is H^x < G
             kept.append(p)
-            current = [e.conjugate(x) for e in h.iter_elements()]
+            x_inv = _inverse_tbl(x)
+            current = [_compose_tbl(_compose_tbl(x_inv, e), x) for e in h._iter_element_tbls()]
             visited_orders.add(len(current))
             continue
-        new = [e for e in current if h.contains(e.conjugate(x_inv))]
+        new = h._conjugate_members([x], current)
         if len(new) < len(current):
             kept.append(p)
             current = new

@@ -8,10 +8,20 @@ formats of this package; the 0-based table is an internal detail.
 The composition convention is the right action: ``i^(pq) = (i^p)^q``, so
 ``compose(p, q)`` means "apply p first, then q".  Conjugation is
 ``g^x = x^-1 g x``.  Every module in this package uses these conventions.
+
+The raw-table kernel at the bottom of this module is what the heavier modules
+run on.  On tables the same convention reads ``_compose_tbl(a, b)[i] =
+b[a[i]]`` (a first, then b), computed as ``itemgetter(*a)(b)``, and identity
+is tested by tuple ``==`` against a cached identity table.  Membership of a
+conjugate is tested through H itself, by ``PermutationGroup._conjugate_members``:
+``e ∈ H^x ⟺ x e x⁻¹ ∈ H``, where ``x e x⁻¹`` is the table
+``_compose_tbl(_compose_tbl(x, e), _inverse_tbl(x))``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 
@@ -51,7 +61,7 @@ class Permutation:
     def identity(cls, degree: int) -> "Permutation":
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        return cls._wrap(tuple(range(degree)))
+        return cls._wrap(_identity_tbl(degree))
 
     @classmethod
     def from_cycles(cls, text: str, degree: int) -> "Permutation":
@@ -73,7 +83,7 @@ class Permutation:
         return self._tbl[point - 1] + 1
 
     def is_identity(self) -> bool:
-        return all(i == v for i, v in enumerate(self._tbl))
+        return _is_identity_tbl(self._tbl)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Right-action composition: apply self first, then other."""
@@ -82,12 +92,12 @@ class Permutation:
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
             return inverse(self) ** (-e)
-        r = tuple(range(len(self._tbl)))
+        r = _identity_tbl(len(self._tbl))
         b = self._tbl
         while e:
             if e & 1:
-                r = tuple(b[v] for v in r)
-            b = tuple(b[v] for v in b)
+                r = _compose_tbl(r, b)
+            b = _compose_tbl(b, b)
             e >>= 1
         return Permutation._wrap(r)
 
@@ -206,15 +216,11 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     a, b = p._tbl, q._tbl
     if len(a) != len(b):
         raise DegreeMismatchError(f"degree mismatch: {len(a)} vs {len(b)}")
-    return Permutation._wrap(tuple(b[v] for v in a))
+    return Permutation._wrap(_compose_tbl(a, b))
 
 
 def inverse(p: Permutation) -> Permutation:
-    tbl = p._tbl
-    inv = [0] * len(tbl)
-    for i, v in enumerate(tbl):
-        inv[v] = i
-    return Permutation._wrap(tuple(inv))
+    return Permutation._wrap(_inverse_tbl(p._tbl))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
@@ -222,10 +228,7 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
     a, b = g._tbl, x._tbl
     if len(a) != len(b):
         raise DegreeMismatchError(f"degree mismatch: {len(a)} vs {len(b)}")
-    out = [0] * len(a)
-    for i, v in enumerate(a):
-        out[b[i]] = b[v]
-    return Permutation._wrap(tuple(out))
+    return Permutation._wrap(_compose_tbl(_compose_tbl(_inverse_tbl(b), a), b))
 
 
 def parity(p: Permutation) -> str:
@@ -243,6 +246,10 @@ def cycle_type(p: Permutation) -> tuple:
 
 
 def _compose_tbl(a: tuple, b: tuple) -> tuple:
+    """a first, then b: the table of ``b[a[i]]``."""
+    if len(a) > 1:
+        return itemgetter(*a)(b)
+    # itemgetter() raises and itemgetter(v) returns a scalar
     return tuple(b[v] for v in a)
 
 
@@ -253,5 +260,10 @@ def _inverse_tbl(a: tuple) -> tuple:
     return tuple(inv)
 
 
+@lru_cache(maxsize=32)
 def _identity_tbl(n: int) -> tuple:
     return tuple(range(n))
+
+
+def _is_identity_tbl(a: tuple) -> bool:
+    return a == _identity_tbl(len(a))

@@ -23,10 +23,11 @@ from typing import Sequence
 from .certificate import CertLevel, ChainCertificate
 from .group import (
     ENUM_LIMIT_DEFAULT,
+    LimitExceeded,
     PermutationGroup,
     symmetric_group,
 )
-from .perm import Permutation, inverse, parse_cycles
+from .perm import Permutation, parse_cycles
 
 
 @dataclass
@@ -116,7 +117,8 @@ def build_wreath(m: int, k: int) -> WreathContext:
         u = parse_cycles("(" + " ".join(str(i) for i in range(1, m + 1)) + ")", m)
     else:
         u = parse_cycles("(" + " ".join(str(i) for i in range(1, m)) + ")", m)
-    assert u.is_even()
+    if not u.is_even():
+        raise RuntimeError(f"distinguished cycle {u} is odd")
     ctx = WreathContext(m=m, k=k, n=n, M=None, u=u, U=PermutationGroup([u], m), sm=sm, sk=sk)
     id_m = Permutation.identity(m)
     id_k = Permutation.identity(k)
@@ -126,7 +128,9 @@ def build_wreath(m: int, k: int) -> WreathContext:
     for w in sk.generators:
         gens.append(embed_wreath_element(ctx, [id_m] * k, w))
     big = PermutationGroup(gens, n)
-    assert big.order() == factorial(m) ** k * factorial(k)
+    expected = factorial(m) ** k * factorial(k)
+    if big.order() != expected:
+        raise RuntimeError(f"|S_{m} wr S_{k}| = {big.order()}, expected {expected}")
     ctx.M = big
     return ctx
 
@@ -204,27 +208,23 @@ def predicted_stabilizer(ctx: WreathContext, i: int, r: int) -> PermutationGroup
     expected = (
         ctx.u.order() * factorial(m - 1) * factorial(m) ** (k - 2) * factorial(k - 2)
     )
-    assert group.order() == expected, (group.order(), expected)
+    if group.order() != expected:
+        raise RuntimeError(f"predicted stabilizer has order {group.order()}, expected {expected}")
     return group
-
-
-def _member_of_conjugate(m_group: PermutationGroup, e: Permutation, x_inv: Permutation) -> bool:
-    return m_group.contains(e.conjugate(x_inv))
 
 
 def verify_intersection(
     ctx: WreathContext, i: int, r: int, limit: int = ENUM_LIMIT_DEFAULT
 ) -> bool:
     """True iff M ∩ M^x equals the predicted stabilizer, by full enumeration of M."""
-    x_inv = inverse(wreath_conjugator(ctx, i, r))
+    x = wreath_conjugator(ctx, i, r)
     predicted = predicted_stabilizer(ctx, i, r)
-    count = 0
-    for e in ctx.M.iter_elements(limit):
-        if _member_of_conjugate(ctx.M, e, x_inv):
-            count += 1
-            if not predicted.contains(e):
-                return False
-    return count == predicted.order()
+    if ctx.M.order() > limit:
+        raise LimitExceeded(
+            f"group too large: order {ctx.M.order()} exceeds enumeration limit {limit}"
+        )
+    members = ctx.M._conjugate_members([x._tbl], ctx.M._iter_element_tbls())
+    return len(members) == predicted.order() and all(map(predicted._contains_tbl, members))
 
 
 def wreath_chain(
@@ -244,17 +244,12 @@ def wreath_chain(
     ident = Permutation.identity(ctx.n)
     levels = [CertLevel([ident], m_group.order())]
     conjs = [ident]
-    current = None
+    current = None  # None means "all of M"; otherwise the level's element tables
 
     def refine(x):
         nonlocal current
-        x_inv = inverse(x)
-        if current is None:
-            current = [
-                e for e in m_group.iter_elements(limit) if _member_of_conjugate(m_group, e, x_inv)
-            ]
-        else:
-            current = [e for e in current if _member_of_conjugate(m_group, e, x_inv)]
+        pool = m_group._iter_element_tbls() if current is None else current
+        current = m_group._conjugate_members([x._tbl], pool)
 
     for i in range(2, ctx.k + 1):
         for r in range(1, ctx.m):

@@ -3,6 +3,15 @@ import pytest
 from irrbase.affine import build_agl
 from irrbase.wreath import build_wreath
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # derandomized: the same examples on every run, so the suite stays deterministic
+    settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+    settings.load_profile("tier1")
+
 
 def brute_closure(gens, degree):
     """Independent closure oracle: multiply image tables until closed.

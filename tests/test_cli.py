@@ -152,8 +152,17 @@ def test_bounds_text_format():
     assert "binary_weight" in r.stdout
 
 
-def test_threads_flag_validated():
-    r = run("oracle", "--ambient", "S", "--subgroup", "natural", "--n", "5", "--threads", "0")
-    assert r.returncode == 2
-    r = run("oracle", "--ambient", "S", "--subgroup", "natural", "--n", "5", "--threads", "4")
-    assert r.returncode == 0
+def test_optimized_interpreter_same_output(tmp_path):
+    """The result-guarding checks are raises, so ``python -O`` keeps them and the output."""
+    chain = ["chain", "--family", "wreath", "--m", "5", "--k", "2"]
+    oracle = ["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "2", "--out"]
+    runs = []
+    for flags in ([], ["-O"]):
+        wit = tmp_path / f"w{len(flags)}.json"
+        c = subprocess.run([sys.executable, *flags, "-m", "irrbase", *chain],
+                           capture_output=True, timeout=600)
+        o = subprocess.run([sys.executable, *flags, "-m", "irrbase", *oracle, str(wit)],
+                           capture_output=True, timeout=600)
+        assert c.returncode == 0 and o.returncode == 0
+        runs.append((c.stdout, o.stdout, wit.read_bytes()))
+    assert runs[0] == runs[1]

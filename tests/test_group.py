@@ -3,17 +3,14 @@ import random
 import pytest
 
 from irrbase.group import (
-    GroupKey,
     LimitExceeded,
     alternating_group,
     equals,
     from_generators,
-    group_key,
     intersect,
     read_generator_file,
     subgroup_of,
     symmetric_group,
-    trivial_group,
 )
 from irrbase.perm import DegreeMismatchError, Permutation, compose, parse_cycles
 
@@ -160,31 +157,6 @@ def test_equals_and_subgroup():
     assert equals(a, b)
     assert subgroup_of(from_generators([parse_cycles("(1 2)", 4)], 4), s4())
     assert not subgroup_of(s4(), from_generators([parse_cycles("(1 2)", 4)], 4))
-
-
-def test_group_key_basic():
-    a = from_generators([parse_cycles("(1 2 3)", 4)], 4)
-    b = from_generators([parse_cycles("(1 3 2)", 4)], 4)
-    assert group_key(a) == group_key(b)
-    assert group_key(trivial_group(4)) != group_key(
-        from_generators([parse_cycles("(1 2)", 4)], 4)
-    )
-
-
-def test_group_key_random_conjugates():
-    rng = random.Random(23)
-    els6 = symmetric_group(6).elements()
-    base = from_generators([parse_cycles("(1 2 3)", 6), parse_cycles("(1 2)", 6)], 6)
-    groups = [base.conjugate(els6[rng.randrange(720)]) for _ in range(100)]
-    keys = [group_key(g) for g in groups]
-    for i in range(0, 100, 7):
-        for j in range(0, 100, 11):
-            assert (keys[i] == keys[j]) == equals(groups[i], groups[j])
-
-
-def test_key_is_dataclass():
-    k = group_key(trivial_group(2))
-    assert isinstance(k, GroupKey) and k.order == 1
 
 
 def test_symmetric_alternating_orders():
