@@ -416,7 +416,10 @@ def affine_chain(
 
     Levels are intersections of conjugates of H with nested conjugator sets;
     claimed_length is 1 + (d(d+1)/2 - 1) + l2 for d >= 2 and 2 + l2 for d = 1.
-    Strict descent and terminal triviality are asserted during the build.
+    The conjugator sets are built first; one pass of H's level filter then
+    gives every order, raising RuntimeError unless the chain descends
+    strictly, reaches T where predicted, matches every predicted diagonal
+    order and ends at the trivial group.
     """
     if ambient != "S":
         raise ValueError("explicit chains are built for ambient 'S' only")
@@ -426,57 +429,37 @@ def affine_chain(
     if h.order() > limit:
         raise ValueError(f"|H| = {h.order()} exceeds enumeration limit {limit}")
     ident = Permutation.identity(ctx.n)
-    levels = [CertLevel([ident], h.order())]
-    conjs = [ident]
-    current = None  # None means "all of H"; otherwise the level's element tables
-
-    def refine(new_conjugators):
-        nonlocal current
-        pool = h._iter_element_tbls() if current is None else current
-        current = h._conjugate_members([x._tbl for x in new_conjugators], pool)
-
-    def current_group():
-        return PermutationGroup([Permutation._wrap(t) for t in current], ctx.n)
-
     if ctx.d >= 2:
-        for step in subspace_chain(ctx):
-            conjs = conjs + [step.conjugator]
-            prev_order = levels[-1].order
-            refine([step.conjugator])
-            if not len(current) < prev_order:
-                raise RuntimeError(f"chain failed to descend at subspace step {step.coords}")
-            levels.append(CertLevel(list(conjs), len(current)))
-        if not equals(current_group(), ctx.T):
-            raise RuntimeError("subspace chain did not terminate at the diagonal group")
+        to_t = [ident] + [step.conjugator for step in subspace_chain(ctx)]
     else:
-        x = scalar_conjugator(ctx)
-        conjs = conjs + [x]
-        refine([x])
-        if not equals(current_group(), ctx.T):
-            raise RuntimeError("scalar conjugator did not cut H down to the diagonal group")
-        levels.append(CertLevel(list(conjs), len(current)))
-
-    x_t = list(conjs)  # realizes T; composed with the diagonal conjugators below
-    for dstep in diagonal_chain(ctx):
-        seen = set()
-        z_set = []
+        to_t = [ident, scalar_conjugator(ctx)]
+    # levels 1, 2, ...: each conjugator set contains the one before
+    conj_sets = [to_t[: j + 1] for j in range(1, len(to_t))]
+    t_level = len(conj_sets)  # the level that realizes T
+    dsteps = diagonal_chain(ctx)
+    for dstep in dsteps:  # each conjugator realizing T composed with each diagonal one
+        z_set = {}
         for y in dstep.conjugators:
-            for x in x_t:
+            for x in to_t:
                 z = compose(x, y)
-                if z._tbl not in seen:
-                    seen.add(z._tbl)
-                    z_set.append(z)
-        new = [z for z in z_set if z._tbl not in {c._tbl for c in conjs}]
-        prev_order = levels[-1].order
-        refine(new)
-        conjs = z_set
-        if not len(current) < prev_order:
-            raise RuntimeError("chain failed to descend at a diagonal step")
-        if len(current) != dstep.predicted.order():
-            raise RuntimeError(
-                f"diagonal level order {len(current)} != predicted {dstep.predicted.order()}"
-            )
-        levels.append(CertLevel(list(conjs), len(current)))
+                z_set.setdefault(z._tbl, z)
+        conj_sets.append(list(z_set.values()))
+
+    levels = [CertLevel([ident], h.order())]
+    tables = h._conjugate_levels([x._tbl for x in c] for c in conj_sets)
+    for idx, (conjs, members) in enumerate(zip(conj_sets, tables), 1):
+        order = len(members)
+        if not order < levels[-1].order:
+            raise RuntimeError(f"chain failed to descend at level {idx}")
+        if idx == t_level and not equals(
+            PermutationGroup([Permutation._wrap(t) for t in members], ctx.n), ctx.T
+        ):
+            raise RuntimeError(f"level {idx} is not the diagonal group")
+        if idx > t_level:
+            predicted = dsteps[idx - t_level - 1].predicted.order()
+            if order != predicted:
+                raise RuntimeError(f"diagonal level order {order} != predicted {predicted}")
+        levels.append(CertLevel(conjs, order))
 
     if levels[-1].order != 1:
         raise RuntimeError("chain did not terminate at the trivial group")

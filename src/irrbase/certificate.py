@@ -32,6 +32,20 @@ class CertificateFormatError(ValueError):
     """Raised when certificate JSON is malformed or violates the schema."""
 
 
+#: params whose power base**exp must equal the degree, per family
+_POWER_PARAMS = {"agl": ("p", "d"), "wreath": ("m", "k")}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _cycle_strings(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise CertificateFormatError(f"{what} must be a list of cycle strings")
+    return value
+
+
 @dataclass
 class CertLevel:
     conjugators: list  # list[Permutation]
@@ -83,15 +97,27 @@ class ChainCertificate:
             claimed = data["claimed_length"]
         except (KeyError, TypeError) as e:
             raise CertificateFormatError(f"missing or malformed field: {e}") from None
-        if not isinstance(degree, int) or degree < 1:
+        if not _is_int(degree) or degree < 1:
             raise CertificateFormatError(f"bad degree {degree!r}")
         if ambient not in ("S", "A"):
             raise CertificateFormatError(f"bad ambient {ambient!r}, expected 'S' or 'A'")
         if family not in ("agl", "wreath", "natural", "explicit"):
             raise CertificateFormatError(f"unknown subgroup family {family!r}")
-        if not isinstance(claimed, int):
+        if not _is_int(claimed):
             raise CertificateFormatError("claimed_length must be an integer")
-        generators = [parse_cycles(s, degree) for s in gen_strs]
+        if not isinstance(params, dict) or not all(map(_is_int, params.values())):
+            raise CertificateFormatError("params must map names to integers")
+        if family in _POWER_PARAMS:  # checked before any work that grows with them
+            names = _POWER_PARAMS[family]
+            if not all(name in params for name in names):
+                raise CertificateFormatError(f"{family} params need {' and '.join(names)}")
+            base, exp = (params[name] for name in names)
+            if not (2 <= base <= degree and 1 <= exp <= degree.bit_length()
+                    and base**exp == degree):
+                raise CertificateFormatError(
+                    f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
+                )
+        generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
         levels = []
         for i, lv in enumerate(level_data):
             try:
@@ -99,9 +125,8 @@ class ChainCertificate:
                 order = int(lv["order"])
             except (KeyError, TypeError, ValueError) as e:
                 raise CertificateFormatError(f"level {i}: {e}") from None
-            levels.append(
-                CertLevel([parse_cycles(s, degree) for s in conj_strs], order)
-            )
+            conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
+            levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
         return cls(
             degree=degree,
             ambient=ambient,

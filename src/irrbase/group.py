@@ -12,7 +12,9 @@ Orders are exact Python integers; nothing here overflows.  Intersections are
 enumeration-based and refuse (never truncate) above a caller-supplied element
 limit.  Every enumerate-and-filter loop of the package (chain builders,
 certificate verifier, intersections, the coset action's core) runs through
-one conjugate-membership filter, :meth:`PermutationGroup._conjugate_members`.
+one conjugate-membership filter, :meth:`PermutationGroup._conjugate_members`,
+and every chain of such intersections, built or verified, through one level
+pass over it, :meth:`PermutationGroup._conjugate_levels`.
 """
 
 from __future__ import annotations
@@ -219,6 +221,25 @@ class PermutationGroup:
             else:
                 out.append(e)
         return out
+
+    def _conjugate_levels(self, conjugator_sets: Iterable[Sequence[tuple]]) -> Iterator[list]:
+        """Lazily, for each conjugator set, the tables of ⋂ H^x over its x, in H's order.
+
+        The sets are those of levels 1, 2, ... of a chain whose level 0 is H
+        with conjugator set {identity}.  A set containing the previous one
+        filters the previous level's tables by its new conjugators only;
+        any other set is recomputed from all of H.  Each level is computed
+        when it is asked for, so a caller may stop before a bad level.
+        """
+        members = None  # None stands for all of H
+        prev = {self._ident}
+        for conjs in conjugator_sets:
+            current = set(conjs)
+            if members is None or not prev <= current:
+                members, prev = self._iter_element_tbls(), {self._ident}
+            members = self._conjugate_members([x for x in conjs if x not in prev], members)
+            prev = current
+            yield members
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:

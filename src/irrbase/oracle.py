@@ -9,9 +9,10 @@ of pointwise stabilizers is found by a memoized depth-first search over
 subgroup element sets, with candidate points pruned to orbit representatives
 of the current subgroup (conjugate continuations have equal length).
 
-The verifier is independent of the builders: it recomputes every certificate
-level as an intersection of conjugates of H by enumeration and membership
-alone, trusting only the certificate's conjugator witnesses.
+The verifier recomputes every certificate level as an intersection of
+conjugates of H by enumeration and membership alone, trusting only the
+certificate's conjugator witnesses.  The chain builders read their orders off
+the same level pass, :meth:`PermutationGroup._conjugate_levels`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 class OracleLimits:
     """Hard caps for the oracle; exceeding any of them is a clean refusal."""
 
-    max_index: int = 20_000  # number of cosets t
     max_enum: int = 2_000_000  # elements of any enumerated group
     max_memo: int = 1_000_000  # distinct subgroups memoized during the search
 
@@ -289,8 +289,10 @@ def verify_certificate(
 
     Trusts nothing from the builder: each level's element set is recomputed
     from H and the level's conjugator set by enumeration and membership.
-    Nested conjugator sets are filtered incrementally; a non-nested set falls
-    back to a full recomputation from H.
+    The levels come from one pass of :meth:`PermutationGroup._conjugate_levels`:
+    nested conjugator sets are filtered incrementally, a non-nested set is
+    recomputed from H, and a level is computed only once every earlier level
+    has been reported.
     """
     report = VerificationReport(ok=True)
 
@@ -318,44 +320,29 @@ def verify_certificate(
         return report
     report.levels.append(LevelResult(0, lvl0.order, h.order(), True))
 
-    prev_tbls: Optional[list] = None  # None stands for all of H
-    prev_sets: set = {x._tbl for x in lvl0.conjugators}
+    tables = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
     prev_order = h.order()
-    for idx in range(1, len(cert.levels)):
-        lvl = cert.levels[idx]
-        conj_set = {x._tbl for x in lvl.conjugators}
-        if _identity_tbl(cert.degree) not in conj_set:
+    for idx, lvl in enumerate(cert.levels[1:], 1):
+        if not any(x.is_identity() for x in lvl.conjugators):
             fail(idx, lvl.order, None, "conjugator set lacks the identity")
             return report
-        if prev_sets <= conj_set and prev_tbls is not None:
-            new = [x for x in lvl.conjugators if x._tbl not in prev_sets]
-            pool = prev_tbls
-        else:
-            new = [x for x in lvl.conjugators if not x.is_identity()]
-            pool = None  # full recomputation from H
-        if pool is None:
-            pool = h._iter_element_tbls()
-        computed = h._conjugate_members([x._tbl for x in new], pool)
+        order = len(next(tables))
 
         ok = True
         msgs = []
-        if len(computed) != lvl.order:
+        if order != lvl.order:
             ok = False
             msgs.append("recomputed order differs from claim")
-        if not len(computed) < prev_order:
+        if not order < prev_order:
             ok = False
             msgs.append("level does not strictly descend")
-        report.levels.append(
-            LevelResult(idx, lvl.order, len(computed), ok, "; ".join(msgs))
-        )
+        report.levels.append(LevelResult(idx, lvl.order, order, ok, "; ".join(msgs)))
         if not ok:
             report.ok = False
-        prev_tbls = computed
-        prev_sets = conj_set
-        prev_order = len(computed)
+        prev_order = order
 
     last = cert.levels[-1]
-    if prev_tbls is None or len(prev_tbls) != 1 or last.order != 1:
+    if len(cert.levels) == 1 or prev_order != 1 or last.order != 1:
         fail(len(cert.levels) - 1, last.order, prev_order, "terminal level is not trivial")
     return report
 

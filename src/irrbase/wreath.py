@@ -235,6 +235,9 @@ def wreath_chain(
     Levels run over the markers (i, r) in lexicographic order for i in 2..k,
     r in 1..m-1, with nested conjugator sets; a final slice conjugator with a
     transposition kills the residual cyclic group on the first coordinate.
+    The conjugator sets are built first; one pass of M's level filter then
+    gives every order, raising RuntimeError unless the chain descends
+    strictly to the trivial group in the predicted number of levels.
     """
     if ambient != "S":
         raise ValueError("explicit chains are built for ambient 'S' only")
@@ -242,31 +245,19 @@ def wreath_chain(
     if m_group.order() > limit:
         raise ValueError(f"|M| = {m_group.order()} exceeds enumeration limit {limit}")
     ident = Permutation.identity(ctx.n)
+    xs = [wreath_conjugator(ctx, i, r) for i in range(2, ctx.k + 1) for r in range(1, ctx.m)]
+    xs.append(_slice_map(ctx, 2, 1, parse_cycles("(1 2)", ctx.m)))
+    # levels 1, 2, ...: each conjugator set adds one conjugator to the one before
+    conj_sets = [[ident] + xs[: j + 1] for j in range(len(xs))]
+
     levels = [CertLevel([ident], m_group.order())]
-    conjs = [ident]
-    current = None  # None means "all of M"; otherwise the level's element tables
-
-    def refine(x):
-        nonlocal current
-        pool = m_group._iter_element_tbls() if current is None else current
-        current = m_group._conjugate_members([x._tbl], pool)
-
-    for i in range(2, ctx.k + 1):
-        for r in range(1, ctx.m):
-            x = wreath_conjugator(ctx, i, r)
-            conjs = conjs + [x]
-            prev_order = levels[-1].order
-            refine(x)
-            if not len(current) < prev_order:
-                raise RuntimeError(f"chain failed to descend at marker ({i}, {r})")
-            levels.append(CertLevel(list(conjs), len(current)))
-
-    kill = _slice_map(ctx, 2, 1, parse_cycles("(1 2)", ctx.m))
-    conjs = conjs + [kill]
-    refine(kill)
-    if len(current) != 1:
-        raise RuntimeError(f"terminal conjugator left a group of order {len(current)}")
-    levels.append(CertLevel(list(conjs), 1))
+    tables = m_group._conjugate_levels([x._tbl for x in c] for c in conj_sets)
+    for idx, (conjs, members) in enumerate(zip(conj_sets, tables), 1):
+        if not len(members) < levels[-1].order:
+            raise RuntimeError(f"chain failed to descend at level {idx}")
+        levels.append(CertLevel(conjs, len(members)))
+    if levels[-1].order != 1:
+        raise RuntimeError(f"terminal conjugator left a group of order {levels[-1].order}")
 
     expected_length = (ctx.m - 1) * (ctx.k - 1) + 2
     if len(levels) != expected_length:

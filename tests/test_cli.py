@@ -1,6 +1,14 @@
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
+
+from irrbase import affine
+from irrbase.affine import affine_chain, build_agl
+from irrbase.cli import main
+from irrbase.group import PermutationGroup, trivial_group
 
 CLI = [sys.executable, "-m", "irrbase"]
 
@@ -166,3 +174,102 @@ def test_optimized_interpreter_same_output(tmp_path):
         assert c.returncode == 0 and o.returncode == 0
         runs.append((c.stdout, o.stdout, wit.read_bytes()))
     assert runs[0] == runs[1]
+
+
+# -- in-process runs of the CLI -------------------------------------------------
+
+# sha256 of the certificate bytes, which must stay stable across releases
+PINNED_DIGESTS = {
+    ("json", "affine", "3", "2"): "5513d574b133db7ed4d97c56b6fc4a8b492735e64f3afada09efb1832ae311e1",
+    ("json", "affine", "7", "1"): "fbedbf502606af69136e5ccb389be8e27ebb03d34d6805466af0434b7d1dc8a2",
+    ("json", "wreath", "5", "2"): "a14082ca559c9f18cae4c90481d35ffa1ea39f9ed4899b79ba17dfc66227d4b7",
+    ("text", "affine", "3", "2"): "c620149e56716a4df8878a44f6134b2867dbbbfa8b9459a8c9e0cdda903eb168",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids="-".join)
+def test_chain_bytes_pinned(tmp_path, key):
+    fmt, family, a, b = key
+    names = ("--p", "--d") if family == "affine" else ("--m", "--k")
+    out = tmp_path / "cert"
+    argv = ["chain", "--family", family, names[0], a, names[1], b, "--format", fmt]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[key]
+
+
+def test_chain_filters_h_once(monkeypatch, capsys):
+    """One filter call per level after level 0: H once, then each level's predecessor."""
+    pool_sizes = []
+    filter_ = PermutationGroup._conjugate_members
+
+    def counted(self, conjugators, pool):
+        pool = list(pool)
+        pool_sizes.append(len(pool))
+        return filter_(self, conjugators, pool)
+
+    monkeypatch.setattr(PermutationGroup, "_conjugate_members", counted)
+    assert main(["chain", "--family", "affine", "--p", "3", "--d", "2"]) == 0
+    orders = [int(lvl["order"]) for lvl in json.loads(capsys.readouterr().out)["levels"]]
+    assert pool_sizes == orders[:-1] == [432, 12, 4, 2]
+
+
+def test_chain_build_check_failure_exits_1(monkeypatch, capsys):
+    diagonal_chain = affine.diagonal_chain
+
+    def wrong_prediction(ctx):
+        steps = diagonal_chain(ctx)
+        steps[0].predicted = trivial_group(ctx.n)
+        return steps
+
+    monkeypatch.setattr(affine, "diagonal_chain", wrong_prediction)
+    assert main(["chain", "--family", "affine", "--p", "7", "--d", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: diagonal level order 3 != predicted 1\n"
+
+
+def test_oracle_index_refusal_message(capsys):
+    argv = ["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "7", "--limit-t", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "refused: coset index 5040/720 = 7 exceeds limit --limit-t 5\n"
+
+
+def test_verify_stops_at_level_lacking_identity(tmp_path, capsys):
+    data = affine_chain(build_agl(3, 2)).to_dict()
+    data["levels"][3]["conjugators"].remove("()")
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "level 0: claimed 432, computed 432: pass\n"
+        "level 1: claimed 12, computed 12: pass\n"
+        "level 2: claimed 4, computed 4: pass\n"
+        "level 3: claimed 2, computed ?: FAIL (conjugator set lacks the identity)\n"
+        "certificate INVALID\n"
+    )
+
+
+MALFORMED = {
+    "params-lack-p": lambda d: d["subgroup"]["params"].pop("p"),
+    "params-strings": lambda d: d["subgroup"].update(params={"p": "7", "d": "1"}),
+    "params-list": lambda d: d["subgroup"].update(params=[7, 1]),
+    "generators-int": lambda d: d["subgroup"].update(generators=5),
+    "degree-bool": lambda d: d.update(degree=True),
+    "claimed-length-bool": lambda d: d.update(claimed_length=True),
+    # refused before building AGL(3, 101) on 1,030,301 points
+    "p101-d3-on-degree-7": lambda d: d["subgroup"].update(params={"p": 101, "d": 3}),
+    "wreath-m5-k2-on-degree-7": lambda d: d["subgroup"].update(
+        family="wreath", params={"m": 5, "k": 2}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_verify_malformed_certificate_exits_2(tmp_path, capsys, case):
+    data = affine_chain(build_agl(7, 1)).to_dict()
+    MALFORMED[case](data)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed certificate: ")

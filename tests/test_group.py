@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from irrbase.affine import affine_chain
 from irrbase.group import (
     LimitExceeded,
+    PermutationGroup,
     alternating_group,
     equals,
     from_generators,
@@ -188,3 +190,28 @@ def test_read_generator_file():
         read_generator_file("")
     with pytest.raises(ValueError):
         read_generator_file("abc\n(1 2)")
+
+
+def test_conjugate_levels_match_from_scratch(agl52):
+    """Each level equals its whole conjugator set applied to all of H, nested or not."""
+    h = agl52.H
+    sets = [[x._tbl for x in lvl.conjugators] for lvl in affine_chain(agl52).levels[1:]]
+    # as built the sets are nested; reversed, each set lacks the one before
+    for seq, orders in ((sets, [80, 16, 4, 1]), (sets[::-1], [1, 4, 16, 80])):
+        got = list(h._conjugate_levels(seq))
+        assert got == [h._conjugate_members(c, h._iter_element_tbls()) for c in seq]
+        assert [len(t) for t in got] == orders
+
+
+def test_conjugate_levels_lazy(agl32, monkeypatch):
+    h = agl32.H
+    sets = [[x._tbl for x in lvl.conjugators] for lvl in affine_chain(agl32).levels[1:]]
+    calls = []
+    filter_ = PermutationGroup._conjugate_members
+    monkeypatch.setattr(
+        PermutationGroup, "_conjugate_members",
+        lambda self, conjs, pool: calls.append(1) or filter_(self, conjs, pool),
+    )
+    levels = h._conjugate_levels(sets)
+    assert calls == []
+    assert len(next(levels)) == 12 and len(calls) == 1
