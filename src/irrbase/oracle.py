@@ -3,11 +3,24 @@
 The action of G on the right cosets of a core-free subgroup H is realized
 with canonical minimal coset representatives (a greedy walk down H's
 stabilizer chain, valid because chain base points ascend through the natural
-point order).  In that representation the pointwise stabilizer of a set of
-cosets is just an element filter, so the longest strictly descending chain
-of pointwise stabilizers is found by a memoized depth-first search over
-subgroup element sets, with candidate points pruned to orbit representatives
-of the current subgroup (conjugate continuations have equal length).
+point order).  H acts on the t coset points through a homomorphism T, so the
+tables T(u) of the transversal elements u of H's stabilizer chain carry all
+of H's action: they are made once per action, from the strong generators'
+tables alone (:class:`_CosetTables`).  They give H's orbits on the cosets
+and, for a point j, the elements of H fixing j, without building any other
+element; only those fixers get a table of length t.  Faithfulness is read
+off the fixers of one point, and no degree-t stabilizer chain and no list of
+all of H on the cosets is made.
+
+The longest strictly descending chain of pointwise stabilizers is found by a
+memoized depth-first search over subgroup element sets, with candidate points
+pruned to orbit representatives of the current subgroup (conjugate
+continuations have equal length).  Its first step, from H to a point
+stabilizer, is read off the transversal tables; every subgroup below is a
+set of elements of those point stabilizers.  The tables held are therefore
+|H|/|orbit| per orbit representative (per moved point without pruning), not
+|H|, which bounds the search's memory: 7920 elements of M11 on 5040 cosets
+in S11 would take about 320 MB as tables.
 
 The verifier recomputes every certificate level as an intersection of
 conjugates of H by enumeration and membership alone, trusting only the
@@ -17,7 +30,9 @@ the same level pass, :meth:`PermutationGroup._conjugate_levels`.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .certificate import CertLevel, ChainCertificate
@@ -40,6 +55,7 @@ class CosetAction:
     ``transversal[i]`` is the minimal element of the coset that is point
     i + 1; point 1 is the coset H itself with representative the identity.
     The stabilizer of point i + 1 is H conjugated by ``transversal[i]``.
+    ``_tables`` holds the coset tables of H's chain transversals.
     """
 
     group: PermutationGroup
@@ -47,6 +63,7 @@ class CosetAction:
     degree: int
     transversal: list
     _index: dict  # canonical representative table -> 0-based point
+    _tables: Optional[_CosetTables] = field(default=None, repr=False)
 
     def point_of(self, x: Permutation) -> int:
         """1-based point for the coset H x (x must lie in G)."""
@@ -117,24 +134,28 @@ def build_coset_action(
     if len(reps) != t:
         raise AssertionError(f"coset enumeration found {len(reps)} cosets, expected {t}")
 
-    # faithfulness: the kernel is the intersection of all point stabilizers
-    core = h._iter_element_tbls()
-    for rep in reps[1:]:
-        core = h._conjugate_members([rep], core)
-        if len(core) == 1:
-            break
-    if len(core) > 1:
-        raise ValueError(
-            f"action not faithful: subgroup has a core of order {len(core)}"
-        )
-
-    return CosetAction(
+    action = CosetAction(
         group=g,
         subgroup=h,
         degree=t,
         transversal=[Permutation._wrap(r) for r in reps],
         _index=index,
     )
+    tables = action._tables = _CosetTables(action)
+
+    # faithfulness: the kernel is the core of H and lies in every point
+    # stabilizer, so it is the set of identity tables among the fixers of one
+    # point, taken in a largest H-orbit, where the fixers are fewest
+    sizes = Counter(tables.orbit_min)
+    j = max(sizes, key=sizes.get)
+    if sizes[j] == 1:  # H fixes every coset: all of it acts trivially
+        core = h.order()
+    else:
+        ident_t = _identity_tbl(t)
+        core = sum(tables.table(e) == ident_t for e in tables.fixers(j))
+    if core > 1:
+        raise ValueError(f"action not faithful: subgroup has a core of order {core}")
+    return action
 
 
 def _coset_permutation(action: CosetAction, h_tbl: tuple) -> tuple:
@@ -147,6 +168,80 @@ def _coset_permutation(action: CosetAction, h_tbl: tuple) -> tuple:
     return tuple(out)
 
 
+class _CosetTables:
+    """The coset tables of the transversals of H's stabilizer chain.
+
+    T(e) is the 0-based table of e ∈ H on the t coset points.  ``levels[k]``
+    holds T(u) for the transversal elements u of level k, in the level's
+    orbit order.  Every element of H is u_{L-1} ⋯ u_0 for one u_k per level
+    (so a coset point meets level L-1's table first) and is numbered by its
+    path (i_0, ..., i_{L-1}) in mixed radix, i_0 varying fastest.
+    """
+
+    def __init__(self, action: CosetAction):
+        # T is a homomorphism, so only the strong generators are mapped through
+        # the cosets; each level's breadth-first search of
+        # PermutationGroup._rebuild_level is then replayed on their tables
+        h = action.subgroup
+        coset_table = {s: _coset_permutation(action, s) for lvl in h._levels for s in lvl.gens}
+        ident = _identity_tbl(action.degree)
+        self.levels = []
+        for i, lvl in enumerate(h._levels):
+            gens = [(s, coset_table[s]) for s in h._gens_at(i)]
+            tables = {lvl.point: ident}
+            order = [lvl.point]
+            for a in order:  # grows while it is walked: a breadth-first queue
+                ta = tables[a]
+                for s, ts in gens:
+                    b = s[a]
+                    if b not in tables:
+                        tables[b] = _compose_tbl(ta, ts)
+                        order.append(b)
+            if order != lvl.orbit_order:
+                raise RuntimeError(f"replayed orbit of level {i} differs from the chain's")
+            self.levels.append([tables[b] for b in order])
+        self._inv0 = [_inverse_tbl(u) for u in self.levels[0]] if self.levels else []
+        self._getters = [[itemgetter(*u) for u in level] for level in self.levels[1:]]
+
+        # orbit_min[j]: the smallest point of j's H-orbit
+        gens = [u for level in self.levels for u in level[1:]]  # level[0] is the identity
+        self.orbit_min = mins = [-1] * action.degree
+        for j in range(action.degree):
+            if mins[j] < 0:
+                mins[j] = j
+                orbit = [j]
+                for p in orbit:
+                    for u in gens:
+                        q = u[p]
+                        if mins[q] < 0:
+                            mins[q] = j
+                            orbit.append(q)
+
+    def fixers(self, j: int) -> list:
+        """Numbers of the elements of H whose coset table fixes point j.
+
+        j is pushed through levels L-1 down to 1 without building any element;
+        the u_0 that bring it back to j are read off level 0's inverse tables.
+        """
+        pts = [j]
+        for level in reversed(self.levels[1:]):
+            pts = [u[p] for p in pts for u in level]  # the later level varies fastest
+        back = {}
+        for i, inv in enumerate(self._inv0):
+            back.setdefault(inv[j], []).append(i)
+        n0 = len(self._inv0)
+        return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
+
+    def table(self, number: int) -> tuple:
+        """The coset table of an element of H, from its number."""
+        number, i = divmod(number, len(self._inv0))
+        q = self.levels[0][i]
+        for getters in self._getters:
+            number, i = divmod(number, len(getters))
+            q = getters[i](q)  # u_k's table first, then the product of the levels below
+        return q
+
+
 def mibs(
     action: CosetAction,
     limits: Optional[OracleLimits] = None,
@@ -157,10 +252,10 @@ def mibs(
 
     Searches for the longest chain of strictly descending pointwise
     stabilizers.  The first point is fixed to 1 (all first choices are
-    equivalent by transitivity); the search then works inside the stabilizer
-    of point 1, where every later stabilizer is an element filter.  Memoized
-    on the exact element set of the current subgroup; candidate points are
-    pruned to orbit representatives unless ``prune`` is False.
+    equivalent by transitivity); the search then works inside H, the
+    stabilizer of point 1.  Memoized on the exact element set of the current
+    subgroup; candidate points are pruned to orbit representatives unless
+    ``prune`` is False.
     """
     limits = limits or OracleLimits()
     h = action.subgroup
@@ -168,18 +263,63 @@ def mibs(
         raise LimitExceeded(
             f"subgroup order {h.order()} exceeds enumeration limit {limits.max_enum}"
         )
-    t = action.degree
+    points, orders, memo = _longest_chain(action, limits.max_memo, prune)
+    value = 1 + memo[None][0]
+    if len(points) != value or orders[-1] != 1:
+        raise RuntimeError(
+            f"witness replay gave {len(points)} points ending at order {orders[-1]}, "
+            f"expected {value} points ending at 1"
+        )
 
-    point_gens = [
-        Permutation._wrap(_coset_permutation(action, g._tbl)) for g in h.generators
+    conjugators = [action.transversal[p] for p in points]
+    levels = [
+        CertLevel(conjugators=list(conjugators[: j + 1]), order=orders[j])
+        for j in range(len(points))
     ]
-    h_hat = PermutationGroup(point_gens, t)
-    if h_hat.order() != h.order():
-        raise AssertionError("coset representation of the point stabilizer is not faithful")
-    tbls = list(h_hat._iter_element_tbls())
-    root = frozenset(range(len(tbls)))
+    cert = ChainCertificate(
+        degree=action.group.degree,
+        ambient=ambient,
+        family="explicit",
+        params={},
+        generators=list(h.generators),
+        levels=levels,
+        claimed_length=value,
+    )
+    return value, cert
+
+
+def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
+    """The points and orders of a longest stabilizer chain from H, and the search's memo.
+
+    The memo maps every subgroup met (a frozenset of element ids) to its
+    (depth, best point), in the order the depth-first search finishes them.
+    H itself comes last, under the key None: its orbits and point stabilizers
+    come from the transversal tables, so only the elements of those
+    stabilizers ever get a coset table, each once.
+    """
+    t = action.degree
+    tables = action._tables
+    mins = tables.orbit_min
+    sizes = Counter(mins)
+    tbls = []  # coset table of every element met, by id
+    ids = {}  # element number -> id
+
+    def stabilizer(j: int) -> frozenset:
+        out = []
+        for number in tables.fixers(j):
+            e = ids.get(number)
+            if e is None:
+                e = ids[number] = len(tbls)
+                tbls.append(tables.table(number))
+            out.append(e)
+        return frozenset(out)
 
     memo: dict = {}
+
+    def enter(c, best_d: int, best_pt) -> None:
+        if len(memo) >= max_memo:
+            raise LimitExceeded(f"memo table exceeds limit {max_memo} entries")
+        memo[c] = (best_d, best_pt)
 
     def depth_of(c: frozenset) -> int:
         hit = memo.get(c)
@@ -208,48 +348,32 @@ def mibs(
                 d = 1 + depth_of(child)
                 if d > best_d:
                     best_d, best_pt = d, j
-        if len(memo) >= limits.max_memo:
-            raise LimitExceeded(f"memo table exceeds limit {limits.max_memo} entries")
-        memo[c] = (best_d, best_pt)
+        enter(c, best_d, best_pt)
         return best_d
 
-    value = 1 + depth_of(root)
+    # H: the same scan as depth_of, with each child read off the transversal tables
+    best_d, best_pt, best_child = 0, None, None
+    for j in range(t):
+        if sizes[mins[j]] == 1 or (prune and mins[j] != j):
+            continue
+        child = stabilizer(j)
+        d = 1 + depth_of(child)
+        if d > best_d:
+            best_d, best_pt, best_child = d, j, child
+    enter(None, best_d, best_pt)
     # depth_of refers to itself through its closure; without this the cycle keeps
-    # tbls and memo alive after mibs returns, until the cyclic collector runs
+    # tbls and memo alive after the search, until the cyclic collector runs
     del depth_of
 
     # replay the memoized best choices into a witness chain
-    points = [0]
-    orders = [len(root)]
-    c = root
-    while True:
-        d, pt = memo[c]
-        if pt is None:
-            break
+    points, orders = [0], [action.subgroup.order()]
+    c, pt = None, best_pt
+    while pt is not None:
+        c = best_child if c is None else frozenset(e for e in c if tbls[e][pt] == pt)
         points.append(pt)
-        c = frozenset(e for e in c if tbls[e][pt] == pt)
         orders.append(len(c))
-    if len(points) != value or orders[-1] != 1:
-        raise RuntimeError(
-            f"witness replay gave {len(points)} points ending at order {orders[-1]}, "
-            f"expected {value} points ending at 1"
-        )
-
-    conjugators = [action.transversal[p] for p in points]
-    levels = [
-        CertLevel(conjugators=list(conjugators[: j + 1]), order=orders[j])
-        for j in range(len(points))
-    ]
-    cert = ChainCertificate(
-        degree=action.group.degree,
-        ambient=ambient,
-        family="explicit",
-        params={},
-        generators=list(h.generators),
-        levels=levels,
-        claimed_length=value,
-    )
-    return value, cert
+        pt = memo[c][1]
+    return points, orders, memo
 
 
 # -- certificate verification --------------------------------------------------
@@ -292,7 +416,9 @@ def verify_certificate(
     The levels come from one pass of :meth:`PermutationGroup._conjugate_levels`:
     nested conjugator sets are filtered incrementally, a non-nested set is
     recomputed from H, and a level is computed only once every earlier level
-    has been reported.
+    has been reported.  For ambient "A", H's generators and every conjugator
+    must be even: an odd conjugate of H need not be an A_n-conjugate.  Each
+    level gets one report line.
     """
     report = VerificationReport(ok=True)
 
@@ -315,6 +441,10 @@ def verify_certificate(
     if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
         fail(0, lvl0.order, None, "level 0 must carry exactly the identity conjugator")
         return report
+    odd = _first_odd(h.generators, cert.ambient)
+    if odd is not None:
+        fail(0, lvl0.order, None, f"generator {odd} is odd but the ambient group is A_{cert.degree}")
+        return report
     if lvl0.order != h.order():
         fail(0, lvl0.order, h.order(), "level 0 order does not match |H|")
         return report
@@ -325,6 +455,11 @@ def verify_certificate(
     for idx, lvl in enumerate(cert.levels[1:], 1):
         if not any(x.is_identity() for x in lvl.conjugators):
             fail(idx, lvl.order, None, "conjugator set lacks the identity")
+            return report
+        odd = _first_odd(lvl.conjugators, cert.ambient)
+        if odd is not None:
+            msg = f"conjugator {odd} is odd but the ambient group is A_{cert.degree}"
+            fail(idx, lvl.order, None, msg)
             return report
         order = len(next(tables))
 
@@ -341,10 +476,18 @@ def verify_certificate(
             report.ok = False
         prev_order = order
 
-    last = cert.levels[-1]
-    if len(cert.levels) == 1 or prev_order != 1 or last.order != 1:
-        fail(len(cert.levels) - 1, last.order, prev_order, "terminal level is not trivial")
+    last = report.levels[-1]
+    if last.claimed_order != 1 or last.computed_order != 1:
+        last.ok = report.ok = False
+        last.message = "; ".join(filter(None, (last.message, "terminal level is not trivial")))
     return report
+
+
+def _first_odd(perms, ambient: str) -> Optional[Permutation]:
+    """The first odd permutation of ``perms`` when the ambient group is A, else None."""
+    if ambient == "A":
+        return next((x for x in perms if not x.is_even()), None)
+    return None
 
 
 def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:

@@ -9,6 +9,7 @@ from irrbase import affine
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, trivial_group
+from irrbase.perm import compose, parse_cycles, print_cycles
 
 CLI = [sys.executable, "-m", "irrbase"]
 
@@ -273,3 +274,158 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, case):
     assert main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("malformed certificate: ")
+
+
+# -- oracle bytes ----------------------------------------------------------------
+
+GENERATOR_FILES = {
+    "agl-3-2.gens": "9\n(2 3)(5 6)(8 9)\n(2 5 8)(3 9 6)\n(4 5 6)(7 9 8)\n"
+                    "(1 2 3)(4 5 6)(7 8 9)\n(1 4 7)(2 5 8)(3 6 9)\n",
+    # the even part of AGL(2, 3), order 216
+    "agl-3-2-even.gens": "9\n(2 5 8)(3 9 6)\n(4 5 6)(7 9 8)\n"
+                         "(1 2 3)(4 5 6)(7 8 9)\n(1 4 7)(2 5 8)(3 6 9)\n",
+    "m11.gens": "11\n(1 2 3 4 5 6 7 8 9 10 11)\n(3 7 11 8)(4 10 5 6)\n",
+}
+
+# oracle argv (generator files by name) -> sha256 of stdout, and of the --out witness
+PINNED_ORACLE = {
+    "S9-agl-3-2-file": (
+        ["--ambient", "S", "--subgroup", "explicit", "--gens-file", "agl-3-2.gens"],
+        "699705752ccda570fe11d0d0d3294f43f317f51f9d15581a758a3e8eea9bfaee",
+        "1a058a856c97b0584f7dba507773397465a5222e670b162a4b622d5f7339fcc1",
+    ),
+    "S9-agl-3-2-file-no-prune": (
+        ["--ambient", "S", "--subgroup", "explicit", "--gens-file", "agl-3-2.gens", "--no-prune"],
+        "699705752ccda570fe11d0d0d3294f43f317f51f9d15581a758a3e8eea9bfaee",
+        "1a058a856c97b0584f7dba507773397465a5222e670b162a4b622d5f7339fcc1",
+    ),
+    "A9-agl-3-2-even-file": (
+        ["--ambient", "A", "--subgroup", "explicit", "--gens-file", "agl-3-2-even.gens"],
+        "55887c1e903dd31e1041f3b58314f2d48bd9b54b410a610dd494233c3e5337b7",
+        "9923540dabebd1ccac649bf73c75bd3fa9267757abe94e64d6b8f65969a5eae4",
+    ),
+    "S11-m11-file": (
+        ["--ambient", "S", "--subgroup", "explicit", "--gens-file", "m11.gens"],
+        "87a598a38e1324e631bb61eed27a481127c64e27699ccef7961cddfab49fb1fa",
+        "c384e60422cd1e167bac26f54be34b45244ec9ee54cae7307ed6428ee734f6ca",
+    ),
+    "S10-natural": (
+        ["--ambient", "S", "--subgroup", "natural", "--n", "10"],
+        "9865c675cf61627eabb6953046c4b3f2bf4319392f70856b76b75261105558d4",
+        None,
+    ),
+    "A10-natural": (
+        ["--ambient", "A", "--subgroup", "natural", "--n", "10"],
+        "943d596a978bd13477732614a057b0eff2b30c3d63f9c3f5535876fc1eb923aa",
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ORACLE))
+def test_oracle_bytes_pinned(tmp_path, capsys, case):
+    argv, stdout_digest, witness_digest = PINNED_ORACLE[case]
+    for name, text in GENERATOR_FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in GENERATOR_FILES else a for a in argv]
+    witness = tmp_path / "witness.json"
+    if witness_digest:
+        argv += ["--out", str(witness)]
+    assert main(["oracle", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+    if witness_digest:
+        assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
+
+
+def test_oracle_memo_refusal_message(capsys):
+    argv = ["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "7", "--d", "1",
+            "--limit-memo", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "refused: memo table exceeds limit 2 entries\n")
+
+
+# -- verify: ambient parity, one-level and terminal reports ---------------------
+
+
+def _oracle_witness(tmp_path, *argv) -> dict:
+    out = tmp_path / "witness.json"
+    assert main(["oracle", *argv, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def _verify(tmp_path, capsys, data: dict) -> tuple:
+    capsys.readouterr()
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    code = main(["verify", str(path)])
+    return code, capsys.readouterr().out
+
+
+def test_verify_rejects_odd_generator_for_ambient_a(tmp_path, capsys):
+    """The S witness on AGL(1, 7), relabelled as an A certificate: H is not in A_7."""
+    data = _oracle_witness(tmp_path, "--ambient", "S", "--subgroup", "agl", "--p", "7", "--d", "1")
+    data["ambient"], data["subgroup"]["family"] = "A", "explicit"
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 42, computed ?: FAIL "
+        "(generator (2 4 3 7 5 6) is odd but the ambient group is A_7)\n"
+        "certificate INVALID\n"
+    ))
+
+
+def test_verify_rejects_odd_conjugator_for_ambient_a(tmp_path, capsys):
+    """An odd h ∈ AGL(1, 7) normalizes H = AGL(1, 7) ∩ A_7, so H^(hx) = H^x: only parity tells."""
+    data = _oracle_witness(tmp_path, "--ambient", "A", "--subgroup", "agl", "--p", "7", "--d", "1")
+    assert _verify(tmp_path, capsys, data)[0] == 0
+    x = parse_cycles(data["levels"][1]["conjugators"][1], 7)
+    odd = print_cycles(compose(parse_cycles("(2 4 3 7 5 6)", 7), x))
+    for lvl in data["levels"][1:]:
+        lvl["conjugators"][1] = odd
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 21, computed 21: pass\n"
+        f"level 1: claimed 3, computed ?: FAIL (conjugator {odd} is odd but the ambient group is A_7)\n"
+        "certificate INVALID\n"
+    ))
+
+
+def test_oracle_trivial_subgroup_witness_verifies(tmp_path, capsys):
+    """Trivial H in S_2: mibs 1, a one-level witness, one report line."""
+    gens = tmp_path / "trivial.gens"
+    gens.write_text("2\n")
+    data = _oracle_witness(tmp_path, "--ambient", "S", "--subgroup", "explicit",
+                           "--gens-file", str(gens))
+    assert data["claimed_length"] == 1
+    assert _verify(tmp_path, capsys, data) == (
+        0, "level 0: claimed 1, computed 1: pass\ncertificate VERIFIED\n"
+    )
+
+
+def test_verify_degree_one_certificate(tmp_path, capsys):
+    data = {
+        "degree": 1,
+        "ambient": "S",
+        "subgroup": {"family": "explicit", "params": {}, "generators": []},
+        "levels": [{"conjugators": ["()"], "order": "1"}],
+        "claimed_length": 1,
+    }
+    assert _verify(tmp_path, capsys, data) == (
+        0, "level 0: claimed 1, computed 1: pass\ncertificate VERIFIED\n"
+    )
+
+
+def test_verify_nontrivial_end_is_one_line(tmp_path, capsys):
+    data = affine_chain(build_agl(3, 2)).to_dict()
+    del data["levels"][-1]
+    data["claimed_length"] -= 1
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 432, computed 432: pass\n"
+        "level 1: claimed 12, computed 12: pass\n"
+        "level 2: claimed 4, computed 4: pass\n"
+        "level 3: claimed 2, computed 2: FAIL (terminal level is not trivial)\n"
+        "certificate INVALID\n"
+    ))
+    data["levels"] = data["levels"][:1]
+    data["claimed_length"] = 1
+    assert _verify(tmp_path, capsys, data) == (
+        1, "level 0: claimed 432, computed 432: FAIL (terminal level is not trivial)\n"
+           "certificate INVALID\n"
+    )

@@ -1,0 +1,231 @@
+"""The oracle against the reference it replaced: a degree-t chain of all of H.
+
+The reference builds H's coset tables as a Schreier-Sims chain on the t coset
+points, lists all |H| of them and runs the memoized frozenset search from H
+itself; faithfulness is a filter of all of H through every coset
+representative.  The oracle reads H's point stabilizers and its core off the
+coset tables of H's chain transversals instead.  Both must give the same
+value, the same witness bytes and the same memo, entry by entry in insertion
+order, and refuse the same non-core-free subgroups with the same message.
+"""
+
+import re
+from functools import lru_cache
+
+import pytest
+
+from irrbase import oracle
+from irrbase.affine import build_agl
+from irrbase.certificate import CertLevel, ChainCertificate
+from irrbase.group import (
+    PermutationGroup,
+    alternating_group,
+    from_generators,
+    intersect,
+    symmetric_group,
+)
+from irrbase.oracle import (
+    OracleLimits,
+    _coset_permutation,
+    _min_coset_rep,
+    build_coset_action,
+    mibs,
+)
+from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles
+
+M11_GENERATORS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
+
+
+# -- the reference --------------------------------------------------------------
+
+
+def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S"):
+    """The search from H over all |H| coset tables; returns (value, witness, memo shape).
+
+    The memo shape lists (subgroup order, (depth, best point)) per entry, in
+    insertion order.
+    """
+    h = action.subgroup
+    t = action.degree
+    point_gens = [
+        Permutation._wrap(_coset_permutation(action, g._tbl)) for g in h.generators
+    ]
+    h_hat = PermutationGroup(point_gens, t)
+    assert h_hat.order() == h.order(), "coset representation is not faithful"
+    tbls = list(h_hat._iter_element_tbls())
+    root = frozenset(range(len(tbls)))
+    memo = {}
+
+    def depth_of(c):
+        hit = memo.get(c)
+        if hit is not None:
+            return hit[0]
+        best_d, best_pt = 0, None
+        if prune:
+            seen = bytearray(t)
+            for j in range(t):
+                if seen[j]:
+                    continue
+                orb = {tbls[e][j] for e in c}
+                for o in orb:
+                    seen[o] = 1
+                if len(orb) == 1:
+                    continue
+                child = frozenset(e for e in c if tbls[e][j] == j)
+                d = 1 + depth_of(child)
+                if d > best_d:
+                    best_d, best_pt = d, j
+        else:
+            for j in range(t):
+                child = frozenset(e for e in c if tbls[e][j] == j)
+                if len(child) == len(c):
+                    continue
+                d = 1 + depth_of(child)
+                if d > best_d:
+                    best_d, best_pt = d, j
+        if len(memo) >= max_memo:
+            raise oracle.LimitExceeded(f"memo table exceeds limit {max_memo} entries")
+        memo[c] = (best_d, best_pt)
+        return best_d
+
+    value = 1 + depth_of(root)
+    points, orders, c = [0], [len(root)], root
+    while memo[c][1] is not None:
+        pt = memo[c][1]
+        points.append(pt)
+        c = frozenset(e for e in c if tbls[e][pt] == pt)
+        orders.append(len(c))
+    conjugators = [action.transversal[p] for p in points]
+    cert = ChainCertificate(
+        degree=action.group.degree,
+        ambient=ambient,
+        family="explicit",
+        params={},
+        generators=list(h.generators),
+        levels=[CertLevel(list(conjugators[: j + 1]), orders[j]) for j in range(len(points))],
+        claimed_length=value,
+    )
+    return value, cert, [(len(k), v) for k, v in memo.items()]
+
+
+def reference_core_order(g, h):
+    """Order of the kernel of G on the cosets of H, by filtering all of H."""
+    reps = [_min_coset_rep(h, _identity_tbl(g.degree))]
+    seen = set(reps)
+    for rep in reps:
+        for s in g.generators:
+            key = _min_coset_rep(h, _compose_tbl(rep, s._tbl))
+            if key not in seen:
+                seen.add(key)
+                reps.append(key)
+    core = list(h._iter_element_tbls())
+    for rep in reps[1:]:
+        core = h._conjugate_members([rep], core)
+        if len(core) == 1:
+            break
+    return len(core)
+
+
+# -- instances ------------------------------------------------------------------
+
+
+def _natural(ambient, n):
+    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    return g, g.point_stabilizer(n)
+
+
+def _affine(ambient, p, d):
+    h = build_agl(p, d).H
+    if ambient == "S":
+        return symmetric_group(p**d), h
+    g = alternating_group(p**d)
+    return g, intersect(h, g)
+
+
+def _m11():
+    return symmetric_group(11), from_generators([parse_cycles(c, 11) for c in M11_GENERATORS], 11)
+
+
+INSTANCES = {
+    **{f"{a}{n}-natural": (lambda a=a, n=n: _natural(a, n)) for a in "SA" for n in range(5, 10)},
+    **{f"{a}7-agl-7-1": (lambda a=a: _affine(a, 7, 1)) for a in "SA"},
+    **{f"{a}9-agl-3-2": (lambda a=a: _affine(a, 3, 2)) for a in "SA"},
+    "S11-m11": _m11,
+}
+
+
+@lru_cache(maxsize=None)
+def action_of(name):
+    return build_coset_action(*INSTANCES[name]())
+
+
+CASES = [(name, True) for name in INSTANCES] + [
+    (name, False) for name in INSTANCES if name != "S11-m11"
+]
+
+
+@pytest.mark.parametrize(
+    "name, prune", CASES, ids=[f"{n}-{'pruned' if p else 'unpruned'}" for n, p in CASES]
+)
+def test_search_matches_reference(monkeypatch, name, prune):
+    action = action_of(name)
+    ambient = name[0]
+    ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient)
+    searches = []
+    search = oracle._longest_chain
+
+    def recorded(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    monkeypatch.setattr(oracle, "_longest_chain", recorded)
+    value, cert = mibs(action, prune=prune, ambient=ambient)
+    memo = searches[0][2]
+    order_h = action.subgroup.order()
+    assert value == ref_value
+    assert cert.to_json() == ref_cert.to_json()
+    assert [(order_h if k is None else len(k), v) for k, v in memo.items()] == ref_memo
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_memo_refusal_point_matches_reference(prune):
+    """The refusal comes at the same memo entry: the last cap that fails is count - 1."""
+    action = action_of("S7-agl-7-1")
+    count = len(reference_mibs(action, prune=prune)[2])
+    assert mibs(action, limits=OracleLimits(max_memo=count), prune=prune)[0] == 4
+    with pytest.raises(oracle.LimitExceeded, match=rf"^memo table exceeds limit {count - 1} entries$"):
+        mibs(action, limits=OracleLimits(max_memo=count - 1), prune=prune)
+
+
+def _s4_subgroup(*cycles):
+    return symmetric_group(4), from_generators([parse_cycles(c, 4) for c in cycles], 4)
+
+
+NOT_CORE_FREE = {
+    "klein-in-S4": lambda: _s4_subgroup("(1 2)(3 4)", "(1 3)(2 4)"),
+    "A4-in-S4": lambda: _s4_subgroup("(1 2 3)", "(2 3 4)"),
+    # not normal: D8 acts on its 3 cosets as C2, with the Klein group as kernel
+    "D8-in-S4": lambda: _s4_subgroup("(1 2 3 4)", "(1 3)"),
+    # the translations, normal in AGL(1, 7)
+    "C7-in-AGL(1,7)": lambda: (
+        build_agl(7, 1).H,
+        from_generators([parse_cycles("(1 2 3 4 5 6 7)", 7)], 7),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
+def test_core_matches_reference(name):
+    g, h = NOT_CORE_FREE[name]()
+    core = reference_core_order(g, h)
+    assert core > 1
+    message = f"action not faithful: subgroup has a core of order {core}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_coset_action(g, h)
+
+
+@pytest.mark.parametrize("name", ["S6-natural", "A6-natural", "S7-agl-7-1", "A9-agl-3-2"])
+def test_core_free_matches_reference(name):
+    g, h = INSTANCES[name]()
+    assert reference_core_order(g, h) == 1
+    build_coset_action(g, h)
