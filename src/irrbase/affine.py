@@ -15,7 +15,8 @@ characteristic is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate
@@ -261,10 +262,16 @@ def subspace_scaling_conjugator(
 class SubspaceStep:
     """One stabilizer in the subspace chain, with witnesses for strict descent."""
 
+    ctx: AffineContext = field(repr=False)
     coords: tuple  # (i, j), 1-based: the subspace spanned by basis vectors i..j
-    stabilizer: PermutationGroup  # setwise stabilizer in GL(V), by element filtering
+    basis: list  # coordinate vectors of basis vectors i..j
     witness: Permutation  # lies in all earlier stabilizers but not this one
     conjugator: Permutation  # realizes the stabilizer as H ∩ H^x
+
+    @cached_property
+    def stabilizer(self) -> PermutationGroup:
+        """Setwise stabilizer in GL(V), by element filtering; built on first access."""
+        return gl_subspace_stabilizer(self.ctx, self.basis)
 
 
 def subspace_index_pairs(d: int) -> list:
@@ -295,8 +302,9 @@ def subspace_chain(ctx: AffineContext) -> list:
             rows[j - 1][i - 2] = 1  # b_j -> b_{i-1} + b_j
         steps.append(
             SubspaceStep(
+                ctx=ctx,
                 coords=(i, j),
-                stabilizer=gl_subspace_stabilizer(ctx, basis),
+                basis=basis,
                 witness=affine_to_permutation(ctx, rows),
                 conjugator=subspace_scaling_conjugator(ctx, basis),
             )
@@ -416,10 +424,10 @@ def affine_chain(
 
     Levels are intersections of conjugates of H with nested conjugator sets;
     claimed_length is 1 + (d(d+1)/2 - 1) + l2 for d >= 2 and 2 + l2 for d = 1.
-    The conjugator sets are built first; one pass of H's level filter then
-    gives every order, raising RuntimeError unless the chain descends
-    strictly, reaches T where predicted, matches every predicted diagonal
-    order and ends at the trivial group.
+    The conjugator sets are built first; one level pass over H then gives
+    every order, raising RuntimeError unless the chain descends strictly,
+    reaches T where predicted, matches every predicted diagonal order and
+    ends at the trivial group.
     """
     if ambient != "S":
         raise ValueError("explicit chains are built for ambient 'S' only")
@@ -446,14 +454,12 @@ def affine_chain(
         conj_sets.append(list(z_set.values()))
 
     levels = [CertLevel([ident], h.order())]
-    tables = h._conjugate_levels([x._tbl for x in c] for c in conj_sets)
-    for idx, (conjs, members) in enumerate(zip(conj_sets, tables), 1):
-        order = len(members)
+    groups = h._conjugate_levels([x._tbl for x in c] for c in conj_sets)
+    for idx, (conjs, level) in enumerate(zip(conj_sets, groups), 1):
+        order = level.order()
         if not order < levels[-1].order:
             raise RuntimeError(f"chain failed to descend at level {idx}")
-        if idx == t_level and not equals(
-            PermutationGroup([Permutation._wrap(t) for t in members], ctx.n), ctx.T
-        ):
+        if idx == t_level and not equals(level, ctx.T):
             raise RuntimeError(f"level {idx} is not the diagonal group")
         if idx > t_level:
             predicted = dsteps[idx - t_level - 1].predicted.order()

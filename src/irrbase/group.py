@@ -8,13 +8,16 @@ the order is generated by the buckets beyond q.  With the natural order this
 yields ascending base points and makes minimal-coset-representative
 canonicalization a greedy walk down the chain.
 
-Orders are exact Python integers; nothing here overflows.  Intersections are
-enumeration-based and refuse (never truncate) above a caller-supplied element
-limit.  Every enumerate-and-filter loop of the package (chain builders,
-certificate verifier, intersections, the coset action's core) runs through
-one conjugate-membership filter, :meth:`PermutationGroup._conjugate_members`,
-and every chain of such intersections, built or verified, through one level
-pass over it, :meth:`PermutationGroup._conjugate_levels`.
+Orders are exact Python integers; nothing here overflows.  A chain of
+conjugate intersections, built or verified, runs through one level pass,
+:meth:`PermutationGroup._conjugate_levels`, whose levels come from
+orbit-stabilizer on the right cosets of H: K ∩ H^x is the stabilizer in K of
+the coset Hx, found by :meth:`PermutationGroup._coset_stabilizer` from the
+orbit of Hx's minimal representative without enumerating K.  Enumeration
+(:meth:`PermutationGroup._conjugate_members` over
+:meth:`PermutationGroup._iter_element_tbls`) remains for ``intersect`` and
+the wreath check, and is the tests' reference for the level pass; it refuses
+(never truncates) above a caller-supplied element limit.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class PermutationGroup:
             self._natural_base = list(order) == list(range(degree))
         self._levels: list[_Level] = []
         self._order: Optional[int] = None
+        self._walk = None  # _min_coset_rep's per-level getters, made on first use
         for g in self.generators:
             self._add_generator(g._tbl)
         self._order = 1
@@ -182,12 +186,14 @@ class PermutationGroup:
             else:
                 i = nxt
 
-    def _add_generator(self, tbl: tuple) -> None:
+    def _add_generator(self, tbl: tuple) -> bool:
+        """Extend the chain by tbl; False when tbl already lies in the group."""
         r = self._sift_tbl(tbl)
         if r == self._ident:
-            return
-        idx = self._place(r)
-        self._complete(idx)
+            return False
+        self._complete(self._place(r))
+        self._walk = None
+        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -222,24 +228,99 @@ class PermutationGroup:
                 out.append(e)
         return out
 
-    def _conjugate_levels(self, conjugator_sets: Iterable[Sequence[tuple]]) -> Iterator[list]:
-        """Lazily, for each conjugator set, the tables of ⋂ H^x over its x, in H's order.
+    def _coset_stabilizer(self, k: "PermutationGroup", x: tuple) -> "PermutationGroup":
+        """K ∩ H^x (H is this group), as the stabilizer in K of the right coset Hx.
+
+        ``k ∈ H^x ⟺ Hxk = Hx``, so the level is the stabilizer of the point
+        Hx in K's action on H's right cosets, whose points are their minimal
+        representatives.  A breadth-first orbit of Hx under K's generators is
+        kept as a Schreier vector (parent key, generator index), and
+        orbit-stabilizer gives the order |K| / |orbit| exactly.  An orbit
+        longer than |K|/2 is regular, since its length divides |K|: the
+        search stops there and the level is trivial.  Otherwise Schreier
+        generators are sifted into a new group until it has that order; a
+        subgroup of the stabilizer with the stabilizer's order is the
+        stabilizer.  The orbit has at most |K| points.
+        """
+        gens = [g._tbl for g in k.generators]
+        size = k.order()
+        root = _min_coset_rep(self, x)
+        parent = {root: None}  # Schreier vector: key -> (parent key, generator index)
+        queue = [root]
+        for a in queue:  # grows while it is walked: a breadth-first queue
+            for i, s in enumerate(gens):
+                b = _min_coset_rep(self, _compose_tbl(a, s))
+                if b not in parent:
+                    parent[b] = (a, i)
+                    queue.append(b)
+                    if 2 * len(queue) > size:
+                        return PermutationGroup([], self.degree)
+        target, rem = divmod(size, len(queue))
+        if rem:
+            raise RuntimeError(f"coset orbit of length {len(queue)} does not divide |K| = {size}")
+        if target == size:
+            return k
+
+        def transversal(b: tuple) -> tuple:
+            """The element of K taking the coset Hx to the coset b, from the Schreier vector."""
+            path = []
+            while parent[b] is not None:
+                b, i = parent[b]
+                path.append(gens[i])
+            u = self._ident
+            for s in reversed(path):
+                u = _compose_tbl(u, s)
+            return u
+
+        def schreier_generators() -> Iterator[tuple]:
+            """u_a s u_b⁻¹ for each orbit key a and generator s, b the key of a s."""
+            for a in queue:
+                ua = None
+                for i, s in enumerate(gens):
+                    b = _min_coset_rep(self, _compose_tbl(a, s))
+                    if parent[b] == (a, i):
+                        continue  # a tree edge: its Schreier generator is the identity
+                    if ua is None:
+                        ua = transversal(a)
+                    yield _compose_tbl(_compose_tbl(ua, s), _inverse_tbl(transversal(b)))
+
+        stab = PermutationGroup([], self.degree)
+        added = []
+        order = 1
+        for g in schreier_generators():
+            if stab._add_generator(g):
+                added.append(Permutation._wrap(g))
+                order = math.prod(len(lvl.orbit) for lvl in stab._levels)
+                if order >= target:
+                    break
+        if order != target:
+            raise RuntimeError(f"coset stabilizer has order {order}, expected |K| / |orbit| = {target}")
+        stab.generators = tuple(added)
+        stab._order = order
+        return stab
+
+    def _conjugate_levels(
+        self, conjugator_sets: Iterable[Sequence[tuple]]
+    ) -> Iterator["PermutationGroup"]:
+        """Lazily, for each conjugator set, the group ⋂ H^x over its x.
 
         The sets are those of levels 1, 2, ... of a chain whose level 0 is H
         with conjugator set {identity}.  A set containing the previous one
-        filters the previous level's tables by its new conjugators only;
-        any other set is recomputed from all of H.  Each level is computed
-        when it is asked for, so a caller may stop before a bad level.
+        cuts the previous level by its new conjugators only; any other set
+        starts again from H.  Each conjugator costs one
+        :meth:`_coset_stabilizer`, made when its level is asked for, so a
+        caller may stop before a bad level.
         """
-        members = None  # None stands for all of H
-        prev = {self._ident}
+        level, prev = self, {self._ident}
         for conjs in conjugator_sets:
             current = set(conjs)
-            if members is None or not prev <= current:
-                members, prev = self._iter_element_tbls(), {self._ident}
-            members = self._conjugate_members([x for x in conjs if x not in prev], members)
+            if not prev <= current:
+                level, prev = self, {self._ident}
+            for x in dict.fromkeys(conjs):
+                if x not in prev:
+                    level = self._coset_stabilizer(level, x)
             prev = current
-            yield members
+            yield level
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -341,6 +422,41 @@ def _products(steps: list, i: int, q: tuple) -> Iterator[tuple]:
         return
     for u_then in steps[i]:
         yield from _products(steps, i + 1, u_then(q))
+
+
+def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
+    """Lexicographically smallest image table in the coset {h y : h in H}.
+
+    Walks H's stabilizer chain: at each level the image of the base point is
+    made as small as possible.  Requires H to have been built with the
+    natural point order.
+    """
+    if not h._natural_base:
+        raise ValueError("minimal coset representatives require a natural-order chain")
+    walk = h._walk
+    if walk is None:
+        # per level: the base point, its orbit, a getter of the orbit's images
+        # (None when the orbit holds at least half the points: its least image
+        # is then found by scanning the values 0, 1, ... instead) and the
+        # transversal tables as getters, by orbit point
+        walk = h._walk = []
+        for lvl in h._levels:
+            pts = list(lvl.orbit)  # at least two points: a level's generators move it
+            images_of = None if 2 * len(pts) >= h.degree else itemgetter(*pts)
+            walk.append((lvl.point, pts, images_of, {b: itemgetter(*lvl.orbit[b]) for b in pts}))
+    for point, pts, images_of, u_then in walk:
+        if images_of is None:
+            v = 0
+            c = y.index(0)
+            while c not in u_then:
+                v += 1
+                c = y.index(v)
+        else:
+            imgs = images_of(y)
+            c = pts[imgs.index(min(imgs))]
+        if c != point:
+            y = u_then[c](y)  # _compose_tbl(u, y): u first, then y
+    return y
 
 
 def from_generators(gens: Sequence[Permutation], degree: int) -> PermutationGroup:

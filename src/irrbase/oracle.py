@@ -23,9 +23,12 @@ set of elements of those point stabilizers.  The tables held are therefore
 in S11 would take about 320 MB as tables.
 
 The verifier recomputes every certificate level as an intersection of
-conjugates of H by enumeration and membership alone, trusting only the
-certificate's conjugator witnesses.  The chain builders read their orders off
-the same level pass, :meth:`PermutationGroup._conjugate_levels`.
+conjugates of H from H and the certificate's conjugator witnesses alone: each
+level is the stabilizer of a coset of H in the level above, found by
+orbit-stabilizer on the cosets without enumerating H.  The chain builders
+read their orders off the same level pass,
+:meth:`PermutationGroup._conjugate_levels`; enumeration is the tests'
+reference for it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .certificate import CertLevel, ChainCertificate
-from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup
+from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
@@ -72,26 +75,6 @@ class CosetAction:
         if idx is None:
             raise ValueError("element does not represent a coset of this action")
         return idx + 1
-
-
-def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
-    """Lexicographically smallest image table in the coset {h y : h in H}.
-
-    Walks H's stabilizer chain: at each level the image of the base point is
-    made as small as possible.  Requires H to have been built with the
-    natural point order.
-    """
-    if not h._natural_base:
-        raise ValueError("minimal coset representatives require a natural-order chain")
-    for lvl in h._levels:
-        best = None
-        for b in lvl.orbit:
-            img = y[b]
-            if best is None or img < best_img:
-                best, best_img = b, img
-        if best != lvl.point:
-            y = _compose_tbl(lvl.orbit[best], y)
-    return y
 
 
 def build_coset_action(
@@ -411,14 +394,16 @@ def verify_certificate(
 ) -> VerificationReport:
     """Recompute every level as an intersection of conjugates of H and check all claims.
 
-    Trusts nothing from the builder: each level's element set is recomputed
-    from H and the level's conjugator set by enumeration and membership.
-    The levels come from one pass of :meth:`PermutationGroup._conjugate_levels`:
-    nested conjugator sets are filtered incrementally, a non-nested set is
-    recomputed from H, and a level is computed only once every earlier level
-    has been reported.  For ambient "A", H's generators and every conjugator
-    must be even: an odd conjugate of H need not be an A_n-conjugate.  Each
-    level gets one report line.
+    Trusts nothing from the builder: each level is recomputed from H and the
+    level's conjugator set, as the stabilizer of the cosets Hx in the level
+    above (orbit-stabilizer, no enumeration of H).  The levels come from one
+    pass of :meth:`PermutationGroup._conjugate_levels`: nested conjugator
+    sets cut the previous level by their new conjugators, a non-nested set
+    starts again from H, and a level is computed only once every earlier
+    level has been reported.  For ambient "A", H's generators and every
+    conjugator must be even: an odd conjugate of H need not be an
+    A_n-conjugate.  Each level gets one report line; a ``claimed_length``
+    mismatch is marked on level 0's.
     """
     report = VerificationReport(ok=True)
 
@@ -434,23 +419,27 @@ def verify_certificate(
     if not cert.levels:
         fail(0, 0, None, "certificate has no levels")
         return report
-    if cert.claimed_length != len(cert.levels):
-        fail(0, 0, None, f"claimed_length {cert.claimed_length} != {len(cert.levels)} levels")
 
     lvl0 = cert.levels[0]
-    if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
-        fail(0, lvl0.order, None, "level 0 must carry exactly the identity conjugator")
-        return report
+    computed, msg = h.order(), None
     odd = _first_odd(h.generators, cert.ambient)
-    if odd is not None:
-        fail(0, lvl0.order, None, f"generator {odd} is odd but the ambient group is A_{cert.degree}")
+    if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
+        computed, msg = None, "level 0 must carry exactly the identity conjugator"
+    elif odd is not None:
+        computed, msg = None, f"generator {odd} is odd but the ambient group is A_{cert.degree}"
+    elif lvl0.order != h.order():
+        msg = "level 0 order does not match |H|"
+    msgs = [msg] if msg else []
+    if cert.claimed_length != len(cert.levels):
+        msgs.append(f"claimed_length {cert.claimed_length} != {len(cert.levels)} levels")
+    if msgs:
+        fail(0, lvl0.order, computed, "; ".join(msgs))
+    else:
+        report.levels.append(LevelResult(0, lvl0.order, computed, True))
+    if msg:
         return report
-    if lvl0.order != h.order():
-        fail(0, lvl0.order, h.order(), "level 0 order does not match |H|")
-        return report
-    report.levels.append(LevelResult(0, lvl0.order, h.order(), True))
 
-    tables = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
+    groups = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
     prev_order = h.order()
     for idx, lvl in enumerate(cert.levels[1:], 1):
         if not any(x.is_identity() for x in lvl.conjugators):
@@ -461,7 +450,7 @@ def verify_certificate(
             msg = f"conjugator {odd} is odd but the ambient group is A_{cert.degree}"
             fail(idx, lvl.order, None, msg)
             return report
-        order = len(next(tables))
+        order = next(groups).order()
 
         ok = True
         msgs = []
@@ -513,24 +502,17 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
                 seq.append(p)
 
     level_orders = {lvl.order for lvl in cert.levels}
-    kept = []
-    visited_orders = set()
-    current = None  # running stabilizer elements; None = all of G (before any point)
-    for p in seq:
-        x = action.transversal[p - 1]._tbl
-        if current is None:
-            # the first point always descends: its stabilizer is H^x < G
-            kept.append(p)
-            x_inv = _inverse_tbl(x)
-            current = [_compose_tbl(_compose_tbl(x_inv, e), x) for e in h._iter_element_tbls()]
-            visited_orders.add(len(current))
-            continue
-        new = h._conjugate_members([x], current)
-        if len(new) < len(current):
+    # the first point always descends: its stabilizer is H^x < G
+    current = h.conjugate(action.transversal[seq[0] - 1])
+    kept = seq[:1]
+    visited_orders = {current.order()}
+    for p in seq[1:]:
+        new = h._coset_stabilizer(current, action.transversal[p - 1]._tbl)
+        if new.order() < current.order():
             kept.append(p)
             current = new
-            visited_orders.add(len(current))
-    if len(current) != 1:
+            visited_orders.add(current.order())
+    if current.order() != 1:
         raise ValueError("base does not reduce the stabilizer to the trivial group")
     if not level_orders <= visited_orders:
         raise ValueError("stabilizer chain of the base misses a certificate level")

@@ -13,8 +13,10 @@ The raw-table kernel at the bottom of this module is what the heavier modules
 run on.  On tables the same convention reads ``_compose_tbl(a, b)[i] =
 b[a[i]]`` (a first, then b), computed as ``itemgetter(*a)(b)``, and identity
 is tested by tuple ``==`` against a cached identity table.  Membership of a
-conjugate is tested through H itself, by ``PermutationGroup._conjugate_members``:
-``e ∈ H^x ⟺ x e x⁻¹ ∈ H``, where ``x e x⁻¹`` is the table
+conjugate rests on ``e ∈ H^x ⟺ x e x⁻¹ ∈ H ⟺ Hxe = Hx``: certificate levels
+are stabilizers of cosets Hx (``PermutationGroup._coset_stabilizer``), and the
+enumeration filter kept as their test reference,
+``PermutationGroup._conjugate_members``, sifts the table of x e x⁻¹,
 ``_compose_tbl(_compose_tbl(x, e), _inverse_tbl(x))``.
 """
 

@@ -235,9 +235,9 @@ def wreath_chain(
     Levels run over the markers (i, r) in lexicographic order for i in 2..k,
     r in 1..m-1, with nested conjugator sets; a final slice conjugator with a
     transposition kills the residual cyclic group on the first coordinate.
-    The conjugator sets are built first; one pass of M's level filter then
-    gives every order, raising RuntimeError unless the chain descends
-    strictly to the trivial group in the predicted number of levels.
+    The conjugator sets are built first; one level pass over M then gives
+    every order, raising RuntimeError unless the chain descends strictly to
+    the trivial group in the predicted number of levels.
     """
     if ambient != "S":
         raise ValueError("explicit chains are built for ambient 'S' only")
@@ -251,11 +251,11 @@ def wreath_chain(
     conj_sets = [[ident] + xs[: j + 1] for j in range(len(xs))]
 
     levels = [CertLevel([ident], m_group.order())]
-    tables = m_group._conjugate_levels([x._tbl for x in c] for c in conj_sets)
-    for idx, (conjs, members) in enumerate(zip(conj_sets, tables), 1):
-        if not len(members) < levels[-1].order:
+    groups = m_group._conjugate_levels([x._tbl for x in c] for c in conj_sets)
+    for idx, (conjs, level) in enumerate(zip(conj_sets, groups), 1):
+        if not level.order() < levels[-1].order:
             raise RuntimeError(f"chain failed to descend at level {idx}")
-        levels.append(CertLevel(conjs, len(members)))
+        levels.append(CertLevel(conjs, level.order()))
     if levels[-1].order != 1:
         raise RuntimeError(f"terminal conjugator left a group of order {levels[-1].order}")
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import subprocess
 import sys
 
@@ -9,7 +10,8 @@ from irrbase import affine
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, trivial_group
-from irrbase.perm import compose, parse_cycles, print_cycles
+from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
+from irrbase.wreath import build_wreath, wreath_chain
 
 CLI = [sys.executable, "-m", "irrbase"]
 
@@ -198,20 +200,25 @@ def test_chain_bytes_pinned(tmp_path, key):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[key]
 
 
-def test_chain_filters_h_once(monkeypatch, capsys):
-    """One filter call per level after level 0: H once, then each level's predecessor."""
-    pool_sizes = []
-    filter_ = PermutationGroup._conjugate_members
+def test_chain_never_enumerates_h(monkeypatch, capsys):
+    """No element of H is listed; one coset-stabilizer call per conjugator new to its level."""
+    def enumerated(*args):
+        raise AssertionError("chain enumerated a group")
 
-    def counted(self, conjugators, pool):
-        pool = list(pool)
-        pool_sizes.append(len(pool))
-        return filter_(self, conjugators, pool)
-
-    monkeypatch.setattr(PermutationGroup, "_conjugate_members", counted)
+    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
+    monkeypatch.setattr(PermutationGroup, "_conjugate_members", enumerated)
+    calls = []
+    stabilizer = PermutationGroup._coset_stabilizer
+    monkeypatch.setattr(
+        PermutationGroup, "_coset_stabilizer",
+        lambda self, k, x: calls.append(k.order()) or stabilizer(self, k, x),
+    )
     assert main(["chain", "--family", "affine", "--p", "3", "--d", "2"]) == 0
-    orders = [int(lvl["order"]) for lvl in json.loads(capsys.readouterr().out)["levels"]]
-    assert pool_sizes == orders[:-1] == [432, 12, 4, 2]
+    levels = json.loads(capsys.readouterr().out)["levels"]
+    sets = [set(lvl["conjugators"]) for lvl in levels]
+    assert all(a <= b for a, b in zip(sets, sets[1:]))  # nested: no level restarts from H
+    assert len(calls) == sum(len(b - a) for a, b in zip(sets, sets[1:])) == 8
+    assert [int(lvl["order"]) for lvl in levels] == [432, 12, 4, 2, 1]
 
 
 def test_chain_build_check_failure_exits_1(monkeypatch, capsys):
@@ -429,3 +436,41 @@ def test_verify_nontrivial_end_is_one_line(tmp_path, capsys):
         1, "level 0: claimed 432, computed 432: FAIL (terminal level is not trivial)\n"
            "certificate INVALID\n"
     )
+
+
+def test_verify_claimed_length_mismatch_is_level_0_line(tmp_path, capsys):
+    data = affine_chain(build_agl(7, 1)).to_dict()
+    data["claimed_length"] = 9
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 42, computed 42: FAIL (claimed_length 9 != 4 levels)\n"
+        "level 1: claimed 6, computed 6: pass\n"
+        "level 2: claimed 3, computed 3: pass\n"
+        "level 3: claimed 1, computed 1: pass\n"
+        "certificate INVALID\n"
+    ))
+    data["levels"][0]["conjugators"] = ["(1 2)"]
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 42, computed ?: FAIL (level 0 must carry exactly the identity "
+        "conjugator; claimed_length 9 != 4 levels)\n"
+        "certificate INVALID\n"
+    ))
+
+
+def test_verify_random_conjugator_level(tmp_path, capsys):
+    """A seeded random level-1 conjugator of S_25: M ∩ M^x is trivial, a regular coset orbit.
+
+    The report is the one the enumerating verifier gave, byte for byte.
+    """
+    data = wreath_chain(build_wreath(5, 2)).to_dict()
+    images = list(range(1, 26))
+    random.Random(7).shuffle(images)
+    data["levels"][1]["conjugators"] = ["()", print_cycles(Permutation(images))]
+    assert _verify(tmp_path, capsys, data) == (1, (
+        "level 0: claimed 28800, computed 28800: pass\n"
+        "level 1: claimed 120, computed 1: FAIL (recomputed order differs from claim)\n"
+        "level 2: claimed 30, computed 30: FAIL (level does not strictly descend)\n"
+        "level 3: claimed 10, computed 10: pass\n"
+        "level 4: claimed 5, computed 5: pass\n"
+        "level 5: claimed 1, computed 1: pass\n"
+        "certificate INVALID\n"
+    ))

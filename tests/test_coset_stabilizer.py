@@ -1,0 +1,172 @@
+"""The level pass against the enumeration filter it replaced.
+
+Every certificate level ⋂ H^x is computed by orbit-stabilizer on the right
+cosets of H (``PermutationGroup._coset_stabilizer``).  The reference lists H
+and keeps the elements lying in every H^x (``_conjugate_members``), filtering
+the previous level when the conjugator sets are nested and all of H when they
+are not.  Both must give the same element set on every level.
+"""
+
+import itertools
+import random
+from functools import lru_cache
+
+import pytest
+
+from irrbase import group
+from irrbase.affine import affine_chain, build_agl
+from irrbase.group import PermutationGroup, from_generators, symmetric_group
+from irrbase.oracle import build_coset_action, mibs
+from irrbase.perm import Permutation, parse_cycles
+from irrbase.wreath import build_wreath, wreath_chain
+
+from test_acceptance import AFFINE_CASES
+from test_oracle_reference import M11_GENERATORS
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the property test needs hypothesis
+    given = None
+
+
+def enumerated_levels(h, conjugator_sets):
+    """Each level's member tables by filtering, as the level pass did before orbit-stabilizer."""
+    members, prev = None, {h._ident}
+    for conjs in conjugator_sets:
+        current = set(conjs)
+        if members is None or not prev <= current:
+            members, prev = list(h._iter_element_tbls()), {h._ident}
+        members = h._conjugate_members([x for x in conjs if x not in prev], members)
+        prev = current
+        yield members
+
+
+def assert_levels_match(h, conjugator_sets):
+    got = list(h._conjugate_levels(conjugator_sets))
+    want = list(enumerated_levels(h, conjugator_sets))
+    assert [g.order() for g in got] == [len(w) for w in want]
+    assert [set(g._iter_element_tbls()) for g in got] == [set(w) for w in want]
+    return got
+
+
+def conjugator_sets(cert):
+    return [[x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:]]
+
+
+# -- every level of the certificates the package builds --------------------------
+
+
+@pytest.mark.parametrize("p,d", [(p, d) for p, d, _ in AFFINE_CASES])
+def test_affine_levels_match_enumeration(p, d):
+    ctx = build_agl(p, d)
+    cert = affine_chain(ctx)
+    got = assert_levels_match(ctx.H, conjugator_sets(cert))
+    assert [g.order() for g in got] == [lvl.order for lvl in cert.levels[1:]]
+
+
+def test_wreath_levels_match_enumeration(wreath52):
+    cert = wreath_chain(wreath52)
+    got = assert_levels_match(wreath52.M, conjugator_sets(cert))
+    assert [g.order() for g in got] == [lvl.order for lvl in cert.levels[1:]]
+
+
+WITNESSES = {
+    "S9-agl-3-2": lambda: (symmetric_group(9), build_agl(3, 2).H),
+    "S11-m11": lambda: (
+        symmetric_group(11),
+        from_generators([parse_cycles(c, 11) for c in M11_GENERATORS], 11),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_oracle_witness_levels_match_enumeration(name):
+    action = build_coset_action(*WITNESSES[name]())
+    _, cert = mibs(action)
+    got = assert_levels_match(action.subgroup, conjugator_sets(cert))
+    assert [g.order() for g in got] == [lvl.order for lvl in cert.levels[1:]]
+
+
+# -- random conjugators -----------------------------------------------------------
+
+GROUPS = {
+    "AGL(2,3)": lambda: build_agl(3, 2).H,
+    "AGL(1,7)": lambda: build_agl(7, 1).H,
+    "S5wrS2": lambda: build_wreath(5, 2).M,
+}
+
+
+@lru_cache(maxsize=None)
+def group_and_elements(name):
+    h = GROUPS[name]()
+    return h, list(h._iter_element_tbls())
+
+
+def trivial_level(h, seed=1):
+    """K ≤ H and a seeded random x with K ∩ H^x trivial.
+
+    K starts at H; every eighth random conjugate that fails cuts it down.
+    """
+    rng = random.Random(seed)
+    k = h
+    for draw in itertools.count(1):
+        x = list(range(h.degree))
+        rng.shuffle(x)
+        x = tuple(x)
+        members = h._conjugate_members([x], k._iter_element_tbls())
+        if len(members) == 1:
+            return k, x
+        if draw % 8 == 0:
+            k = PermutationGroup([Permutation._wrap(e) for e in members], h.degree)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPS))
+def test_regular_orbit_stops_at_half(name, monkeypatch):
+    """A trivial level is found before the orbit of Hx under K is complete."""
+    h, _ = group_and_elements(name)
+    k, x = trivial_level(h)
+    calls = []
+    key = group._min_coset_rep
+    monkeypatch.setattr(group, "_min_coset_rep", lambda g, y: calls.append(1) or key(g, y))
+    level = h._coset_stabilizer(k, x)
+    assert level.order() == 1 and list(level._iter_element_tbls()) == [h._ident]
+    # the whole regular orbit would take one key for the root and |K| per generator
+    assert len(calls) <= k.order() * len(k.generators)
+
+
+if given is not None:
+
+    @st.composite
+    def level_cases(draw):
+        name = draw(st.sampled_from(sorted(GROUPS)))
+        h, elements = group_and_elements(name)
+
+        def conjugator():
+            if draw(st.booleans()):
+                return tuple(draw(st.permutations(range(h.degree))))
+            return elements[draw(st.integers(0, len(elements) - 1))]
+
+        xs = [conjugator() for _ in range(draw(st.integers(1, 4)))]
+        if draw(st.booleans()):  # nested: each set adds one conjugator to the one before
+            sets = [[h._ident] + xs[: j + 1] for j in range(len(xs))]
+        else:  # each set on its own, with or without the identity
+            sets = [[h._ident, x] if draw(st.booleans()) else [x] for x in xs]
+        return h, sets
+
+    @settings(max_examples=25)
+    @given(level_cases())
+    def test_levels_match_enumeration_property(case):
+        h, sets = case
+        assert_levels_match(h, sets)
+        # K need not lie in H: the stabilizer of Hx in a conjugate of H
+        k = h.conjugate(Permutation._wrap(sets[0][-1]))
+        x = sets[-1][-1]
+        got = h._coset_stabilizer(k, x)
+        want = h._conjugate_members([x], k._iter_element_tbls())
+        assert set(got._iter_element_tbls()) == set(want)
+
+else:
+
+    def test_levels_match_enumeration_property():
+        pytest.skip("hypothesis is not installed")
