@@ -151,9 +151,15 @@ def cmd_oracle(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
     limits = OracleLimits(max_enum=args.limit_enum, max_memo=args.limit_memo)
-    value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
+    try:
+        action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
+        value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
+    except LimitExceeded:
+        raise
+    except RuntimeError as e:  # a self-check failed: the value is not trusted
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     cert.family = family
     cert.params = params
     result = {
@@ -400,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--limit-memo", type=int, default=1_000_000, metavar="N",
                     help="cap on memoized subgroups (default 1000000)")
     po.add_argument("--no-prune", action="store_true",
-                    help="disable orbit pruning (regression flag; same results)")
+                    help="search every point of a non-regular orbit, not one per orbit "
+                         "(regression flag; same results)")
     add_common(po)
     po.set_defaults(func=cmd_oracle)
 

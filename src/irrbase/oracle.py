@@ -17,10 +17,15 @@ memoized depth-first search over subgroup element sets, with candidate points
 pruned to orbit representatives of the current subgroup (conjugate
 continuations have equal length).  Its first step, from H to a point
 stabilizer, is read off the transversal tables; every subgroup below is a
-set of elements of those point stabilizers.  The tables held are therefore
-|H|/|orbit| per orbit representative (per moved point without pruning), not
-|H|, which bounds the search's memory: 7920 elements of M11 on 5040 cosets
-in S11 would take about 320 MB as tables.
+set of elements of those point stabilizers, so only they get a table of
+length t: |H|/|orbit| per orbit representative (per moved point without
+pruning), not |H|.  The fixers that the faithfulness check tabled are handed
+to the search.  By orbit-stabilizer, a point whose orbit under the current
+subgroup is regular has the trivial stabilizer, and it stays regular under
+every subgroup below; so a node scans only the non-regular orbits its parent
+handed on, not all t points.  On M11's 5040 cosets in S11 the search tables
+985 of the 7920 elements, about 40 MB, and makes 820 node calls where a scan
+of every point at every node made 173,328.
 
 The verifier recomputes every certificate level as an intersection of
 conjugates of H from H and the certificate's conjugator witnesses alone: each
@@ -35,8 +40,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Optional
+from itertools import compress, repeat
+from operator import eq, itemgetter
+from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate
 from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep
@@ -115,7 +121,7 @@ def build_coset_action(
                 index[key] = len(reps)
                 reps.append(key)
     if len(reps) != t:
-        raise AssertionError(f"coset enumeration found {len(reps)} cosets, expected {t}")
+        raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {t}")
 
     action = CosetAction(
         group=g,
@@ -134,8 +140,11 @@ def build_coset_action(
     if sizes[j] == 1:  # H fixes every coset: all of it acts trivially
         core = h.order()
     else:
-        ident_t = _identity_tbl(t)
-        core = sum(tables.table(e) == ident_t for e in tables.fixers(j))
+        numbers = tables.fixers(j)
+        made = [tables.table(e) for e in numbers]
+        core = made.count(_identity_tbl(t))
+        if core < len(made):  # j's orbit is not regular: the search will stabilize j
+            tables.held = (j, numbers, made)
     if core > 1:
         raise ValueError(f"action not faithful: subgroup has a core of order {core}")
     return action
@@ -167,7 +176,7 @@ class _CosetTables:
         # PermutationGroup._rebuild_level is then replayed on their tables
         h = action.subgroup
         coset_table = {s: _coset_permutation(action, s) for lvl in h._levels for s in lvl.gens}
-        ident = _identity_tbl(action.degree)
+        self.identity = ident = _identity_tbl(action.degree)  # T(1): the points 0..t-1
         self.levels = []
         for i, lvl in enumerate(h._levels):
             gens = [(s, coset_table[s]) for s in h._gens_at(i)]
@@ -185,6 +194,7 @@ class _CosetTables:
             self.levels.append([tables[b] for b in order])
         self._inv0 = [_inverse_tbl(u) for u in self.levels[0]] if self.levels else []
         self._getters = [[itemgetter(*u) for u in level] for level in self.levels[1:]]
+        self.held = None  # (j, fixers(j), their tables), until fixer_tables(j) takes them
 
         # orbit_min[j]: the smallest point of j's H-orbit
         gens = [u for level in self.levels for u in level[1:]]  # level[0] is the identity
@@ -214,6 +224,17 @@ class _CosetTables:
             back.setdefault(inv[j], []).append(i)
         n0 = len(self._inv0)
         return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
+
+    def fixer_tables(self, j: int) -> tuple:
+        """``fixers(j)`` and, if they are held from the faithfulness check, their tables.
+
+        The tables are handed over once; otherwise the second item is None.
+        """
+        held = self.held
+        if held is not None and held[0] == j:
+            self.held = None
+            return held[1], held[2]
+        return self.fixers(j), None
 
     def table(self, number: int) -> tuple:
         """The coset table of an element of H, from its number."""
@@ -274,28 +295,36 @@ def mibs(
 def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     """The points and orders of a longest stabilizer chain from H, and the search's memo.
 
-    The memo maps every subgroup met (a frozenset of element ids) to its
+    The memo maps every subgroup met (a frozenset of element numbers) to its
     (depth, best point), in the order the depth-first search finishes them.
     H itself comes last, under the key None: its orbits and point stabilizers
     come from the transversal tables, so only the elements of those
     stabilizers ever get a coset table, each once.
+
+    A point j gives a subgroup c a nontrivial child only when j's c-orbit is
+    non-regular; every other point that c moves gives depth 1, through the
+    trivial subgroup.  A point regular for c is regular for every subgroup
+    below it, so a node scans only the non-regular orbits its parent handed
+    on (H's, below H) and hands on its own.  With none left, the best depth
+    is 1 at the least point that c moves.  A search that scanned every
+    point would recurse on every point a subgroup moves, so the first
+    subgroup it finished would move no point; the trivial subgroup is
+    therefore entered first, and the memo, entry by entry, is that of the
+    full scan.
     """
     t = action.degree
     tables = action._tables
     mins = tables.orbit_min
     sizes = Counter(mins)
-    tbls = []  # coset table of every element met, by id
-    ids = {}  # element number -> id
+    order = action.subgroup.order()
+    tbls = {}  # element number -> coset table, for every element met
 
     def stabilizer(j: int) -> frozenset:
-        out = []
-        for number in tables.fixers(j):
-            e = ids.get(number)
-            if e is None:
-                e = ids[number] = len(tbls)
-                tbls.append(tables.table(number))
-            out.append(e)
-        return frozenset(out)
+        numbers, made = tables.fixer_tables(j)
+        for k, number in enumerate(numbers):
+            if number not in tbls:
+                tbls[number] = tables.table(number) if made is None else made[k]
+        return frozenset(numbers)
 
     memo: dict = {}
 
@@ -304,43 +333,62 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
             raise LimitExceeded(f"memo table exceeds limit {max_memo} entries")
         memo[c] = (best_d, best_pt)
 
-    def depth_of(c: frozenset) -> int:
+    trivial = frozenset((0,))  # element number 0 is the identity
+    if order > 1:
+        enter(trivial, 0, None)
+    seen = bytearray(t)
+
+    def depth_of(c: frozenset, cand: Sequence[int], regular: int) -> int:
+        """The depth of c, a nontrivial subgroup below H.
+
+        ``cand`` is a union of c-orbits holding every non-regular one, in
+        increasing order; ``regular`` is the least point regular for c's
+        parent, and every such point is regular for c.
+        """
         hit = memo.get(c)
         if hit is not None:
             return hit[0]
-        best_d, best_pt = 0, None
-        if prune:
-            seen = bytearray(t)
-            for j in range(t):
-                if seen[j]:
-                    continue
-                orb = {tbls[e][j] for e in c}
-                for o in orb:
-                    seen[o] = 1
-                if len(orb) == 1:
-                    continue
-                child = frozenset(e for e in c if tbls[e][j] == j)
-                d = 1 + depth_of(child)
-                if d > best_d:
-                    best_d, best_pt = d, j
-        else:
-            for j in range(t):
-                child = frozenset(e for e in c if tbls[e][j] == j)
-                if len(child) == len(c):
-                    continue
-                d = 1 + depth_of(child)
-                if d > best_d:
-                    best_d, best_pt = d, j
+        n = len(c)
+        rows = [tbls[e] for e in c]
+        reps, inner = [], []  # least points and all points of c's non-regular orbits
+        for j in cand:
+            if seen[j]:
+                continue
+            orb = set(map(itemgetter(j), rows))
+            for o in orb:
+                seen[o] = 1
+            if len(orb) == n:
+                regular = min(regular, j)
+            elif len(orb) > 1:
+                reps.append(j)
+                inner.extend(orb)
+        for j in cand:
+            seen[j] = 0
+        inner.sort()
+        best_d, best_pt = 1, regular  # with no non-regular orbit, c's least moved point
+        for j in reps if prune else inner:
+            child = frozenset(compress(c, map(eq, map(itemgetter(j), rows), repeat(j))))
+            d = 1 + depth_of(child, inner, regular)
+            if d > best_d:
+                best_d, best_pt = d, j
         enter(c, best_d, best_pt)
         return best_d
 
-    # H: the same scan as depth_of, with each child read off the transversal tables
+    # H: its orbits come from the transversal tables; a point of a regular
+    # orbit has the trivial stabilizer, and the other stabilizers scan H's
+    # non-regular orbits, listed with T(1)'s int objects rather than new ones
+    root_cand = [j for j in tables.identity if 1 < sizes[mins[j]] < order]
+    root_regular = next((j for j in range(t) if sizes[mins[j]] == order), t)
     best_d, best_pt, best_child = 0, None, None
     for j in range(t):
-        if sizes[mins[j]] == 1 or (prune and mins[j] != j):
+        size = sizes[mins[j]]
+        if size == 1 or (prune and mins[j] != j):
             continue
-        child = stabilizer(j)
-        d = 1 + depth_of(child)
+        if size == order:
+            child, d = trivial, 1
+        else:
+            child = stabilizer(j)
+            d = 1 + depth_of(child, root_cand, root_regular)
         if d > best_d:
             best_d, best_pt, best_child = d, j, child
     enter(None, best_d, best_pt)
@@ -349,10 +397,12 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     del depth_of
 
     # replay the memoized best choices into a witness chain
-    points, orders = [0], [action.subgroup.order()]
+    points, orders = [0], [order]
     c, pt = None, best_pt
     while pt is not None:
         c = best_child if c is None else frozenset(e for e in c if tbls[e][pt] == pt)
+        if len(c) >= orders[-1]:
+            raise RuntimeError(f"witness replay does not descend at point {pt}")
         points.append(pt)
         orders.append(len(c))
         pt = memo[c][1]

@@ -13,6 +13,7 @@ import pytest
 
 from irrbase.affine import affine_chain, build_agl, cycle_power_conjugator
 from irrbase.bounds import (
+    affine_mibs_bounds,
     index_growth_check,
     length_inequality_holds,
     length_sym,
@@ -22,7 +23,13 @@ from irrbase.bounds import (
     wreath_mibs_bounds,
 )
 from irrbase.certificate import ChainCertificate
-from irrbase.group import alternating_group, from_generators, intersect, symmetric_group
+from irrbase.group import (
+    LimitExceeded,
+    alternating_group,
+    from_generators,
+    intersect,
+    symmetric_group,
+)
 from irrbase.oracle import build_coset_action, mibs, verify_certificate
 from irrbase.perm import parse_cycles
 from irrbase.wreath import (
@@ -91,11 +98,27 @@ def test_criterion_02_affine_line_exact(oracle_values):
     report(2, "degree-7 affine line exact values", ok, f"S:{s_val} A:{a_val}")
 
 
-def test_criterion_02_stretch_s11_skipped():
-    pytest.skip(
-        "stretch (non-gating): index 11!/110 = 362880 exceeds the default "
-        "coset limit; the oracle refuses it by design"
+def test_criterion_02_stretch_s11():
+    """S11 on the cosets of AGL(1, 11): index 11!/110 = 362880.
+
+    The default coset limit refuses it by design; with the limit raised the
+    value is the closed form 1 + Omega(10) + 1 = 4.
+    """
+    ctx = build_agl(11, 1)
+    g = symmetric_group(11)
+    with pytest.raises(LimitExceeded, match=r"^coset index 362880 exceeds limit --limit-t 20000$"):
+        build_coset_action(g, ctx.H)
+    t0 = time.monotonic()
+    value, cert = mibs(build_coset_action(g, ctx.H, limit_t=400_000))
+    elapsed = time.monotonic() - t0
+    expected = affine_mibs_bounds(11, 1, "S")
+    ok = (
+        expected.exact
+        and value == expected.lower == 4
+        and verify_certificate(cert, ctx.H).ok
+        and elapsed < 40.0  # about 3x the 12.5 s measured on a 2-core machine
     )
+    report(2, "stretch S11 on AGL(1,11)", ok, f"mibs={value} in {elapsed:.1f} s")
 
 
 def test_criterion_03_affine_9_window():

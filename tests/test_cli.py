@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from irrbase import affine
+from irrbase import affine, oracle
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, trivial_group
@@ -342,6 +342,23 @@ def test_oracle_bytes_pinned(tmp_path, capsys, case):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
     if witness_digest:
         assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
+
+
+def test_oracle_witness_replay_failure_exits_1(monkeypatch, capsys):
+    longest_chain = oracle._longest_chain
+
+    def drop_last_point(*args):
+        points, orders, memo = longest_chain(*args)
+        return points[:-1], orders[:-1], memo
+
+    monkeypatch.setattr(oracle, "_longest_chain", drop_last_point)
+    argv = ["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "7", "--d", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        "internal error: witness replay gave 3 points ending at order 2, "
+        "expected 4 points ending at 1\n",
+    )
 
 
 def test_oracle_memo_refusal_message(capsys):

@@ -1,0 +1,49 @@
+"""Checks on the package source itself.
+
+A check that guards a result must survive ``python -O``, which strips
+``assert`` statements; so the package raises a real exception instead, and
+no ``AssertionError`` either, whose meaning is "an assert failed".
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "irrbase"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _assert_guards(tree: ast.AST) -> list:
+    """Line numbers of assert statements and of raises of AssertionError."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_source_modules_found():
+    assert SRC / "oracle.py" in MODULES  # the glob found the package
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_assert_guards(path):
+    assert _assert_guards(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize(
+    "code, lines",
+    [
+        ("assert x", [1]),
+        ("if x:\n    raise AssertionError('no')", [2]),
+        ("raise AssertionError", [1]),
+        ("raise RuntimeError('no')\nassert_equal = 1", []),
+    ],
+)
+def test_guard_detection(code, lines):
+    assert _assert_guards(ast.parse(code)) == lines
