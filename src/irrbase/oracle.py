@@ -6,11 +6,14 @@ stabilizer chain, valid because chain base points ascend through the natural
 point order).  H acts on the t coset points through a homomorphism T, so the
 tables T(u) of the transversal elements u of H's stabilizer chain carry all
 of H's action: they are made once per action, from the strong generators'
-tables alone (:class:`_CosetTables`).  They give H's orbits on the cosets
-and, for a point j, the elements of H fixing j, without building any other
-element; only those fixers get a table of length t.  Faithfulness is read
-off the fixers of one point, and no degree-t stabilizer chain and no list of
-all of H on the cosets is made.
+tables alone (:class:`_CosetTables`), which also give H's orbits on the
+cosets.  The elements of H fixing a point j are found by pushing j through
+the transversal tables, and only they get a table of length t.  A fixer is
+u_{L-1} ⋯ u_0, one transversal element per chain level, and the fixers come
+in path order, so one walk down the levels reuses the partial product each
+shares with the one before: a table costs about one pass of length t, not one
+per level.  Faithfulness is read off the fixers of one point, and no degree-t
+stabilizer chain and no list of all of H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized depth-first search over subgroup element sets, with candidate points
@@ -23,9 +26,10 @@ pruning), not |H|.  The fixers that the faithfulness check tabled are handed
 to the search.  By orbit-stabilizer, a point whose orbit under the current
 subgroup is regular has the trivial stabilizer, and it stays regular under
 every subgroup below; so a node scans only the non-regular orbits its parent
-handed on, not all t points.  On M11's 5040 cosets in S11 the search tables
-985 of the 7920 elements, about 40 MB, and makes 820 node calls where a scan
-of every point at every node made 173,328.
+handed on, not all t points.  On M11's 5040 cosets in S11 the action and
+the search table 989 of the 7920 elements, about 40 MB, in 1,688 passes of
+length t where one pass per level took 2,970; the search makes 820 node
+calls where a scan of every point at every node made 173,328.
 
 The verifier recomputes every certificate level as an intersection of
 conjugates of H from H and the certificate's conjugator witnesses alone: each
@@ -38,10 +42,9 @@ reference for it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import eq, itemgetter
+from itertools import accumulate, compress, repeat
+from operator import eq, itemgetter, mul
 from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate
@@ -135,16 +138,16 @@ def build_coset_action(
     # faithfulness: the kernel is the core of H and lies in every point
     # stabilizer, so it is the set of identity tables among the fixers of one
     # point, taken in a largest H-orbit, where the fixers are fewest
-    sizes = Counter(tables.orbit_min)
+    sizes = tables.orbit_size
     j = max(sizes, key=sizes.get)
     if sizes[j] == 1:  # H fixes every coset: all of it acts trivially
         core = h.order()
     else:
-        numbers = tables.fixers(j)
-        made = [tables.table(e) for e in numbers]
-        core = made.count(_identity_tbl(t))
+        made = {}
+        fixers = frozenset(tables.fixer_tables(j, made))
+        core = list(made.values()).count(tables.identity)
         if core < len(made):  # j's orbit is not regular: the search will stabilize j
-            tables.held = (j, numbers, made)
+            tables.held = (j, fixers, made)
     if core > 1:
         raise ValueError(f"action not faithful: subgroup has a core of order {core}")
     return action
@@ -165,9 +168,11 @@ class _CosetTables:
 
     T(e) is the 0-based table of e ∈ H on the t coset points.  ``levels[k]``
     holds T(u) for the transversal elements u of level k, in the level's
-    orbit order.  Every element of H is u_{L-1} ⋯ u_0 for one u_k per level
-    (so a coset point meets level L-1's table first) and is numbered by its
-    path (i_0, ..., i_{L-1}) in mixed radix, i_0 varying fastest.
+    orbit order, so ``levels[k][0]`` is the identity.  Every element of H is
+    u_{L-1} ⋯ u_0 for one u_k per level (so a coset point meets level L-1's
+    table first) and is numbered by its path (i_0, ..., i_{L-1}) in mixed
+    radix, i_0 varying fastest.  Only the point stabilizers get tables of
+    their own, from :meth:`fixer_tables`.
     """
 
     def __init__(self, action: CosetAction):
@@ -192,13 +197,14 @@ class _CosetTables:
             if order != lvl.orbit_order:
                 raise RuntimeError(f"replayed orbit of level {i} differs from the chain's")
             self.levels.append([tables[b] for b in order])
-        self._inv0 = [_inverse_tbl(u) for u in self.levels[0]] if self.levels else []
-        self._getters = [[itemgetter(*u) for u in level] for level in self.levels[1:]]
-        self.held = None  # (j, fixers(j), their tables), until fixer_tables(j) takes them
+        self.levels = self.levels or [[ident]]  # a trivial H: one level, the identity
+        self._inv0 = [_inverse_tbl(u) for u in self.levels[0]]
+        self.held = None  # (j, the set of its fixers, their tables), for the search
 
-        # orbit_min[j]: the smallest point of j's H-orbit
-        gens = [u for level in self.levels for u in level[1:]]  # level[0] is the identity
+        # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables
+        gens = list(coset_table.values())
         self.orbit_min = mins = [-1] * action.degree
+        self.orbit_size = {}  # the smallest point of an H-orbit -> the orbit's size
         for j in range(action.degree):
             if mins[j] < 0:
                 mins[j] = j
@@ -209,41 +215,46 @@ class _CosetTables:
                         if mins[q] < 0:
                             mins[q] = j
                             orbit.append(q)
+                self.orbit_size[j] = len(orbit)
 
-    def fixers(self, j: int) -> list:
-        """Numbers of the elements of H whose coset table fixes point j.
+    def fixer_tables(self, j: int, known: dict) -> list:
+        """Numbers of the elements of H fixing point j, ascending; tables new ones into ``known``.
 
         j is pushed through levels L-1 down to 1 without building any element;
         the u_0 that bring it back to j are read off level 0's inverse tables.
+        ``known`` maps numbers to tables; a fixer in it is not tabled again.
+        Numbers ascend with the path read from the top, so consecutive fixers
+        share their top choices: ``prods[k]`` is u_{L-1} ⋯ u_k on the last
+        tabled path, and a new fixer recomposes only the levels below its first
+        changed choice, one pass of length t each, where an identity choice
+        passes the product above it through.
         """
+        levels, ident = self.levels, self.identity  # ident: levels[k][0], T(1)
         pts = [j]
-        for level in reversed(self.levels[1:]):
+        for level in reversed(levels[1:]):
             pts = [u[p] for p in pts for u in level]  # the later level varies fastest
         back = {}
         for i, inv in enumerate(self._inv0):
             back.setdefault(inv[j], []).append(i)
-        n0 = len(self._inv0)
-        return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
+        n0 = len(levels[0])
+        numbers = [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
 
-    def fixer_tables(self, j: int) -> tuple:
-        """``fixers(j)`` and, if they are held from the faithfulness check, their tables.
-
-        The tables are handed over once; otherwise the second item is None.
-        """
-        held = self.held
-        if held is not None and held[0] == j:
-            self.held = None
-            return held[1], held[2]
-        return self.fixers(j), None
-
-    def table(self, number: int) -> tuple:
-        """The coset table of an element of H, from its number."""
-        number, i = divmod(number, len(self._inv0))
-        q = self.levels[0][i]
-        for getters in self._getters:
-            number, i = divmod(number, len(getters))
-            q = getters[i](q)  # u_k's table first, then the product of the levels below
-        return q
+        # strides[k]: the place value of level k's choice in a number
+        strides = list(accumulate((len(level) for level in levels[:-1]), mul, initial=1))
+        prods = [None] * len(levels) + [ident]
+        last = -1
+        for number in numbers:
+            if number in known:
+                continue
+            top = 1  # the lowest level whose choice is unchanged since ``last``
+            while top < len(levels) and number // strides[top] != last // strides[top]:
+                top += 1
+            for k in range(top - 1, -1, -1):
+                u, above = levels[k][number // strides[k] % len(levels[k])], prods[k + 1]
+                prods[k] = above if u is ident else u if above is ident else _compose_tbl(above, u)
+            known[number] = prods[0]
+            last = number
+        return numbers
 
 
 def mibs(
@@ -315,16 +326,15 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     t = action.degree
     tables = action._tables
     mins = tables.orbit_min
-    sizes = Counter(mins)
+    sizes = tables.orbit_size
     order = action.subgroup.order()
-    tbls = {}  # element number -> coset table, for every element met
+    # element number -> coset table, for every element met; the faithfulness
+    # check's tables are taken over, and the search stabilizes its point
+    held_j, held_fixers, tbls = tables.held or (None, None, {})
+    tables.held = None
 
     def stabilizer(j: int) -> frozenset:
-        numbers, made = tables.fixer_tables(j)
-        for k, number in enumerate(numbers):
-            if number not in tbls:
-                tbls[number] = tables.table(number) if made is None else made[k]
-        return frozenset(numbers)
+        return held_fixers if j == held_j else frozenset(tables.fixer_tables(j, tbls))
 
     memo: dict = {}
 

@@ -1,10 +1,12 @@
 """The coset tables of H's chain transversals against the coset action itself.
 
 An element of H is numbered by its transversal path, u_{L-1} ⋯ u_0 with one
-u_k per level of H's chain; its coset table T, composed from the levels'
-tables, must be the table ``_coset_permutation`` computes from the element
-through the coset representatives, and T must be a homomorphism.  The fixers
-of a point must be exactly the elements whose table fixes it.
+u_k per level of H's chain.  ``table`` below composes its coset table T level
+by level, one pass of length t per level: the slow reference.  It must be the
+table ``_coset_permutation`` computes from the element through the coset
+representatives, and T must be a homomorphism.  ``fixer_tables`` must give
+exactly the elements whose reference table fixes the point, in ascending
+order, and add the reference tables of those not already known.
 """
 
 from functools import lru_cache
@@ -15,7 +17,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from irrbase.affine import build_agl
-from irrbase.group import alternating_group, from_generators, intersect, symmetric_group
+from irrbase.group import (
+    alternating_group,
+    from_generators,
+    intersect,
+    symmetric_group,
+    trivial_group,
+)
 from irrbase.oracle import _coset_permutation, build_coset_action
 from irrbase.perm import _compose_tbl, _identity_tbl, parse_cycles
 
@@ -35,6 +43,9 @@ ACTIONS = {
         _subgroup(11, "(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"),
     ),
 }
+SMALL = ["S3xS2-in-S5", "S7-agl-7-1", "S6-natural"]
+LARGE = ["S9-agl-3-2", "A9-agl-3-2", "S11-m11"]
+MAX_DRAWN_FIXERS = 100  # keeps the reference tables of a drawn point small
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +54,7 @@ def action_of(name):
 
 
 def element(h, number):
-    """The degree-n table of the element numbered like ``_CosetTables.table``."""
+    """The degree-n table of the element of H with this number."""
     parts = []
     for lvl in h._levels:
         number, i = divmod(number, len(lvl.orbit_order))
@@ -52,6 +63,29 @@ def element(h, number):
     for u in reversed(parts):  # u_{L-1} first, u_0 last
         e = _compose_tbl(e, u)
     return e
+
+
+def table(tables, number):
+    """The coset table of the element of H with this number, one pass per level."""
+    q = tables.identity
+    for level in tables.levels:
+        number, i = divmod(number, len(level))
+        q = _compose_tbl(level[i], q)  # u_k first, then the product of the levels below
+    return q
+
+
+def check_fixer_tables(action, j, known):
+    """``fixer_tables(j, known)`` against the reference; returns the numbers and new tables."""
+    tables = action._tables
+    before = dict(known)
+    numbers = tables.fixer_tables(j, known)
+    assert numbers == sorted(set(numbers))
+    made = {a: tbl for a, tbl in known.items() if a not in before}
+    assert set(known) == set(before) | set(numbers)
+    assert all(known[a] is tbl for a, tbl in before.items())  # known fixers are not tabled again
+    for a, tbl in made.items():
+        assert tbl == table(tables, a)
+    return numbers, made
 
 
 @st.composite
@@ -66,7 +100,7 @@ def elements(draw, count):
 @given(elements(1))
 def test_table_is_the_coset_permutation(drawn):
     action, (a,) = drawn
-    assert action._tables.table(a) == _coset_permutation(action, element(action.subgroup, a))
+    assert table(action._tables, a) == _coset_permutation(action, element(action.subgroup, a))
 
 
 @settings(max_examples=40)
@@ -75,7 +109,7 @@ def test_table_is_a_homomorphism(drawn):
     action, (a, b) = drawn
     h, tables = action.subgroup, action._tables
     ab = _compose_tbl(element(h, a), element(h, b))
-    assert _coset_permutation(action, ab) == _compose_tbl(tables.table(a), tables.table(b))
+    assert _coset_permutation(action, ab) == _compose_tbl(table(tables, a), table(tables, b))
 
 
 def test_numbers_cover_h_once():
@@ -89,8 +123,56 @@ def test_numbers_cover_h_once():
 def test_fixers_are_the_point_stabilizer(name):
     action = action_of(name)
     tables = action._tables
-    all_tables = [tables.table(a) for a in range(action.subgroup.order())]
+    all_tables = [table(tables, a) for a in range(action.subgroup.order())]
     for j in range(action.degree):
-        fixers = tables.fixers(j)
-        assert len(fixers) == len(set(fixers))
-        assert set(fixers) == {a for a, tbl in enumerate(all_tables) if tbl[j] == j}
+        numbers = tables.fixer_tables(j, {})
+        assert numbers == [a for a, tbl in enumerate(all_tables) if tbl[j] == j]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_fixer_tables_on_every_point(name):
+    action = action_of(name)
+    h = action.subgroup
+    for j in range(action.degree):
+        numbers, made = check_fixer_tables(action, j, {})
+        assert len(numbers) * action._tables.orbit_size[action._tables.orbit_min[j]] == h.order()
+        for a in numbers:
+            assert made[a] == _coset_permutation(action, element(h, a))
+
+
+@st.composite
+def fixer_draws(draw):
+    action = action_of(draw(st.sampled_from(LARGE)))
+    tables = action._tables
+    order = action.subgroup.order()
+    points = [
+        j for j in range(action.degree)
+        if order <= MAX_DRAWN_FIXERS * tables.orbit_size[tables.orbit_min[j]]
+    ]
+    j = draw(st.sampled_from(points))
+    numbers = tables.fixer_tables(j, {})
+    known = draw(st.sets(st.sampled_from(numbers)))
+    return action, j, numbers, known
+
+
+@settings(max_examples=25)
+@given(fixer_draws())
+def test_fixer_tables_skip_known_fixers(drawn):
+    action, j, all_numbers, known = drawn
+    known = {a: object() for a in known}
+    numbers, made = check_fixer_tables(action, j, known)
+    assert numbers == all_numbers  # known fixers keep their numbers
+    a = min(made, default=None)
+    if a is not None:
+        assert made[a] == _coset_permutation(action, element(action.subgroup, a))
+
+
+def test_fixer_tables_trivial_subgroup():
+    action = build_coset_action(symmetric_group(3), trivial_group(3))
+    tables = action._tables
+    for j in range(action.degree):
+        known = {}
+        assert tables.fixer_tables(j, known) == [0]
+        assert known == {0: _identity_tbl(6)}
+        assert tables.fixer_tables(j, known) == [0]
+        assert known == {0: _identity_tbl(6)}

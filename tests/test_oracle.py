@@ -1,4 +1,5 @@
 import copy
+import gc
 
 import pytest
 
@@ -20,8 +21,9 @@ from irrbase.oracle import (
     verify_certificate,
     _min_coset_rep,
 )
-from irrbase.affine import affine_chain
+from irrbase.affine import affine_chain, build_agl
 from irrbase.perm import Permutation, compose, parse_cycles
+from irrbase.wreath import build_wreath, wreath_chain
 
 
 def test_coset_action_point_stabilizer_cosets():
@@ -277,3 +279,29 @@ def test_mibs_respects_upper_bounds(agl71):
     for value, order_h, lg in cases:
         assert value <= 1 + omega(order_h)
         assert value <= lg
+
+
+def test_no_reference_cycles():
+    """The oracle and the chain pass leave nothing for the cyclic collector.
+
+    A reference cycle through a closure or a generator would keep every coset
+    table alive until a collection, so each run must free its objects by
+    reference counting alone.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        for g, h in [
+            (symmetric_group(7), build_agl(7, 1).H),
+            (symmetric_group(9), build_agl(3, 2).H),
+            (symmetric_group(6), symmetric_group(6).point_stabilizer(6)),
+        ]:
+            act = build_coset_action(g, h)
+            mibs(act)
+            mibs(act, prune=False)
+        agl, wreath = build_agl(3, 2), build_wreath(5, 2)
+        assert verify_certificate(affine_chain(agl), agl.H).ok
+        assert verify_certificate(wreath_chain(wreath), wreath.M).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
