@@ -15,7 +15,6 @@ characteristic is out of scope here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -62,18 +61,19 @@ def smallest_primitive_root(p: int) -> int:
 # -- context -----------------------------------------------------------------
 
 
-@dataclass
 class AffineContext:
     """V = F_p^d realized on {1..p^d}, with H = AGL(V), GL(V), and the diagonal group T."""
 
-    p: int
-    d: int
-    n: int
-    mu: int  # smallest primitive root mod p
-    H: PermutationGroup  # AGL(V)
-    gl: PermutationGroup  # GL(V), the stabilizer of the zero vector in H
-    T: PermutationGroup  # diagonal matrices
-    diag_gens: list  # g_i scales basis vector i by mu; order p - 1 each
+    def __init__(self, p: int, d: int, n: int, mu: int, H: PermutationGroup,
+                 gl: PermutationGroup, T: PermutationGroup, diag_gens: list):
+        self.p = p
+        self.d = d
+        self.n = n
+        self.mu = mu  # smallest primitive root mod p
+        self.H = H  # AGL(V)
+        self.gl = gl  # GL(V), the stabilizer of the zero vector in H
+        self.T = T  # diagonal matrices
+        self.diag_gens = diag_gens  # g_i scales basis vector i by mu; order p - 1 each
 
 
 def vector_to_point(ctx: AffineContext, coords: Sequence[int]) -> int:
@@ -258,15 +258,16 @@ def subspace_scaling_conjugator(
     return Permutation(images)
 
 
-@dataclass
 class SubspaceStep:
     """One stabilizer in the subspace chain, with witnesses for strict descent."""
 
-    ctx: AffineContext = field(repr=False)
-    coords: tuple  # (i, j), 1-based: the subspace spanned by basis vectors i..j
-    basis: list  # coordinate vectors of basis vectors i..j
-    witness: Permutation  # lies in all earlier stabilizers but not this one
-    conjugator: Permutation  # realizes the stabilizer as H ∩ H^x
+    def __init__(self, ctx: AffineContext, coords: tuple, basis: list,
+                 witness: Permutation, conjugator: Permutation):
+        self.ctx = ctx
+        self.coords = coords  # (i, j), 1-based: the subspace spanned by basis vectors i..j
+        self.basis = basis  # coordinate vectors of basis vectors i..j
+        self.witness = witness  # lies in all earlier stabilizers but not this one
+        self.conjugator = conjugator  # realizes the stabilizer as H ∩ H^x
 
     @cached_property
     def stabilizer(self) -> PermutationGroup:
@@ -373,12 +374,12 @@ def coordinate_power_conjugator(ctx: AffineContext, i: int, a: int) -> Permutati
     return Permutation(images)
 
 
-@dataclass
 class DiagonalStep:
     """One level of the chain from T down to 1: its conjugator set and predicted group."""
 
-    conjugators: list  # includes the identity, so the intersection contains T itself
-    predicted: PermutationGroup
+    def __init__(self, conjugators: list, predicted: PermutationGroup):
+        self.conjugators = conjugators  # includes the identity, so the intersection contains T
+        self.predicted = predicted
 
 
 def diagonal_chain(ctx: AffineContext) -> list:

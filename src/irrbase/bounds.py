@@ -8,7 +8,6 @@ below the slack of any inequality checked here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 from .affine import is_prime, prime_factors
@@ -88,13 +87,13 @@ def mibs_upper_bound(n: int, large: bool) -> float:
     return ln * ln + ln + 1.0
 
 
-@dataclass
 class AffineBounds:
     """mibs window for H = AGL(d, p) ∩ G: exact when d = 1, else [lower, upper)."""
 
-    exact: bool
-    lower: int
-    upper: float  # strict upper bound; equals lower for the exact case
+    def __init__(self, exact: bool, lower: int, upper: float):
+        self.exact = exact
+        self.lower = lower
+        self.upper = upper  # strict upper bound; equals lower for the exact case
 
 
 def affine_mibs_bounds(p: int, d: int, ambient: str) -> AffineBounds:
@@ -166,16 +165,17 @@ def maximality_wreath(m: int, k: int, ambient: str) -> bool:
     return False
 
 
-@dataclass
 class MarotiReport:
     """Order-bound verdicts for a primitive subgroup of S_n."""
 
-    n: int
-    order_h: int
-    global_bound: float  # 50 * n^sqrt(n)
-    global_ok: bool
-    small_bound: float  # n^(1 + floor(log n))
-    small_ok: bool  # True when the generic small-order case applies
+    def __init__(self, n: int, order_h: int, global_bound: float, global_ok: bool,
+                 small_bound: float, small_ok: bool):
+        self.n = n
+        self.order_h = order_h
+        self.global_bound = global_bound  # 50 * n^sqrt(n)
+        self.global_ok = global_ok
+        self.small_bound = small_bound  # n^(1 + floor(log n))
+        self.small_ok = small_ok  # True when the generic small-order case applies
 
 
 def maroti_check(n: int, order_h: int) -> MarotiReport:
@@ -208,18 +208,19 @@ def log2_factorial(n: int) -> float:
     return total
 
 
-@dataclass
 class IndexGrowthReport:
     """Relations between the degree n and the index t = |S_n : H|, all logs base 2."""
 
-    n: int
-    order_h: int
-    log_t: float
-    log_log_t: float
-    mode: str  # "proof" for n > 100, "table" for the externally checked range
-    milestone_ok: Optional[bool]  # 0.672 n log n < log t < n log n (proof range only)
-    loglog_ok: bool  # c7 log log t < log n < c8 log log t
-    ratio_ok: bool  # c5 log t / log log t < n < c6 log t / log log t
+    def __init__(self, n: int, order_h: int, log_t: float, log_log_t: float, mode: str,
+                 milestone_ok: Optional[bool], loglog_ok: bool, ratio_ok: bool):
+        self.n = n
+        self.order_h = order_h
+        self.log_t = log_t
+        self.log_log_t = log_log_t
+        self.mode = mode  # "proof" for n > 100, "table" for the externally checked range
+        self.milestone_ok = milestone_ok  # 0.672 n log n < log t < n log n (proof range only)
+        self.loglog_ok = loglog_ok  # c7 log log t < log n < c8 log log t
+        self.ratio_ok = ratio_ok  # c5 log t / log log t < n < c6 log t / log log t
 
 
 def index_growth_check(n: int, order_h: int, require_proof_range: bool = True) -> IndexGrowthReport:

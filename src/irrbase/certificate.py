@@ -23,7 +23,6 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from .perm import parse_cycles, print_cycles
 
@@ -46,21 +45,22 @@ def _cycle_strings(value, what: str) -> list:
     return value
 
 
-@dataclass
 class CertLevel:
-    conjugators: list  # list[Permutation]
-    order: int
+    def __init__(self, conjugators: list, order: int):
+        self.conjugators = conjugators  # list[Permutation]
+        self.order = order
 
 
-@dataclass
 class ChainCertificate:
-    degree: int
-    ambient: str  # "S" or "A"
-    family: str  # "agl" | "wreath" | "natural" | "explicit"
-    params: dict
-    generators: list  # generators of H, list[Permutation]
-    levels: list  # list[CertLevel]
-    claimed_length: int
+    def __init__(self, degree: int, ambient: str, family: str, params: dict,
+                 generators: list, levels: list, claimed_length: int):
+        self.degree = degree
+        self.ambient = ambient  # "S" or "A"
+        self.family = family  # "agl" | "wreath" | "natural" | "explicit"
+        self.params = params
+        self.generators = generators  # generators of H, list[Permutation]
+        self.levels = levels  # list[CertLevel]
+        self.claimed_length = claimed_length
 
     def to_dict(self) -> dict:
         return {

@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-from . import bounds as bounds_mod
-from .affine import build_agl, affine_chain
 from .certificate import CertificateFormatError, ChainCertificate
 from .group import (
     LimitExceeded,
@@ -25,8 +23,9 @@ from .group import (
     read_generator_file,
     symmetric_group,
 )
-from .oracle import OracleLimits, build_coset_action, mibs, verify_certificate
-from .wreath import build_wreath, wreath_chain
+
+# affine, wreath, oracle and bounds are imported in the branches that run them:
+# each invocation is a fresh process, and start-up cost is paid on every one
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -78,6 +77,8 @@ def _build_subgroup(args, ambient: str):
     if family == "agl":
         if args.p is None or args.d is None:
             raise UsageError("--subgroup agl requires --p and --d")
+        from .affine import build_agl
+
         ctx = build_agl(args.p, args.d)
         n = ctx.n
         g = symmetric_group(n) if ambient == "S" else alternating_group(n)
@@ -86,6 +87,8 @@ def _build_subgroup(args, ambient: str):
     if family == "wreath":
         if args.m is None or args.k is None:
             raise UsageError("--subgroup wreath requires --m and --k")
+        from .wreath import build_wreath
+
         ctx = build_wreath(args.m, args.k)
         n = ctx.n
         g = symmetric_group(n) if ambient == "S" else alternating_group(n)
@@ -111,6 +114,8 @@ def cmd_chain(args) -> int:
                 raise UsageError("--family affine requires --p and --d")
             if args.p == 2:
                 raise UsageError("odd p required")
+            from .affine import affine_chain, build_agl
+
             ctx = build_agl(args.p, args.d)
             if ctx.n < 7:
                 raise UsageError(f"p^d = {ctx.n} < 7 is out of range")
@@ -119,6 +124,8 @@ def cmd_chain(args) -> int:
         elif args.family == "wreath":
             if args.m is None or args.k is None:
                 raise UsageError("--family wreath requires --m and --k")
+            from .wreath import build_wreath, wreath_chain
+
             ctx = build_wreath(args.m, args.k)
             _log(f"building wreath chain for m={args.m}, k={args.k}")
             cert = wreath_chain(ctx, limit=args.limit_enum)
@@ -139,6 +146,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import OracleLimits, build_coset_action, mibs
+
     ambient = args.ambient
     g, h, family, params, degree = _build_subgroup(args, ambient)
     t, rem = divmod(g.order(), h.order())
@@ -181,6 +190,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .oracle import verify_certificate
+
     try:
         with open(args.cert) as fh:
             cert = ChainCertificate.from_json(fh.read())
@@ -193,6 +204,8 @@ def cmd_verify(args) -> int:
     h = PermutationGroup(cert.generators, cert.degree)
     if cert.family in ("agl", "wreath"):  # from_dict checked the params against the degree
         if cert.family == "agl":
+            from .affine import build_agl
+
             name, expected = "affine", build_agl(cert.params["p"], cert.params["d"]).H.order()
         else:
             m, k = cert.params["m"], cert.params["k"]
@@ -212,6 +225,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds as bounds_mod
+
     if args.lemma52:
         if args.order_h is None:
             raise UsageError("--lemma52 requires --order-h")
@@ -377,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--limit-enum", type=int, default=2_000_000, metavar="N",
-                       help="cap on enumerated group elements (default 2000000)")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
@@ -413,8 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="independently verify a certificate file")
     pv.add_argument("cert", metavar="CERT.json")
-    pv.add_argument("--limit-enum", type=int, default=2_000_000, metavar="N")
     pv.set_defaults(func=cmd_verify)
+    for p in (pc, po, pv):  # the subcommands that build groups
+        p.add_argument("--limit-enum", type=int, default=2_000_000, metavar="N",
+                       help="cap on enumerated group elements (default 2000000)")
 
     pb = sub.add_parser("bounds", help="evaluate closed-form bounds and criteria")
     pb.add_argument("--n", type=int)
@@ -447,6 +462,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as e:
         print(f"invalid parameters: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as e:  # a file read or written; exit 1 is reserved for failed verification
+        print(f"file error: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

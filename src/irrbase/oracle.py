@@ -42,7 +42,6 @@ reference for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate, compress, repeat
 from operator import eq, itemgetter, mul
 from typing import Optional, Sequence
@@ -52,15 +51,14 @@ from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_cos
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
-@dataclass
 class OracleLimits:
     """Hard caps for the oracle; exceeding any of them is a clean refusal."""
 
-    max_enum: int = 2_000_000  # elements of any enumerated group
-    max_memo: int = 1_000_000  # distinct subgroups memoized during the search
+    def __init__(self, max_enum: int = 2_000_000, max_memo: int = 1_000_000):
+        self.max_enum = max_enum  # elements of any enumerated group
+        self.max_memo = max_memo  # distinct subgroups memoized during the search
 
 
-@dataclass
 class CosetAction:
     """G acting on the t right cosets of H, with canonical representatives.
 
@@ -70,12 +68,14 @@ class CosetAction:
     ``_tables`` holds the coset tables of H's chain transversals.
     """
 
-    group: PermutationGroup
-    subgroup: PermutationGroup
-    degree: int
-    transversal: list
-    _index: dict  # canonical representative table -> 0-based point
-    _tables: Optional[_CosetTables] = field(default=None, repr=False)
+    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, degree: int,
+                 transversal: list, _index: dict, _tables: Optional[_CosetTables] = None):
+        self.group = group
+        self.subgroup = subgroup
+        self.degree = degree
+        self.transversal = transversal
+        self._index = _index  # canonical representative table -> 0-based point
+        self._tables = _tables
 
     def point_of(self, x: Permutation) -> int:
         """1-based point for the coset H x (x must lie in G)."""
@@ -422,19 +422,20 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
 # -- certificate verification --------------------------------------------------
 
 
-@dataclass
 class LevelResult:
-    index: int
-    claimed_order: int
-    computed_order: Optional[int]
-    ok: bool
-    message: str = ""
+    def __init__(self, index: int, claimed_order: int, computed_order: Optional[int],
+                 ok: bool, message: str = ""):
+        self.index = index
+        self.claimed_order = claimed_order
+        self.computed_order = computed_order
+        self.ok = ok
+        self.message = message
 
 
-@dataclass
 class VerificationReport:
-    ok: bool
-    levels: list = field(default_factory=list)
+    def __init__(self, ok: bool, levels: Optional[list] = None):
+        self.ok = ok
+        self.levels = [] if levels is None else levels
 
     def summary(self) -> str:
         lines = []

@@ -16,7 +16,6 @@ slice than on another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
@@ -30,18 +29,19 @@ from .group import (
 from .perm import Permutation, parse_cycles
 
 
-@dataclass
 class WreathContext:
     """S_m wr S_k on m^k points, with the distinguished even cycle u."""
 
-    m: int
-    k: int
-    n: int
-    M: PermutationGroup  # the wreath product in product action
-    u: Permutation  # degree m: (1..m) for odd m, (1..m-1) for even m
-    U: PermutationGroup  # <u>, degree m
-    sm: PermutationGroup  # S_m on {1..m}
-    sk: PermutationGroup  # S_k on {1..k}
+    def __init__(self, m: int, k: int, n: int, M: PermutationGroup, u: Permutation,
+                 U: PermutationGroup, sm: PermutationGroup, sk: PermutationGroup):
+        self.m = m
+        self.k = k
+        self.n = n
+        self.M = M  # the wreath product in product action
+        self.u = u  # degree m: (1..m) for odd m, (1..m-1) for even m
+        self.U = U  # <u>, degree m
+        self.sm = sm  # S_m on {1..m}
+        self.sk = sk  # S_k on {1..k}
 
 
 def tuple_to_point(ctx: WreathContext, entries: Sequence[int]) -> int:

@@ -163,6 +163,83 @@ def test_bounds_text_format():
     assert "binary_weight" in r.stdout
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chain", "--family", "affine", "--p", "3", "--d", "2", "--out", "/nonexistent/x.json"],
+        ["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", "/nonexistent.gens"],
+        ["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6",
+         "--out", "/nonexistent/w.json"],
+        ["bounds", "--n", "9", "--out", "/nonexistent/b.json"],
+    ],
+    ids=["chain-out", "oracle-gens-file", "oracle-out", "bounds-out"],
+)
+def test_file_error_exits_2(argv):
+    """A file that cannot be read or written is a usage error, not a failed verification."""
+    r = run(*argv)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("file error: ") and "/nonexistent" in r.stderr
+    assert r.stderr.count("\n") == 1
+
+
+def test_bounds_has_no_limit_enum_flag():
+    r = run("bounds", "--n", "9", "--limit-enum", "5")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --limit-enum 5" in r.stderr
+
+
+# a fresh interpreter runs main(argv) and reports the modules it imported; the
+# set it starts with is subtracted, so what `site` preloads does not matter
+IMPORTS_CHILD = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    from irrbase.cli import main
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+@pytest.fixture(scope="module")
+def cert_files(tmp_path_factory):
+    """Certificate paths for affine (3, 2) and wreath (5, 2), written once."""
+    paths = {}
+    for key, argv in {"c32": ["affine", "--p", "3", "--d", "2"],
+                      "w52": ["wreath", "--m", "5", "--k", "2"]}.items():
+        paths[key] = str(tmp_path_factory.mktemp("certs") / f"{key}.json")
+        assert main(["chain", "--family", *argv, "--out", paths[key]]) == 0
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        (["chain", "--family", "affine", "--p", "3", "--d", "2"],
+         ["affine"], ["oracle", "wreath", "bounds"]),
+        (["chain", "--family", "wreath", "--m", "5", "--k", "2"],
+         ["wreath"], ["affine", "oracle", "bounds"]),
+        (["verify", "{w52}"], ["oracle"], ["affine", "wreath", "bounds"]),
+        (["verify", "{c32}"], ["oracle", "affine"], ["wreath", "bounds"]),
+        (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"],
+         ["oracle"], ["affine", "wreath", "bounds"]),
+        (["bounds", "--n", "9"], ["bounds"], ["oracle", "wreath"]),
+    ],
+    ids=["chain-affine", "chain-wreath", "verify-wreath", "verify-agl", "oracle-natural",
+         "bounds"],
+)
+def test_cli_imports_only_what_it_runs(cert_files, argv, used, unused):
+    argv = [a.format(**cert_files) for a in argv]
+    r = subprocess.run([sys.executable, "-c", IMPORTS_CHILD, json.dumps(argv)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    code, added = json.loads(r.stdout)
+    assert code == 0
+    assert {f"irrbase.{m}" for m in used} <= set(added)
+    for name in ["dataclasses", "inspect", *(f"irrbase.{m}" for m in unused)]:
+        assert name not in added
+
+
 def test_optimized_interpreter_same_output(tmp_path):
     """The result-guarding checks are raises, so ``python -O`` keeps them and the output."""
     chain = ["chain", "--family", "wreath", "--m", "5", "--k", "2"]

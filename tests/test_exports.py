@@ -1,0 +1,73 @@
+"""The package's exported names: the same objects as before, loaded on first use."""
+
+import importlib
+import json
+import subprocess
+import sys
+
+import pytest
+
+import irrbase
+
+# every name the package exported when its __init__ imported all modules eagerly,
+# by defining module
+EXPORTS = {
+    "perm": ["CycleParseError", "DegreeMismatchError", "Permutation", "compose", "conjugate",
+             "cycle_type", "inverse", "parity", "parse_cycles", "print_cycles"],
+    "group": ["ENUM_LIMIT_DEFAULT", "LimitExceeded", "PermutationGroup", "alternating_group",
+              "equals", "from_generators", "intersect", "read_generator_file", "subgroup_of",
+              "symmetric_group", "trivial_group"],
+    "certificate": ["CertificateFormatError", "CertLevel", "ChainCertificate"],
+    "affine": ["AffineContext", "affine_chain", "affine_to_permutation", "build_agl",
+               "coordinate_power_conjugator", "cycle_power_conjugator", "diagonal_chain",
+               "gl_subspace_stabilizer", "point_to_vector", "scalar_conjugator",
+               "subspace_chain", "subspace_scaling_conjugator", "vector_to_point"],
+    "wreath": ["WreathContext", "build_wreath", "embed_wreath_element", "hamming",
+               "point_to_tuple", "predicted_stabilizer", "tuple_to_point",
+               "verify_intersection", "wreath_chain", "wreath_conjugator"],
+    "oracle": ["CosetAction", "OracleLimits", "VerificationReport", "build_coset_action",
+               "chain_to_base", "mibs", "verify_certificate"],
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+
+
+@pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+def test_export_is_the_defining_modules_object(module, name):
+    defining = importlib.import_module(f"irrbase.{module}")
+    assert getattr(irrbase, name) is getattr(defining, name)
+
+
+def test_all_is_the_exports_and_bounds():
+    assert sorted(irrbase.__all__) == sorted([name for _, name in NAMES] + ["bounds"])
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from irrbase import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(irrbase.__all__)
+
+
+def test_submodules():
+    assert irrbase.bounds is importlib.import_module("irrbase.bounds")
+    from irrbase import oracle
+
+    assert oracle is importlib.import_module("irrbase.oracle")
+
+
+def test_dir_covers_all():
+    assert set(irrbase.__all__) <= set(dir(irrbase))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        irrbase.no_such_name
+    assert not hasattr(irrbase, "no_such_name")
+
+
+def test_import_runs_no_module():
+    code = ("import json, sys; import irrbase; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('irrbase.'))))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == []
