@@ -16,10 +16,11 @@ characteristic is out of scope here.
 from __future__ import annotations
 
 from functools import cached_property
+from math import prod
 from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals
+from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer, equals
 from .perm import Permutation, compose
 
 # -- small number theory -----------------------------------------------------
@@ -131,14 +132,21 @@ def affine_to_permutation(
     return Permutation(images)
 
 
-def build_agl(p: int, d: int) -> AffineContext:
-    """Construct AGL(d, p) on p^d points, for odd prime p and d >= 1."""
+def agl_order(p: int, d: int) -> int:
+    """|AGL(d, p)| = p^d ⋅ ∏_{i<d} (p^d - p^i), for odd prime p and d >= 1."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if p == 2:
         raise ValueError("odd p required")
     if d < 1:
         raise ValueError(f"d must be at least 1, got {d}")
+    n = p**d
+    return n * prod(n - p**i for i in range(d))
+
+
+def build_agl(p: int, d: int) -> AffineContext:
+    """Construct AGL(d, p) on p^d points, for odd prime p and d >= 1."""
+    order = agl_order(p, d)
     n = p**d
     mu = smallest_primitive_root(p)
     ctx = AffineContext(p=p, d=d, n=n, mu=mu, H=None, gl=None, T=None, diag_gens=None)
@@ -164,15 +172,12 @@ def build_agl(p: int, d: int) -> AffineContext:
         translations.append(affine_to_permutation(ctx, basis_rows(), t))
 
     gl = PermutationGroup(gl_gens, n)
-    gl_order = 1
-    for i in range(d):
-        gl_order *= n - p**i
-    if gl.order() != gl_order:
-        raise RuntimeError(f"|GL| = {gl.order()}, expected {gl_order}")
+    if gl.order() != order // n:
+        raise RuntimeError(f"|GL| = {gl.order()}, expected {order // n}")
 
     h = PermutationGroup(gl_gens + translations, n)
-    if h.order() != n * gl_order:
-        raise RuntimeError(f"|AGL| = {h.order()}, expected {n * gl_order}")
+    if h.order() != order:
+        raise RuntimeError(f"|AGL| = {h.order()}, expected {order}")
 
     diag_gens = []
     for i in range(d):
@@ -208,10 +213,9 @@ def span_points(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> set:
 
 
 def gl_subspace_stabilizer(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> PermutationGroup:
-    """Setwise stabilizer of a linear subspace in GL(V), by filtering GL's elements."""
-    w = span_points(ctx, basis)
-    members = [g for g in ctx.gl.iter_elements() if all(g.image(pt) in w for pt in w)]
-    return PermutationGroup(members, ctx.n)
+    """Setwise stabilizer of a linear subspace in GL(V), by orbit-stabilizer on point sets."""
+    w = frozenset(pt - 1 for pt in span_points(ctx, basis))
+    return _stabilizer(ctx.gl, w, lambda pts, s: frozenset(s[p] for p in pts))
 
 
 def scalar_conjugator(ctx: AffineContext) -> Permutation:
@@ -271,7 +275,7 @@ class SubspaceStep:
 
     @cached_property
     def stabilizer(self) -> PermutationGroup:
-        """Setwise stabilizer in GL(V), by element filtering; built on first access."""
+        """Setwise stabilizer in GL(V), by orbit-stabilizer; built on first access."""
         return gl_subspace_stabilizer(self.ctx, self.basis)
 
 

@@ -62,6 +62,18 @@ def _cert_text_table(cert: ChainCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _coset_index(g_order: int, h_order: int, limit_t: int) -> int:
+    """|G : H| from the two orders; LimitExceeded over --limit-t."""
+    t, rem = divmod(g_order, h_order)
+    if rem != 0:
+        raise UsageError("subgroup order does not divide group order")
+    if t > limit_t:
+        raise LimitExceeded(
+            f"coset index {g_order}/{h_order} = {t} exceeds limit --limit-t {limit_t}"
+        )
+    return t
+
+
 def _build_subgroup(args, ambient: str):
     """Returns (G, H, family, params, degree) for the oracle subcommands."""
     family = args.subgroup
@@ -74,26 +86,29 @@ def _build_subgroup(args, ambient: str):
         g = symmetric_group(n) if ambient == "S" else alternating_group(n)
         h = g.point_stabilizer(n)
         return g, h, "natural", {"n": n}, n
-    if family == "agl":
-        if args.p is None or args.d is None:
-            raise UsageError("--subgroup agl requires --p and --d")
-        from .affine import build_agl
+    if family in ("agl", "wreath"):
+        names = ("p", "d") if family == "agl" else ("m", "k")
+        params = {a: getattr(args, a) for a in names}
+        if None in params.values():
+            raise UsageError(f"--subgroup {family} requires --{names[0]} and --{names[1]}")
+        if family == "agl":
+            from .affine import build_agl
 
-        ctx = build_agl(args.p, args.d)
-        n = ctx.n
-        g = symmetric_group(n) if ambient == "S" else alternating_group(n)
-        h = ctx.H if ambient == "S" else intersect(ctx.H, g, args.limit_enum)
-        return g, h, "agl", {"p": args.p, "d": args.d}, n
-    if family == "wreath":
-        if args.m is None or args.k is None:
-            raise UsageError("--subgroup wreath requires --m and --k")
-        from .wreath import build_wreath
+            h = build_agl(args.p, args.d).H
+        else:
+            from .wreath import build_wreath
 
-        ctx = build_wreath(args.m, args.k)
-        n = ctx.n
+            h = build_wreath(args.m, args.k).M
+        n = h.degree
         g = symmetric_group(n) if ambient == "S" else alternating_group(n)
-        h = ctx.M if ambient == "S" else intersect(ctx.M, g, args.limit_enum)
-        return g, h, "wreath", {"m": args.m, "k": args.k}, n
+        if ambient == "A":
+            # |H ∩ A_n| is |H|/2 when H has an odd generator, else |H|: an index over
+            # --limit-t is refused before H is listed, after intersect's own refusal
+            if min(h.order(), g.order()) <= args.limit_enum:
+                odd = any(not x.is_even() for x in h.generators)
+                _coset_index(g.order(), h.order() // 2 if odd else h.order(), args.limit_t)
+            h = intersect(h, g, args.limit_enum)
+        return g, h, family, params, n
     if family == "explicit":
         if not args.gens_file:
             raise UsageError("--subgroup explicit requires --gens-file")
@@ -150,17 +165,8 @@ def cmd_oracle(args) -> int:
 
     ambient = args.ambient
     g, h, family, params, degree = _build_subgroup(args, ambient)
-    t, rem = divmod(g.order(), h.order())
-    if rem != 0:
-        raise UsageError("subgroup order does not divide group order")
-    if t > args.limit_t:
-        print(
-            f"refused: coset index {g.order()}/{h.order()} = {t} exceeds "
-            f"limit --limit-t {args.limit_t}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    limits = OracleLimits(max_enum=args.limit_enum, max_memo=args.limit_memo)
+    t = _coset_index(g.order(), h.order(), args.limit_t)
+    limits = OracleLimits(max_memo=args.limit_memo)
     try:
         action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
         value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
@@ -204,9 +210,9 @@ def cmd_verify(args) -> int:
     h = PermutationGroup(cert.generators, cert.degree)
     if cert.family in ("agl", "wreath"):  # from_dict checked the params against the degree
         if cert.family == "agl":
-            from .affine import build_agl
+            from .affine import agl_order
 
-            name, expected = "affine", build_agl(cert.params["p"], cert.params["d"]).H.order()
+            name, expected = "affine", agl_order(cert.params["p"], cert.params["d"])
         else:
             m, k = cert.params["m"], cert.params["k"]
             name, expected = "wreath", math.factorial(m) ** k * math.factorial(k)
@@ -289,9 +295,9 @@ def cmd_bounds(args) -> int:
             "upper": ab.upper,
             "maximal": bounds_mod.maximality_affine(args.p, args.d, args.ambient),
         }
-        order_h = n
-        for i in range(args.d):
-            order_h *= n - args.p**i
+        from .affine import agl_order
+
+        order_h = agl_order(args.p, args.d)
         if args.ambient == "A":
             order_h //= 2
     elif args.family == "wreath":
@@ -368,16 +374,11 @@ def cmd_bounds(args) -> int:
         lines = []
 
         def flatten(prefix, obj):
-            if isinstance(obj, dict):
-                for k, v in obj.items():
-                    flatten(f"{prefix}{k}.", v) if isinstance(v, (dict, list)) else lines.append(
-                        f"{prefix}{k:<28} {v}"
-                    )
-            elif isinstance(obj, list):
-                for i, v in enumerate(obj):
-                    flatten(f"{prefix}{i}.", v) if isinstance(v, (dict, list)) else lines.append(
-                        f"{prefix}{i:<28} {v}"
-                    )
+            for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+                if isinstance(v, (dict, list)):
+                    flatten(f"{prefix}{k}.", v)
+                else:
+                    lines.append(f"{prefix}{k:<28} {v}")
 
         flatten("", result)
         _write_output("\n".join(lines) + "\n", args.out)

@@ -8,16 +8,17 @@ the order is generated by the buckets beyond q.  With the natural order this
 yields ascending base points and makes minimal-coset-representative
 canonicalization a greedy walk down the chain.
 
-Orders are exact Python integers; nothing here overflows.  A chain of
+Orders are exact Python integers; nothing here overflows.  A stabilizer of
+a key under a group's action, such as a coset Hx or a set of points, comes
+from one orbit-stabilizer routine, :func:`_stabilizer`, which walks the key's
+orbit and sifts Schreier generators without listing the group.  A chain of
 conjugate intersections, built or verified, runs through one level pass,
-:meth:`PermutationGroup._conjugate_levels`, whose levels come from
-orbit-stabilizer on the right cosets of H: K ∩ H^x is the stabilizer in K of
-the coset Hx, found by :meth:`PermutationGroup._coset_stabilizer` from the
-orbit of Hx's minimal representative without enumerating K.  Enumeration
-(:meth:`PermutationGroup._conjugate_members` over
-:meth:`PermutationGroup._iter_element_tbls`) remains for ``intersect`` and
-the wreath check, and is the tests' reference for the level pass; it refuses
-(never truncates) above a caller-supplied element limit.
+:meth:`PermutationGroup._conjugate_levels`: its level K ∩ H^x is the
+stabilizer in K of the coset Hx (:meth:`PermutationGroup._coset_stabilizer`).
+Enumeration (:meth:`PermutationGroup._conjugate_members` over
+:meth:`PermutationGroup._iter_element_tbls`) remains for ``iter_elements``
+and ``intersect``, and is the tests' reference for the stabilizers; it
+refuses (never truncates) above a caller-supplied element limit.
 """
 
 from __future__ import annotations
@@ -233,71 +234,11 @@ class PermutationGroup:
 
         ``k ∈ H^x ⟺ Hxk = Hx``, so the level is the stabilizer of the point
         Hx in K's action on H's right cosets, whose points are their minimal
-        representatives.  A breadth-first orbit of Hx under K's generators is
-        kept as a Schreier vector (parent key, generator index), and
-        orbit-stabilizer gives the order |K| / |orbit| exactly.  An orbit
-        longer than |K|/2 is regular, since its length divides |K|: the
-        search stops there and the level is trivial.  Otherwise Schreier
-        generators are sifted into a new group until it has that order; a
-        subgroup of the stabilizer with the stabilizer's order is the
-        stabilizer.  The orbit has at most |K| points.
+        representatives; :func:`_stabilizer` finds it from the coset's orbit.
         """
-        gens = [g._tbl for g in k.generators]
-        size = k.order()
-        root = _min_coset_rep(self, x)
-        parent = {root: None}  # Schreier vector: key -> (parent key, generator index)
-        queue = [root]
-        for a in queue:  # grows while it is walked: a breadth-first queue
-            for i, s in enumerate(gens):
-                b = _min_coset_rep(self, _compose_tbl(a, s))
-                if b not in parent:
-                    parent[b] = (a, i)
-                    queue.append(b)
-                    if 2 * len(queue) > size:
-                        return PermutationGroup([], self.degree)
-        target, rem = divmod(size, len(queue))
-        if rem:
-            raise RuntimeError(f"coset orbit of length {len(queue)} does not divide |K| = {size}")
-        if target == size:
-            return k
-
-        def transversal(b: tuple) -> tuple:
-            """The element of K taking the coset Hx to the coset b, from the Schreier vector."""
-            path = []
-            while parent[b] is not None:
-                b, i = parent[b]
-                path.append(gens[i])
-            u = self._ident
-            for s in reversed(path):
-                u = _compose_tbl(u, s)
-            return u
-
-        def schreier_generators() -> Iterator[tuple]:
-            """u_a s u_b⁻¹ for each orbit key a and generator s, b the key of a s."""
-            for a in queue:
-                ua = None
-                for i, s in enumerate(gens):
-                    b = _min_coset_rep(self, _compose_tbl(a, s))
-                    if parent[b] == (a, i):
-                        continue  # a tree edge: its Schreier generator is the identity
-                    if ua is None:
-                        ua = transversal(a)
-                    yield _compose_tbl(_compose_tbl(ua, s), _inverse_tbl(transversal(b)))
-
-        stab = PermutationGroup([], self.degree)
-        added = []
-        order = 1
-        for g in schreier_generators():
-            if stab._add_generator(g):
-                added.append(Permutation._wrap(g))
-                order = math.prod(len(lvl.orbit) for lvl in stab._levels)
-                if order >= target:
-                    break
-        if order != target:
-            raise RuntimeError(f"coset stabilizer has order {order}, expected |K| / |orbit| = {target}")
-        stab.generators = tuple(added)
-        stab._order = order
-        return stab
+        return _stabilizer(
+            k, _min_coset_rep(self, x), lambda a, s: _min_coset_rep(self, _compose_tbl(a, s))
+        )
 
     def _conjugate_levels(
         self, conjugator_sets: Iterable[Sequence[tuple]]
@@ -422,6 +363,73 @@ def _products(steps: list, i: int, q: tuple) -> Iterator[tuple]:
         return
     for u_then in steps[i]:
         yield from _products(steps, i + 1, u_then(q))
+
+
+def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
+    """The stabilizer in K of a hashable key, by orbit-stabilizer on the key's orbit.
+
+    ``image(a, s)`` is the key a moved by the generator table s, an action
+    of K.  A breadth-first orbit of ``root`` under K's generators is kept as
+    a Schreier vector (parent key, generator index), and orbit-stabilizer
+    gives the order |K| / |orbit| exactly.  An orbit longer than |K|/2 is
+    regular, since its length divides |K|: the search stops there and the
+    stabilizer is trivial.  Otherwise Schreier generators are sifted into a
+    new group until it has that order; a subgroup of the stabilizer with the
+    stabilizer's order is the stabilizer.  The orbit has at most |K| keys,
+    and no element of K is listed.
+    """
+    gens = [g._tbl for g in k.generators]
+    size = k.order()
+    parent = {root: None}  # Schreier vector: key -> (parent key, generator index)
+    queue = [root]
+    for a in queue:  # grows while it is walked: a breadth-first queue
+        for i, s in enumerate(gens):
+            b = image(a, s)
+            if b not in parent:
+                parent[b] = (a, i)
+                queue.append(b)
+                if 2 * len(queue) > size:
+                    return PermutationGroup([], k.degree)
+    target, rem = divmod(size, len(queue))
+    if rem:
+        raise RuntimeError(f"orbit of length {len(queue)} does not divide |K| = {size}")
+    if target == size:
+        return k
+
+    def transversal(b) -> tuple:
+        """The element of K taking the root to the key b, from the Schreier vector."""
+        u = k._ident
+        while parent[b] is not None:
+            b, i = parent[b]
+            u = _compose_tbl(gens[i], u)  # the step from the parent key, then the rest
+        return u
+
+    def schreier_generators() -> Iterator[tuple]:
+        """u_a s u_b⁻¹ for each orbit key a and generator s, b the image of a under s."""
+        for a in queue:
+            ua = None
+            for i, s in enumerate(gens):
+                b = image(a, s)
+                if parent[b] == (a, i):
+                    continue  # a tree edge: its Schreier generator is the identity
+                if ua is None:
+                    ua = transversal(a)
+                yield _compose_tbl(_compose_tbl(ua, s), _inverse_tbl(transversal(b)))
+
+    stab = PermutationGroup([], k.degree)
+    added = []
+    order = 1
+    for g in schreier_generators():
+        if stab._add_generator(g):
+            added.append(Permutation._wrap(g))
+            order = math.prod(len(lvl.orbit) for lvl in stab._levels)
+            if order >= target:
+                break
+    if order != target:
+        raise RuntimeError(f"stabilizer has order {order}, expected |K| / |orbit| = {target}")
+    stab.generators = tuple(added)
+    stab._order = order
+    return stab
 
 
 def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:

@@ -52,10 +52,9 @@ from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
 class OracleLimits:
-    """Hard caps for the oracle; exceeding any of them is a clean refusal."""
+    """The oracle search's hard cap; exceeding it is a clean refusal."""
 
-    def __init__(self, max_enum: int = 2_000_000, max_memo: int = 1_000_000):
-        self.max_enum = max_enum  # elements of any enumerated group
+    def __init__(self, max_memo: int = 1_000_000):
         self.max_memo = max_memo  # distinct subgroups memoized during the search
 
 
@@ -274,10 +273,6 @@ def mibs(
     """
     limits = limits or OracleLimits()
     h = action.subgroup
-    if h.order() > limits.max_enum:
-        raise LimitExceeded(
-            f"subgroup order {h.order()} exceeds enumeration limit {limits.max_enum}"
-        )
     points, orders, memo = _longest_chain(action, limits.max_memo, prune)
     value = 1 + memo[None][0]
     if len(points) != value or orders[-1] != 1:

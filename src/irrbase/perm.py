@@ -14,8 +14,9 @@ run on.  On tables the same convention reads ``_compose_tbl(a, b)[i] =
 b[a[i]]`` (a first, then b), computed as ``itemgetter(*a)(b)``, and identity
 is tested by tuple ``==`` against a cached identity table.  Membership of a
 conjugate rests on ``e ∈ H^x ⟺ x e x⁻¹ ∈ H ⟺ Hxe = Hx``: certificate levels
-are stabilizers of cosets Hx (``PermutationGroup._coset_stabilizer``), and the
-enumeration filter kept as their test reference,
+and the wreath checks are stabilizers of cosets Hx
+(``PermutationGroup._coset_stabilizer``), and the enumeration filter of
+``intersect`` and of the tests' references,
 ``PermutationGroup._conjugate_members``, sifts the table of x e x⁻¹,
 ``_compose_tbl(_compose_tbl(x, e), _inverse_tbl(x))``.
 """

@@ -20,12 +20,7 @@ from math import factorial
 from typing import Sequence
 
 from .certificate import CertLevel, ChainCertificate
-from .group import (
-    ENUM_LIMIT_DEFAULT,
-    LimitExceeded,
-    PermutationGroup,
-    symmetric_group,
-)
+from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals, symmetric_group
 from .perm import Permutation, parse_cycles
 
 
@@ -213,18 +208,14 @@ def predicted_stabilizer(ctx: WreathContext, i: int, r: int) -> PermutationGroup
     return group
 
 
-def verify_intersection(
-    ctx: WreathContext, i: int, r: int, limit: int = ENUM_LIMIT_DEFAULT
-) -> bool:
-    """True iff M ∩ M^x equals the predicted stabilizer, by full enumeration of M."""
+def verify_intersection(ctx: WreathContext, i: int, r: int) -> bool:
+    """True iff M ∩ M^x equals the predicted stabilizer.
+
+    M ∩ M^x is the stabilizer in M of the coset Mx, found by orbit-stabilizer
+    on M's cosets without listing M.
+    """
     x = wreath_conjugator(ctx, i, r)
-    predicted = predicted_stabilizer(ctx, i, r)
-    if ctx.M.order() > limit:
-        raise LimitExceeded(
-            f"group too large: order {ctx.M.order()} exceeds enumeration limit {limit}"
-        )
-    members = ctx.M._conjugate_members([x._tbl], ctx.M._iter_element_tbls())
-    return len(members) == predicted.order() and all(map(predicted._contains_tbl, members))
+    return equals(ctx.M._coset_stabilizer(ctx.M, x._tbl), predicted_stabilizer(ctx, i, r))
 
 
 def wreath_chain(

@@ -171,7 +171,7 @@ def test_criterion_05_wreath_intersections():
         ok &= verify_intersection(w62, 2, r)
     elapsed = time.monotonic() - t0
     ok &= elapsed < 300.0
-    report(5, "wreath two-point stabilizers by enumeration", ok, f"{elapsed:.1f}s")
+    report(5, "wreath two-point stabilizers by orbit-stabilizer", ok, f"{elapsed:.1f}s")
 
 
 def test_criterion_06_wreath_certificate():

@@ -319,6 +319,64 @@ def test_oracle_index_refusal_message(capsys):
     assert capsys.readouterr().err == "refused: coset index 5040/720 = 7 exceeds limit --limit-t 5\n"
 
 
+# ambient-A oracle argv -> its refusal; the index one is checked before H ∩ A_n is
+# listed, and intersect's refusal to list a large H keeps its place first
+A_REFUSALS = {
+    "agl-3-3": (["--subgroup", "agl", "--p", "3", "--d", "3"],
+                "refused: coset index 5444434725209176080384000000/151632 = "
+                "35905578804006912000000 exceeds limit --limit-t 20000\n"),
+    "agl-3-4": (["--subgroup", "agl", "--p", "3", "--d", "4"],
+                "refused: intersection too large to enumerate: smaller group has order "
+                "1965150720, limit 2000000\n"),
+    "agl-3-2-limit-enum": (["--subgroup", "agl", "--p", "3", "--d", "2", "--limit-enum", "100"],
+                           "refused: intersection too large to enumerate: smaller group has "
+                           "order 432, limit 100\n"),
+    "wreath-5-2": (["--subgroup", "wreath", "--m", "5", "--k", "2"],
+                   "refused: coset index 7755605021665492992000000/14400 = "
+                   "538583682060103680000 exceeds limit --limit-t 20000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(A_REFUSALS))
+def test_oracle_ambient_a_refusals_enumerate_nothing(monkeypatch, capsys, case):
+    argv, err = A_REFUSALS[case]
+
+    def enumerated(*args):
+        raise AssertionError("a refusal enumerated a group")
+
+    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
+    assert main(["oracle", "--ambient", "A", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_verify_agl_non_prime_p_exits_2(tmp_path, capsys):
+    data = affine_chain(build_agl(7, 1)).to_dict()
+    data["degree"] = 81
+    data["subgroup"]["params"] = {"p": 9, "d": 2}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == ("", "invalid parameters: p = 9 is not prime\n")
+
+
+def test_verify_agl_builds_no_group_for_the_family_order(cert_files, monkeypatch, capsys):
+    """The family order is a closed form: verify never builds AGL(d, p)."""
+    def built(*args):
+        raise AssertionError("verify built AGL(d, p)")
+
+    monkeypatch.setattr(affine, "build_agl", built)
+    assert main(["verify", cert_files["c32"]]) == 0
+    assert capsys.readouterr() == (
+        "level 0: claimed 432, computed 432: pass\n"
+        "level 1: claimed 12, computed 12: pass\n"
+        "level 2: claimed 4, computed 4: pass\n"
+        "level 3: claimed 2, computed 2: pass\n"
+        "level 4: claimed 1, computed 1: pass\n"
+        "certificate VERIFIED\n",
+        "",
+    )
+
+
 def test_verify_stops_at_level_lacking_identity(tmp_path, capsys):
     data = affine_chain(build_agl(3, 2)).to_dict()
     data["levels"][3]["conjugators"].remove("()")

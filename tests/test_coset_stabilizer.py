@@ -1,10 +1,12 @@
-"""The level pass against the enumeration filter it replaced.
+"""Orbit-stabilizer against the enumeration filters it replaced.
 
 Every certificate level ⋂ H^x is computed by orbit-stabilizer on the right
 cosets of H (``PermutationGroup._coset_stabilizer``).  The reference lists H
 and keeps the elements lying in every H^x (``_conjugate_members``), filtering
 the previous level when the conjugator sets are nested and all of H when they
-are not.  Both must give the same element set on every level.
+are not.  Both must give the same element set on every level.  The subspace
+stabilizers in GL(V) and the wreath two-point stabilizers M ∩ M^x come from
+the same routine (``group._stabilizer``); their references list GL(V) and M.
 """
 
 import itertools
@@ -13,12 +15,24 @@ from functools import lru_cache
 
 import pytest
 
-from irrbase import group
-from irrbase.affine import affine_chain, build_agl
-from irrbase.group import PermutationGroup, from_generators, symmetric_group
+from irrbase import group, wreath
+from irrbase.affine import (
+    affine_chain,
+    build_agl,
+    gl_subspace_stabilizer,
+    span_points,
+    subspace_chain,
+)
+from irrbase.group import PermutationGroup, equals, from_generators, symmetric_group
 from irrbase.oracle import build_coset_action, mibs
 from irrbase.perm import Permutation, parse_cycles
-from irrbase.wreath import build_wreath, wreath_chain
+from irrbase.wreath import (
+    build_wreath,
+    predicted_stabilizer,
+    verify_intersection,
+    wreath_chain,
+    wreath_conjugator,
+)
 
 from test_acceptance import AFFINE_CASES
 from test_oracle_reference import M11_GENERATORS
@@ -86,6 +100,82 @@ def test_oracle_witness_levels_match_enumeration(name):
     _, cert = mibs(action)
     got = assert_levels_match(action.subgroup, conjugator_sets(cert))
     assert [g.order() for g in got] == [lvl.order for lvl in cert.levels[1:]]
+
+
+# -- subspace stabilizers in GL(V) and wreath two-point stabilizers ---------------
+
+
+def gl_filter(ctx, gl_elements, basis):
+    """The setwise stabilizer of a subspace by filtering GL(V)'s elements."""
+    w = span_points(ctx, basis)
+    members = [g for g in gl_elements if all(g.image(pt) in w for pt in w)]
+    return PermutationGroup(members, ctx.n)
+
+
+@pytest.mark.parametrize("p,d", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_subspace_stabilizers_match_gl_filter(p, d):
+    ctx = build_agl(p, d)
+    gl_elements = ctx.gl.elements()
+    for step in subspace_chain(ctx):
+        want = gl_filter(ctx, gl_elements, step.basis)
+        assert want.order() < ctx.gl.order()
+        assert equals(gl_subspace_stabilizer(ctx, step.basis), want)
+        assert equals(step.stabilizer, want)
+
+
+def test_agl43_subspace_stabilizer_orders():
+    """|GL(4,3)| = 24,261,120 over 40 lines, 130 planes and 40 hyperplanes."""
+    ctx = build_agl(3, 4)
+    basis = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    for dim, order in [(1, 606_528), (2, 186_624), (3, 606_528)]:
+        stab = gl_subspace_stabilizer(ctx, basis[:dim])
+        assert stab.order() == order
+        w = span_points(ctx, basis[:dim])
+        assert all({g.image(pt) for pt in w} == w for g in stab.generators)
+
+
+def enumerated_intersection(ctx, r):
+    """The tables of M ∩ M^x for marker (2, r), by filtering M's elements through M^x."""
+    x = wreath_conjugator(ctx, 2, r)
+    return set(ctx.M._conjugate_members([x._tbl], ctx.M._iter_element_tbls()))
+
+
+def is_predicted(members, predicted):
+    """Whether a set of tables is exactly the group ``predicted``."""
+    return len(members) == predicted.order() and all(map(predicted._contains_tbl, members))
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_wreath_intersections_match_enumeration(wreath52, r):
+    members = enumerated_intersection(wreath52, r)
+    x = wreath_conjugator(wreath52, 2, r)
+    assert set(wreath52.M._coset_stabilizer(wreath52.M, x._tbl)._iter_element_tbls()) == members
+    assert is_predicted(members, predicted_stabilizer(wreath52, 2, r))
+    assert verify_intersection(wreath52, 2, r)
+
+
+def test_wreath_wrong_marker_negative_control(wreath52, monkeypatch):
+    """Predicting marker r's stabilizer from marker r + 1 fails both checks."""
+    predicted = wreath.predicted_stabilizer
+    monkeypatch.setattr(
+        wreath, "predicted_stabilizer", lambda ctx, i, r: predicted(ctx, i, r % 5 + 1)
+    )
+    for r in range(1, 6):
+        wrong = predicted(wreath52, 2, r % 5 + 1)
+        assert not is_predicted(enumerated_intersection(wreath52, r), wrong)
+        assert not verify_intersection(wreath52, 2, r)
+
+
+def test_subspace_and_wreath_stabilizers_list_no_group(wreath52, monkeypatch):
+    def enumerated(*args):
+        raise AssertionError("a group was enumerated")
+
+    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
+    monkeypatch.setattr(PermutationGroup, "_conjugate_members", enumerated)
+    assert all(verify_intersection(wreath52, 2, r) for r in range(1, 6))
+    ctx = build_agl(3, 3)
+    orders = [gl_subspace_stabilizer(ctx, s.basis).order() for s in subspace_chain(ctx)]
+    assert orders == [864, 864, 864, 864, 864]
 
 
 # -- random conjugators -----------------------------------------------------------
