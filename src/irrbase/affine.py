@@ -19,7 +19,7 @@ from functools import cached_property
 from math import prod
 from typing import Optional, Sequence
 
-from .certificate import CertLevel, ChainCertificate
+from .certificate import ChainCertificate, build_chain
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer, equals
 from .perm import Permutation, compose
 
@@ -422,25 +422,18 @@ def diagonal_chain(ctx: AffineContext) -> list:
 # -- certificate assembly ------------------------------------------------------
 
 
-def affine_chain(
-    ctx: AffineContext, ambient: str = "S", limit: int = ENUM_LIMIT_DEFAULT
-) -> ChainCertificate:
+def affine_chain(ctx: AffineContext, limit: int = ENUM_LIMIT_DEFAULT) -> ChainCertificate:
     """Certificate for the chain Sym(V) > H > ... > T > ... > 1.
 
     Levels are intersections of conjugates of H with nested conjugator sets;
     claimed_length is 1 + (d(d+1)/2 - 1) + l2 for d >= 2 and 2 + l2 for d = 1.
-    The conjugator sets are built first; one level pass over H then gives
-    every order, raising RuntimeError unless the chain descends strictly,
-    reaches T where predicted, matches every predicted diagonal order and
-    ends at the trivial group.
+    The conjugator sets are built first; :func:`build_chain` then takes every
+    order from one level pass over H, and raises RuntimeError unless the
+    chain reaches T where predicted and matches every predicted diagonal
+    order.
     """
-    if ambient != "S":
-        raise ValueError("explicit chains are built for ambient 'S' only")
     if ctx.n < 7:
         raise ValueError(f"p^d = {ctx.n} < 7 is outside the supported range")
-    h = ctx.H
-    if h.order() > limit:
-        raise ValueError(f"|H| = {h.order()} exceeds enumeration limit {limit}")
     ident = Permutation.identity(ctx.n)
     if ctx.d >= 2:
         to_t = [ident] + [step.conjugator for step in subspace_chain(ctx)]
@@ -458,28 +451,12 @@ def affine_chain(
                 z_set.setdefault(z._tbl, z)
         conj_sets.append(list(z_set.values()))
 
-    levels = [CertLevel([ident], h.order())]
-    groups = h._conjugate_levels([x._tbl for x in c] for c in conj_sets)
-    for idx, (conjs, level) in enumerate(zip(conj_sets, groups), 1):
-        order = level.order()
-        if not order < levels[-1].order:
-            raise RuntimeError(f"chain failed to descend at level {idx}")
+    def check(idx: int, level: PermutationGroup) -> None:
         if idx == t_level and not equals(level, ctx.T):
             raise RuntimeError(f"level {idx} is not the diagonal group")
         if idx > t_level:
-            predicted = dsteps[idx - t_level - 1].predicted.order()
+            order, predicted = level.order(), dsteps[idx - t_level - 1].predicted.order()
             if order != predicted:
                 raise RuntimeError(f"diagonal level order {order} != predicted {predicted}")
-        levels.append(CertLevel(conjs, order))
 
-    if levels[-1].order != 1:
-        raise RuntimeError("chain did not terminate at the trivial group")
-    return ChainCertificate(
-        degree=ctx.n,
-        ambient="S",
-        family="agl",
-        params={"p": ctx.p, "d": ctx.d},
-        generators=list(h.generators),
-        levels=levels,
-        claimed_length=len(levels),
-    )
+    return build_chain(ctx.H, conj_sets, "agl", {"p": ctx.p, "d": ctx.d}, check, limit)

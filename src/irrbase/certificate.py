@@ -4,8 +4,17 @@ A certificate presents each subgroup in the chain as the intersection of
 conjugates of a distinguished subgroup H of the ambient symmetric or
 alternating group, with the conjugating permutations as explicit witnesses.
 Level 0 is H itself (witness set {identity}); claimed orders must strictly
-decrease and end at 1.  An independent verifier can recompute every level
-from H and the witnesses alone.
+decrease and end at 1, and ``claimed_length`` is the number of levels.  These
+rules are written once here: :func:`build_chain` assembles a certificate from
+a family's conjugator sets, and :func:`verify_certificate` checks one.
+
+The verifier recomputes every certificate level as an intersection of
+conjugates of H from H and the certificate's conjugator witnesses alone: each
+level is the stabilizer of a coset of H in the level above, found by
+orbit-stabilizer on the cosets without enumerating H.  The chain builders
+read their orders, through :func:`build_chain`, off the same level pass,
+:meth:`PermutationGroup._conjugate_levels`; enumeration is the tests'
+reference for it.
 
 JSON schema (all points and cycle strings 1-based, orders decimal strings):
 
@@ -23,8 +32,10 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
+from typing import Callable, Optional
 
-from .perm import parse_cycles, print_cycles
+from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup
+from .perm import Permutation, parse_cycles, print_cycles
 
 
 class CertificateFormatError(ValueError):
@@ -107,6 +118,8 @@ class ChainCertificate:
             raise CertificateFormatError("claimed_length must be an integer")
         if not isinstance(params, dict) or not all(map(_is_int, params.values())):
             raise CertificateFormatError("params must map names to integers")
+        if family == "natural" and params != {"n": degree}:
+            raise CertificateFormatError(f"natural params must be exactly n = {degree}")
         if family in _POWER_PARAMS:  # checked before any work that grows with them
             names = _POWER_PARAMS[family]
             if not all(name in params for name in names):
@@ -118,12 +131,17 @@ class ChainCertificate:
                     f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
                 )
         generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
+        if not isinstance(level_data, list):
+            raise CertificateFormatError("levels must be a list")
         levels = []
         for i, lv in enumerate(level_data):
             try:
                 conj_strs = lv["conjugators"]
-                order = int(lv["order"])
-            except (KeyError, TypeError, ValueError) as e:
+                text = lv["order"]
+                order = int(text)
+                if not (isinstance(text, str) and text.isascii() and text.isdigit()):
+                    raise ValueError(f"order {text!r} is not a string of decimal digits")
+            except (KeyError, TypeError, ValueError, OverflowError) as e:
                 raise CertificateFormatError(f"level {i}: {e}") from None
             conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
             levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
@@ -141,6 +159,156 @@ class ChainCertificate:
     def from_json(cls, text: str) -> "ChainCertificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
             raise CertificateFormatError(f"invalid JSON: {e}") from None
         return cls.from_dict(data)
+
+
+# -- certificate assembly ------------------------------------------------------
+
+
+def build_chain(h: PermutationGroup, conjugator_sets: list, family: str, params: dict,
+                check: Optional[Callable] = None,
+                limit: int = ENUM_LIMIT_DEFAULT) -> ChainCertificate:
+    """The certificate of the chain H > ⋂_{x in Y_1} H^x > ... for conjugator sets Y_1, Y_2, ...
+
+    Level 0 is H with {identity}; the orders of levels 1, 2, ... come from
+    one pass of :meth:`PermutationGroup._conjugate_levels`.  Raises
+    RuntimeError unless every level descends strictly and the last is
+    trivial; ``check(idx, level)``, the family's own test of level idx, runs
+    on each level in order, after its descent check.
+    """
+    if h.order() > limit:
+        raise LimitExceeded(f"subgroup order {h.order()} exceeds enumeration limit {limit}")
+    levels = [CertLevel([Permutation.identity(h.degree)], h.order())]
+    groups = h._conjugate_levels([x._tbl for x in c] for c in conjugator_sets)
+    for idx, (conjs, level) in enumerate(zip(conjugator_sets, groups), 1):
+        if not level.order() < levels[-1].order:
+            raise RuntimeError(f"chain failed to descend at level {idx}")
+        if check is not None:
+            check(idx, level)
+        levels.append(CertLevel(conjs, level.order()))
+    if levels[-1].order != 1:
+        raise RuntimeError("chain did not terminate at the trivial group")
+    return ChainCertificate(h.degree, "S", family, params, list(h.generators), levels, len(levels))
+
+
+# -- certificate verification --------------------------------------------------
+
+
+class LevelResult:
+    def __init__(self, index: int, claimed_order: int, computed_order: Optional[int],
+                 ok: bool, message: str = ""):
+        self.index = index
+        self.claimed_order = claimed_order
+        self.computed_order = computed_order
+        self.ok = ok
+        self.message = message
+
+
+class VerificationReport:
+    def __init__(self, ok: bool, levels: Optional[list] = None):
+        self.ok = ok
+        self.levels = [] if levels is None else levels
+
+    def summary(self) -> str:
+        lines = []
+        for r in self.levels:
+            status = "pass" if r.ok else "FAIL"
+            got = "?" if r.computed_order is None else str(r.computed_order)
+            line = f"level {r.index}: claimed {r.claimed_order}, computed {got}: {status}"
+            if r.message:
+                line += f" ({r.message})"
+            lines.append(line)
+        lines.append("certificate VERIFIED" if self.ok else "certificate INVALID")
+        return "\n".join(lines)
+
+
+def verify_certificate(
+    cert: ChainCertificate, h: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT
+) -> VerificationReport:
+    """Recompute every level as an intersection of conjugates of H and check all claims.
+
+    Trusts nothing from the builder: each level is recomputed from H and the
+    level's conjugator set, as the stabilizer of the cosets Hx in the level
+    above (orbit-stabilizer, no enumeration of H).  The levels come from one
+    pass of :meth:`PermutationGroup._conjugate_levels`: nested conjugator
+    sets cut the previous level by their new conjugators, a non-nested set
+    starts again from H, and a level is computed only once every earlier
+    level has been reported.  For ambient "A", H's generators and every
+    conjugator must be even: an odd conjugate of H need not be an
+    A_n-conjugate.  Each level gets one report line; a ``claimed_length``
+    mismatch is marked on level 0's.
+    """
+    report = VerificationReport(ok=True)
+
+    def fail(idx, claimed, computed, msg):
+        report.levels.append(LevelResult(idx, claimed, computed, False, msg))
+        report.ok = False
+
+    if h.degree != cert.degree:
+        fail(0, 0, None, f"subgroup degree {h.degree} != certificate degree {cert.degree}")
+        return report
+    if h.order() > limit:
+        raise LimitExceeded(f"subgroup order {h.order()} exceeds enumeration limit {limit}")
+    if not cert.levels:
+        fail(0, 0, None, "certificate has no levels")
+        return report
+
+    lvl0 = cert.levels[0]
+    computed, msg = h.order(), None
+    odd = _first_odd(h.generators, cert.ambient)
+    if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
+        computed, msg = None, "level 0 must carry exactly the identity conjugator"
+    elif odd is not None:
+        computed, msg = None, f"generator {odd} is odd but the ambient group is A_{cert.degree}"
+    elif lvl0.order != h.order():
+        msg = "level 0 order does not match |H|"
+    msgs = [msg] if msg else []
+    if cert.claimed_length != len(cert.levels):
+        msgs.append(f"claimed_length {cert.claimed_length} != {len(cert.levels)} levels")
+    if msgs:
+        fail(0, lvl0.order, computed, "; ".join(msgs))
+    else:
+        report.levels.append(LevelResult(0, lvl0.order, computed, True))
+    if msg:
+        return report
+
+    groups = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
+    prev_order = h.order()
+    for idx, lvl in enumerate(cert.levels[1:], 1):
+        if not any(x.is_identity() for x in lvl.conjugators):
+            fail(idx, lvl.order, None, "conjugator set lacks the identity")
+            return report
+        odd = _first_odd(lvl.conjugators, cert.ambient)
+        if odd is not None:
+            msg = f"conjugator {odd} is odd but the ambient group is A_{cert.degree}"
+            fail(idx, lvl.order, None, msg)
+            return report
+        order = next(groups).order()
+
+        ok = True
+        msgs = []
+        if order != lvl.order:
+            ok = False
+            msgs.append("recomputed order differs from claim")
+        if not order < prev_order:
+            ok = False
+            msgs.append("level does not strictly descend")
+        report.levels.append(LevelResult(idx, lvl.order, order, ok, "; ".join(msgs)))
+        if not ok:
+            report.ok = False
+        prev_order = order
+
+    last = report.levels[-1]
+    if last.claimed_order != 1 or last.computed_order != 1:
+        last.ok = report.ok = False
+        last.message = "; ".join(filter(None, (last.message, "terminal level is not trivial")))
+    return report
+
+
+def _first_odd(perms, ambient: str) -> Optional[Permutation]:
+    """The first odd permutation of ``perms`` when the ambient group is A, else None."""
+    if ambient == "A":
+        return next((x for x in perms if not x.is_even()), None)
+    return None

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .certificate import CertificateFormatError, ChainCertificate
+from .certificate import CertificateFormatError, ChainCertificate, verify_certificate
 from .group import (
     LimitExceeded,
     PermutationGroup,
@@ -100,13 +100,15 @@ def _build_subgroup(args, ambient: str):
 
             h = build_wreath(args.m, args.k).M
         n = h.degree
+        # |G| = n! or n!/2 and |H ∩ A_n| = |H|/2 when H has an odd generator, else |H|:
+        # an index over --limit-t is refused before G is built or H is listed, after
+        # intersect's own refusal to list a large H
+        g_order = math.factorial(n) // (1 if ambient == "S" else 2)
+        odd = ambient == "A" and any(not x.is_even() for x in h.generators)
+        if ambient == "S" or min(h.order(), g_order) <= args.limit_enum:
+            _coset_index(g_order, h.order() // 2 if odd else h.order(), args.limit_t)
         g = symmetric_group(n) if ambient == "S" else alternating_group(n)
         if ambient == "A":
-            # |H ∩ A_n| is |H|/2 when H has an odd generator, else |H|: an index over
-            # --limit-t is refused before H is listed, after intersect's own refusal
-            if min(h.order(), g.order()) <= args.limit_enum:
-                odd = any(not x.is_even() for x in h.generators)
-                _coset_index(g.order(), h.order() // 2 if odd else h.order(), args.limit_t)
             h = intersect(h, g, args.limit_enum)
         return g, h, family, params, n
     if family == "explicit":
@@ -123,35 +125,28 @@ def _build_subgroup(args, ambient: str):
 
 
 def cmd_chain(args) -> int:
-    try:
-        if args.family == "affine":
-            if args.p is None or args.d is None:
-                raise UsageError("--family affine requires --p and --d")
-            if args.p == 2:
-                raise UsageError("odd p required")
-            from .affine import affine_chain, build_agl
+    if args.family == "affine":
+        if args.p is None or args.d is None:
+            raise UsageError("--family affine requires --p and --d")
+        if args.p == 2:
+            raise UsageError("odd p required")
+        from .affine import affine_chain, build_agl
 
-            ctx = build_agl(args.p, args.d)
-            if ctx.n < 7:
-                raise UsageError(f"p^d = {ctx.n} < 7 is out of range")
-            _log(f"building affine chain for p={args.p}, d={args.d}")
-            cert = affine_chain(ctx, limit=args.limit_enum)
-        elif args.family == "wreath":
-            if args.m is None or args.k is None:
-                raise UsageError("--family wreath requires --m and --k")
-            from .wreath import build_wreath, wreath_chain
+        ctx = build_agl(args.p, args.d)
+        if ctx.n < 7:
+            raise UsageError(f"p^d = {ctx.n} < 7 is out of range")
+        _log(f"building affine chain for p={args.p}, d={args.d}")
+        cert = affine_chain(ctx, limit=args.limit_enum)
+    elif args.family == "wreath":
+        if args.m is None or args.k is None:
+            raise UsageError("--family wreath requires --m and --k")
+        from .wreath import build_wreath, wreath_chain
 
-            ctx = build_wreath(args.m, args.k)
-            _log(f"building wreath chain for m={args.m}, k={args.k}")
-            cert = wreath_chain(ctx, limit=args.limit_enum)
-        else:
-            raise UsageError(f"unknown chain family {args.family!r}")
-    except LimitExceeded:
-        raise
-    except RuntimeError as e:  # a build check failed: the chain is not the predicted one
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-
+        ctx = build_wreath(args.m, args.k)
+        _log(f"building wreath chain for m={args.m}, k={args.k}")
+        cert = wreath_chain(ctx, limit=args.limit_enum)
+    else:
+        raise UsageError(f"unknown chain family {args.family!r}")
     if args.format == "json":
         _write_output(cert.to_json(), args.out)
     else:
@@ -167,14 +162,8 @@ def cmd_oracle(args) -> int:
     g, h, family, params, degree = _build_subgroup(args, ambient)
     t = _coset_index(g.order(), h.order(), args.limit_t)
     limits = OracleLimits(max_memo=args.limit_memo)
-    try:
-        action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
-        value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
-    except LimitExceeded:
-        raise
-    except RuntimeError as e:  # a self-check failed: the value is not trusted
-        print(f"internal error: {e}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
+    value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
     cert.family = family
     cert.params = params
     result = {
@@ -196,8 +185,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .oracle import verify_certificate
-
     try:
         with open(args.cert) as fh:
             cert = ChainCertificate.from_json(fh.read())
@@ -230,12 +217,22 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
+def _check_power(n: int, base: int, exp: int, names: str) -> None:
+    """Usage error unless base**exp is n; ``names`` is "p^d" or "m^k"."""
+    if base == 0 and exp < 0:
+        raise UsageError(f"{names} = 0^{exp} is undefined")
+    if base**exp != n:
+        raise UsageError(f"{names} = {base**exp} does not match --n {n}")
+
+
 def cmd_bounds(args) -> int:
     from . import bounds as bounds_mod
 
     if args.lemma52:
         if args.order_h is None:
             raise UsageError("--lemma52 requires --order-h")
+        if args.n is None:
+            raise UsageError("--lemma52 requires --n")
         rep = bounds_mod.index_growth_check(
             args.n, args.order_h, require_proof_range=args.n > 100
         )
@@ -283,8 +280,7 @@ def cmd_bounds(args) -> int:
     if args.family == "agl":
         if args.p is None or args.d is None:
             raise UsageError("--family agl requires --p and --d")
-        if args.p ** args.d != n:
-            raise UsageError(f"p^d = {args.p ** args.d} does not match --n {n}")
+        _check_power(n, args.p, args.d, "p^d")
         ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
         result["family"] = {
             "name": "agl",
@@ -303,8 +299,7 @@ def cmd_bounds(args) -> int:
     elif args.family == "wreath":
         if args.m is None or args.k is None:
             raise UsageError("--family wreath requires --m and --k")
-        if args.m ** args.k != n:
-            raise UsageError(f"m^k = {args.m ** args.k} does not match --n {n}")
+        _check_power(n, args.m, args.k, "m^k")
         lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
         result["family"] = {
             "name": "wreath",
@@ -430,7 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.set_defaults(func=cmd_verify)
     for p in (pc, po, pv):  # the subcommands that build groups
         p.add_argument("--limit-enum", type=int, default=2_000_000, metavar="N",
-                       help="cap on enumerated group elements (default 2000000)")
+                       help="cap on |H|, and for an ambient-A oracle on the group listed "
+                            "to intersect H with A_n (default 2000000)")
 
     pb = sub.add_parser("bounds", help="evaluate closed-form bounds and criteria")
     pb.add_argument("--n", type=int)
@@ -467,6 +463,9 @@ def main(argv=None) -> int:
     except OSError as e:  # a file read or written; exit 1 is reserved for failed verification
         print(f"file error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as e:  # a self-check failed (LimitExceeded is caught above)
+        print(f"internal error: {e}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Exact maximum irredundant base sizes on coset actions, and certificate checking.
+"""Exact maximum irredundant base sizes on coset actions.
 
 The action of G on the right cosets of a core-free subgroup H is realized
 with canonical minimal coset representatives (a greedy walk down H's
@@ -31,13 +31,9 @@ the search table 989 of the 7920 elements, about 40 MB, in 1,688 passes of
 length t where one pass per level took 2,970; the search makes 820 node
 calls where a scan of every point at every node made 173,328.
 
-The verifier recomputes every certificate level as an intersection of
-conjugates of H from H and the certificate's conjugator witnesses alone: each
-level is the stabilizer of a coset of H in the level above, found by
-orbit-stabilizer on the cosets without enumerating H.  The chain builders
-read their orders off the same level pass,
-:meth:`PermutationGroup._conjugate_levels`; enumeration is the tests'
-reference for it.
+:func:`chain_to_base` turns a certificate, checked by
+:func:`irrbase.certificate.verify_certificate`, into an irredundant base of
+coset points.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from itertools import accumulate, compress, repeat
 from operator import eq, itemgetter, mul
 from typing import Optional, Sequence
 
-from .certificate import CertLevel, ChainCertificate
+from .certificate import CertLevel, ChainCertificate, verify_certificate
 from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
@@ -412,127 +408,6 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         orders.append(len(c))
         pt = memo[c][1]
     return points, orders, memo
-
-
-# -- certificate verification --------------------------------------------------
-
-
-class LevelResult:
-    def __init__(self, index: int, claimed_order: int, computed_order: Optional[int],
-                 ok: bool, message: str = ""):
-        self.index = index
-        self.claimed_order = claimed_order
-        self.computed_order = computed_order
-        self.ok = ok
-        self.message = message
-
-
-class VerificationReport:
-    def __init__(self, ok: bool, levels: Optional[list] = None):
-        self.ok = ok
-        self.levels = [] if levels is None else levels
-
-    def summary(self) -> str:
-        lines = []
-        for r in self.levels:
-            status = "pass" if r.ok else "FAIL"
-            got = "?" if r.computed_order is None else str(r.computed_order)
-            line = f"level {r.index}: claimed {r.claimed_order}, computed {got}: {status}"
-            if r.message:
-                line += f" ({r.message})"
-            lines.append(line)
-        lines.append("certificate VERIFIED" if self.ok else "certificate INVALID")
-        return "\n".join(lines)
-
-
-def verify_certificate(
-    cert: ChainCertificate, h: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT
-) -> VerificationReport:
-    """Recompute every level as an intersection of conjugates of H and check all claims.
-
-    Trusts nothing from the builder: each level is recomputed from H and the
-    level's conjugator set, as the stabilizer of the cosets Hx in the level
-    above (orbit-stabilizer, no enumeration of H).  The levels come from one
-    pass of :meth:`PermutationGroup._conjugate_levels`: nested conjugator
-    sets cut the previous level by their new conjugators, a non-nested set
-    starts again from H, and a level is computed only once every earlier
-    level has been reported.  For ambient "A", H's generators and every
-    conjugator must be even: an odd conjugate of H need not be an
-    A_n-conjugate.  Each level gets one report line; a ``claimed_length``
-    mismatch is marked on level 0's.
-    """
-    report = VerificationReport(ok=True)
-
-    def fail(idx, claimed, computed, msg):
-        report.levels.append(LevelResult(idx, claimed, computed, False, msg))
-        report.ok = False
-
-    if h.degree != cert.degree:
-        fail(0, 0, None, f"subgroup degree {h.degree} != certificate degree {cert.degree}")
-        return report
-    if h.order() > limit:
-        raise LimitExceeded(f"subgroup order {h.order()} exceeds enumeration limit {limit}")
-    if not cert.levels:
-        fail(0, 0, None, "certificate has no levels")
-        return report
-
-    lvl0 = cert.levels[0]
-    computed, msg = h.order(), None
-    odd = _first_odd(h.generators, cert.ambient)
-    if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
-        computed, msg = None, "level 0 must carry exactly the identity conjugator"
-    elif odd is not None:
-        computed, msg = None, f"generator {odd} is odd but the ambient group is A_{cert.degree}"
-    elif lvl0.order != h.order():
-        msg = "level 0 order does not match |H|"
-    msgs = [msg] if msg else []
-    if cert.claimed_length != len(cert.levels):
-        msgs.append(f"claimed_length {cert.claimed_length} != {len(cert.levels)} levels")
-    if msgs:
-        fail(0, lvl0.order, computed, "; ".join(msgs))
-    else:
-        report.levels.append(LevelResult(0, lvl0.order, computed, True))
-    if msg:
-        return report
-
-    groups = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
-    prev_order = h.order()
-    for idx, lvl in enumerate(cert.levels[1:], 1):
-        if not any(x.is_identity() for x in lvl.conjugators):
-            fail(idx, lvl.order, None, "conjugator set lacks the identity")
-            return report
-        odd = _first_odd(lvl.conjugators, cert.ambient)
-        if odd is not None:
-            msg = f"conjugator {odd} is odd but the ambient group is A_{cert.degree}"
-            fail(idx, lvl.order, None, msg)
-            return report
-        order = next(groups).order()
-
-        ok = True
-        msgs = []
-        if order != lvl.order:
-            ok = False
-            msgs.append("recomputed order differs from claim")
-        if not order < prev_order:
-            ok = False
-            msgs.append("level does not strictly descend")
-        report.levels.append(LevelResult(idx, lvl.order, order, ok, "; ".join(msgs)))
-        if not ok:
-            report.ok = False
-        prev_order = order
-
-    last = report.levels[-1]
-    if last.claimed_order != 1 or last.computed_order != 1:
-        last.ok = report.ok = False
-        last.message = "; ".join(filter(None, (last.message, "terminal level is not trivial")))
-    return report
-
-
-def _first_odd(perms, ambient: str) -> Optional[Permutation]:
-    """The first odd permutation of ``perms`` when the ambient group is A, else None."""
-    if ambient == "A":
-        return next((x for x in perms if not x.is_even()), None)
-    return None
 
 
 def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:

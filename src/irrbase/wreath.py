@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from .certificate import CertLevel, ChainCertificate
+from .certificate import ChainCertificate, build_chain
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals, symmetric_group
 from .perm import Permutation, parse_cycles
 
@@ -218,47 +218,23 @@ def verify_intersection(ctx: WreathContext, i: int, r: int) -> bool:
     return equals(ctx.M._coset_stabilizer(ctx.M, x._tbl), predicted_stabilizer(ctx, i, r))
 
 
-def wreath_chain(
-    ctx: WreathContext, ambient: str = "S", limit: int = ENUM_LIMIT_DEFAULT
-) -> ChainCertificate:
+def wreath_chain(ctx: WreathContext, limit: int = ENUM_LIMIT_DEFAULT) -> ChainCertificate:
     """Certificate for Sym(m^k) > M > ... > 1 of length (m-1)(k-1) + 2.
 
     Levels run over the markers (i, r) in lexicographic order for i in 2..k,
     r in 1..m-1, with nested conjugator sets; a final slice conjugator with a
     transposition kills the residual cyclic group on the first coordinate.
-    The conjugator sets are built first; one level pass over M then gives
-    every order, raising RuntimeError unless the chain descends strictly to
-    the trivial group in the predicted number of levels.
+    The conjugator sets are built first; :func:`build_chain` then takes every
+    order from one level pass over M, and RuntimeError is raised unless the
+    chain has the predicted number of levels.
     """
-    if ambient != "S":
-        raise ValueError("explicit chains are built for ambient 'S' only")
-    m_group = ctx.M
-    if m_group.order() > limit:
-        raise ValueError(f"|M| = {m_group.order()} exceeds enumeration limit {limit}")
     ident = Permutation.identity(ctx.n)
     xs = [wreath_conjugator(ctx, i, r) for i in range(2, ctx.k + 1) for r in range(1, ctx.m)]
     xs.append(_slice_map(ctx, 2, 1, parse_cycles("(1 2)", ctx.m)))
     # levels 1, 2, ...: each conjugator set adds one conjugator to the one before
     conj_sets = [[ident] + xs[: j + 1] for j in range(len(xs))]
-
-    levels = [CertLevel([ident], m_group.order())]
-    groups = m_group._conjugate_levels([x._tbl for x in c] for c in conj_sets)
-    for idx, (conjs, level) in enumerate(zip(conj_sets, groups), 1):
-        if not level.order() < levels[-1].order:
-            raise RuntimeError(f"chain failed to descend at level {idx}")
-        levels.append(CertLevel(conjs, level.order()))
-    if levels[-1].order != 1:
-        raise RuntimeError(f"terminal conjugator left a group of order {levels[-1].order}")
-
+    cert = build_chain(ctx.M, conj_sets, "wreath", {"m": ctx.m, "k": ctx.k}, limit=limit)
     expected_length = (ctx.m - 1) * (ctx.k - 1) + 2
-    if len(levels) != expected_length:
-        raise RuntimeError(f"chain length {len(levels)} != expected {expected_length}")
-    return ChainCertificate(
-        degree=ctx.n,
-        ambient="S",
-        family="wreath",
-        params={"m": ctx.m, "k": ctx.k},
-        generators=list(m_group.generators),
-        levels=levels,
-        claimed_length=len(levels),
-    )
+    if cert.claimed_length != expected_length:
+        raise RuntimeError(f"chain length {cert.claimed_length} != expected {expected_length}")
+    return cert

@@ -1,12 +1,13 @@
 import hashlib
 import json
+import math
 import random
 import subprocess
 import sys
 
 import pytest
 
-from irrbase import affine, oracle
+from irrbase import affine, cli, oracle
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, trivial_group
@@ -163,6 +164,23 @@ def test_bounds_text_format():
     assert "binary_weight" in r.stdout
 
 
+# bounds argv -> its one usage-error line; each once ended in a traceback
+BOUNDS_USAGE_ERRORS = {
+    "lemma52-without-n": (["--lemma52", "--order-h", "5"], "--lemma52 requires --n"),
+    "agl-zero-base": (["--n", "9", "--family", "agl", "--p", "0", "--d", "-1"],
+                      "p^d = 0^-1 is undefined"),
+    "wreath-zero-base": (["--n", "25", "--family", "wreath", "--m", "0", "--k", "-1"],
+                         "m^k = 0^-1 is undefined"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_USAGE_ERRORS))
+def test_bounds_bad_input_exits_2(capsys, case):
+    argv, message = BOUNDS_USAGE_ERRORS[case]
+    assert main(["bounds", *argv]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -219,8 +237,8 @@ def cert_files(tmp_path_factory):
          ["affine"], ["oracle", "wreath", "bounds"]),
         (["chain", "--family", "wreath", "--m", "5", "--k", "2"],
          ["wreath"], ["affine", "oracle", "bounds"]),
-        (["verify", "{w52}"], ["oracle"], ["affine", "wreath", "bounds"]),
-        (["verify", "{c32}"], ["oracle", "affine"], ["wreath", "bounds"]),
+        (["verify", "{w52}"], [], ["oracle", "affine", "wreath", "bounds"]),
+        (["verify", "{c32}"], ["affine"], ["oracle", "wreath", "bounds"]),
         (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"],
          ["oracle"], ["affine", "wreath", "bounds"]),
         (["bounds", "--n", "9"], ["bounds"], ["oracle", "wreath"]),
@@ -313,6 +331,31 @@ def test_chain_build_check_failure_exits_1(monkeypatch, capsys):
     assert err == "internal error: diagonal level order 3 != predicted 1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--family", "affine", "--p", "3", "--d", "2", "--limit-enum", "100"],
+         "refused: subgroup order 432 exceeds enumeration limit 100\n"),
+        (["--family", "wreath", "--m", "5", "--k", "2", "--limit-enum", "1000"],
+         "refused: subgroup order 28800 exceeds enumeration limit 1000\n"),
+    ],
+    ids=["affine", "wreath"],
+)
+def test_chain_limit_enum_refusal_message(capsys, argv, err):
+    """The |H| cap refuses a chain in the words and exit code that verify uses."""
+    assert main(["chain", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_verify_self_check_failure_exits_1(cert_files, monkeypatch, capsys):
+    def failed(*args):
+        raise RuntimeError("level pass failed")
+
+    monkeypatch.setattr(PermutationGroup, "_conjugate_levels", failed)
+    assert main(["verify", cert_files["w52"]]) == 1
+    assert capsys.readouterr() == ("", "internal error: level pass failed\n")
+
+
 def test_oracle_index_refusal_message(capsys):
     argv = ["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "7", "--limit-t", "5"]
     assert main(argv) == 2
@@ -346,6 +389,34 @@ def test_oracle_ambient_a_refusals_enumerate_nothing(monkeypatch, capsys, case):
 
     monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
     assert main(["oracle", "--ambient", "A", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# oracle argv -> its index refusal, made from |S_n| = n! or |A_n| = n!/2 before
+# either group is built
+INDEX_REFUSALS = {
+    "A-agl-3-3": (["--ambient", "A", *A_REFUSALS["agl-3-3"][0]], A_REFUSALS["agl-3-3"][1]),
+    "A-wreath-5-2": (["--ambient", "A", *A_REFUSALS["wreath-5-2"][0]],
+                     A_REFUSALS["wreath-5-2"][1]),
+    "S-wreath-5-2": (["--ambient", "S", "--subgroup", "wreath", "--m", "5", "--k", "2"],
+                     "refused: coset index 15511210043330985984000000/28800 = "
+                     "538583682060103680000 exceeds limit --limit-t 20000\n"),
+    "S-agl-3-4": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "4"],
+                  f"refused: coset index {math.factorial(81)}/1965150720 = "
+                  f"{math.factorial(81) // 1965150720} exceeds limit --limit-t 20000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INDEX_REFUSALS))
+def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, capsys, case):
+    argv, err = INDEX_REFUSALS[case]
+
+    def built(n):
+        raise AssertionError(f"a refusal built a group of degree {n}")
+
+    monkeypatch.setattr(cli, "symmetric_group", built)
+    monkeypatch.setattr(cli, "alternating_group", built)
+    assert main(["oracle", *argv]) == 2
     assert capsys.readouterr() == ("", err)
 
 
@@ -404,6 +475,16 @@ MALFORMED = {
     "wreath-m5-k2-on-degree-7": lambda d: d["subgroup"].update(
         family="wreath", params={"m": 5, "k": 2}
     ),
+    "levels-int": lambda d: d.update(levels=5),
+    "levels-null": lambda d: d.update(levels=None),
+    # an order is read as the decimal string that to_dict writes, nothing else
+    "order-float": lambda d: d["levels"][1].update(order=6.7),
+    "order-bool": lambda d: d["levels"][3].update(order=True),
+    "order-infinity": lambda d: d["levels"][1].update(order=float("inf")),
+    "order-underscore": lambda d: d["levels"][1].update(order="1_2"),
+    "order-signed": lambda d: d["levels"][1].update(order="+6"),
+    "natural-n99-on-degree-7": lambda d: d["subgroup"].update(family="natural", params={"n": 99}),
+    "natural-no-params": lambda d: d["subgroup"].update(family="natural", params={}),
 }
 
 
@@ -416,6 +497,14 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, case):
     assert main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("malformed certificate: ")
+
+
+def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text("[" * 100_000)
+    assert main(["verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("malformed certificate: invalid JSON: ")
 
 
 # -- oracle bytes ----------------------------------------------------------------

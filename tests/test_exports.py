@@ -17,7 +17,8 @@ EXPORTS = {
     "group": ["ENUM_LIMIT_DEFAULT", "LimitExceeded", "PermutationGroup", "alternating_group",
               "equals", "from_generators", "intersect", "read_generator_file", "subgroup_of",
               "symmetric_group", "trivial_group"],
-    "certificate": ["CertificateFormatError", "CertLevel", "ChainCertificate"],
+    "certificate": ["CertificateFormatError", "CertLevel", "ChainCertificate",
+                    "VerificationReport", "verify_certificate"],
     "affine": ["AffineContext", "affine_chain", "affine_to_permutation", "build_agl",
                "coordinate_power_conjugator", "cycle_power_conjugator", "diagonal_chain",
                "gl_subspace_stabilizer", "point_to_vector", "scalar_conjugator",
@@ -25,8 +26,7 @@ EXPORTS = {
     "wreath": ["WreathContext", "build_wreath", "embed_wreath_element", "hamming",
                "point_to_tuple", "predicted_stabilizer", "tuple_to_point",
                "verify_intersection", "wreath_chain", "wreath_conjugator"],
-    "oracle": ["CosetAction", "OracleLimits", "VerificationReport", "build_coset_action",
-               "chain_to_base", "mibs", "verify_certificate"],
+    "oracle": ["CosetAction", "OracleLimits", "build_coset_action", "chain_to_base", "mibs"],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
