@@ -46,6 +46,11 @@ class CertificateFormatError(ValueError):
 _POWER_PARAMS = {"agl": ("p", "d"), "wreath": ("m", "k")}
 
 
+def checked_power(degree: int, base: int, exp: int) -> Optional[int]:
+    """base**exp, or None where it cannot be the degree; no work grows with exp."""
+    return base**exp if 2 <= base <= degree and 1 <= exp <= degree.bit_length() else None
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -125,8 +130,7 @@ class ChainCertificate:
             if not all(name in params for name in names):
                 raise CertificateFormatError(f"{family} params need {' and '.join(names)}")
             base, exp = (params[name] for name in names)
-            if not (2 <= base <= degree and 1 <= exp <= degree.bit_length()
-                    and base**exp == degree):
+            if checked_power(degree, base, exp) != degree:
                 raise CertificateFormatError(
                     f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
                 )
@@ -138,10 +142,10 @@ class ChainCertificate:
             try:
                 conj_strs = lv["conjugators"]
                 text = lv["order"]
-                order = int(text)
                 if not (isinstance(text, str) and text.isascii() and text.isdigit()):
                     raise ValueError(f"order {text!r} is not a string of decimal digits")
-            except (KeyError, TypeError, ValueError, OverflowError) as e:
+                order = int(text)
+            except (KeyError, TypeError, ValueError) as e:
                 raise CertificateFormatError(f"level {i}: {e}") from None
             conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
             levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .certificate import CertificateFormatError, ChainCertificate, verify_certificate
+from .certificate import CertificateFormatError, ChainCertificate, checked_power, verify_certificate
 from .group import (
     LimitExceeded,
     PermutationGroup,
@@ -195,16 +195,18 @@ def cmd_verify(args) -> int:
         print(f"malformed certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
     h = PermutationGroup(cert.generators, cert.degree)
-    if cert.family in ("agl", "wreath"):  # from_dict checked the params against the degree
+    if cert.family != "explicit":  # from_dict checked the params against the degree
         if cert.family == "agl":
             from .affine import agl_order
 
             name, expected = "affine", agl_order(cert.params["p"], cert.params["d"])
-        else:
+        elif cert.family == "wreath":
             m, k = cert.params["m"], cert.params["k"]
             name, expected = "wreath", math.factorial(m) ** k * math.factorial(k)
+        else:
+            name, expected = "natural", math.factorial(cert.degree - 1)
         if cert.ambient == "A":
-            expected //= 2
+            expected = max(1, expected // 2)  # the point stabilizer in A_2 is trivial
         if h.order() != expected:
             print(
                 f"subgroup order {h.order()} does not match the {name} family "
@@ -215,14 +217,6 @@ def cmd_verify(args) -> int:
     report = verify_certificate(cert, h, limit=args.limit_enum)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
-
-
-def _check_power(n: int, base: int, exp: int, names: str) -> None:
-    """Usage error unless base**exp is n; ``names`` is "p^d" or "m^k"."""
-    if base == 0 and exp < 0:
-        raise UsageError(f"{names} = 0^{exp} is undefined")
-    if base**exp != n:
-        raise UsageError(f"{names} = {base**exp} does not match --n {n}")
 
 
 def cmd_bounds(args) -> int:
@@ -276,11 +270,16 @@ def cmd_bounds(args) -> int:
     }
     if n in bounds_mod.MATHIEU_LENGTHS:
         result["mathieu_length"] = bounds_mod.MATHIEU_LENGTHS[n]
-    order_h = None
+    if args.family:
+        names = ("p", "d") if args.family == "agl" else ("m", "k")
+        base, exp = (getattr(args, a) for a in names)
+        if None in (base, exp):
+            raise UsageError(f"--family {args.family} requires --{names[0]} and --{names[1]}")
+        power = checked_power(n, base, exp)
+        if power != n:
+            shown = f"{base}^{exp}" if power is None else power
+            raise UsageError(f"{names[0]}^{names[1]} = {shown} does not match --n {n}")
     if args.family == "agl":
-        if args.p is None or args.d is None:
-            raise UsageError("--family agl requires --p and --d")
-        _check_power(n, args.p, args.d, "p^d")
         ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
         result["family"] = {
             "name": "agl",
@@ -294,12 +293,7 @@ def cmd_bounds(args) -> int:
         from .affine import agl_order
 
         order_h = agl_order(args.p, args.d)
-        if args.ambient == "A":
-            order_h //= 2
     elif args.family == "wreath":
-        if args.m is None or args.k is None:
-            raise UsageError("--family wreath requires --m and --k")
-        _check_power(n, args.m, args.k, "m^k")
         lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
         result["family"] = {
             "name": "wreath",
@@ -310,10 +304,10 @@ def cmd_bounds(args) -> int:
             "maximal": bounds_mod.maximality_wreath(args.m, args.k, args.ambient),
         }
         order_h = math.factorial(args.m) ** args.k * math.factorial(args.k)
-        if args.ambient == "A":
-            order_h //= 2
-    elif args.order_h is not None:
+    else:
         order_h = args.order_h
+    if args.family and args.ambient == "A":
+        order_h //= 2
     if order_h is not None:
         mar = bounds_mod.maroti_check(n, order_h)
         result["order_h"] = str(order_h)

@@ -164,13 +164,20 @@ def test_bounds_text_format():
     assert "binary_weight" in r.stdout
 
 
-# bounds argv -> its one usage-error line; each once ended in a traceback
+# bounds argv -> its one usage-error line; the first three once ended in a traceback
 BOUNDS_USAGE_ERRORS = {
     "lemma52-without-n": (["--lemma52", "--order-h", "5"], "--lemma52 requires --n"),
     "agl-zero-base": (["--n", "9", "--family", "agl", "--p", "0", "--d", "-1"],
-                      "p^d = 0^-1 is undefined"),
+                      "p^d = 0^-1 does not match --n 9"),
     "wreath-zero-base": (["--n", "25", "--family", "wreath", "--m", "0", "--k", "-1"],
-                         "m^k = 0^-1 is undefined"),
+                         "m^k = 0^-1 does not match --n 25"),
+    # refused before 3**3000000 is computed (it once leaked Python's int-to-str limit)
+    "agl-huge-exponent": (["--n", "9", "--family", "agl", "--p", "3", "--d", "3000000"],
+                          "p^d = 3^3000000 does not match --n 9"),
+    "agl-wrong-power": (["--n", "9", "--family", "agl", "--p", "3", "--d", "3"],
+                        "p^d = 27 does not match --n 9"),
+    "wreath-without-k": (["--n", "25", "--family", "wreath", "--m", "5"],
+                         "--family wreath requires --m and --k"),
 }
 
 
@@ -445,6 +452,18 @@ def test_verify_agl_builds_no_group_for_the_family_order(cert_files, monkeypatch
         "level 4: claimed 1, computed 1: pass\n"
         "certificate VERIFIED\n",
         "",
+    )
+
+
+def test_verify_natural_checks_the_family_order(tmp_path, capsys):
+    """An H of order 42 is not the natural point stabilizer of S_7, of order 6!."""
+    data = affine_chain(build_agl(7, 1)).to_dict()
+    data["subgroup"].update(family="natural", params={"n": 7})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "subgroup order 42 does not match the natural family order 720\n"
     )
 
 
