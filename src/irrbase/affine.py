@@ -16,39 +16,13 @@ characteristic is out of scope here.
 from __future__ import annotations
 
 from functools import cached_property
-from math import prod
 from typing import Optional, Sequence
 
-from .certificate import ChainCertificate, build_chain
+from .certificate import ChainCertificate, agl_order, build_chain, prime_factors
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer, equals
 from .perm import Permutation, compose
 
 # -- small number theory -----------------------------------------------------
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def prime_factors(n: int) -> list:
-    """Prime factors with multiplicity, ascending."""
-    out = []
-    f = 2
-    while f * f <= n:
-        while n % f == 0:
-            out.append(f)
-            n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -130,18 +104,6 @@ def affine_to_permutation(
     if len(set(images)) != n:
         raise ValueError("singular matrix: affine map is not a bijection")
     return Permutation(images)
-
-
-def agl_order(p: int, d: int) -> int:
-    """|AGL(d, p)| = p^d ⋅ ∏_{i<d} (p^d - p^i), for odd prime p and d >= 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if p == 2:
-        raise ValueError("odd p required")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    n = p**d
-    return n * prod(n - p**i for i in range(d))
 
 
 def build_agl(p: int, d: int) -> AffineContext:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .affine import is_prime, prime_factors
+from .certificate import is_prime, prime_factors
 
 TOL = 1e-9
 

@@ -32,6 +32,7 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
+from math import prod
 from typing import Callable, Optional
 
 from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup
@@ -49,6 +50,43 @@ _POWER_PARAMS = {"agl": ("p", "d"), "wreath": ("m", "k")}
 def checked_power(degree: int, base: int, exp: int) -> Optional[int]:
     """base**exp, or None where it cannot be the degree; no work grows with exp."""
     return base**exp if 2 <= base <= degree and 1 <= exp <= degree.bit_length() else None
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 1
+    return True
+
+
+def prime_factors(n: int) -> list:
+    """Prime factors with multiplicity, ascending."""
+    out = []
+    f = 2
+    while f * f <= n:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def agl_order(p: int, d: int) -> int:
+    """|AGL(d, p)| = p^d ⋅ ∏_{i<d} (p^d - p^i), for odd prime p and d >= 1."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if p == 2:
+        raise ValueError("odd p required")
+    if d < 1:
+        raise ValueError(f"d must be at least 1, got {d}")
+    n = p**d
+    return n * prod(n - p**i for i in range(d))
 
 
 def _is_int(value) -> bool:

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .certificate import CertificateFormatError, ChainCertificate, checked_power, verify_certificate
+from .certificate import CertificateFormatError, ChainCertificate, agl_order, verify_certificate
 from .group import (
     LimitExceeded,
     PermutationGroup,
@@ -24,7 +24,7 @@ from .group import (
     symmetric_group,
 )
 
-# affine, wreath, oracle and bounds are imported in the branches that run them:
+# affine, wreath, oracle and bounds_cli are imported in the branches that run them:
 # each invocation is a fresh process, and start-up cost is paid on every one
 
 EXIT_OK = 0
@@ -197,8 +197,6 @@ def cmd_verify(args) -> int:
     h = PermutationGroup(cert.generators, cert.degree)
     if cert.family != "explicit":  # from_dict checked the params against the degree
         if cert.family == "agl":
-            from .affine import agl_order
-
             name, expected = "affine", agl_order(cert.params["p"], cert.params["d"])
         elif cert.family == "wreath":
             m, k = cert.params["m"], cert.params["k"]
@@ -220,158 +218,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from . import bounds as bounds_mod
+    from . import bounds_cli
 
-    if args.lemma52:
-        if args.order_h is None:
-            raise UsageError("--lemma52 requires --order-h")
-        if args.n is None:
-            raise UsageError("--lemma52 requires --n")
-        rep = bounds_mod.index_growth_check(
-            args.n, args.order_h, require_proof_range=args.n > 100
-        )
-        result = {
-            "n": rep.n,
-            "order_h": str(rep.order_h),
-            "log2_t": rep.log_t,
-            "log2_log2_t": rep.log_log_t,
-            "mode": rep.mode,
-            "milestone_ok": rep.milestone_ok,
-            "loglog_ok": rep.loglog_ok,
-            "ratio_ok": rep.ratio_ok,
-            "constants": bounds_mod.CONSTANTS,
-        }
-        if rep.mode == "table":
-            result["note"] = (
-                "constants checked only on this instance; the range n <= 100 "
-                "relies on external enumeration (partial check)"
-            )
-        if args.format == "json":
-            print(json.dumps(result, indent=2))
-        else:
-            for k, v in result.items():
-                print(f"{k}: {v}")
-        ok = all(v for v in (rep.milestone_ok, rep.loglog_ok, rep.ratio_ok) if v is not None)
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-    n = args.n
-    if n is None:
-        raise UsageError("bounds requires --n")
-    if n < 7:
-        raise UsageError(f"these bounds require n >= 7, got {n}")
-    result = {
-        "n": n,
-        "binary_weight": bounds_mod.binary_weight(n),
-        "epsilon": {"S": 1, "A": 0},
-        "length": {"S": bounds_mod.length_sym(n, "S"), "A": bounds_mod.length_sym(n, "A")},
-        "upper_bound_generic": bounds_mod.mibs_upper_bound(n, large=False),
-        "upper_bound_large": bounds_mod.mibs_upper_bound(n, large=True),
-        "constants": bounds_mod.CONSTANTS,
-    }
-    if n in bounds_mod.MATHIEU_LENGTHS:
-        result["mathieu_length"] = bounds_mod.MATHIEU_LENGTHS[n]
-    if args.family:
-        names = ("p", "d") if args.family == "agl" else ("m", "k")
-        base, exp = (getattr(args, a) for a in names)
-        if None in (base, exp):
-            raise UsageError(f"--family {args.family} requires --{names[0]} and --{names[1]}")
-        power = checked_power(n, base, exp)
-        if power != n:
-            shown = f"{base}^{exp}" if power is None else power
-            raise UsageError(f"{names[0]}^{names[1]} = {shown} does not match --n {n}")
-    if args.family == "agl":
-        ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
-        result["family"] = {
-            "name": "agl",
-            "p": args.p,
-            "d": args.d,
-            "exact": ab.exact,
-            "lower": ab.lower,
-            "upper": ab.upper,
-            "maximal": bounds_mod.maximality_affine(args.p, args.d, args.ambient),
-        }
-        from .affine import agl_order
-
-        order_h = agl_order(args.p, args.d)
-    elif args.family == "wreath":
-        lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
-        result["family"] = {
-            "name": "wreath",
-            "m": args.m,
-            "k": args.k,
-            "lower": lo,
-            "upper": hi,
-            "maximal": bounds_mod.maximality_wreath(args.m, args.k, args.ambient),
-        }
-        order_h = math.factorial(args.m) ** args.k * math.factorial(args.k)
-    else:
-        order_h = args.order_h
-    if args.family and args.ambient == "A":
-        order_h //= 2
-    if order_h is not None:
-        mar = bounds_mod.maroti_check(n, order_h)
-        result["order_h"] = str(order_h)
-        result["maroti"] = {
-            "global_bound": mar.global_bound,
-            "global_ok": mar.global_ok,
-            "small_bound": mar.small_bound,
-            "small_ok": mar.small_ok,
-        }
-    comparisons = []
-    overall_ok = True
-    if args.computed is not None:
-        v = args.computed
-        result["computed_mibs"] = v
-        result["relational_complexity_upper"] = bounds_mod.relational_complexity_upper(v)
-        lg = result["length"][args.ambient]
-        comparisons.append({"formula": "mibs <= length(G)", "lhs": v, "rhs": lg, "ok": v <= lg})
-        fam = result.get("family")
-        if fam and fam["name"] == "agl":
-            if fam["exact"]:
-                comparisons.append(
-                    {"formula": "mibs == exact", "lhs": v, "rhs": fam["lower"], "ok": v == fam["lower"]}
-                )
-            else:
-                comparisons.append(
-                    {
-                        "formula": "lower <= mibs < upper",
-                        "lhs": v,
-                        "rhs": [fam["lower"], fam["upper"]],
-                        "ok": fam["lower"] <= v < fam["upper"],
-                    }
-                )
-        if fam and fam["name"] == "wreath":
-            comparisons.append(
-                {
-                    "formula": "lower <= mibs <= upper",
-                    "lhs": v,
-                    "rhs": [fam["lower"], fam["upper"]],
-                    "ok": fam["lower"] <= v <= fam["upper"],
-                }
-            )
-        large = bool(fam and fam["name"] == "wreath")
-        ub = result["upper_bound_large"] if large else result["upper_bound_generic"]
-        comparisons.append(
-            {"formula": "mibs < general upper bound", "lhs": v, "rhs": ub, "ok": v < ub}
-        )
-        overall_ok = all(c["ok"] for c in comparisons)
-        result["comparisons"] = comparisons
-    text = json.dumps(result, indent=2)
-    if args.format == "json":
-        _write_output(text + "\n", args.out)
-    else:
-        lines = []
-
-        def flatten(prefix, obj):
-            for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
-                if isinstance(v, (dict, list)):
-                    flatten(f"{prefix}{k}.", v)
-                else:
-                    lines.append(f"{prefix}{k:<28} {v}")
-
-        flatten("", result)
-        _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if overall_ok else EXIT_VERIFY_FAIL
+    return bounds_cli.cmd_bounds(args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,29 +7,31 @@ point order).  H acts on the t coset points through a homomorphism T, so the
 tables T(u) of the transversal elements u of H's stabilizer chain carry all
 of H's action: they are made once per action, from the strong generators'
 tables alone (:class:`_CosetTables`), which also give H's orbits on the
-cosets.  The elements of H fixing a point j are found by pushing j through
-the transversal tables, and only they get a table of length t.  A fixer is
-u_{L-1} ⋯ u_0, one transversal element per chain level, and the fixers come
-in path order, so one walk down the levels reuses the partial product each
-shares with the one before: a table costs about one pass of length t, not one
-per level.  Faithfulness is read off the fixers of one point, and no degree-t
-stabilizer chain and no list of all of H on the cosets is made.
+cosets.  An element of H is u_{L-1} ⋯ u_0, one transversal element per
+chain level, so its image of a coset point is read through L of those tables
+without a table of its own, and the elements of H fixing a point j are found
+by pushing j through them.  Faithfulness is read off the fixers of one
+point, and no degree-t stabilizer chain and no list of all of H on the
+cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized depth-first search over subgroup element sets, with candidate points
 pruned to orbit representatives of the current subgroup (conjugate
 continuations have equal length).  Its first step, from H to a point
-stabilizer, is read off the transversal tables; every subgroup below is a
-set of elements of those point stabilizers, so only they get a table of
-length t: |H|/|orbit| per orbit representative (per moved point without
-pruning), not |H|.  The fixers that the faithfulness check tabled are handed
-to the search.  By orbit-stabilizer, a point whose orbit under the current
-subgroup is regular has the trivial stabilizer, and it stays regular under
-every subgroup below; so a node scans only the non-regular orbits its parent
-handed on, not all t points.  On M11's 5040 cosets in S11 the action and
-the search table 989 of the 7920 elements, about 40 MB, in 1,688 passes of
-length t where one pass per level took 2,970; the search makes 820 node
-calls where a scan of every point at every node made 173,328.
+stabilizer c, is read off the transversal tables; every subgroup below is a
+set of elements of c.  Where c has at least t elements, each gets a table of
+length t, made in one walk down the levels that reuses the partial product
+consecutive fixers share; where it has fewer, the images of a point under
+c's elements are read through the level tables, one pass of length |c| per
+level, and nothing of length t is made.  By orbit-stabilizer, a point whose
+orbit under the current subgroup is regular has the trivial stabilizer, and
+it stays regular under every subgroup below; so a node scans only the
+non-regular orbits its parent handed on, not all t points, and a node of
+prime order, whose orbits are all fixed points or regular, scans only up to
+its least moved point.  On M11's 5040 cosets in S11 every point stabilizer
+has fewer than 5040 elements, so the search makes no table of length t,
+where tabling the stabilizers' elements made 989 tables, about 40 MB; it
+reads 6,787 columns, 410,038 level-table entries in all.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
@@ -38,11 +40,11 @@ coset points.
 
 from __future__ import annotations
 
-from itertools import accumulate, compress, repeat
-from operator import eq, itemgetter, mul
+from itertools import accumulate, compress
+from operator import getitem, itemgetter, mul
 from typing import Optional, Sequence
 
-from .certificate import CertLevel, ChainCertificate, verify_certificate
+from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
 from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
@@ -131,18 +133,27 @@ def build_coset_action(
     tables = action._tables = _CosetTables(action)
 
     # faithfulness: the kernel is the core of H and lies in every point
-    # stabilizer, so it is the set of identity tables among the fixers of one
-    # point, taken in a largest H-orbit, where the fixers are fewest
+    # stabilizer, so it lies in the fixers of one point, taken in a largest
+    # H-orbit, where the fixers are fewest
     sizes = tables.orbit_size
     j = max(sizes, key=sizes.get)
     if sizes[j] == 1:  # H fixes every coset: all of it acts trivially
         core = h.order()
-    else:
+    elif _use_coset_tables(t, h.order() // sizes[j]):  # the identity tables among them
         made = {}
-        fixers = frozenset(tables.fixer_tables(j, made))
-        core = list(made.values()).count(tables.identity)
-        if core < len(made):  # j's orbit is not regular: the search will stabilize j
-            tables.held = (j, fixers, made)
+        fixers = tables.fixer_tables(j, made)
+        rows = list(made.values())  # in the order of fixers: none was known before
+        core = rows.count(tables.identity)
+        if core < len(rows):  # j's orbit is not regular: the search will stabilize j
+            tables.held = (j, (fixers, [rows]), made)
+    else:  # the intersection of their point stabilizers, read through the levels
+        numbers = tables.fixers(j)
+        lists = tables.level_lists(numbers)
+        for p in range(t):
+            if len(numbers) == 1:
+                break
+            numbers, lists = _fixing(numbers, lists, p, _column(lists, p))
+        core = len(numbers)
     if core > 1:
         raise ValueError(f"action not faithful: subgroup has a core of order {core}")
     return action
@@ -166,8 +177,11 @@ class _CosetTables:
     orbit order, so ``levels[k][0]`` is the identity.  Every element of H is
     u_{L-1} ⋯ u_0 for one u_k per level (so a coset point meets level L-1's
     table first) and is numbered by its path (i_0, ..., i_{L-1}) in mixed
-    radix, i_0 varying fastest.  Only the point stabilizers get tables of
-    their own, from :meth:`fixer_tables`.
+    radix, i_0 varying fastest.  An element's image of a point j is therefore
+    T(u_0)[⋯T(u_{L-1})[j]], read off the level tables without a table of the
+    element: :meth:`level_lists` gives a set of elements that form, and
+    :meth:`fixer_tables` gives a point stabilizer's elements tables of their
+    own where that is cheaper.
     """
 
     def __init__(self, action: CosetAction):
@@ -193,8 +207,10 @@ class _CosetTables:
                 raise RuntimeError(f"replayed orbit of level {i} differs from the chain's")
             self.levels.append([tables[b] for b in order])
         self.levels = self.levels or [[ident]]  # a trivial H: one level, the identity
+        # strides[k]: the place value of level k's choice in a number
+        self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))
         self._inv0 = [_inverse_tbl(u) for u in self.levels[0]]
-        self.held = None  # (j, the set of its fixers, their tables), for the search
+        self.held = None  # (j, the node of its fixers, their tables), for the search
 
         # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables
         gens = list(coset_table.values())
@@ -212,19 +228,13 @@ class _CosetTables:
                             orbit.append(q)
                 self.orbit_size[j] = len(orbit)
 
-    def fixer_tables(self, j: int, known: dict) -> list:
-        """Numbers of the elements of H fixing point j, ascending; tables new ones into ``known``.
+    def fixers(self, j: int) -> list:
+        """Numbers of the elements of H fixing point j, ascending.
 
         j is pushed through levels L-1 down to 1 without building any element;
         the u_0 that bring it back to j are read off level 0's inverse tables.
-        ``known`` maps numbers to tables; a fixer in it is not tabled again.
-        Numbers ascend with the path read from the top, so consecutive fixers
-        share their top choices: ``prods[k]`` is u_{L-1} ⋯ u_k on the last
-        tabled path, and a new fixer recomposes only the levels below its first
-        changed choice, one pass of length t each, where an identity choice
-        passes the product above it through.
         """
-        levels, ident = self.levels, self.identity  # ident: levels[k][0], T(1)
+        levels = self.levels
         pts = [j]
         for level in reversed(levels[1:]):
             pts = [u[p] for p in pts for u in level]  # the later level varies fastest
@@ -232,10 +242,20 @@ class _CosetTables:
         for i, inv in enumerate(self._inv0):
             back.setdefault(inv[j], []).append(i)
         n0 = len(levels[0])
-        numbers = [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
+        return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
 
-        # strides[k]: the place value of level k's choice in a number
-        strides = list(accumulate((len(level) for level in levels[:-1]), mul, initial=1))
+    def fixer_tables(self, j: int, known: dict) -> list:
+        """:meth:`fixers` of j; tables new ones into ``known``.
+
+        ``known`` maps numbers to tables; a fixer in it is not tabled again.
+        Numbers ascend with the path read from the top, so consecutive fixers
+        share their top choices: ``prods[k]`` is u_{L-1} ⋯ u_k on the last
+        tabled path, and a new fixer recomposes only the levels below its first
+        changed choice, one pass of length t each, where an identity choice
+        passes the product above it through.
+        """
+        levels, strides, ident = self.levels, self.strides, self.identity  # ident: levels[k][0]
+        numbers = self.fixers(j)
         prods = [None] * len(levels) + [ident]
         last = -1
         for number in numbers:
@@ -250,6 +270,51 @@ class _CosetTables:
             known[number] = prods[0]
             last = number
         return numbers
+
+    def level_lists(self, numbers: list) -> list:
+        """Per level, top first, the level table that each numbered element uses there.
+
+        Levels where every element uses the identity are left out, so
+        :func:`_column` reads the elements' images of a point in one pass of
+        length len(numbers) per remaining level.
+        """
+        lists = []
+        for level, stride in zip(reversed(self.levels), reversed(self.strides)):
+            m = len(level)
+            choices = [e // stride % m for e in numbers]
+            if any(choices):
+                lists.append([level[i] for i in choices])
+        return lists
+
+
+def _use_coset_tables(t: int, n: int) -> bool:
+    """Whether a point stabilizer of order n in H gets coset tables of length t.
+
+    Its tables cost n passes of length t, after which a column is one pass of
+    length n; read through the level tables, a column is one pass of length n
+    per level, with nothing to build first.  Up to t columns are read.
+    """
+    return t <= n
+
+
+def _column(lists: list, j: int) -> list:
+    """The images of point j under a set of elements, read through their lists.
+
+    ``lists[k][i]`` is the k-th table that element i's image passes through:
+    the level lists of :meth:`_CosetTables.level_lists`, top level first, or
+    one list of the elements' own coset tables.  ``lists`` is empty only for
+    the identity alone, which is never read.
+    """
+    col = list(map(itemgetter(j), lists[0]))
+    for tbls in lists[1:]:
+        col = list(map(getitem, tbls, col))
+    return col
+
+
+def _fixing(numbers: list, lists: list, j: int, col: list) -> tuple:
+    """The numbers and lists of the elements whose image of j, in ``col``, is j."""
+    mask = [p == j for p in col]
+    return list(compress(numbers, mask)), [list(compress(tbls, mask)) for tbls in lists]
 
 
 def mibs(
@@ -300,16 +365,23 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     The memo maps every subgroup met (a frozenset of element numbers) to its
     (depth, best point), in the order the depth-first search finishes them.
     H itself comes last, under the key None: its orbits and point stabilizers
-    come from the transversal tables, so only the elements of those
-    stabilizers ever get a coset table, each once.
+    come from the transversal tables.
+
+    A node is a subgroup's element numbers with lists that give their images
+    of a point (:func:`_column`): for a point stabilizer of H of order n with
+    t <= n, one list of the elements' own coset tables, each made once; for
+    a smaller one, the level lists of :meth:`_CosetTables.level_lists`, and
+    no table of length t.  A child keeps the entries of its parent's lists
+    that its mask selects, and the column read for an orbit is that mask.
 
     A point j gives a subgroup c a nontrivial child only when j's c-orbit is
     non-regular; every other point that c moves gives depth 1, through the
     trivial subgroup.  A point regular for c is regular for every subgroup
     below it, so a node scans only the non-regular orbits its parent handed
     on (H's, below H) and hands on its own.  With none left, the best depth
-    is 1 at the least point that c moves.  A search that scanned every
-    point would recurse on every point a subgroup moves, so the first
+    is 1 at the least point that c moves; a subgroup of prime order has
+    none, so it reads columns only up to that point.  A search that scanned
+    every point would recurse on every point a subgroup moves, so the first
     subgroup it finished would move no point; the trivial subgroup is
     therefore entered first, and the memo, entry by entry, is that of the
     full scan.
@@ -319,13 +391,20 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     mins = tables.orbit_min
     sizes = tables.orbit_size
     order = action.subgroup.order()
-    # element number -> coset table, for every element met; the faithfulness
-    # check's tables are taken over, and the search stabilizes its point
-    held_j, held_fixers, tbls = tables.held or (None, None, {})
+    # element number -> coset table, for the tabled stabilizers; the
+    # faithfulness check's tables are taken over, and the search stabilizes its point
+    held_j, held_node, tbls = tables.held or (None, None, {})
     tables.held = None
 
-    def stabilizer(j: int) -> frozenset:
-        return held_fixers if j == held_j else frozenset(tables.fixer_tables(j, tbls))
+    def stabilizer(j: int) -> tuple:
+        """The element numbers of the stabilizer of j in H, and their lists."""
+        if j == held_j:
+            return held_node
+        if _use_coset_tables(t, order // sizes[mins[j]]):
+            numbers = tables.fixer_tables(j, tbls)
+            return numbers, [[tbls[e] for e in numbers]]
+        numbers = tables.fixers(j)
+        return numbers, tables.level_lists(numbers)
 
     memo: dict = {}
 
@@ -339,8 +418,9 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         enter(trivial, 0, None)
     seen = bytearray(t)
 
-    def depth_of(c: frozenset, cand: Sequence[int], regular: int) -> int:
-        """The depth of c, a nontrivial subgroup below H.
+    def depth_of(c: frozenset, numbers: list, lists: list, cand: Sequence[int],
+                 regular: int) -> int:
+        """The depth of c, a nontrivial subgroup below H, listed as ``numbers`` with ``lists``.
 
         ``cand`` is a union of c-orbits holding every non-regular one, in
         increasing order; ``regular`` is the least point regular for c's
@@ -349,27 +429,34 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         hit = memo.get(c)
         if hit is not None:
             return hit[0]
-        n = len(c)
-        rows = [tbls[e] for e in c]
-        reps, inner = [], []  # least points and all points of c's non-regular orbits
+        n = len(numbers)
+        if is_prime(n):  # every orbit is a fixed point or regular: no child
+            # a moved point's images are n distinct points, so the second is not j
+            best_pt = next((j for j in cand if j < regular and _column(lists, j)[1] != j), regular)
+            enter(c, 1, best_pt)
+            return 1
+        cols = {}  # least point of a non-regular orbit -> its column
+        inner = []  # all points of the non-regular orbits
         for j in cand:
             if seen[j]:
                 continue
-            orb = set(map(itemgetter(j), rows))
+            col = _column(lists, j)
+            orb = set(col)
             for o in orb:
                 seen[o] = 1
             if len(orb) == n:
                 regular = min(regular, j)
             elif len(orb) > 1:
-                reps.append(j)
+                cols[j] = col
                 inner.extend(orb)
         for j in cand:
             seen[j] = 0
         inner.sort()
-        best_d, best_pt = 1, regular  # with no non-regular orbit, c's least moved point
-        for j in reps if prune else inner:
-            child = frozenset(compress(c, map(eq, map(itemgetter(j), rows), repeat(j))))
-            d = 1 + depth_of(child, inner, regular)
+        best_d, best_pt = 1, regular  # with no non-regular orbit, the least moved point
+        for j in cols if prune else inner:
+            col = cols[j] if j in cols else _column(lists, j)
+            child, child_lists = _fixing(numbers, lists, j, col)
+            d = 1 + depth_of(frozenset(child), child, child_lists, inner, regular)
             if d > best_d:
                 best_d, best_pt = d, j
         enter(c, best_d, best_pt)
@@ -380,18 +467,19 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     # non-regular orbits, listed with T(1)'s int objects rather than new ones
     root_cand = [j for j in tables.identity if 1 < sizes[mins[j]] < order]
     root_regular = next((j for j in range(t) if sizes[mins[j]] == order), t)
-    best_d, best_pt, best_child = 0, None, None
+    best_d, best_pt, best_node = 0, None, None
     for j in range(t):
         size = sizes[mins[j]]
         if size == 1 or (prune and mins[j] != j):
             continue
         if size == order:
-            child, d = trivial, 1
+            node, d = (trivial, [0], []), 1
         else:
-            child = stabilizer(j)
-            d = 1 + depth_of(child, root_cand, root_regular)
+            numbers, lists = stabilizer(j)
+            node = frozenset(numbers), numbers, lists
+            d = 1 + depth_of(*node, root_cand, root_regular)
         if d > best_d:
-            best_d, best_pt, best_child = d, j, child
+            best_d, best_pt, best_node = d, j, node
     enter(None, best_d, best_pt)
     # depth_of refers to itself through its closure; without this the cycle keeps
     # tbls and memo alive after the search, until the cyclic collector runs
@@ -399,14 +487,17 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
 
     # replay the memoized best choices into a witness chain
     points, orders = [0], [order]
-    c, pt = None, best_pt
+    pt, node = best_pt, best_node
     while pt is not None:
-        c = best_child if c is None else frozenset(e for e in c if tbls[e][pt] == pt)
-        if len(c) >= orders[-1]:
+        c, numbers, lists = node
+        if len(numbers) >= orders[-1]:
             raise RuntimeError(f"witness replay does not descend at point {pt}")
         points.append(pt)
-        orders.append(len(c))
+        orders.append(len(numbers))
         pt = memo[c][1]
+        if pt is not None:
+            numbers, lists = _fixing(numbers, lists, pt, _column(lists, pt))
+            node = frozenset(numbers), numbers, lists
     return points, orders, memo
 
 

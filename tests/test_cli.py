@@ -241,14 +241,14 @@ def cert_files(tmp_path_factory):
     "argv, used, unused",
     [
         (["chain", "--family", "affine", "--p", "3", "--d", "2"],
-         ["affine"], ["oracle", "wreath", "bounds"]),
+         ["affine"], ["oracle", "wreath", "bounds", "bounds_cli"]),
         (["chain", "--family", "wreath", "--m", "5", "--k", "2"],
-         ["wreath"], ["affine", "oracle", "bounds"]),
-        (["verify", "{w52}"], [], ["oracle", "affine", "wreath", "bounds"]),
-        (["verify", "{c32}"], ["affine"], ["oracle", "wreath", "bounds"]),
+         ["wreath"], ["affine", "oracle", "bounds", "bounds_cli"]),
+        (["verify", "{w52}"], [], ["oracle", "affine", "wreath", "bounds", "bounds_cli"]),
+        (["verify", "{c32}"], [], ["oracle", "affine", "wreath", "bounds", "bounds_cli"]),
         (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"],
-         ["oracle"], ["affine", "wreath", "bounds"]),
-        (["bounds", "--n", "9"], ["bounds"], ["oracle", "wreath"]),
+         ["oracle"], ["affine", "wreath", "bounds", "bounds_cli"]),
+        (["bounds", "--n", "9"], ["bounds", "bounds_cli"], ["oracle", "wreath", "affine"]),
     ],
     ids=["chain-affine", "chain-wreath", "verify-wreath", "verify-agl", "oracle-natural",
          "bounds"],
@@ -263,6 +263,16 @@ def test_cli_imports_only_what_it_runs(cert_files, argv, used, unused):
     assert {f"irrbase.{m}" for m in used} <= set(added)
     for name in ["dataclasses", "inspect", *(f"irrbase.{m}" for m in unused)]:
         assert name not in added
+
+
+def test_bounds_module_loads_no_cli():
+    """The formulas stay importable without the command line around them."""
+    code = ("import json, sys; import irrbase.bounds; "
+            "print(json.dumps(sorted(m for m in ('argparse', 'irrbase.cli', 'irrbase.bounds_cli') "
+            "if m in sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == []
 
 
 def test_optimized_interpreter_same_output(tmp_path):

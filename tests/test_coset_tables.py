@@ -6,7 +6,9 @@ by level, one pass of length t per level: the slow reference.  It must be the
 table ``_coset_permutation`` computes from the element through the coset
 representatives, and T must be a homomorphism.  ``fixer_tables`` must give
 exactly the elements whose reference table fixes the point, in ascending
-order, and add the reference tables of those not already known.
+order, and add the reference tables of those not already known.  An image
+read through the level tables, without a table of the element, must be the
+reference table's entry.
 """
 
 from functools import lru_cache
@@ -24,7 +26,7 @@ from irrbase.group import (
     symmetric_group,
     trivial_group,
 )
-from irrbase.oracle import _coset_permutation, build_coset_action
+from irrbase.oracle import _column, _coset_permutation, _fixing, build_coset_action
 from irrbase.perm import _compose_tbl, _identity_tbl, parse_cycles
 
 
@@ -176,3 +178,25 @@ def test_fixer_tables_trivial_subgroup():
         assert known == {0: _identity_tbl(6)}
         assert tables.fixer_tables(j, known) == [0]
         assert known == {0: _identity_tbl(6)}
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_level_reads_are_the_reference_tables(name):
+    """Every element's image of every point, read through the levels, for H and each stabilizer."""
+    action = action_of(name)
+    tables = action._tables
+    reference = [table(tables, a) for a in range(action.subgroup.order())]
+    sets = [list(range(len(reference)))] + [tables.fixers(j) for j in range(action.degree)]
+    for numbers in sets:
+        lists = tables.level_lists(numbers)
+        if len(numbers) == 1:  # the identity alone: every level is dropped
+            assert numbers == [0] and lists == []
+            continue
+        for p in range(action.degree):
+            col = _column(lists, p)
+            assert col == [reference[a][p] for a in numbers]
+            child, child_lists = _fixing(numbers, lists, p, col)
+            assert child == [a for a in numbers if reference[a][p] == p]
+            if numbers is sets[0]:  # a child of H keeps the reads of its elements
+                for q in range(action.degree):
+                    assert _column(child_lists, q) == [reference[a][q] for a in child]

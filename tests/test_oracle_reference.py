@@ -31,7 +31,7 @@ from irrbase.oracle import (
     build_coset_action,
     mibs,
 )
-from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles
+from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles, print_cycles
 
 M11_GENERATORS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
 
@@ -187,6 +187,30 @@ def test_search_matches_reference(monkeypatch, name, prune):
     assert [(order_h if k is None else len(k), v) for k, v in memo.items()] == ref_memo
 
 
+@pytest.mark.parametrize(
+    "name, prune", CASES, ids=[f"{n}-{'pruned' if p else 'unpruned'}" for n, p in CASES]
+)
+def test_tables_and_level_reads_search_alike(monkeypatch, name, prune):
+    """Every point stabilizer tabled, or none: the same points, orders and memo, in order."""
+    results = []
+    for tabled in (True, False):
+        monkeypatch.setattr(oracle, "_use_coset_tables", lambda t, n, tabled=tabled: tabled)
+        action = build_coset_action(*INSTANCES[name]())
+        points, orders, memo = oracle._longest_chain(action, 1_000_000, prune)
+        results.append((points, orders, list(memo.items())))
+    assert results[0] == results[1]
+
+
+def test_m11_search_makes_no_coset_table(monkeypatch):
+    """Below t = 5040 elements a stabilizer is read through the levels: no pass of length t."""
+    action = build_coset_action(*INSTANCES["S11-m11"]())
+    lengths = []
+    compose = oracle._compose_tbl
+    monkeypatch.setattr(oracle, "_compose_tbl", lambda a, b: lengths.append(len(a)) or compose(a, b))
+    assert mibs(action)[0] == 6
+    assert action.degree not in lengths
+
+
 @pytest.mark.parametrize("prune", [True, False])
 def test_memo_refusal_point_matches_reference(prune):
     """The refusal comes at the same memo entry: the last cap that fails is count - 1."""
@@ -211,6 +235,16 @@ NOT_CORE_FREE = {
         build_agl(7, 1).H,
         from_generators([parse_cycles("(1 2 3 4 5 6 7)", 7)], 7),
     ),
+    # t = 120 and the fixers of a point in a largest orbit are the kernel, the S2 factor:
+    # fewer than t, so the kernel is filtered through the level tables
+    "AGL(1,7)xS2-in-S7xS2": lambda: (
+        from_generators([parse_cycles(c, 9) for c in ("(1 2 3 4 5 6 7)", "(1 2)", "(8 9)")], 9),
+        from_generators(
+            [parse_cycles(print_cycles(x), 9) for x in build_agl(7, 1).H.generators]
+            + [parse_cycles("(8 9)", 9)],
+            9,
+        ),
+    ),
 }
 
 
@@ -222,6 +256,27 @@ def test_core_matches_reference(name):
     message = f"action not faithful: subgroup has a core of order {core}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build_coset_action(g, h)
+
+
+@pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "levels"])
+@pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
+def test_core_alike_in_both_reads(monkeypatch, name, tabled):
+    """The identity tables among the fixers, or the fixers filtered point by point."""
+    monkeypatch.setattr(oracle, "_use_coset_tables", lambda t, n: tabled)
+    g, h = NOT_CORE_FREE[name]()
+    message = f"action not faithful: subgroup has a core of order {reference_core_order(g, h)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_coset_action(g, h)
+
+
+def test_core_read_through_the_levels(monkeypatch):
+    """The kernel of order 2 is found without tabling a fixer."""
+    def tabled(*args):
+        raise AssertionError("the faithfulness check tabled a fixer")
+
+    monkeypatch.setattr(oracle._CosetTables, "fixer_tables", tabled)
+    with pytest.raises(ValueError, match="^action not faithful: subgroup has a core of order 2$"):
+        build_coset_action(*NOT_CORE_FREE["AGL(1,7)xS2-in-S7xS2"]())
 
 
 @pytest.mark.parametrize("name", ["S6-natural", "A6-natural", "S7-agl-7-1", "A9-agl-3-2"])
