@@ -1,7 +1,8 @@
-"""The ``irrbase bounds`` subcommand: closed-form bounds and criteria as JSON or text.
+"""The report of ``irrbase bounds``: closed-form bounds and criteria as JSON or text.
 
 Only the ``bounds`` branch of :mod:`irrbase.cli` imports this module, so the
-other subcommands do not compile it.
+other subcommands do not compile it.  That branch checks the arguments
+first, and writes the report and maps its verdict to an exit code after.
 """
 
 from __future__ import annotations
@@ -10,16 +11,12 @@ import json
 import math
 
 from . import bounds as bounds_mod
-from .certificate import agl_order, checked_power
-from .cli import EXIT_OK, EXIT_VERIFY_FAIL, UsageError, _write_output
+from .certificate import agl_order
 
 
-def cmd_bounds(args) -> int:
+def report(args) -> tuple:
+    """The report's text and whether every check in it holds."""
     if args.lemma52:
-        if args.order_h is None:
-            raise UsageError("--lemma52 requires --order-h")
-        if args.n is None:
-            raise UsageError("--lemma52 requires --n")
         rep = bounds_mod.index_growth_check(
             args.n, args.order_h, require_proof_range=args.n > 100
         )
@@ -40,18 +37,13 @@ def cmd_bounds(args) -> int:
                 "relies on external enumeration (partial check)"
             )
         if args.format == "json":
-            print(json.dumps(result, indent=2))
+            text = json.dumps(result, indent=2)
         else:
-            for k, v in result.items():
-                print(f"{k}: {v}")
+            text = "\n".join(f"{k}: {v}" for k, v in result.items())
         ok = all(v for v in (rep.milestone_ok, rep.loglog_ok, rep.ratio_ok) if v is not None)
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
+        return text + "\n", ok
 
     n = args.n
-    if n is None:
-        raise UsageError("bounds requires --n")
-    if n < 7:
-        raise UsageError(f"these bounds require n >= 7, got {n}")
     result = {
         "n": n,
         "binary_weight": bounds_mod.binary_weight(n),
@@ -63,15 +55,6 @@ def cmd_bounds(args) -> int:
     }
     if n in bounds_mod.MATHIEU_LENGTHS:
         result["mathieu_length"] = bounds_mod.MATHIEU_LENGTHS[n]
-    if args.family:
-        names = ("p", "d") if args.family == "agl" else ("m", "k")
-        base, exp = (getattr(args, a) for a in names)
-        if None in (base, exp):
-            raise UsageError(f"--family {args.family} requires --{names[0]} and --{names[1]}")
-        power = checked_power(n, base, exp)
-        if power != n:
-            shown = f"{base}^{exp}" if power is None else power
-            raise UsageError(f"{names[0]}^{names[1]} = {shown} does not match --n {n}")
     if args.family == "agl":
         ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
         result["family"] = {
@@ -147,19 +130,16 @@ def cmd_bounds(args) -> int:
         )
         overall_ok = all(c["ok"] for c in comparisons)
         result["comparisons"] = comparisons
-    text = json.dumps(result, indent=2)
     if args.format == "json":
-        _write_output(text + "\n", args.out)
-    else:
-        lines = []
+        return json.dumps(result, indent=2) + "\n", overall_ok
+    lines = []
 
-        def flatten(prefix, obj):
-            for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
-                if isinstance(v, (dict, list)):
-                    flatten(f"{prefix}{k}.", v)
-                else:
-                    lines.append(f"{prefix}{k:<28} {v}")
+    def flatten(prefix, obj):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            if isinstance(v, (dict, list)):
+                flatten(f"{prefix}{k}.", v)
+            else:
+                lines.append(f"{prefix}{k:<28} {v}")
 
-        flatten("", result)
-        _write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if overall_ok else EXIT_VERIFY_FAIL
+    flatten("", result)
+    return "\n".join(lines) + "\n", overall_ok

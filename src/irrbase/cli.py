@@ -14,7 +14,13 @@ import math
 import os
 import sys
 
-from .certificate import CertificateFormatError, ChainCertificate, agl_order, verify_certificate
+from .certificate import (
+    CertificateFormatError,
+    ChainCertificate,
+    agl_order,
+    checked_power,
+    verify_certificate,
+)
 from .group import (
     LimitExceeded,
     PermutationGroup,
@@ -218,9 +224,28 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from . import bounds_cli
+    n = args.n
+    if args.lemma52 and args.order_h is None:
+        raise UsageError("--lemma52 requires --order-h")
+    if n is None:
+        raise UsageError(f"{'--lemma52' if args.lemma52 else 'bounds'} requires --n")
+    if not args.lemma52:
+        if n < 7:
+            raise UsageError(f"these bounds require n >= 7, got {n}")
+        if args.family:
+            names = ("p", "d") if args.family == "agl" else ("m", "k")
+            base, exp = (getattr(args, a) for a in names)
+            if None in (base, exp):
+                raise UsageError(f"--family {args.family} requires --{names[0]} and --{names[1]}")
+            power = checked_power(n, base, exp)
+            if power != n:
+                shown = f"{base}^{exp}" if power is None else power
+                raise UsageError(f"{names[0]}^{names[1]} = {shown} does not match --n {n}")
+    from .bounds_cli import report
 
-    return bounds_cli.cmd_bounds(args)
+    text, ok = report(args)
+    _write_output(text, None if args.lemma52 else args.out)  # --lemma52 always prints
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -275,6 +275,15 @@ def test_bounds_module_loads_no_cli():
     assert json.loads(r.stdout) == []
 
 
+def test_bounds_report_loads_no_cli():
+    """The bounds report imports nothing of the command line: the dependency runs one way."""
+    code = ("import json, sys; import irrbase.bounds_cli; "
+            "print(json.dumps(sorted(m for m in ('argparse', 'irrbase.cli') if m in sys.modules)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == []
+
+
 def test_optimized_interpreter_same_output(tmp_path):
     """The result-guarding checks are raises, so ``python -O`` keeps them and the output."""
     chain = ["chain", "--family", "wreath", "--m", "5", "--k", "2"]
