@@ -35,7 +35,7 @@ import json
 from math import prod
 from typing import Callable, Optional
 
-from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup
+from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, check_subgroup_limit
 from .perm import Permutation, parse_cycles, print_cycles
 
 
@@ -220,8 +220,7 @@ def build_chain(h: PermutationGroup, conjugator_sets: list, family: str, params:
     trivial; ``check(idx, level)``, the family's own test of level idx, runs
     on each level in order, after its descent check.
     """
-    if h.order() > limit:
-        raise LimitExceeded(f"subgroup order {h.order()} exceeds enumeration limit {limit}")
+    check_subgroup_limit(h.order(), limit)
     levels = [CertLevel([Permutation.identity(h.degree)], h.order())]
     groups = h._conjugate_levels([x._tbl for x in c] for c in conjugator_sets)
     for idx, (conjs, level) in enumerate(zip(conjugator_sets, groups), 1):
@@ -291,8 +290,7 @@ def verify_certificate(
     if h.degree != cert.degree:
         fail(0, 0, None, f"subgroup degree {h.degree} != certificate degree {cert.degree}")
         return report
-    if h.order() > limit:
-        raise LimitExceeded(f"subgroup order {h.order()} exceeds enumeration limit {limit}")
+    check_subgroup_limit(h.order(), limit)
     if not cert.levels:
         fail(0, 0, None, "certificate has no levels")
         return report

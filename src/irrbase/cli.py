@@ -25,6 +25,8 @@ from .group import (
     LimitExceeded,
     PermutationGroup,
     alternating_group,
+    check_coset_orders,
+    check_intersect_limit,
     intersect,
     read_generator_file,
     symmetric_group,
@@ -68,31 +70,29 @@ def _cert_text_table(cert: ChainCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coset_index(g_order: int, h_order: int, limit_t: int) -> int:
-    """|G : H| from the two orders; LimitExceeded over --limit-t."""
-    t, rem = divmod(g_order, h_order)
-    if rem != 0:
-        raise UsageError("subgroup order does not divide group order")
-    if t > limit_t:
-        raise LimitExceeded(
-            f"coset index {g_order}/{h_order} = {t} exceeds limit --limit-t {limit_t}"
-        )
-    return t
-
-
 def _build_subgroup(args, ambient: str):
-    """Returns (G, H, family, params, degree) for the oracle subcommands."""
+    """Returns (G, H, family, params, degree, t) for the oracle subcommand.
+
+    Every refusal that orders decide (usage, intersect's cap on listing H, the
+    index t, then t < 2 and |H|) comes before G = S_n or A_n is built.
+    """
     family = args.subgroup
     if family == "natural":
         if args.n is None:
             raise UsageError("--subgroup natural requires --n")
-        n = args.n
+        n, params = args.n, {"n": args.n}
         if n < 3:
             raise UsageError("natural action needs n >= 3")
-        g = symmetric_group(n) if ambient == "S" else alternating_group(n)
-        h = g.point_stabilizer(n)
-        return g, h, "natural", {"n": n}, n
-    if family in ("agl", "wreath"):
+    elif family == "explicit":
+        if not args.gens_file:
+            raise UsageError("--subgroup explicit requires --gens-file")
+        with open(args.gens_file) as fh:
+            n, gens = read_generator_file(fh.read())
+        # H <= S_n always, and H <= A_n exactly when every generator is even (A_1, A_2 too)
+        if ambient == "A" and not all(x.is_even() for x in gens):
+            raise UsageError("supplied generators do not lie in the ambient group")
+        h, params = PermutationGroup(gens, n), {}
+    else:
         names = ("p", "d") if family == "agl" else ("m", "k")
         params = {a: getattr(args, a) for a in names}
         if None in params.values():
@@ -106,28 +106,26 @@ def _build_subgroup(args, ambient: str):
 
             h = build_wreath(args.m, args.k).M
         n = h.degree
-        # |G| = n! or n!/2 and |H ∩ A_n| = |H|/2 when H has an odd generator, else |H|:
-        # an index over --limit-t is refused before G is built or H is listed, after
-        # intersect's own refusal to list a large H
-        g_order = math.factorial(n) // (1 if ambient == "S" else 2)
-        odd = ambient == "A" and any(not x.is_even() for x in h.generators)
-        if ambient == "S" or min(h.order(), g_order) <= args.limit_enum:
-            _coset_index(g_order, h.order() // 2 if odd else h.order(), args.limit_t)
-        g = symmetric_group(n) if ambient == "S" else alternating_group(n)
-        if ambient == "A":
-            h = intersect(h, g, args.limit_enum)
-        return g, h, family, params, n
-    if family == "explicit":
-        if not args.gens_file:
-            raise UsageError("--subgroup explicit requires --gens-file")
-        with open(args.gens_file) as fh:
-            degree, gens = read_generator_file(fh.read())
-        g = symmetric_group(degree) if ambient == "S" else alternating_group(degree)
-        h = PermutationGroup(gens, degree)
-        if not h.is_subgroup_of(g):
-            raise UsageError("supplied generators do not lie in the ambient group")
-        return g, h, "explicit", {}, degree
-    raise UsageError(f"unknown subgroup family {family!r}")
+    h_order = math.factorial(n - 1) if family == "natural" else h.order()  # G's point stabilizer
+    g_order = math.factorial(n)
+    if ambient == "A":  # |A_n| = max(1, n!/2); |H ∩ A_n| = |H|/2 if H has an odd element
+        g_order = max(1, g_order // 2)
+        if family in ("agl", "wreath"):  # intersect lists the smaller of H and A_n below
+            check_intersect_limit(min(h_order, g_order), args.limit_enum)
+        if family == "natural" or not all(x.is_even() for x in h.generators):
+            h_order //= 2
+    t = g_order // h_order  # H <= G in every family, so |H| divides |G|
+    if t > args.limit_t:
+        raise LimitExceeded(
+            f"coset index {g_order}/{h_order} = {t} exceeds limit --limit-t {args.limit_t}"
+        )
+    check_coset_orders(t, h_order, args.limit_enum)
+    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    if family == "natural":
+        h = g.point_stabilizer(n)
+    elif ambient == "A" and family in ("agl", "wreath"):
+        h = intersect(h, g, args.limit_enum)
+    return g, h, family, params, n, t
 
 
 def cmd_chain(args) -> int:
@@ -143,7 +141,7 @@ def cmd_chain(args) -> int:
             raise UsageError(f"p^d = {ctx.n} < 7 is out of range")
         _log(f"building affine chain for p={args.p}, d={args.d}")
         cert = affine_chain(ctx, limit=args.limit_enum)
-    elif args.family == "wreath":
+    else:
         if args.m is None or args.k is None:
             raise UsageError("--family wreath requires --m and --k")
         from .wreath import build_wreath, wreath_chain
@@ -151,8 +149,6 @@ def cmd_chain(args) -> int:
         ctx = build_wreath(args.m, args.k)
         _log(f"building wreath chain for m={args.m}, k={args.k}")
         cert = wreath_chain(ctx, limit=args.limit_enum)
-    else:
-        raise UsageError(f"unknown chain family {args.family!r}")
     if args.format == "json":
         _write_output(cert.to_json(), args.out)
     else:
@@ -165,8 +161,7 @@ def cmd_oracle(args) -> int:
     from .oracle import OracleLimits, build_coset_action, mibs
 
     ambient = args.ambient
-    g, h, family, params, degree = _build_subgroup(args, ambient)
-    t = _coset_index(g.order(), h.order(), args.limit_t)
+    g, h, family, params, degree, t = _build_subgroup(args, ambient)
     limits = OracleLimits(max_memo=args.limit_memo)
     action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
     value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
@@ -184,8 +179,7 @@ def cmd_oracle(args) -> int:
     else:
         print(f"mibs = {value}  (ambient {ambient}, degree {degree}, index {t})")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(cert.to_json())
+        _write_output(cert.to_json(), args.out)
         _log(f"witness certificate written to {args.out}")
     return EXIT_OK
 
@@ -244,7 +238,7 @@ def cmd_bounds(args) -> int:
     from .bounds_cli import report
 
     text, ok = report(args)
-    _write_output(text, None if args.lemma52 else args.out)  # --lemma52 always prints
+    _write_output(text, args.out)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 

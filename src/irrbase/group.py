@@ -501,6 +501,26 @@ def alternating_group(n: int) -> PermutationGroup:
     return g
 
 
+def check_subgroup_limit(order: int, limit: int) -> None:
+    """Refuse a subgroup H of the given order above the --limit-enum cap on |H|."""
+    if order > limit:
+        raise LimitExceeded(f"subgroup order {order} exceeds enumeration limit {limit}")
+
+
+def check_coset_orders(t: int, h_order: int, limit: int) -> None:
+    """Refuse, from orders alone, cosets of H of index t < 2 or a subgroup H over the cap."""
+    if t < 2:
+        raise ValueError("subgroup equals the whole group; the coset action is trivial")
+    check_subgroup_limit(h_order, limit)
+
+
+def check_intersect_limit(smaller: int, limit: int) -> None:
+    """Refuse an intersection whose smaller group, which :func:`intersect` lists, is too large."""
+    if smaller > limit:
+        raise LimitExceeded(f"intersection too large to enumerate: smaller group has order "
+                            f"{smaller}, limit {limit}")
+
+
 def intersect(
     g1: PermutationGroup, g2: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT
 ) -> PermutationGroup:
@@ -508,11 +528,7 @@ def intersect(
     if g1.degree != g2.degree:
         raise DegreeMismatchError("degree mismatch between groups")
     small, large = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
-    if small.order() > limit:
-        raise LimitExceeded(
-            f"intersection too large to enumerate: smaller group has order "
-            f"{small.order()}, limit {limit}"
-        )
+    check_intersect_limit(small.order(), limit)
     members = large._conjugate_members([large._ident], small._iter_element_tbls())
     return PermutationGroup([Permutation._wrap(t) for t in members], g1.degree)
 

@@ -132,10 +132,6 @@ class Permutation:
             out.append(tuple(cyc))
         return out
 
-    def moved_points(self) -> list:
-        """1-based points not fixed by the permutation, ascending."""
-        return [i + 1 for i, v in enumerate(self._tbl) if v != i]
-
     def order(self) -> int:
         from math import lcm
 

@@ -10,7 +10,7 @@ import pytest
 from irrbase import affine, cli, oracle
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
-from irrbase.group import PermutationGroup, trivial_group
+from irrbase.group import PermutationGroup, alternating_group, trivial_group
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
 from irrbase.wreath import build_wreath, wreath_chain
 
@@ -150,6 +150,26 @@ def test_bounds_lemma52():
     assert r.returncode == 0, r.stderr
     data = json.loads(r.stdout)
     assert data["milestone_ok"] and data["loglog_ok"] and data["ratio_ok"]
+
+
+# sha256 of `bounds --lemma52 --n 121 --order-h 1597200` stdout, json and text
+LEMMA52_DIGESTS = {
+    "json": "2a3307b0a198e77aba9b7f0c099f431239d416123af6318b76ca6d3a84aa0409",
+    "text": "5ee288844dff8a75b0aee6afb1be1566f500cd1ea11d8bfb861321997f5f1724",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(LEMMA52_DIGESTS))
+def test_bounds_lemma52_writes_out(tmp_path, capsys, fmt):
+    """--lemma52 honours --out as every bounds run does: the report goes to the file."""
+    argv = ["bounds", "--lemma52", "--n", "121", "--order-h", "1597200", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert hashlib.sha256(printed.encode()).hexdigest() == LEMMA52_DIGESTS[fmt]
+    out = tmp_path / "l52.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == printed
 
 
 def test_bounds_small_n_rejected():
@@ -403,6 +423,9 @@ A_REFUSALS = {
     "wreath-5-2": (["--subgroup", "wreath", "--m", "5", "--k", "2"],
                    "refused: coset index 7755605021665492992000000/14400 = "
                    "538583682060103680000 exceeds limit --limit-t 20000\n"),
+    "wreath-5-3": (["--subgroup", "wreath", "--m", "5", "--k", "3"],
+                   "refused: intersection too large to enumerate: smaller group has order "
+                   "10368000, limit 2000000\n"),
 }
 
 
@@ -418,24 +441,66 @@ def test_oracle_ambient_a_refusals_enumerate_nothing(monkeypatch, capsys, case):
     assert capsys.readouterr() == ("", err)
 
 
-# oracle argv -> its index refusal, made from |S_n| = n! or |A_n| = n!/2 before
-# either group is built
-INDEX_REFUSALS = {
-    "A-agl-3-3": (["--ambient", "A", *A_REFUSALS["agl-3-3"][0]], A_REFUSALS["agl-3-3"][1]),
-    "A-wreath-5-2": (["--ambient", "A", *A_REFUSALS["wreath-5-2"][0]],
-                     A_REFUSALS["wreath-5-2"][1]),
+# oracle argv -> its refusal, made from |S_n| = n!, |A_n| = max(1, n!/2) and |H ∩ A_n|
+# before either group is built; GENS stands for a file holding GENS_FILES[case]
+ORACLE_REFUSALS = {
+    **{f"A-{case}": (["--ambient", "A", *argv], err) for case, (argv, err) in A_REFUSALS.items()},
     "S-wreath-5-2": (["--ambient", "S", "--subgroup", "wreath", "--m", "5", "--k", "2"],
                      "refused: coset index 15511210043330985984000000/28800 = "
                      "538583682060103680000 exceeds limit --limit-t 20000\n"),
     "S-agl-3-4": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "4"],
                   f"refused: coset index {math.factorial(81)}/1965150720 = "
                   f"{math.factorial(81) // 1965150720} exceeds limit --limit-t 20000\n"),
+    "S-agl-3-2-limit-enum": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "2",
+                              "--limit-enum", "100"],
+                             "refused: subgroup order 432 exceeds enumeration limit 100\n"),
+    "S-agl-3-1": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "1"],
+                  "invalid parameters: subgroup equals the whole group; "
+                  "the coset action is trivial\n"),
+    "S-natural-7-limit-t": (["--ambient", "S", "--subgroup", "natural", "--n", "7",
+                             "--limit-t", "5"],
+                            "refused: coset index 5040/720 = 7 exceeds limit --limit-t 5\n"),
+    "A-natural-7-limit-t": (["--ambient", "A", "--subgroup", "natural", "--n", "7",
+                             "--limit-t", "5"],
+                            "refused: coset index 2520/360 = 7 exceeds limit --limit-t 5\n"),
+    "A-natural-100-limit-enum": (["--ambient", "A", "--subgroup", "natural", "--n", "100",
+                                  "--limit-t", "1000"],
+                                 f"refused: subgroup order {math.factorial(99) // 2} exceeds "
+                                 f"enumeration limit 2000000\n"),
+    "S-explicit-limit-t": (["--ambient", "S", "--subgroup", "explicit", "--gens-file", "GENS",
+                            "--limit-t", "100"],
+                           "refused: coset index 5040/1 = 5040 exceeds limit --limit-t 100\n"),
+    "A-explicit-odd": (["--ambient", "A", "--subgroup", "explicit", "--gens-file", "GENS"],
+                       "usage error: supplied generators do not lie in the ambient group\n"),
+    "A-explicit-degree-2-odd": (["--ambient", "A", "--subgroup", "explicit",
+                                 "--gens-file", "GENS"],
+                                "usage error: supplied generators do not lie in the ambient "
+                                "group\n"),
+    "S-explicit-whole": (["--ambient", "S", "--subgroup", "explicit", "--gens-file", "GENS",
+                          "--limit-enum", "5"],
+                         "invalid parameters: subgroup equals the whole group; "
+                         "the coset action is trivial\n"),
+    "A-explicit-limit-enum": (["--ambient", "A", "--subgroup", "explicit", "--gens-file", "GENS",
+                               "--limit-enum", "3"],
+                              "refused: subgroup order 7 exceeds enumeration limit 3\n"),
+}
+GENS_FILES = {
+    "S-explicit-limit-t": "7\n",
+    "A-explicit-odd": "5\n(1 2 3 4 5)\n(2 3 5 4)\n",
+    "A-explicit-degree-2-odd": "2\n(1 2)\n",
+    "S-explicit-whole": "5\n(1 2)\n(1 2 3 4 5)\n",
+    "A-explicit-limit-enum": "7\n(1 2 3 4 5 6 7)\n",
 }
 
 
-@pytest.mark.parametrize("case", sorted(INDEX_REFUSALS))
-def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, capsys, case):
-    argv, err = INDEX_REFUSALS[case]
+@pytest.mark.parametrize("case", sorted(ORACLE_REFUSALS))
+def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, tmp_path, capsys, case):
+    """Every oracle refusal that orders decide is made before S_n or A_n is built."""
+    argv, err = ORACLE_REFUSALS[case]
+    if case in GENS_FILES:
+        gens = tmp_path / "gens.txt"
+        gens.write_text(GENS_FILES[case])
+        argv = [str(gens) if a == "GENS" else a for a in argv]
 
     def built(n):
         raise AssertionError(f"a refusal built a group of degree {n}")
@@ -444,6 +509,30 @@ def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, capsys, case)
     monkeypatch.setattr(cli, "alternating_group", built)
     assert main(["oracle", *argv]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_oracle_explicit_parity_is_membership_in_a_n(tmp_path, capsys, seed):
+    """The explicit family's closed-form test, every generator even, is H <= A_n."""
+    rng = random.Random(seed)
+    gens = tmp_path / "gens.txt"
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        perms = []
+        for _ in range(rng.randint(0, 3)):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            perms.append(Permutation(images))
+        gens.write_text("\n".join([str(n), *map(print_cycles, perms)]) + "\n")
+        member = PermutationGroup(perms, n).is_subgroup_of(alternating_group(n))
+        argv = ["oracle", "--ambient", "A", "--subgroup", "explicit", "--gens-file", str(gens),
+                "--limit-t", "0"]  # every index is over 0, so an accepted H is refused next
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if member:
+            assert err.startswith("refused: coset index "), (n, perms, err)
+        else:
+            assert err == "usage error: supplied generators do not lie in the ambient group\n"
 
 
 def test_verify_agl_non_prime_p_exits_2(tmp_path, capsys):
