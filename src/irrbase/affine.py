@@ -18,7 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .certificate import ChainCertificate, agl_order, build_chain, prime_factors
+from .certificate import (ChainCertificate, build_chain, check_family_params, family_order,
+                          prime_factors)
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer, equals
 from .perm import Permutation, compose
 
@@ -108,8 +109,10 @@ def affine_to_permutation(
 
 def build_agl(p: int, d: int) -> AffineContext:
     """Construct AGL(d, p) on p^d points, for odd prime p and d >= 1."""
-    order = agl_order(p, d)
+    params = {"p": p, "d": d}
+    check_family_params("agl", params)
     n = p**d
+    order = family_order("agl", params, n, "S")
     mu = smallest_primitive_root(p)
     ctx = AffineContext(p=p, d=d, n=n, mu=mu, H=None, gl=None, T=None, diag_gens=None)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .certificate import is_prime, prime_factors
+from .certificate import check_family_params, is_prime, prime_factors
 
 TOL = 1e-9
 
@@ -117,10 +117,7 @@ def affine_mibs_bounds(p: int, d: int, ambient: str) -> AffineBounds:
 
 def wreath_mibs_bounds(m: int, k: int, ambient: str) -> tuple:
     """(lower, upper) for H = (S_m wr S_k) ∩ G in product action on m^k points."""
-    if m < 5:
-        raise ValueError(f"m must be at least 5, got {m}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    check_family_params("wreath", {"m": m, "k": k})
     lower = 1 + (m - 1) * (k - 1) + _eps(ambient)
     upper = 1.5 * m * k - 0.5 * k - 1
     return lower, upper
@@ -149,10 +146,7 @@ def maximality_affine(p: int, d: int, ambient: str) -> bool:
 
 def maximality_wreath(m: int, k: int, ambient: str) -> bool:
     """Whether (S_m wr S_k) ∩ G in product action is maximal in G, by the known case list."""
-    if m < 5:
-        raise ValueError(f"m must be at least 5, got {m}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    check_family_params("wreath", {"m": m, "k": k})
     _eps(ambient)
     if m % 2 == 1:
         return True

@@ -8,10 +8,9 @@ first, and writes the report and maps its verdict to an exit code after.
 from __future__ import annotations
 
 import json
-import math
 
 from . import bounds as bounds_mod
-from .certificate import agl_order
+from .certificate import _POWER_PARAMS, family_order
 
 
 def report(args) -> tuple:
@@ -55,42 +54,25 @@ def report(args) -> tuple:
     }
     if n in bounds_mod.MATHIEU_LENGTHS:
         result["mathieu_length"] = bounds_mod.MATHIEU_LENGTHS[n]
-    if args.family == "agl":
-        ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
-        result["family"] = {
-            "name": "agl",
-            "p": args.p,
-            "d": args.d,
-            "exact": ab.exact,
-            "lower": ab.lower,
-            "upper": ab.upper,
-            "maximal": bounds_mod.maximality_affine(args.p, args.d, args.ambient),
-        }
-        order_h = agl_order(args.p, args.d)
-    elif args.family == "wreath":
-        lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
-        result["family"] = {
-            "name": "wreath",
-            "m": args.m,
-            "k": args.k,
-            "lower": lo,
-            "upper": hi,
-            "maximal": bounds_mod.maximality_wreath(args.m, args.k, args.ambient),
-        }
-        order_h = math.factorial(args.m) ** args.k * math.factorial(args.k)
+    if args.family:
+        params = {a: getattr(args, a) for a in _POWER_PARAMS[args.family]}
+        fam = result["family"] = {"name": args.family, **params}
+        if args.family == "agl":
+            ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
+            fam.update(exact=ab.exact, lower=ab.lower, upper=ab.upper,
+                       maximal=bounds_mod.maximality_affine(args.p, args.d, args.ambient))
+        else:
+            lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
+            fam.update(lower=lo, upper=hi,
+                       maximal=bounds_mod.maximality_wreath(args.m, args.k, args.ambient))
+        order_h = family_order(args.family, params, n, args.ambient)
     else:
         order_h = args.order_h
-    if args.family and args.ambient == "A":
-        order_h //= 2
     if order_h is not None:
         mar = bounds_mod.maroti_check(n, order_h)
         result["order_h"] = str(order_h)
-        result["maroti"] = {
-            "global_bound": mar.global_bound,
-            "global_ok": mar.global_ok,
-            "small_bound": mar.small_bound,
-            "small_ok": mar.small_ok,
-        }
+        keys = ("global_bound", "global_ok", "small_bound", "small_ok")
+        result["maroti"] = {key: getattr(mar, key) for key in keys}
     comparisons = []
     overall_ok = True
     if args.computed is not None:
@@ -98,36 +80,21 @@ def report(args) -> tuple:
         result["computed_mibs"] = v
         result["relational_complexity_upper"] = bounds_mod.relational_complexity_upper(v)
         lg = result["length"][args.ambient]
-        comparisons.append({"formula": "mibs <= length(G)", "lhs": v, "rhs": lg, "ok": v <= lg})
-        fam = result.get("family")
-        if fam and fam["name"] == "agl":
-            if fam["exact"]:
-                comparisons.append(
-                    {"formula": "mibs == exact", "lhs": v, "rhs": fam["lower"], "ok": v == fam["lower"]}
-                )
-            else:
-                comparisons.append(
-                    {
-                        "formula": "lower <= mibs < upper",
-                        "lhs": v,
-                        "rhs": [fam["lower"], fam["upper"]],
-                        "ok": fam["lower"] <= v < fam["upper"],
-                    }
-                )
-        if fam and fam["name"] == "wreath":
-            comparisons.append(
-                {
-                    "formula": "lower <= mibs <= upper",
-                    "lhs": v,
-                    "rhs": [fam["lower"], fam["upper"]],
-                    "ok": fam["lower"] <= v <= fam["upper"],
-                }
-            )
-        large = bool(fam and fam["name"] == "wreath")
-        ub = result["upper_bound_large"] if large else result["upper_bound_generic"]
-        comparisons.append(
-            {"formula": "mibs < general upper bound", "lhs": v, "rhs": ub, "ok": v < ub}
-        )
+
+        def compare(formula, rhs, ok):
+            comparisons.append({"formula": formula, "lhs": v, "rhs": rhs, "ok": ok})
+
+        compare("mibs <= length(G)", lg, v <= lg)
+        fam = result.get("family", {})
+        name, lo, hi = fam.get("name"), fam.get("lower"), fam.get("upper")
+        if name == "agl" and fam["exact"]:
+            compare("mibs == exact", lo, v == lo)
+        elif name == "agl":
+            compare("lower <= mibs < upper", [lo, hi], lo <= v < hi)
+        elif name == "wreath":
+            compare("lower <= mibs <= upper", [lo, hi], lo <= v <= hi)
+        ub = result["upper_bound_large" if name == "wreath" else "upper_bound_generic"]
+        compare("mibs < general upper bound", ub, v < ub)
         overall_ok = all(c["ok"] for c in comparisons)
         result["comparisons"] = comparisons
     if args.format == "json":

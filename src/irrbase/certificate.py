@@ -32,7 +32,7 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
-from math import prod
+from math import factorial, prod
 from typing import Callable, Optional
 
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, check_subgroup_limit
@@ -77,16 +77,47 @@ def prime_factors(n: int) -> list:
     return out
 
 
-def agl_order(p: int, d: int) -> int:
-    """|AGL(d, p)| = p^d ⋅ ∏_{i<d} (p^d - p^i), for odd prime p and d >= 1."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if p == 2:
-        raise ValueError("odd p required")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    n = p**d
-    return n * prod(n - p**i for i in range(d))
+def check_family_params(family: str, params: dict) -> None:
+    """Raise ValueError at the first AGL(d, p) or S_m wr S_k parameter outside the family."""
+    if family == "agl":
+        p, d = params["p"], params["d"]
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if p == 2:
+            raise ValueError("odd p required")
+        if d < 1:
+            raise ValueError(f"d must be at least 1, got {d}")
+    elif family == "wreath":
+        if params["m"] < 5:
+            raise ValueError(f"m must be at least 5, got {params['m']}")
+        if params["k"] < 2:
+            raise ValueError(f"k must be at least 2, got {params['k']}")
+
+
+def family_order(family: str, params: dict, degree: int, ambient: str) -> int:
+    """|H ∩ G| for H of ``family`` (agl, wreath, natural) on ``degree`` = p^d, m^k or n points.
+
+    G is S_n or A_n.  The params are checked first (a caller that must refuse
+    them before it forms the degree calls :func:`check_family_params` first).
+    H ∩ A_n is H where H lies in A_n, else of index 2 in H: AGL(d, p), p odd,
+    has the odd diag(μ, 1, ..., 1), p^(d-1) cycles of even length p - 1;
+    S_{n-1} has a transposition when n >= 3; S_m wr S_k lies in A_{m^k}
+    exactly when m is even and either k >= 3 or 4 divides m, as one
+    coordinate's transposition swaps m^(k-1) pairs of points, and a swap of
+    two coordinates m^(k-1)(m-1)/2.
+    """
+    check_family_params(family, params)
+    if family == "agl":  # |AGL(d, p)| = p^d ⋅ ∏_{i<d} (p^d - p^i)
+        order = degree * prod(degree - params["p"] ** i for i in range(params["d"]))
+        odd = True
+    elif family == "wreath":
+        m, k = params["m"], params["k"]
+        order = factorial(m) ** k * factorial(k)
+        odd = not (m % 2 == 0 and (k >= 3 or m % 4 == 0))
+    else:  # natural: the point stabilizer S_{n-1}
+        order = factorial(degree - 1)
+        odd = degree >= 3
+    return order // 2 if ambient == "A" and odd else order
 
 
 def _is_int(value) -> bool:
@@ -187,21 +218,13 @@ class ChainCertificate:
                 raise CertificateFormatError(f"level {i}: {e}") from None
             conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
             levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
-        return cls(
-            degree=degree,
-            ambient=ambient,
-            family=family,
-            params=params,
-            generators=generators,
-            levels=levels,
-            claimed_length=claimed,
-        )
+        return cls(degree, ambient, family, params, generators, levels, claimed)
 
     @classmethod
     def from_json(cls, text: str) -> "ChainCertificate":
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
+        except (ValueError, RecursionError) as e:  # too long an int; nested too deep
             raise CertificateFormatError(f"invalid JSON: {e}") from None
         return cls.from_dict(data)
 

@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .certificate import (
+    _POWER_PARAMS,
     CertificateFormatError,
     ChainCertificate,
-    agl_order,
+    check_family_params,
     checked_power,
+    family_order,
     verify_certificate,
 )
 from .group import (
@@ -27,6 +28,7 @@ from .group import (
     alternating_group,
     check_coset_orders,
     check_intersect_limit,
+    check_subgroup_limit,
     intersect,
     read_generator_file,
     symmetric_group,
@@ -70,20 +72,31 @@ def _cert_text_table(cert: ChainCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _family_params(args, family: str, flag: str) -> dict:
+    """The family's parameters, read from the flags of the same names, which ``flag`` requires."""
+    names = _POWER_PARAMS.get(family, ("n",))
+    params = {a: getattr(args, a) for a in names}
+    if None in params.values():
+        raise UsageError(f"{flag} requires " + " and ".join(f"--{a}" for a in names))
+    return params
+
+
+#: the oracle's cap on the degree n: a run holds all t cosets and lists a point
+#: stabilizer of H, at least (n!/2)^(1/3) items in all, so none near it finishes
+ORACLE_MAX_DEGREE = 1000
+
+
 def _build_subgroup(args, ambient: str):
     """Returns (G, H, family, params, degree, t) for the oracle subcommand.
 
-    Every refusal that orders decide (usage, intersect's cap on listing H, the
-    index t, then t < 2 and |H|) comes before G = S_n or A_n is built.
+    Every refusal that orders decide comes before H (agl, wreath) or G = S_n
+    or A_n is built, in this order: usage and the family's parameters; a
+    degree over ``ORACLE_MAX_DEGREE``; under A, intersect's cap on listing an
+    agl or wreath H; the index t; then t < 2 and |H|.  The orders come from
+    :func:`family_order`; only an explicit H's parity is read, for H <= A_n.
     """
     family = args.subgroup
-    if family == "natural":
-        if args.n is None:
-            raise UsageError("--subgroup natural requires --n")
-        n, params = args.n, {"n": args.n}
-        if n < 3:
-            raise UsageError("natural action needs n >= 3")
-    elif family == "explicit":
+    if family == "explicit":
         if not args.gens_file:
             raise UsageError("--subgroup explicit requires --gens-file")
         with open(args.gens_file) as fh:
@@ -91,35 +104,44 @@ def _build_subgroup(args, ambient: str):
         # H <= S_n always, and H <= A_n exactly when every generator is even (A_1, A_2 too)
         if ambient == "A" and not all(x.is_even() for x in gens):
             raise UsageError("supplied generators do not lie in the ambient group")
-        h, params = PermutationGroup(gens, n), {}
+        params, shown = {}, n
     else:
-        names = ("p", "d") if family == "agl" else ("m", "k")
-        params = {a: getattr(args, a) for a in names}
-        if None in params.values():
-            raise UsageError(f"--subgroup {family} requires --{names[0]} and --{names[1]}")
-        if family == "agl":
-            from .affine import build_agl
-
-            h = build_agl(args.p, args.d).H
+        params = _family_params(args, family, f"--subgroup {family}")
+        if family == "natural":
+            if args.n < 3:
+                raise UsageError("natural action needs n >= 3")
+            n = shown = args.n
         else:
-            from .wreath import build_wreath
-
-            h = build_wreath(args.m, args.k).M
-        n = h.degree
-    h_order = math.factorial(n - 1) if family == "natural" else h.order()  # G's point stabilizer
-    g_order = math.factorial(n)
-    if ambient == "A":  # |A_n| = max(1, n!/2); |H ∩ A_n| = |H|/2 if H has an odd element
-        g_order = max(1, g_order // 2)
-        if family in ("agl", "wreath"):  # intersect lists the smaller of H and A_n below
-            check_intersect_limit(min(h_order, g_order), args.limit_enum)
-        if family == "natural" or not all(x.is_even() for x in h.generators):
-            h_order //= 2
+            check_family_params(family, params)
+            base, exp = params.values()
+            n = checked_power(ORACLE_MAX_DEGREE, base, exp)  # no work grows with exp
+            shown = f"{base}^{exp}" if n is None else n
+    if n is None or n > ORACLE_MAX_DEGREE:
+        raise LimitExceeded(f"degree {shown} exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
+    if family == "explicit":
+        h = PermutationGroup(gens, n)
+        h_order = h.order()
+    else:
+        h_order = family_order(family, params, n, ambient)
+    # |S_n| = n! and |A_n| = max(1, n!/2): G is the point stabilizer of S_{n+1} or A_{n+1}
+    g_order = family_order("natural", {"n": n + 1}, n + 1, ambient)
+    if ambient == "A" and family in ("agl", "wreath"):  # intersect lists the smaller of H, A_n
+        check_intersect_limit(min(family_order(family, params, n, "S"), g_order),
+                              args.limit_enum)
     t = g_order // h_order  # H <= G in every family, so |H| divides |G|
     if t > args.limit_t:
         raise LimitExceeded(
             f"coset index {g_order}/{h_order} = {t} exceeds limit --limit-t {args.limit_t}"
         )
     check_coset_orders(t, h_order, args.limit_enum)
+    if family == "agl":
+        from .affine import build_agl
+
+        h = build_agl(args.p, args.d).H
+    elif family == "wreath":
+        from .wreath import build_wreath
+
+        h = build_wreath(args.m, args.k).M
     g = symmetric_group(n) if ambient == "S" else alternating_group(n)
     if family == "natural":
         h = g.point_stabilizer(n)
@@ -129,30 +151,27 @@ def _build_subgroup(args, ambient: str):
 
 
 def cmd_chain(args) -> int:
-    if args.family == "affine":
-        if args.p is None or args.d is None:
-            raise UsageError("--family affine requires --p and --d")
-        if args.p == 2:
-            raise UsageError("odd p required")
+    family = "agl" if args.family == "affine" else "wreath"
+    params = _family_params(args, family, f"--family {args.family}")
+    if family == "agl" and args.p == 2:
+        raise UsageError("odd p required")
+    check_family_params(family, params)
+    base, exp = params.values()
+    n = base**exp
+    if family == "agl" and n < 7:
+        raise UsageError(f"p^d = {n} < 7 is out of range")
+    # build_chain refuses |H| over the cap too, but only after H is built
+    check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
+    _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
+    if family == "agl":
         from .affine import affine_chain, build_agl
 
-        ctx = build_agl(args.p, args.d)
-        if ctx.n < 7:
-            raise UsageError(f"p^d = {ctx.n} < 7 is out of range")
-        _log(f"building affine chain for p={args.p}, d={args.d}")
-        cert = affine_chain(ctx, limit=args.limit_enum)
+        cert = affine_chain(build_agl(base, exp), limit=args.limit_enum)
     else:
-        if args.m is None or args.k is None:
-            raise UsageError("--family wreath requires --m and --k")
         from .wreath import build_wreath, wreath_chain
 
-        ctx = build_wreath(args.m, args.k)
-        _log(f"building wreath chain for m={args.m}, k={args.k}")
-        cert = wreath_chain(ctx, limit=args.limit_enum)
-    if args.format == "json":
-        _write_output(cert.to_json(), args.out)
-    else:
-        _write_output(_cert_text_table(cert), args.out)
+        cert = wreath_chain(build_wreath(base, exp), limit=args.limit_enum)
+    _write_output(cert.to_json() if args.format == "json" else _cert_text_table(cert), args.out)
     _log(f"certificate of length {cert.claimed_length} written")
     return EXIT_OK
 
@@ -196,21 +215,11 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     h = PermutationGroup(cert.generators, cert.degree)
     if cert.family != "explicit":  # from_dict checked the params against the degree
-        if cert.family == "agl":
-            name, expected = "affine", agl_order(cert.params["p"], cert.params["d"])
-        elif cert.family == "wreath":
-            m, k = cert.params["m"], cert.params["k"]
-            name, expected = "wreath", math.factorial(m) ** k * math.factorial(k)
-        else:
-            name, expected = "natural", math.factorial(cert.degree - 1)
-        if cert.ambient == "A":
-            expected = max(1, expected // 2)  # the point stabilizer in A_2 is trivial
+        expected = family_order(cert.family, cert.params, cert.degree, cert.ambient)
         if h.order() != expected:
-            print(
-                f"subgroup order {h.order()} does not match the {name} family "
-                f"order {expected}",
-                file=sys.stderr,
-            )
+            name = "affine" if cert.family == "agl" else cert.family
+            print(f"subgroup order {h.order()} does not match the {name} family order "
+                  f"{expected}", file=sys.stderr)
             return EXIT_VERIFY_FAIL
     report = verify_certificate(cert, h, limit=args.limit_enum)
     print(report.summary())
@@ -227,10 +236,8 @@ def cmd_bounds(args) -> int:
         if n < 7:
             raise UsageError(f"these bounds require n >= 7, got {n}")
         if args.family:
-            names = ("p", "d") if args.family == "agl" else ("m", "k")
-            base, exp = (getattr(args, a) for a in names)
-            if None in (base, exp):
-                raise UsageError(f"--family {args.family} requires --{names[0]} and --{names[1]}")
+            names = _POWER_PARAMS[args.family]
+            base, exp = _family_params(args, args.family, f"--family {args.family}").values()
             power = checked_power(n, base, exp)
             if power != n:
                 shown = f"{base}^{exp}" if power is None else power

@@ -501,10 +501,16 @@ def alternating_group(n: int) -> PermutationGroup:
     return g
 
 
+def _order_text(order: int) -> str:
+    """An order in full within CPython's default int-to-str limit, 4300 digits, else as 10^x."""
+    return str(order) if order < 10**4300 else f"about 10^{math.log10(order):.1f}"
+
+
 def check_subgroup_limit(order: int, limit: int) -> None:
     """Refuse a subgroup H of the given order above the --limit-enum cap on |H|."""
     if order > limit:
-        raise LimitExceeded(f"subgroup order {order} exceeds enumeration limit {limit}")
+        raise LimitExceeded(f"subgroup order {_order_text(order)} exceeds enumeration limit "
+                            f"{limit}")
 
 
 def check_coset_orders(t: int, h_order: int, limit: int) -> None:
@@ -518,7 +524,7 @@ def check_intersect_limit(smaller: int, limit: int) -> None:
     """Refuse an intersection whose smaller group, which :func:`intersect` lists, is too large."""
     if smaller > limit:
         raise LimitExceeded(f"intersection too large to enumerate: smaller group has order "
-                            f"{smaller}, limit {limit}")
+                            f"{_order_text(smaller)}, limit {limit}")
 
 
 def intersect(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from .certificate import ChainCertificate, build_chain
+from .certificate import ChainCertificate, build_chain, check_family_params, family_order
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals, symmetric_group
 from .perm import Permutation, parse_cycles
 
@@ -101,10 +101,8 @@ def embed_wreath_element(
 
 def build_wreath(m: int, k: int) -> WreathContext:
     """Construct S_m wr S_k in product action on m^k points (m >= 5, k >= 2)."""
-    if m < 5:
-        raise ValueError(f"m must be at least 5, got {m}")
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    params = {"m": m, "k": k}
+    check_family_params("wreath", params)
     n = m**k
     sm = symmetric_group(m)
     sk = symmetric_group(k)
@@ -123,7 +121,7 @@ def build_wreath(m: int, k: int) -> WreathContext:
     for w in sk.generators:
         gens.append(embed_wreath_element(ctx, [id_m] * k, w))
     big = PermutationGroup(gens, n)
-    expected = factorial(m) ** k * factorial(k)
+    expected = family_order("wreath", params, n, "S")
     if big.order() != expected:
         raise RuntimeError(f"|S_{m} wr S_{k}| = {big.order()}, expected {expected}")
     ctx.M = big

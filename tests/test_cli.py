@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from irrbase import affine, cli, oracle
+from irrbase import affine, cli, oracle, wreath
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, alternating_group, trivial_group
@@ -206,6 +206,38 @@ def test_bounds_bad_input_exits_2(capsys, case):
     argv, message = BOUNDS_USAGE_ERRORS[case]
     assert main(["bounds", *argv]) == 2
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
+# S_m wr S_k lies in A_{m^k} exactly when m is even and k >= 3 or 4 | m: then
+# |H ∩ A_n| = |H| (it was once halved); (m, k) -> "order_h" under --ambient A
+BOUNDS_WREATH_IN_A = {(8, 2): "3251404800", (6, 3): "2239488000"}
+# sha256 of the ambient-A wreath bounds report, json, where H has an odd element
+BOUNDS_WREATH_A_DIGESTS = {
+    (5, 2): "206145d896642bee6139c584b1650e0501c5a123603d5e290b6bec2bbc122598",
+    (6, 2): "3ca5b8b52f8d5e84f3f27b5cff969bf8f1afb65fef209b762760ab3ed84521ca",
+    (7, 2): "bd9be481e4070f5dd24c5a4f9a0d377227610ba211088cbd09f34d4cb25384c2",
+}
+
+
+@pytest.mark.parametrize("mk", sorted(BOUNDS_WREATH_IN_A))
+def test_bounds_wreath_inside_a_n_keeps_its_order(capsys, mk):
+    m, k = mk
+    argv = ["bounds", "--n", str(m**k), "--family", "wreath", "--m", str(m), "--k", str(k)]
+    assert main([*argv, "--ambient", "A"]) == 0
+    order = BOUNDS_WREATH_IN_A[mk]
+    assert f'"order_h": "{order}"' in capsys.readouterr().out
+    assert main(argv) == 0  # the same order under S
+    assert f'"order_h": "{order}"' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mk", sorted(BOUNDS_WREATH_A_DIGESTS))
+def test_bounds_wreath_with_odd_element_bytes_pinned(capsys, mk):
+    m, k = mk
+    argv = ["bounds", "--n", str(m**k), "--ambient", "A", "--family", "wreath",
+            "--m", str(m), "--k", str(k)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUNDS_WREATH_A_DIGESTS[mk]
 
 
 @pytest.mark.parametrize(
@@ -451,6 +483,20 @@ ORACLE_REFUSALS = {
     "S-agl-3-4": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "4"],
                   f"refused: coset index {math.factorial(81)}/1965150720 = "
                   f"{math.factorial(81) // 1965150720} exceeds limit --limit-t 20000\n"),
+    "S-agl-3-5": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "5"],
+                  f"refused: coset index {math.factorial(243)}/115562653240320 = "
+                  f"{math.factorial(243) // 115562653240320} exceeds limit --limit-t 20000\n"),
+    "S-agl-3-6": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "6"],
+                  f"refused: coset index {math.factorial(729)}/61330486826476707840 = "
+                  f"{math.factorial(729) // 61330486826476707840} exceeds limit --limit-t 20000\n"),
+    "A-agl-3-5": (["--ambient", "A", "--subgroup", "agl", "--p", "3", "--d", "5"],
+                  "refused: intersection too large to enumerate: smaller group has order "
+                  "115562653240320, limit 2000000\n"),
+    "S-wreath-5-4": (["--ambient", "S", "--subgroup", "wreath", "--m", "5", "--k", "4"],
+                     f"refused: coset index {math.factorial(625)}/4976640000 = "
+                     f"{math.factorial(625) // 4976640000} exceeds limit --limit-t 20000\n"),
+    "S-wreath-4-2": (["--ambient", "S", "--subgroup", "wreath", "--m", "4", "--k", "2"],
+                     "invalid parameters: m must be at least 5, got 4\n"),
     "S-agl-3-2-limit-enum": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "2",
                               "--limit-enum", "100"],
                              "refused: subgroup order 432 exceeds enumeration limit 100\n"),
@@ -493,22 +539,100 @@ GENS_FILES = {
 }
 
 
+def _refuse_builds(monkeypatch):
+    """Make building S_n, A_n, AGL(d, p) or S_m wr S_k fail the test."""
+    def built(*args):
+        raise AssertionError(f"a refusal built a group for {args}")
+
+    for module, name in ((cli, "symmetric_group"), (cli, "alternating_group"),
+                         (affine, "build_agl"), (wreath, "build_wreath")):
+        monkeypatch.setattr(module, name, built)
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_REFUSALS))
 def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, tmp_path, capsys, case):
-    """Every oracle refusal that orders decide is made before S_n or A_n is built."""
+    """Every oracle refusal that orders decide is made before S_n, A_n or H is built."""
     argv, err = ORACLE_REFUSALS[case]
     if case in GENS_FILES:
         gens = tmp_path / "gens.txt"
         gens.write_text(GENS_FILES[case])
         argv = [str(gens) if a == "GENS" else a for a in argv]
 
-    def built(n):
-        raise AssertionError(f"a refusal built a group of degree {n}")
-
-    monkeypatch.setattr(cli, "symmetric_group", built)
-    monkeypatch.setattr(cli, "alternating_group", built)
+    _refuse_builds(monkeypatch)
     assert main(["oracle", *argv]) == 2
     assert capsys.readouterr() == ("", err)
+
+
+# chain argv -> its stderr, decided from |H| = family_order before H is built, in the
+# precedence of usage, the family's parameters, p^d < 7 and the --limit-enum cap
+CHAIN_REFUSALS = {
+    **{f"affine-3-{d}": (["--family", "affine", "--p", "3", "--d", str(d)],
+                         f"refused: subgroup order {order} exceeds enumeration limit 2000000\n")
+       for d, order in ((4, 1965150720), (5, 115562653240320), (6, 61330486826476707840))},
+    "wreath-5-3": (["--family", "wreath", "--m", "5", "--k", "3"],
+                   "refused: subgroup order 10368000 exceeds enumeration limit 2000000\n"),
+    "wreath-6-3": (["--family", "wreath", "--m", "6", "--k", "3"],
+                   "refused: subgroup order 2239488000 exceeds enumeration limit 2000000\n"),
+    "affine-p-2": (["--family", "affine", "--p", "2", "--d", "3"],
+                   "usage error: odd p required\n"),
+    "affine-p-4": (["--family", "affine", "--p", "4", "--d", "2"],
+                   "invalid parameters: p = 4 is not prime\n"),
+    "affine-3-1-limit-enum": (["--family", "affine", "--p", "3", "--d", "1", "--limit-enum", "1"],
+                              "usage error: p^d = 3 < 7 is out of range\n"),
+    "wreath-4-2": (["--family", "wreath", "--m", "4", "--k", "2"],
+                   "invalid parameters: m must be at least 5, got 4\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHAIN_REFUSALS))
+def test_chain_refusal_builds_no_group(monkeypatch, capsys, case):
+    argv, err = CHAIN_REFUSALS[case]
+    _refuse_builds(monkeypatch)
+    assert main(["chain", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# refusals of a degree too large to build or an order too long to print in full under
+# Python's int-to-str limit (4300 digits): one short `refused:` line, no group built
+BIG_REFUSALS = {
+    "oracle-agl-3-7": (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "7"],
+                       "refused: degree 2187 exceeds the oracle's cap 1000\n"),
+    "oracle-agl-3-100": (["oracle", "--ambient", "A", "--subgroup", "agl", "--p", "3",
+                          "--d", "100"],
+                         "refused: degree 3^100 exceeds the oracle's cap 1000\n"),
+    "oracle-natural-1700": (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "1700"],
+                            "refused: degree 1700 exceeds the oracle's cap 1000\n"),
+    "chain-affine-3-100": (["chain", "--family", "affine", "--p", "3", "--d", "100"],
+                           "refused: subgroup order about 10^4818.7 exceeds enumeration limit "
+                           "2000000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BIG_REFUSALS))
+def test_big_refusals_are_one_short_line(monkeypatch, capsys, case):
+    argv, err = BIG_REFUSALS[case]
+    _refuse_builds(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_oracle_degree_cap_admits_its_bound(tmp_path, capsys):
+    """The cap refuses a degree over 1000 only: at 1000 the next refusal is the index."""
+    argv = ["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "1000", "--limit-t", "5"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("refused: coset index ")
+
+
+def test_order_text_full_within_the_int_to_str_limit():
+    from irrbase.group import LimitExceeded, check_intersect_limit, check_subgroup_limit
+
+    for order, text in ((10**4300 - 1, "9" * 4300), (10**4300, "about 10^4300.0")):
+        with pytest.raises(LimitExceeded) as info:
+            check_subgroup_limit(order, 1)
+        assert str(info.value) == f"subgroup order {text} exceeds enumeration limit 1"
+        with pytest.raises(LimitExceeded) as info:
+            check_intersect_limit(order, 1)
+        assert str(info.value).endswith(f"smaller group has order {text}, limit 1")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -575,6 +699,37 @@ def test_verify_natural_checks_the_family_order(tmp_path, capsys):
     )
 
 
+def _one_level_wreath_a_certificate(path, m):
+    """An ambient-A certificate of M(m, 2) with level 0 alone, claiming |M|."""
+    big = build_wreath(m, 2).M
+    path.write_text(json.dumps({
+        "degree": m * m, "ambient": "A",
+        "subgroup": {"family": "wreath", "params": {"k": 2, "m": m},
+                     "generators": [print_cycles(g) for g in big.generators]},
+        "levels": [{"conjugators": ["()"], "order": str(big.order())}], "claimed_length": 1,
+    }))
+
+
+def test_verify_wreath_inside_a_n_keeps_its_order(tmp_path, capsys):
+    """M(8,2) lies in A_64, so its family order under A is |M| and only the cap refuses it."""
+    path = tmp_path / "w82.json"
+    _one_level_wreath_a_certificate(path, 8)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr() == (
+        "", "refused: subgroup order 3251404800 exceeds enumeration limit 2000000\n"
+    )
+
+
+def test_verify_wreath_with_odd_element_halves_its_order(tmp_path, capsys):
+    """M(6,2) has an odd element: H ∩ A_36 has index 2, so all of M is not the family's H."""
+    path = tmp_path / "w62.json"
+    _one_level_wreath_a_certificate(path, 6)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", "subgroup order 1036800 does not match the wreath family order 518400\n"
+    )
+
+
 def test_verify_stops_at_level_lacking_identity(tmp_path, capsys):
     data = affine_chain(build_agl(3, 2)).to_dict()
     data["levels"][3]["conjugators"].remove("()")
@@ -612,7 +767,13 @@ MALFORMED = {
     "order-signed": lambda d: d["levels"][1].update(order="+6"),
     "natural-n99-on-degree-7": lambda d: d["subgroup"].update(family="natural", params={"n": 99}),
     "natural-no-params": lambda d: d["subgroup"].update(family="natural", params={}),
+    # integers past Python's int-to-str limit, which json.loads refuses to parse
+    "degree-5000-digits": lambda d: d.update(degree=BIG_INT),
+    "param-5000-digits": lambda d: d["subgroup"]["params"].update(p=BIG_INT),
 }
+
+
+BIG_INT = "BIG_INT"  # written into the JSON text as a 5000-digit integer
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -620,10 +781,12 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, case):
     data = affine_chain(build_agl(7, 1)).to_dict()
     MALFORMED[case](data)
     path = tmp_path / "c.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data).replace(f'"{BIG_INT}"', "7" * 5000))
     assert main(["verify", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("malformed certificate: ")
+    if "5000-digits" in case:
+        assert err.startswith("malformed certificate: invalid JSON: ") and err.count("\n") == 1
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):
