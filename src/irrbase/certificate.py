@@ -35,7 +35,7 @@ import json
 from math import factorial, prod
 from typing import Callable, Optional
 
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, check_subgroup_limit
+from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, check_subgroup_limit
 from .perm import Permutation, parse_cycles, print_cycles
 
 
@@ -50,6 +50,13 @@ _POWER_PARAMS = {"agl": ("p", "d"), "wreath": ("m", "k")}
 def checked_power(degree: int, base: int, exp: int) -> Optional[int]:
     """base**exp, or None where it cannot be the degree; no work grows with exp."""
     return base**exp if 2 <= base <= degree and 1 <= exp <= degree.bit_length() else None
+
+
+def power_text(base: int, exp: int, power: Optional[int]) -> str:
+    """base**exp in a message: ``power``, its :func:`checked_power`, where that formed it."""
+    if power is not None:
+        return str(power)
+    return str(base) if exp == 1 else f"{base}^{exp}"
 
 
 def is_prime(n: int) -> bool:
@@ -118,6 +125,27 @@ def family_order(family: str, params: dict, degree: int, ambient: str) -> int:
         order = factorial(degree - 1)
         odd = degree >= 3
     return order // 2 if ambient == "A" and odd else order
+
+
+#: a lower bound 2^b on |H| with b past this refuses H without forming |H|, which
+#: takes seconds from about there on: |AGL(1448, 3)| has 3.3 million bits
+_FLOOR_BITS = 1 << 21
+
+
+def check_family_floor(family: str, params: dict, limit: int) -> None:
+    """Refuse an agl or wreath H over ``limit`` from a lower bound 2^b <= |H| too large to form.
+
+    |AGL(d, p)| >= p^(d^2) >= 2^(d^2 (bits(p) - 1)), as each factor p^d - p^i
+    of :func:`family_order`'s is at least p^(d-1); |S_m wr S_k| = (m!)^k k!
+    >= 2^(km - 1), as j! >= 2^(j-1).  Where b is at most ``_FLOOR_BITS``,
+    nothing is refused here: |H| is formed, and a refusal states it exactly.
+    """
+    if family == "agl":
+        bits = params["d"] ** 2 * (params["p"].bit_length() - 1)
+    else:
+        bits = params["m"] * params["k"] - 1
+    if bits > _FLOOR_BITS and bits >= limit.bit_length():  # 2^bits > limit
+        raise LimitExceeded(f"subgroup order at least 2^{bits} exceeds enumeration limit {limit}")
 
 
 def _is_int(value) -> bool:

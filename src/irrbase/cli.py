@@ -17,9 +17,11 @@ from .certificate import (
     _POWER_PARAMS,
     CertificateFormatError,
     ChainCertificate,
+    check_family_floor,
     check_family_params,
     checked_power,
     family_order,
+    power_text,
     verify_certificate,
 )
 from .group import (
@@ -30,9 +32,10 @@ from .group import (
     check_intersect_limit,
     check_subgroup_limit,
     intersect,
-    read_generator_file,
+    read_generator_cycles,
     symmetric_group,
 )
+from .perm import Permutation, _cycles_even, _cycles_tbl
 
 # affine, wreath, oracle and bounds_cli are imported in the branches that run them:
 # each invocation is a fresh process, and start-up cost is paid on every one
@@ -99,10 +102,10 @@ def _build_subgroup(args, ambient: str):
     if family == "explicit":
         if not args.gens_file:
             raise UsageError("--subgroup explicit requires --gens-file")
-        with open(args.gens_file) as fh:
-            n, gens = read_generator_file(fh.read())
+        with open(args.gens_file) as fh:  # cycles, not tables: the degree cap comes first
+            n, cycles = read_generator_cycles(fh.read())
         # H <= S_n always, and H <= A_n exactly when every generator is even (A_1, A_2 too)
-        if ambient == "A" and not all(x.is_even() for x in gens):
+        if ambient == "A" and not all(map(_cycles_even, cycles)):
             raise UsageError("supplied generators do not lie in the ambient group")
         params, shown = {}, n
     else:
@@ -115,11 +118,11 @@ def _build_subgroup(args, ambient: str):
             check_family_params(family, params)
             base, exp = params.values()
             n = checked_power(ORACLE_MAX_DEGREE, base, exp)  # no work grows with exp
-            shown = f"{base}^{exp}" if n is None else n
+            shown = power_text(base, exp, n)
     if n is None or n > ORACLE_MAX_DEGREE:
         raise LimitExceeded(f"degree {shown} exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
     if family == "explicit":
-        h = PermutationGroup(gens, n)
+        h = PermutationGroup([Permutation._wrap(_cycles_tbl(c, n)) for c in cycles], n)
         h_order = h.order()
     else:
         h_order = family_order(family, params, n, ambient)
@@ -157,10 +160,11 @@ def cmd_chain(args) -> int:
         raise UsageError("odd p required")
     check_family_params(family, params)
     base, exp = params.values()
-    n = base**exp
-    if family == "agl" and n < 7:
-        raise UsageError(f"p^d = {n} < 7 is out of range")
+    if family == "agl" and exp == 1 and base < 7:  # p^d < 7: p is odd, so p^2 >= 9
+        raise UsageError(f"p^d = {base} < 7 is out of range")
     # build_chain refuses |H| over the cap too, but only after H is built
+    check_family_floor(family, params, args.limit_enum)
+    n = base**exp
     check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
     _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
@@ -240,8 +244,8 @@ def cmd_bounds(args) -> int:
             base, exp = _family_params(args, args.family, f"--family {args.family}").values()
             power = checked_power(n, base, exp)
             if power != n:
-                shown = f"{base}^{exp}" if power is None else power
-                raise UsageError(f"{names[0]}^{names[1]} = {shown} does not match --n {n}")
+                raise UsageError(f"{names[0]}^{names[1]} = {power_text(base, exp, power)} "
+                                 f"does not match --n {n}")
     from .bounds_cli import report
 
     text, ok = report(args)

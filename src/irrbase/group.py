@@ -31,6 +31,8 @@ from .perm import (
     DegreeMismatchError,
     Permutation,
     _compose_tbl,
+    _cycle_lists,
+    _cycles_tbl,
     _identity_tbl,
     _inverse_tbl,
     parse_cycles,
@@ -559,6 +561,15 @@ def read_generator_file(text: str) -> tuple:
 
     Returns (degree, [Permutation, ...]).  Blank lines are ignored.
     """
+    degree, gens = read_generator_cycles(text)
+    return degree, [Permutation._wrap(_cycles_tbl(c, degree)) for c in gens]
+
+
+def read_generator_cycles(text: str) -> tuple:
+    """:func:`read_generator_file` with each generator as its cycles, lists of 0-based points.
+
+    Every check is made, and no work grows with the degree line.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty generator file")
@@ -568,5 +579,4 @@ def read_generator_file(text: str) -> tuple:
         raise ValueError(f"first line must be the degree, got {lines[0]!r}") from None
     if degree < 1:
         raise ValueError(f"degree must be positive, got {degree}")
-    gens = [parse_cycles(ln, degree) for ln in lines[1:]]
-    return degree, gens
+    return degree, [_cycle_lists(ln, degree) for ln in lines[1:]]

@@ -138,7 +138,7 @@ class Permutation:
         return lcm(1, *(len(c) for c in self.cycles()))
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return _cycles_even(self.cycles())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self._tbl == other._tbl
@@ -160,9 +160,18 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     out of range, or stray text raises :class:`CycleParseError` naming the
     offending token.
     """
+    return Permutation._wrap(_cycles_tbl(_cycle_lists(text, degree), degree))
+
+
+def _cycle_lists(text: str, degree: int) -> list:
+    """The cycles of :func:`parse_cycles`'s text, checked as it checks them.
+
+    Each cycle is a list of 0-based points; fixed points are left out, and no
+    work grows with the degree.
+    """
     if degree < 0:
         raise ValueError("degree must be non-negative")
-    tbl = list(range(degree))
+    cycles = []
     used = set()
     s = text.strip()
     if not s:
@@ -194,12 +203,24 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             used.add(pt)
             points.append(pt - 1)
         if len(points) >= 2:
-            for a, b in zip(points, points[1:]):
-                tbl[a] = b
-            tbl[points[-1]] = points[0]
+            cycles.append(points)
     if not saw_cycle:
         raise CycleParseError(f"no cycles found in {text!r}")
-    return Permutation._wrap(tuple(tbl))
+    return cycles
+
+
+def _cycles_tbl(cycles: list, degree: int) -> tuple:
+    """The table of the permutation with these disjoint cycles of 0-based points."""
+    tbl = list(range(degree))
+    for points in cycles:
+        for a, b in zip(points, points[1:]):
+            tbl[a] = b
+        tbl[points[-1]] = points[0]
+    return tuple(tbl)
+
+
+def _cycles_even(cycles: list) -> bool:
+    return sum(len(c) - 1 for c in cycles) % 2 == 0
 
 
 def print_cycles(p: Permutation) -> str:

@@ -196,6 +196,9 @@ BOUNDS_USAGE_ERRORS = {
                           "p^d = 3^3000000 does not match --n 9"),
     "agl-wrong-power": (["--n", "9", "--family", "agl", "--p", "3", "--d", "3"],
                         "p^d = 27 does not match --n 9"),
+    # a base over n is not formed as a power; with exponent 1 it is the power
+    "agl-prime-over-n": (["--n", "9", "--family", "agl", "--p", "1009", "--d", "1"],
+                         "p^d = 1009 does not match --n 9"),
     "wreath-without-k": (["--n", "25", "--family", "wreath", "--m", "5"],
                          "--family wreath requires --m and --k"),
 }
@@ -563,6 +566,48 @@ def test_oracle_index_refusal_builds_no_ambient_group(monkeypatch, tmp_path, cap
     assert capsys.readouterr() == ("", err)
 
 
+# ambient, a generator file of degree 3,000,000 -> its stderr, in the order of the checks:
+# the file's text, then the parity of its cycles under A, then the degree cap
+EXPLICIT_BIG_DEGREE = {
+    "S-cap": ("S", "3000000\n(1 2)\n", "refused: degree 3000000 exceeds the oracle's cap 1000\n"),
+    "A-odd": ("A", "3000000\n(1 2)\n",
+              "usage error: supplied generators do not lie in the ambient group\n"),
+    "A-even-cap": ("A", "3000000\n(1 2 3)\n(4 5)(6 7)\n(9)\n",
+                   "refused: degree 3000000 exceeds the oracle's cap 1000\n"),
+    "A-bad-token": ("A", "3000000\n(1 2)\n(1 2 x)\n", "invalid parameters: bad point token 'x'\n"),
+    "S-out-of-range": ("S", "3000000\n(1 3000001)\n",
+                       "invalid parameters: point 3000001 out of range 1..3000000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPLICIT_BIG_DEGREE))
+def test_oracle_explicit_refusal_reads_only_the_text(monkeypatch, tmp_path, capsys, case):
+    """No table of length degree is made: the work before the refusal is bounded by the text."""
+    import tracemalloc
+    from irrbase import group
+
+    ambient, text, err = EXPLICIT_BIG_DEGREE[case]
+    gens = tmp_path / "gens.txt"
+    gens.write_text(text)
+
+    def tabled(*args):
+        raise AssertionError("a generator was tabled before the refusal")
+
+    for module in (cli, group):
+        monkeypatch.setattr(module, "_cycles_tbl", tabled)
+    _refuse_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        code = main(["oracle", "--ambient", ambient, "--subgroup", "explicit",
+                     "--gens-file", str(gens)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == ("", err)
+    assert peak < 1 << 20  # one table of 3,000,000 entries takes 24 MB
+
+
 # chain argv -> its stderr, decided from |H| = family_order before H is built, in the
 # precedence of usage, the family's parameters, p^d < 7 and the --limit-enum cap
 CHAIN_REFUSALS = {
@@ -605,6 +650,21 @@ BIG_REFUSALS = {
     "chain-affine-3-100": (["chain", "--family", "affine", "--p", "3", "--d", "100"],
                            "refused: subgroup order about 10^4818.7 exceeds enumeration limit "
                            "2000000\n"),
+    "oracle-agl-1009-1": (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "1009",
+                           "--d", "1"],
+                          "refused: degree 1009 exceeds the oracle's cap 1000\n"),
+}
+
+# chain argv -> its refusal from a lower bound on |H|, made before |H| or p^d is formed:
+# |AGL(d, p)| >= 2^(d^2 (bits(p) - 1)) and |S_m wr S_k| >= 2^(km - 1)
+FLOOR_REFUSALS = {
+    "affine-3-3000000": (["--family", "affine", "--p", "3", "--d", "3000000"], "2^9000000000000"),
+    # the first d whose bound passes 2^21 bits; d = 1448 still states |H| exactly
+    "affine-3-1449": (["--family", "affine", "--p", "3", "--d", "1449"], "2^2099601"),
+    "affine-1000003-3000": (["--family", "affine", "--p", "1000003", "--d", "3000"],
+                            "2^171000000"),
+    "wreath-5-3000000": (["--family", "wreath", "--m", "5", "--k", "3000000"], "2^14999999"),
+    "wreath-3000000-2": (["--family", "wreath", "--m", "3000000", "--k", "2"], "2^5999999"),
 }
 
 
@@ -614,6 +674,38 @@ def test_big_refusals_are_one_short_line(monkeypatch, capsys, case):
     _refuse_builds(monkeypatch)
     assert main(argv) == 2
     assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("case", sorted(FLOOR_REFUSALS))
+def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
+    argv, bound = FLOOR_REFUSALS[case]
+    _refuse_builds(monkeypatch)
+
+    def formed(*args):
+        raise AssertionError(f"a floor refusal formed the order of {args}")
+
+    monkeypatch.setattr(cli, "family_order", formed)
+    assert main(["chain", *argv]) == 2
+    assert capsys.readouterr() == (
+        "", f"refused: subgroup order at least {bound} exceeds enumeration limit 2000000\n")
+
+
+@pytest.mark.parametrize("family, params", [
+    *(("agl", {"p": p, "d": d}) for p in (3, 5, 7, 11, 31) for d in range(1, 9)),
+    *(("wreath", {"m": m, "k": k}) for m in range(5, 12) for k in range(2, 7)),
+])
+def test_chain_floor_is_a_lower_bound(monkeypatch, family, params):
+    """With every bound checked, 2^b never exceeds the family's order."""
+    from irrbase import certificate
+    from irrbase.group import LimitExceeded
+
+    base, exp = params.values()
+    order = certificate.family_order(family, params, base**exp, "S")
+    certificate.check_family_floor(family, params, 1)  # b is far below 2^21: nothing refused
+    monkeypatch.setattr(certificate, "_FLOOR_BITS", -1)
+    with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^\d+ ") as info:
+        certificate.check_family_floor(family, params, 1)
+    assert 2 ** int(str(info.value).split()[4][2:]) <= order
 
 
 def test_oracle_degree_cap_admits_its_bound(tmp_path, capsys):
@@ -833,12 +925,17 @@ PINNED_ORACLE = {
     "S10-natural": (
         ["--ambient", "S", "--subgroup", "natural", "--n", "10"],
         "9865c675cf61627eabb6953046c4b3f2bf4319392f70856b76b75261105558d4",
-        None,
+        "89a124c771b56dd5c14b405d4542cf5781206b79cd8d8859b63d265ffcc99030",
     ),
     "A10-natural": (
         ["--ambient", "A", "--subgroup", "natural", "--n", "10"],
         "943d596a978bd13477732614a057b0eff2b30c3d63f9c3f5535876fc1eb923aa",
-        None,
+        "b5b6358acfd07e3222872bbf5799b281827a69f596f5650053639807c96ed065",
+    ),
+    "S8-natural-no-prune": (
+        ["--ambient", "S", "--subgroup", "natural", "--n", "8", "--no-prune"],
+        "807246cea599540dda14277dcfd97841b4128f0cbea3d0387fd5e446778cdf60",
+        "61f5cf50aaf2b9d9b9ce2523533ba927516159dbd649d781abae31ab7018b010",
     ),
 }
 
@@ -850,12 +947,9 @@ def test_oracle_bytes_pinned(tmp_path, capsys, case):
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / a) if a in GENERATOR_FILES else a for a in argv]
     witness = tmp_path / "witness.json"
-    if witness_digest:
-        argv += ["--out", str(witness)]
-    assert main(["oracle", *argv]) == 0
+    assert main(["oracle", *argv, "--out", str(witness)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
-    if witness_digest:
-        assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
+    assert hashlib.sha256(witness.read_bytes()).hexdigest() == witness_digest
 
 
 def test_oracle_witness_replay_failure_exits_1(monkeypatch, capsys):

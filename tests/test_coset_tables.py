@@ -6,12 +6,15 @@ by level, one pass of length t per level: the slow reference.  It must be the
 table ``_coset_permutation`` computes from the element through the coset
 representatives, and T must be a homomorphism.  ``fixer_tables`` must give
 exactly the elements whose reference table fixes the point, in ascending
-order, and add the reference tables of those not already known.  An image
-read through the level tables, without a table of the element, must be the
-reference table's entry.
+order, and add the reference tables of those not already known, making no
+more tables of length t than the fixers and the upper and lower products of
+the best split of the levels.  An image read through the level tables,
+without a table of the element, must be the reference table's entry.
 """
 
 from functools import lru_cache
+from math import prod
+from operator import itemgetter
 
 import pytest
 
@@ -26,6 +29,7 @@ from irrbase.group import (
     symmetric_group,
     trivial_group,
 )
+from irrbase import oracle
 from irrbase.oracle import _column, _coset_permutation, _fixing, build_coset_action
 from irrbase.perm import _compose_tbl, _identity_tbl, parse_cycles
 
@@ -44,8 +48,17 @@ ACTIONS = {
         symmetric_group(11),
         _subgroup(11, "(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"),
     ),
+    "S7-natural": lambda: (symmetric_group(7), symmetric_group(7).point_stabilizer(7)),
+    "A7-natural": lambda: (alternating_group(7), alternating_group(7).point_stabilizer(7)),
+    # level sizes [2, 6], [6, 2], [7] and [2, 2, 3]: the split leaves one or no level below
+    "S2xC6-in-S8": lambda: (symmetric_group(8), _subgroup(8, "(1 2)", "(3 4 5 6 7 8)")),
+    "C6xS2-in-S8": lambda: (symmetric_group(8), _subgroup(8, "(1 2 3 4 5 6)", "(7 8)")),
+    "C7-in-S7": lambda: (symmetric_group(7), _subgroup(7, "(1 2 3 4 5 6 7)")),
+    "S2xS2xC3-in-S7": lambda: (symmetric_group(7), _subgroup(7, "(1 2)", "(3 4)", "(5 6 7)")),
 }
 SMALL = ["S3xS2-in-S5", "S7-agl-7-1", "S6-natural"]
+NATURAL = ["S7-natural", "A7-natural"]
+LOPSIDED = ["S2xC6-in-S8", "C6xS2-in-S8", "C7-in-S7", "S2xS2xC3-in-S7"]
 LARGE = ["S9-agl-3-2", "A9-agl-3-2", "S11-m11"]
 MAX_DRAWN_FIXERS = 100  # keeps the reference tables of a drawn point small
 
@@ -76,13 +89,38 @@ def table(tables, number):
     return q
 
 
+def split_cost(tables):
+    """min over m of U + D: the upper products u_{L-1} ⋯ u_m and the lower u_{m-1} ⋯ u_0."""
+    sizes = [len(level) for level in tables.levels]
+    return min(prod(sizes[m:]) + prod(sizes[:m]) for m in range(len(sizes) + 1))
+
+
 def check_fixer_tables(action, j, known):
-    """``fixer_tables(j, known)`` against the reference; returns the numbers and new tables."""
+    """``fixer_tables(j, known)`` against the reference; returns the numbers and new tables.
+
+    The tables of length t that the call makes are counted: at most one per
+    fixer and one per upper and lower product.
+    """
     tables = action._tables
     before = dict(known)
-    numbers = tables.fixer_tables(j, known)
-    assert numbers == sorted(set(numbers))
+    count = [0]
+
+    def counting(*items):  # itemgetter(*a) with a of length t composes tables of length t
+        get = itemgetter(*items)
+        if len(items) != action.degree:
+            return get
+
+        def tabled(b):
+            count[0] += 1
+            return get(b)
+        return tabled
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "itemgetter", counting)
+        numbers = tables.fixer_tables(j, known)
     made = {a: tbl for a, tbl in known.items() if a not in before}
+    assert len(made) <= count[0] <= len(numbers) + split_cost(tables)
+    assert numbers == sorted(set(numbers))
     assert set(known) == set(before) | set(numbers)
     assert all(known[a] is tbl for a, tbl in before.items())  # known fixers are not tabled again
     for a, tbl in made.items():
@@ -140,6 +178,42 @@ def test_fixer_tables_on_every_point(name):
         assert len(numbers) * action._tables.orbit_size[action._tables.orbit_min[j]] == h.order()
         for a in numbers:
             assert made[a] == _coset_permutation(action, element(h, a))
+
+
+@pytest.mark.parametrize("name", NATURAL + LOPSIDED)
+def test_fixer_tables_split_against_the_reference(name):
+    """The meet in the middle at every point of S7 and A7, and at every 41st of S8's 3360."""
+    action = action_of(name)
+    tables = action._tables
+    all_tables = [table(tables, a) for a in range(action.subgroup.order())]
+    step = 1 if name in NATURAL else 41  # t = 3360 on S8
+    for j in range(0, action.degree, step):
+        numbers, made = check_fixer_tables(action, j, {})
+        assert numbers == [a for a, tbl in enumerate(all_tables) if tbl[j] == j]
+
+
+@pytest.mark.parametrize("name", NATURAL)
+def test_fixer_tables_keep_known_tables(name):
+    """Fixers tabled for earlier points keep their table objects; only new ones are added."""
+    action = action_of(name)
+    known, overlaps = {}, 0
+    for j in reversed(range(action.degree)):  # point 0, fixed by all of H, comes last
+        before = set(known)
+        numbers, made = check_fixer_tables(action, j, known)
+        assert set(made) == set(numbers) - before
+        overlaps += len(before.intersection(numbers))
+    assert overlaps
+
+
+def test_fixer_tables_far_fewer_than_the_products():
+    """On M11's 5040 cosets a point in a largest orbit has fewer fixers than U + D."""
+    action = action_of("S11-m11")
+    tables = action._tables
+    sizes = tables.orbit_size
+    j = max(sizes, key=sizes.get)
+    numbers, made = check_fixer_tables(action, j, {})
+    assert len(numbers) * sizes[j] == action.subgroup.order()
+    assert 10 * len(numbers) < split_cost(tables)
 
 
 @st.composite
