@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from irrbase.affine import affine_chain
 from irrbase.group import (
     LimitExceeded,
     PermutationGroup,
+    _stabilizer,
     alternating_group,
     equals,
     from_generators,
@@ -14,7 +16,7 @@ from irrbase.group import (
     subgroup_of,
     symmetric_group,
 )
-from irrbase.perm import DegreeMismatchError, Permutation, compose, parse_cycles
+from irrbase.perm import DegreeMismatchError, Permutation, compose, parse_cycles, print_cycles
 
 from conftest import brute_closure
 
@@ -84,6 +86,42 @@ def test_point_stabilizer():
     c5 = from_generators([parse_cycles("(1 2 3 4 5)", 5)], 5)
     assert c5.point_stabilizer(1).order() == 1
     assert alternating_group(5).point_stabilizer(1).order() == 12
+
+
+def point_stabilizer_corpus(agl32, agl71, wreath52):
+    """(name, group) pairs: S_n and A_n for n <= 10, two AGL, S5 wr S2 and seeded random groups."""
+    groups = [(f"S{n}", symmetric_group(n)) for n in range(1, 11)]
+    groups += [(f"A{n}", alternating_group(n)) for n in range(1, 11)]
+    groups += [("AGL(2,3)", agl32.H), ("AGL(1,7)", agl71.H), ("S5wrS2", wreath52.M)]
+    rng = random.Random(41)
+    for r in range(30):
+        n = rng.randint(1, 14)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(1, n + 1))
+            rng.shuffle(images)
+            gens.append(Permutation(images))
+        groups.append((f"random{r}", from_generators(gens, n)))
+    return groups
+
+
+#: sha256 of every point stabilizer's generator cycle strings over the corpus above;
+#: the natural-family oracle witnesses are built from these generators
+POINT_STABILIZER_DIGEST = (
+    "6d97fb446cfac89dd9b3cf5fd7d10f43aea83c4365dd451a16d8028828e0a25e"
+)
+
+
+def test_point_stabilizer_generators_pinned(agl32, agl71, wreath52):
+    """point_stabilizer keeps its generators byte for byte; each is the orbit-stabilizer one."""
+    lines = []
+    for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
+        for i in range(1, g.degree + 1):
+            stab = g.point_stabilizer(i)
+            assert equals(stab, _stabilizer(g, i - 1, lambda a, s: s[a])), (name, i)
+            lines.append(f"{name} {i}: " + " ".join(print_cycles(x) for x in stab.generators))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == POINT_STABILIZER_DIGEST
 
 
 def test_orbit_stabilizer_random():
