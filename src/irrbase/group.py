@@ -1,12 +1,11 @@
 """Finite permutation groups via base-and-strong-generating-set stabilizer chains.
 
-The chain is built by a deterministic Schreier-Sims procedure against a fixed
-priority order of the points (natural order 1, 2, ..., n unless a custom
-order is prescribed).  Every strong generator is bucketed at the first point
-it moves in priority order, so the group stabilizing the first q points of
-the order is generated by the buckets beyond q.  With the natural order this
-yields ascending base points and makes minimal-coset-representative
-canonicalization a greedy walk down the chain.
+Every chain has one shape, built by a deterministic Schreier-Sims procedure:
+each strong generator is bucketed at the first point it moves, in the natural
+order 1, 2, ..., n.  So the base points ascend, the group fixing the points
+below a level's base point is generated by the buckets from that level on,
+and minimal-coset-representative canonicalization is a greedy walk down the
+chain.  Each level's orbit dict holds its points in breadth-first order.
 
 Orders are exact Python integers; nothing here overflows.  A stabilizer of
 a key under a group's action, such as a coset Hx or a set of points, comes
@@ -49,25 +48,19 @@ class LimitExceeded(RuntimeError):
 class _Level:
     """One stabilizer-chain level: a base point, its generator bucket, orbit and transversal."""
 
-    __slots__ = ("point", "gens", "orbit", "orbit_order", "inv")
+    __slots__ = ("point", "gens", "orbit", "inv")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens = []  # strong generators whose first moved point (in priority) is `point`
-        self.orbit = {}  # orbit point -> transversal table u with point^u = orbit point
-        self.orbit_order = []  # orbit points in BFS discovery order
+        self.gens = []  # strong generators whose first moved point is `point`
+        self.orbit = {}  # orbit point, in BFS order -> transversal table u with point^u = it
         self.inv = {}  # orbit point -> inverse transversal table
 
 
 class PermutationGroup:
     """Group generated by permutations of {1..n}, with order/membership/stabilizer queries."""
 
-    def __init__(
-        self,
-        generators: Sequence[Permutation],
-        degree: int,
-        _base_order: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, generators: Sequence[Permutation], degree: int):
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatchError(
@@ -76,47 +69,22 @@ class PermutationGroup:
         self.degree = degree
         self._ident = _identity_tbl(degree)
         self.generators = tuple(g for g in generators if not g.is_identity())
-        if _base_order is None:
-            self._pos = tuple(range(degree))  # natural priority: point index itself
-            self._natural_base = True
-        else:
-            order = list(_base_order) + [p for p in range(degree) if p not in set(_base_order)]
-            pos = [0] * degree
-            for rank, pt in enumerate(order):
-                pos[pt] = rank
-            self._pos = tuple(pos)
-            self._natural_base = list(order) == list(range(degree))
         self._levels: list[_Level] = []
-        self._order: Optional[int] = None
+        self._order = 1
         self._walk = None  # _min_coset_rep's per-level getters, made on first use
         for g in self.generators:
             self._add_generator(g._tbl)
-        self._order = 1
-        for lvl in self._levels:
-            self._order *= len(lvl.orbit)
 
     # -- construction ------------------------------------------------------
 
-    def _placement(self, tbl: tuple) -> int:
-        """First moved point in priority order."""
-        pos = self._pos
-        best = None
-        for i, v in enumerate(tbl):
-            if v != i and (best is None or pos[i] < pos[best]):
-                best = i
-        if best is None:
-            raise ValueError("identity has no placement")
-        return best
-
     def _place(self, tbl: tuple) -> int:
-        """Bucket a new strong generator; returns the index of its level."""
-        pt = self._placement(tbl)
-        rank = self._pos[pt]
+        """Bucket a new strong generator at its first moved point; returns its level's index."""
+        pt = next(i for i, v in enumerate(tbl) if v != i)
         for idx, lvl in enumerate(self._levels):
             if lvl.point == pt:
                 lvl.gens.append(tbl)
                 return idx
-            if self._pos[lvl.point] > rank:
+            if lvl.point > pt:
                 new = _Level(pt)
                 new.gens.append(tbl)
                 self._levels.insert(idx, new)
@@ -133,22 +101,16 @@ class PermutationGroup:
         lvl = self._levels[i]
         gens = self._gens_at(i)
         ident = self._ident
-        lvl.orbit = {lvl.point: ident}
-        lvl.orbit_order = [lvl.point]
+        lvl.orbit = orbit = {lvl.point: ident}
         lvl.inv = {lvl.point: ident}
         queue = [lvl.point]
-        qi = 0
-        while qi < len(queue):
-            a = queue[qi]
-            qi += 1
-            ua = lvl.orbit[a]
+        for a in queue:  # grows while it is walked: a breadth-first queue
+            ua = orbit[a]
             for s in gens:
                 b = s[a]
-                if b not in lvl.orbit:
-                    ub = _compose_tbl(ua, s)
-                    lvl.orbit[b] = ub
+                if b not in orbit:
+                    orbit[b] = ub = _compose_tbl(ua, s)
                     lvl.inv[b] = _inverse_tbl(ub)
-                    lvl.orbit_order.append(b)
                     queue.append(b)
 
     def _sift_tbl(self, tbl: tuple, start: int = 0) -> tuple:
@@ -168,8 +130,7 @@ class PermutationGroup:
         """Sift all Schreier generators of level i; place the first non-trivial residue."""
         lvl = self._levels[i]
         gens = self._gens_at(i)
-        for a in lvl.orbit_order:
-            ua = lvl.orbit[a]
+        for a, ua in lvl.orbit.items():
             for s in gens:
                 b = s[a]
                 h = _compose_tbl(_compose_tbl(ua, s), lvl.inv[b])
@@ -195,6 +156,7 @@ class PermutationGroup:
         if r == self._ident:
             return False
         self._complete(self._place(r))
+        self._order = math.prod(len(lvl.orbit) for lvl in self._levels)
         self._walk = None
         return True
 
@@ -319,19 +281,20 @@ class PermutationGroup:
         return sorted(p + 1 for p in seen)
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
-        """Subgroup fixing the 1-based point; order(G) = |orbit| * order(result)."""
+        """Subgroup fixing the 1-based point; order(G) = |orbit| * order(result).
+
+        A base change by relabelling: x takes the point to 1 and each point
+        below it up by one, and the strong generators of G^x fixing 1,
+        relabelled back, generate the stabilizer.  :func:`_stabilizer` would
+        give other generators, so other bytes in the natural-family oracle
+        witnesses, which are made from these.
+        """
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        pt = point - 1
-        rebased = PermutationGroup(self.generators, self.degree, _base_order=(pt,))
-        stab_gens = []
-        seen = set()
-        for lvl in rebased._levels:
-            for tbl in lvl.gens:
-                if tbl[pt] == pt and tbl not in seen:
-                    seen.add(tbl)
-                    stab_gens.append(Permutation._wrap(tbl))
-        return PermutationGroup(stab_gens, self.degree)
+        x = Permutation._wrap((*range(1, point), 0, *range(point, self.degree)))
+        fixing = dict.fromkeys(s for lvl in self.conjugate(x)._levels for s in lvl.gens if s[0] == 0)
+        back = x.inverse()
+        return PermutationGroup([Permutation._wrap(s).conjugate(back) for s in fixing], self.degree)
 
     def conjugate(self, x: Permutation) -> "PermutationGroup":
         """The group {g^x : g in G}; same order as G."""
@@ -420,17 +383,15 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
 
     stab = PermutationGroup([], k.degree)
     added = []
-    order = 1
     for g in schreier_generators():
         if stab._add_generator(g):
             added.append(Permutation._wrap(g))
-            order = math.prod(len(lvl.orbit) for lvl in stab._levels)
-            if order >= target:
+            if stab._order >= target:
                 break
-    if order != target:
-        raise RuntimeError(f"stabilizer has order {order}, expected |K| / |orbit| = {target}")
+    if stab._order != target:
+        raise RuntimeError(f"stabilizer has order {stab._order}, expected |K| / |orbit| = "
+                           f"{target}")
     stab.generators = tuple(added)
-    stab._order = order
     return stab
 
 
@@ -438,11 +399,9 @@ def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
     """Lexicographically smallest image table in the coset {h y : h in H}.
 
     Walks H's stabilizer chain: at each level the image of the base point is
-    made as small as possible.  Requires H to have been built with the
-    natural point order.
+    made as small as possible.  Greedy is exact because every chain's base
+    points ascend and each level's group fixes every point below its base point.
     """
-    if not h._natural_base:
-        raise ValueError("minimal coset representatives require a natural-order chain")
     walk = h._walk
     if walk is None:
         # per level: the base point, its orbit, a getter of the orbit's images

@@ -201,9 +201,9 @@ class _CosetTables:
                     if b not in tables:
                         tables[b] = _compose_tbl(ta, ts)
                         order.append(b)
-            if order != lvl.orbit_order:
+            if order != list(lvl.orbit):
                 raise RuntimeError(f"replayed orbit of level {i} differs from the chain's")
-            self.levels.append([tables[b] for b in order])
+            self.levels.append(list(tables.values()))
         self.levels = self.levels or [[ident]]  # a trivial H: one level, the identity
         # strides[k]: the place value of level k's choice in a number
         self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))

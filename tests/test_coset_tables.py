@@ -72,8 +72,8 @@ def element(h, number):
     """The degree-n table of the element of H with this number."""
     parts = []
     for lvl in h._levels:
-        number, i = divmod(number, len(lvl.orbit_order))
-        parts.append(lvl.orbit[lvl.orbit_order[i]])
+        number, i = divmod(number, len(lvl.orbit))
+        parts.append(list(lvl.orbit.values())[i])
     e = _identity_tbl(h.degree)
     for u in reversed(parts):  # u_{L-1} first, u_0 last
         e = _compose_tbl(e, u)
