@@ -2,7 +2,9 @@
 
 All logarithms are base 2.  Real comparisons carry a 1e-9 tolerance; log
 factorials are summed with compensated (Kahan) summation, whose error is far
-below the slack of any inequality checked here.
+below the slack of any inequality checked here.  The bounds are floats: a
+degree n too large for one is refused, and an order bound past the largest
+float is printed as ``about 10^x`` and compared in log2.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 from typing import Optional
 
 from .certificate import check_family_params, is_prime, prime_factors
+from .group import _about_text
 
 TOL = 1e-9
 
@@ -82,7 +85,7 @@ def mibs_upper_bound(n: int, large: bool) -> float:
     if n < 7:
         raise ValueError(f"bound requires n >= 7, got {n}")
     if large:
-        return 3.0 * math.sqrt(n) - 1.0
+        return 3.0 * math.sqrt(_float_degree(n)) - 1.0
     ln = math.log2(n)
     return ln * ln + ln + 1.0
 
@@ -162,14 +165,44 @@ def maximality_wreath(m: int, k: int, ambient: str) -> bool:
 class MarotiReport:
     """Order-bound verdicts for a primitive subgroup of S_n."""
 
-    def __init__(self, n: int, order_h: int, global_bound: float, global_ok: bool,
-                 small_bound: float, small_ok: bool):
+    def __init__(self, n: int, order_h: int, global_bound, global_ok: bool, small_bound,
+                 small_ok: bool):
         self.n = n
         self.order_h = order_h
-        self.global_bound = global_bound  # 50 * n^sqrt(n)
+        self.global_bound = global_bound  # 50 * n^sqrt(n), a float or its about-10^x text
         self.global_ok = global_ok
-        self.small_bound = small_bound  # n^(1 + floor(log n))
+        self.small_bound = small_bound  # n^(1 + floor(log n)), likewise
         self.small_ok = small_ok  # True when the generic small-order case applies
+
+
+def _float_degree(n: int) -> float:
+    """n as a float; a ValueError where it has none, from about 2^1024 on."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise ValueError(f"n = {_about_text(math.log10(n))} is too large for the float "
+                         f"bounds") from None
+
+
+def _order_bound(bound, log2_bound: float, order_h: int) -> tuple:
+    """(the bound, whether order_h is below it) for the float ``bound()`` = 2^log2_bound.
+
+    A bound past the largest float is its ``about 10^x`` text instead, and
+    order_h is compared with it in log2.  The float error of the logs is a
+    few parts in 10^16; a gap within a relative TOL is refused, so a verdict
+    given is exact.
+    """
+    try:
+        value = bound()
+    except OverflowError:
+        value = math.inf
+    if math.isfinite(value):
+        return value, order_h < value - TOL
+    text = _about_text(log2_bound * math.log10(2))
+    gap = log2_bound - math.log2(order_h)
+    if abs(gap) <= TOL * log2_bound:
+        raise ValueError(f"|H| is too close to the bound {text} to compare in floating point")
+    return text, gap > 0
 
 
 def maroti_check(n: int, order_h: int) -> MarotiReport:
@@ -178,15 +211,17 @@ def maroti_check(n: int, order_h: int) -> MarotiReport:
         raise ValueError(f"maroti_check requires n >= 5, got {n}")
     if order_h < 1:
         raise ValueError("order_h must be positive")
-    g_bound = 50.0 * n ** math.sqrt(n)
-    s_bound = float(n ** (1 + math.floor(math.log2(n))))
+    root, log_n = math.sqrt(_float_degree(n)), math.log2(n)
+    e = 1 + math.floor(log_n)
+    g_bound, g_ok = _order_bound(lambda: 50.0 * n ** root, math.log2(50) + root * log_n, order_h)
+    s_bound, s_ok = _order_bound(lambda: float(n ** e), e * log_n, order_h)
     return MarotiReport(
         n=n,
         order_h=order_h,
         global_bound=g_bound,
-        global_ok=order_h < g_bound - TOL,
+        global_ok=g_ok,
         small_bound=s_bound,
-        small_ok=order_h < s_bound - TOL,
+        small_ok=s_ok,
     )
 
 

@@ -35,7 +35,8 @@ import json
 from math import factorial, prod
 from typing import Callable, Optional
 
-from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, check_subgroup_limit
+from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _order_text,
+                    check_subgroup_limit)
 from .perm import Permutation, parse_cycles, print_cycles
 
 
@@ -59,14 +60,28 @@ def power_text(base: int, exp: int, power: Optional[int]) -> str:
     return str(base) if exp == 1 else f"{base}^{exp}"
 
 
+#: Miller-Rabin over the primes 2..41 decides primality exactly below this bound
+#: (Sorenson and Webster, Math. Comp. 2017)
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
+    """Whether n is prime, by deterministic Miller-Rabin; refused from PRIME_TEST_BOUND on."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"{_order_text(n)} is too large to test for primality: the test is "
+                         f"exact only below {PRIME_TEST_BOUND}")
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:  # below 43^2 with no prime factor up to 41: a prime, or n < 2
+        return n > 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        squares = [pow(a, d << i, n) for i in range(s)]  # a^(d 2^i) mod n, i < s
+        if squares[0] != 1 and n - 1 not in squares:
+            return False  # a witnesses that n is composite
     return True
 
 

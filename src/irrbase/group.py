@@ -292,9 +292,10 @@ class PermutationGroup:
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
         x = Permutation._wrap((*range(1, point), 0, *range(point, self.degree)))
-        fixing = dict.fromkeys(s for lvl in self.conjugate(x)._levels for s in lvl.gens if s[0] == 0)
+        gens = [s for lvl in self.conjugate(x)._levels for s in lvl.gens if s[0] == 0]
         back = x.inverse()
-        return PermutationGroup([Permutation._wrap(s).conjugate(back) for s in fixing], self.degree)
+        return PermutationGroup(
+            [Permutation._wrap(s).conjugate(back) for s in dict.fromkeys(gens)], self.degree)
 
     def conjugate(self, x: Permutation) -> "PermutationGroup":
         """The group {g^x : g in G}; same order as G."""
@@ -464,7 +465,12 @@ def alternating_group(n: int) -> PermutationGroup:
 
 def _order_text(order: int) -> str:
     """An order in full within CPython's default int-to-str limit, 4300 digits, else as 10^x."""
-    return str(order) if order < 10**4300 else f"about 10^{math.log10(order):.1f}"
+    return str(order) if order < 10**4300 else _about_text(math.log10(order))
+
+
+def _about_text(log10: float) -> str:
+    """A number too large to print or to hold in a float, from its log10."""
+    return f"about 10^{log10:.1f}"
 
 
 def check_subgroup_limit(order: int, limit: int) -> None:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from irrbase.affine import (
     subspace_scaling_conjugator,
     vector_to_point,
 )
+from irrbase.certificate import PRIME_TEST_BOUND, check_family_params, is_prime
 from irrbase.group import equals, from_generators, intersect
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
 
@@ -346,3 +348,35 @@ def test_maximality_consistent_with_contexts():
 
     for p, d in [(7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2), (3, 3)]:
         assert maximality_affine(p, d, "S")
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_against_trial_division():
+    """Miller-Rabin over the primes 2..41 against trial division, the slow reference."""
+    for n in range(-3, 20_000):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+    rng = random.Random(7)
+    for n in (rng.randrange(10**9, 10**12) for _ in range(200)):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+@pytest.mark.parametrize("n", [
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+    3825123056546413051, 318665857834031151167461, PRIME_TEST_BOUND - 2,
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    """Composite: the least strong pseudoprimes to the first k prime bases, k <= 12, and one more."""
+    assert not is_prime(n)
+
+
+def test_is_prime_refuses_from_its_bound():
+    """PRIME_TEST_BOUND is the least strong pseudoprime to all 13 bases: refused, never guessed."""
+    assert is_prime(10**20 + 39) and not is_prime(10**20 + 41)
+    for n in (PRIME_TEST_BOUND, PRIME_TEST_BOUND + 2, 10**5000 + 1):
+        with pytest.raises(ValueError, match="too large to test for primality"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="too large to test for primality"):
+        check_family_params("agl", {"p": PRIME_TEST_BOUND, "d": 1})

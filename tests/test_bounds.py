@@ -148,6 +148,22 @@ def test_maroti_examples():
     assert r49.global_ok
 
 
+def test_maroti_log2_verdicts_match_the_floats():
+    """Where the bounds are finite floats, the log2 comparison used past them agrees."""
+    from irrbase.bounds import _order_bound
+
+    for n in range(7, 6400, 37):
+        root, log_n = math.sqrt(n), math.log2(n)
+        e = 1 + math.floor(log_n)
+        for value, log2_bound in ((50.0 * n**root, math.log2(50) + root * log_n),
+                                  (float(n**e), e * log_n)):
+            for order_h in (1, int(value / 3), int(value * 0.999), int(value * 1.001) + 1,
+                            3 * int(value)):
+                overflowed = _order_bound(lambda: math.inf, log2_bound, order_h)
+                assert overflowed[1] == _order_bound(lambda: value, log2_bound, order_h)[1]
+                assert overflowed[0] == f"about 10^{math.log10(value):.1f}"
+
+
 def test_log2_factorial():
     for n in (5, 10, 52, 101):
         assert abs(log2_factorial(n) - math.lgamma(n + 1) / math.log(2)) < 1e-6

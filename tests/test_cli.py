@@ -263,6 +263,48 @@ def test_file_error_exits_2(argv):
     assert r.stderr.count("\n") == 1
 
 
+# bounds argv -> the maroti bounds past the largest float, as about 10^x, and their verdicts
+BOUNDS_PAST_FLOAT = {
+    "agl-83-2": (["--n", "6889", "--family", "agl", "--p", "83", "--d", "2"],
+                 {"global_bound": "about 10^320.3", "global_ok": True,
+                  "small_bound": 7.871008869386206e+49, "small_ok": True}),
+    "n-100000": (["--n", "100000", "--order-h", "5"],
+                 {"global_bound": "about 10^1582.8", "global_ok": True,
+                  "small_bound": 1e+85, "small_ok": True}),
+    "n-10^21": (["--n", str(10**21), "--order-h", str(10**1500)],
+                {"global_bound": "about 10^664078308637.1", "global_ok": True,
+                 "small_bound": "about 10^1470.0", "small_ok": False}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_PAST_FLOAT))
+def test_bounds_past_the_largest_float(capsys, case):
+    """A bound that overflows a float is printed as about 10^x and decided in log2."""
+    argv, maroti = BOUNDS_PAST_FLOAT[case]
+    assert main(["bounds", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["maroti"] == maroti
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--n", str(3**700)], "invalid parameters: n = about 10^334.0 is too large for the float "
+                           "bounds\n"),
+    (["--n", "6889", "--order-h", str(50 * 6889**83)],
+     "invalid parameters: |H| is too close to the bound about 10^320.3 to compare in floating "
+     "point\n"),
+])
+def test_bounds_refusals_past_the_largest_float(capsys, argv, err):
+    assert main(["bounds", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_big_prime_p_refused_in_a_fresh_process():
+    """The oracle and chain on a 21-digit prime p exit 2 well inside a 10 s timeout."""
+    for argv in (["oracle", "--ambient", "S", "--subgroup", "agl"], ["chain", "--family", "affine"]):
+        r = subprocess.run([*CLI, *argv, "--p", "100000000000000000039", "--d", "1"],
+                           capture_output=True, text=True, timeout=10)
+        assert r.returncode == 2 and r.stderr.startswith("refused: "), r.stderr
+
+
 def test_bounds_has_no_limit_enum_flag():
     r = run("bounds", "--n", "9", "--limit-enum", "5")
     assert r.returncode == 2
@@ -653,6 +695,21 @@ BIG_REFUSALS = {
     "oracle-agl-1009-1": (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "1009",
                            "--d", "1"],
                           "refused: degree 1009 exceeds the oracle's cap 1000\n"),
+    # a 21-digit prime p, whose primality once took 10^10 trial divisions
+    "oracle-agl-big-prime": (["oracle", "--ambient", "S", "--subgroup", "agl",
+                              "--p", "100000000000000000039", "--d", "1"],
+                             "refused: degree 100000000000000000039 exceeds the oracle's cap "
+                             "1000\n"),
+    "chain-affine-big-prime": (["chain", "--family", "affine", "--p", "100000000000000000039",
+                                "--d", "1"],
+                               "refused: subgroup order 10000000000000000007700000000000000001482 "
+                               "exceeds enumeration limit 2000000\n"),
+    # the least p that Miller-Rabin over the primes 2..41 cannot decide
+    "chain-affine-untestable-p": (["chain", "--family", "affine",
+                                   "--p", "3317044064679887385961981", "--d", "1"],
+                                  "invalid parameters: 3317044064679887385961981 is too large to "
+                                  "test for primality: the test is exact only below "
+                                  "3317044064679887385961981\n"),
 }
 
 # chain argv -> its refusal from a lower bound on |H|, made before |H| or p^d is formed:
