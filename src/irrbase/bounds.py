@@ -13,7 +13,7 @@ import math
 from typing import Optional
 
 from .certificate import check_family_params, is_prime, prime_factors
-from .group import _about_text
+from .group import LimitExceeded, _about_text
 
 TOL = 1e-9
 
@@ -237,6 +237,11 @@ def log2_factorial(n: int) -> float:
     return total
 
 
+#: the largest degree index_growth_check takes: log2(n!) is a sum of n terms
+#: (0.16 s at the cap), and a closed form would change the printed floats
+INDEX_GROWTH_MAX_N = 10**6
+
+
 class IndexGrowthReport:
     """Relations between the degree n and the index t = |S_n : H|, all logs base 2."""
 
@@ -262,6 +267,8 @@ def index_growth_check(n: int, order_h: int, require_proof_range: bool = True) -
     """
     if n < 7:
         raise ValueError(f"index_growth_check requires n >= 7, got {n}")
+    if n > INDEX_GROWTH_MAX_N:
+        raise LimitExceeded(f"n = {n} exceeds the index-growth check's cap {INDEX_GROWTH_MAX_N}")
     if order_h < 1:
         raise ValueError("order_h must be positive")
     proof_range = n > 100

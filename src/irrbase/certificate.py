@@ -32,7 +32,7 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
-from math import factorial, prod
+from math import factorial, gcd, prod
 from typing import Callable, Optional
 
 from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _order_text,
@@ -85,18 +85,73 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_TRIAL_DIVISORS = 1000  # below this every factor is found by trial division
+
+
 def prime_factors(n: int) -> list:
-    """Prime factors with multiplicity, ascending."""
+    """Prime factors with multiplicity, ascending.
+
+    Trial division by 2, 3, ... stops once the cofactor left is 1 or prime;
+    below PRIME_TEST_BOUND, where :func:`is_prime` is exact, a cofactor with no
+    factor under _TRIAL_DIVISORS is split by Pollard-Brent rho instead, so the
+    result stays exact and no number of divisions grows with the factors.
+    """
     out = []
     f = 2
     while f * f <= n:
-        while n % f == 0:
+        if n % f:
+            f += 1
+            if f == _TRIAL_DIVISORS and n < PRIME_TEST_BOUND:
+                return out + _rho_factors(n)
+        else:
             out.append(f)
             n //= f
-        f += 1
+            if n < PRIME_TEST_BOUND and is_prime(n):
+                break
     if n > 1:
         out.append(n)
     return out
+
+
+def _rho_factors(n: int) -> list:
+    """The prime factors of 1 < n < PRIME_TEST_BOUND, ascending, none under _TRIAL_DIVISORS."""
+    if is_prime(n):
+        return [n]
+    d = _rho_divisor(n)
+    return sorted(_rho_factors(d) + _rho_factors(n // d))
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Pollard's rho with Brent's cycle search.
+
+    The walk x -> x² + c mod n, from x = 2, is tried for c = 1, 2, ... until
+    one splits n; gcds are taken over batches of 128 steps, and a batch whose
+    product collapses to n is replayed one step at a time.
+    """
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def check_family_params(family: str, params: dict) -> None:

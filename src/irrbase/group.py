@@ -34,7 +34,6 @@ from .perm import (
     _cycles_tbl,
     _identity_tbl,
     _inverse_tbl,
-    parse_cycles,
 )
 
 #: default cap on enumeration-based operations (elements of the smaller group)
@@ -437,27 +436,29 @@ def trivial_group(degree: int) -> PermutationGroup:
     return PermutationGroup([], degree)
 
 
+def _standard_generators(n: int, alternating: bool) -> list:
+    """The generator tables of :func:`symmetric_group` or :func:`alternating_group`, in order.
+
+    S_n: (1 2), then (1 2 ... n) from n = 3.  A_n from n = 3: (1 2 3), then
+    from n = 4 the cycle (1 2 ... n) for odd n and (2 3 ... n) for even n.
+    """
+    first, pair_from = ([0, 1, 2], 4) if alternating else ([0, 1], 3)
+    cycles = [first] if n >= len(first) else []
+    if n >= pair_from:
+        cycles.append(list(range(1 if alternating and n % 2 == 0 else 0, n)))
+    return [_cycles_tbl([c], n) for c in cycles]
+
+
 def symmetric_group(n: int) -> PermutationGroup:
     if n < 1:
         raise ValueError("degree must be at least 1")
-    gens = []
-    if n >= 2:
-        gens.append(parse_cycles("(1 2)", n))
-    if n >= 3:
-        gens.append(parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n))
-    return PermutationGroup(gens, n)
+    return PermutationGroup([Permutation._wrap(x) for x in _standard_generators(n, False)], n)
 
 
 def alternating_group(n: int) -> PermutationGroup:
     if n < 3:
         return trivial_group(max(n, 1))
-    gens = [parse_cycles("(1 2 3)", n)]
-    if n > 3:
-        if n % 2 == 1:
-            gens.append(parse_cycles("(" + " ".join(str(i) for i in range(1, n + 1)) + ")", n))
-        else:
-            gens.append(parse_cycles("(" + " ".join(str(i) for i in range(2, n + 1)) + ")", n))
-    g = PermutationGroup(gens, n)
+    g = PermutationGroup([Permutation._wrap(x) for x in _standard_generators(n, True)], n)
     if g.order() * 2 != math.factorial(n):
         raise RuntimeError(f"alternating group of degree {n} has order {g.order()}")
     return g

@@ -7,12 +7,19 @@ point order).  H acts on the t coset points through a homomorphism T, so the
 tables T(u) of the transversal elements u of H's stabilizer chain carry all
 of H's action: they are made once per action, from the strong generators'
 tables alone (:class:`_CosetTables`), which also give H's orbits on the
-cosets.  An element of H is u_{L-1} ⋯ u_0, one transversal element per
-chain level, so its image of a coset point is read through L of those tables
-without a table of its own, and the elements of H fixing a point j are found
-by pushing j through them.  Faithfulness is read off the fixers of one
-point, and no degree-t stabilizer chain and no list of all of H on the
-cosets is made.
+cosets.  The breadth-first search that numbers the cosets finds the table
+of each generator of G on the way.  Where G is S_n or A_n given by its
+standard pair, a strong generator's table is the product of those along a
+word in G's generators (:func:`_word_tables`), so no coset is canonicalized
+after the search: M11's 5040 cosets in S11 take 10,081 canonicalizations,
+one for H and one per coset and generator of G.  Any other G has the strong
+generators mapped through the cosets (:func:`_coset_permutation`).  An
+element of H is u_{L-1} ⋯ u_0, one transversal element per chain level, so
+its image of a coset point is read through L of those tables without a
+table of its own, and the elements of H fixing a point j are found by
+pushing j through them.  Faithfulness is read off the fixers of one point,
+and no degree-t stabilizer chain and no list of all of H on the cosets is
+made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized depth-first search over subgroup element sets, with candidate points
@@ -42,13 +49,14 @@ coset points.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import accumulate, compress
 from operator import getitem, itemgetter, mul
 from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
 from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep,
-                    check_coset_orders)
+                    _standard_generators, check_coset_orders)
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
@@ -109,15 +117,17 @@ def build_coset_action(
     first = _min_coset_rep(h, ident)
     reps = [first]
     index = {first: 0}
+    images = [[] for _ in gen_tbls]  # images[i][p]: the point that generator i takes p to
     qi = 0
     while qi < len(reps):
         base = reps[qi]
         qi += 1
-        for s in gen_tbls:
+        for s, row in zip(gen_tbls, images):
             key = _min_coset_rep(h, _compose_tbl(base, s))
-            if key not in index:
-                index[key] = len(reps)
+            p = index.setdefault(key, len(reps))
+            if p == len(reps):
                 reps.append(key)
+            row.append(p)
     if len(reps) != t:
         raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {t}")
 
@@ -128,7 +138,17 @@ def build_coset_action(
         transversal=[Permutation._wrap(r) for r in reps],
         _index=index,
     )
-    tables = action._tables = _CosetTables(action)
+    strong = list(dict.fromkeys(s for lvl in h._levels for s in lvl.gens))
+    alternating = next((alt for alt in (False, True)
+                        if len(gen_tbls) == 2 and gen_tbls == _standard_generators(g.degree, alt)),
+                       None)
+    if alternating is None:  # G given otherwise: each strong generator mapped through the cosets
+        coset_tables = {s: _coset_permutation(action, s) for s in strong}
+    else:
+        coset_tables = _word_tables(gen_tbls, [tuple(row) for row in images], alternating, strong)
+    del images  # at t = 362,880 each of these tables is 2.8 MiB: none is held past its use
+    tables = action._tables = _CosetTables(action, coset_tables)
+    del coset_tables
 
     # faithfulness: the kernel is the core of H and lies in every point
     # stabilizer, so it lies in the fixers of one point, taken in a largest
@@ -167,6 +187,48 @@ def _coset_permutation(action: CosetAction, h_tbl: tuple) -> tuple:
     return tuple(out)
 
 
+def _word_tables(gens: list, images: list, alternating: bool, elements: list) -> dict:
+    """The coset tables T(h) of elements h of G = S_n or A_n, as products along words.
+
+    ``gens`` is G's standard pair a, b (:func:`irrbase.group._standard_generators`)
+    and ``images`` holds T(a) and T(b).  T is a homomorphism under the right
+    action, T(xy) = T(x)·T(y), so a word for h in G's generators gives T(h)
+    with one pass of length t per letter and no coset canonicalized.  The
+    letters are the conjugates c_k = a^(b^k) = b^-k a b^k, each tabled from
+    c_(k-1) with two passes: the transpositions (k+1 k+2) for S_n, the 3-cycles
+    (k+1 k+2 k+3) for A_n with odd n, and (1 k+2 k+3) for A_n with even n,
+    where b fixes 1.  A word is found by sorting the table of h⁻¹: letters
+    applied on the left move each value p to place p, from p = n-1 down (a
+    bubble sort for S_n), and h is the product of the letters applied, the
+    last first; a 3-cycle applied backwards is c_k² (Seress, *Permutation
+    Group Algorithms*, 2003, on straight-line programs).  Places are 0-based.
+    """
+    a, b = gens
+    n = len(a)
+    b_inv, tb_inv = _inverse_tbl(b), _inverse_tbl(images[1])
+    letters = [(a, images[0])]  # c_k on the n points and on the t cosets
+    for _ in range(n - 3 if alternating else n - 2):
+        c, tc = letters[-1]
+        letters.append((_compose_tbl(_compose_tbl(b_inv, c), b),
+                        _compose_tbl(_compose_tbl(tb_inv, tc), images[1])))
+    out = {}
+    for h in elements:
+        pts, word = list(_inverse_tbl(h)), []
+        for p in range(n - 1, 1 if alternating else 0, -1):
+            while (q := pts.index(p)) != p:
+                if not alternating:  # c_q swaps places q and q+1
+                    k, back = q, False
+                elif n % 2:  # c_q moves place q to q+2, c_(p-2)⁻¹ place p-1 to p
+                    k, back = (q, False) if q < p - 1 else (p - 2, True)
+                else:  # c_(q-1) moves place q to 0, c_(p-2) 0 to p, c_(p-2)⁻¹ p-1 to p
+                    k, back = (q - 1, False) if 0 < q < p - 1 else (p - 2, q > 0)
+                c, tc = letters[k]
+                pts = [pts[i] for i in (_compose_tbl(c, c) if back else c)]
+                word += [tc, tc] if back else [tc]
+        out[h] = reduce(_compose_tbl, reversed(word)) if word else _identity_tbl(len(images[0]))
+    return out
+
+
 class _CosetTables:
     """The coset tables of the transversals of H's stabilizer chain.
 
@@ -182,12 +244,11 @@ class _CosetTables:
     own where that is cheaper.
     """
 
-    def __init__(self, action: CosetAction):
-        # T is a homomorphism, so only the strong generators are mapped through
-        # the cosets; each level's breadth-first search of
-        # PermutationGroup._rebuild_level is then replayed on their tables
+    def __init__(self, action: CosetAction, coset_table: dict):
+        # T is a homomorphism, so only the strong generators' tables are given
+        # (coset_table, from build_coset_action); each level's breadth-first
+        # search of PermutationGroup._rebuild_level is replayed on them
         h = action.subgroup
-        coset_table = {s: _coset_permutation(action, s) for lvl in h._levels for s in lvl.gens}
         self.identity = ident = _identity_tbl(action.degree)  # T(1): the points 0..t-1
         self.levels = []
         for i, lvl in enumerate(h._levels):

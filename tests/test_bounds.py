@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from irrbase.bounds import (
     CONSTANTS,
+    INDEX_GROWTH_MAX_N,
     MATHIEU_LENGTHS,
     affine_mibs_bounds,
     binary_weight,
@@ -20,6 +22,8 @@ from irrbase.bounds import (
     relational_complexity_upper,
     wreath_mibs_bounds,
 )
+from irrbase.certificate import is_prime, prime_factors
+from irrbase.group import LimitExceeded
 
 
 def test_omega():
@@ -28,6 +32,40 @@ def test_omega():
     assert omega(1) == 0
     with pytest.raises(ValueError):
         omega(0)
+
+
+def trial_division(n):
+    """Prime factors with multiplicity, ascending, by trial division alone: the reference."""
+    out, f = [], 2
+    while f * f <= n:
+        while n % f == 0:
+            out.append(f)
+            n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
+def test_prime_factors_against_trial_division():
+    rng = random.Random(2026)
+    draws = [rng.randrange(1, 10**8) for _ in range(500)]
+    # composites with no factor below 1000, which trial division leaves to Pollard-Brent rho
+    primes = [q for q in range(1001, 10_000) if trial_division(q) == [q]]
+    draws += [rng.choice(primes) * rng.choice(primes) for _ in range(200)]
+    draws += [m * rng.choice(primes) * rng.choice(primes) for m in (2, 12, 997, 998)]
+    for n in draws:
+        assert prime_factors(n) == trial_division(n), n
+
+
+@pytest.mark.parametrize("n", [
+    100000000000000000762,  # 2q for the safe prime 2q + 1
+    (10**6 + 3) ** 2 * 999983 * 17,
+    3_317_044_064_679_887_385_961_979,  # PRIME_TEST_BOUND - 2: two factors past 10^9
+    1009**7,
+])
+def test_prime_factors_past_trial_division(n):
+    factors = prime_factors(n)
+    assert math.prod(factors) == n and factors == sorted(factors)
+    assert all(is_prime(q) for q in factors)
 
 
 def test_binary_weight():
@@ -178,6 +216,14 @@ def test_index_growth_instances():
         # re-derive the milestone with explicit 1e-6 margins
         ln = math.log2(n)
         assert 0.672 * n * ln < r.log_t - 1e-6 < r.log_t < n * ln - 1e-6
+
+
+def test_index_growth_degree_cap():
+    """log2(n!) is summed term by term, so a degree past the cap is refused before any sum."""
+    assert index_growth_check(INDEX_GROWTH_MAX_N, 5).mode == "proof"
+    with pytest.raises(LimitExceeded, match=r"^n = 1000001 exceeds the index-growth check's "
+                                            r"cap 1000000$"):
+        index_growth_check(INDEX_GROWTH_MAX_N + 1, 5)
 
 
 def test_index_growth_range_guard():

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -303,6 +304,25 @@ def test_big_prime_p_refused_in_a_fresh_process():
         r = subprocess.run([*CLI, *argv, "--p", "100000000000000000039", "--d", "1"],
                            capture_output=True, text=True, timeout=10)
         assert r.returncode == 2 and r.stderr.startswith("refused: "), r.stderr
+
+
+# each ran past a 5 s timeout: omega trial-divided p - 1 = 2q for a 20-digit prime q,
+# and --lemma52 summed 10^9 logarithms; argv -> exit code and the start of stderr
+BOUNDS_ONCE_HUNG = {
+    "safe-prime-p": (["--n", "100000000000000000763", "--family", "agl",
+                      "--p", "100000000000000000763", "--d", "1"], 0, ""),
+    "lemma52-huge-n": (["--lemma52", "--n", "1000000000", "--order-h", "5"], 2,
+                       "refused: n = 1000000000 exceeds the index-growth check's cap 1000000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_ONCE_HUNG))
+def test_bounds_once_hung_exit_within_a_second(capsys, case):
+    argv, code, err = BOUNDS_ONCE_HUNG[case]
+    start = time.perf_counter()
+    assert main(["bounds", *argv]) == code
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == err
 
 
 def test_bounds_has_no_limit_enum_flag():

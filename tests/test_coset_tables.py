@@ -10,6 +10,12 @@ order, and add the reference tables of those not already known, making no
 more tables of length t than the fixers and the upper and lower products of
 the best split of the levels.  An image read through the level tables,
 without a table of the element, must be the reference table's entry.
+
+For G = S_n or A_n given by its standard pair, ``build_coset_action`` makes
+the strong generators' tables along words in G's generators
+(``_word_tables``) instead of through the coset representatives: each must
+be ``_coset_permutation``'s table, and the action canonicalizes only the
+cosets its breadth-first search meets, 1 + t·|G's generators| of them.
 """
 
 from functools import lru_cache
@@ -23,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from irrbase.affine import build_agl
 from irrbase.group import (
+    _standard_generators,
     alternating_group,
     from_generators,
     intersect,
@@ -30,8 +37,17 @@ from irrbase.group import (
     trivial_group,
 )
 from irrbase import oracle
-from irrbase.oracle import _column, _coset_permutation, _fixing, build_coset_action
-from irrbase.perm import _compose_tbl, _identity_tbl, parse_cycles
+from irrbase.oracle import (
+    _column,
+    _coset_permutation,
+    _fixing,
+    _word_tables,
+    build_coset_action,
+    mibs,
+)
+from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles
+
+from test_oracle_reference import INSTANCES, action_of as instance_of
 
 
 def _subgroup(n, *cycles):
@@ -274,3 +290,88 @@ def test_level_reads_are_the_reference_tables(name):
             if numbers is sets[0]:  # a child of H keeps the reads of its elements
                 for q in range(action.degree):
                     assert _column(child_lists, q) == [reference[a][q] for a in child]
+
+
+def word_tables(action, elements):
+    """``_word_tables`` of elements of G, from T(a) and T(b) made by ``_coset_permutation``."""
+    g = action.group
+    gens = [x._tbl for x in g.generators]
+    alternating = gens == _standard_generators(g.degree, True)
+    assert gens == _standard_generators(g.degree, alternating)
+    images = [_coset_permutation(action, x) for x in gens]
+    return _word_tables(gens, images, alternating, elements)
+
+
+def check_strong_tables(action):
+    """Every strong generator's word table is its coset table, and the action's levels agree."""
+    h = action.subgroup
+    strong = [s for lvl in h._levels for s in lvl.gens]
+    reference = {s: _coset_permutation(action, s) for s in strong}
+    if len(action.group.generators) == 2:
+        assert word_tables(action, strong) == reference
+    rebuilt = oracle._CosetTables(action, reference)
+    assert action._tables.levels == rebuilt.levels
+    assert action._tables.orbit_min == rebuilt.orbit_min
+
+
+@pytest.mark.parametrize("name", sorted(set(ACTIONS) | set(INSTANCES)))
+def test_word_tables_of_strong_generators(name):
+    check_strong_tables(action_of(name) if name in ACTIONS else instance_of(name))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+@pytest.mark.parametrize("ambient", "SA")
+def test_word_tables_natural(ambient, n):
+    """Natural S_n and A_n: the letters (k+1 k+2), (k+1 k+2 k+3) and (1 k+2 k+3)."""
+    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    check_strong_tables(build_coset_action(g, g.point_stabilizer(n)))
+
+
+@st.composite
+def group_elements(draw):
+    """An element of natural S_n or A_n, 3 <= n <= 9, with G's action on n points."""
+    ambient = draw(st.sampled_from("SA"))
+    n = draw(st.integers(3 if ambient == "S" else 4, 9))
+    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    x = Permutation(draw(st.permutations(range(1, n + 1))))
+    if ambient == "A" and not x.is_even():
+        x = x * parse_cycles("(1 2)", n)
+    return build_coset_action(g, g.point_stabilizer(n)), x._tbl
+
+
+@settings(max_examples=60)
+@given(group_elements())
+def test_word_tables_of_any_element(drawn):
+    action, x = drawn
+    assert word_tables(action, [x]) == {x: _coset_permutation(action, x)}
+
+
+@pytest.mark.parametrize("name, calls", [("S11-m11", 10_081), ("S9-agl-3-2", 1_681),
+                                         ("A9-agl-3-2", 1_681)])
+def test_coset_action_canonicalizations(monkeypatch, name, calls):
+    """One canonicalization for the coset H and one per coset and G-generator: no more."""
+    count = [0]
+    canonical = oracle._min_coset_rep
+
+    def counted(*args):
+        count[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(oracle, "_min_coset_rep", counted)
+    action = build_coset_action(*ACTIONS[name]())
+    assert count[0] == calls == 1 + action.degree * len(action.group.generators)
+
+
+@pytest.mark.parametrize("name", ["S7-agl-7-1", "S9-agl-3-2"])
+def test_other_generators_map_through_the_cosets(monkeypatch, name):
+    """S_n given as [(1 ... n), (1 2)], the pair swapped, takes _coset_permutation: same mibs."""
+    g, h = ACTIONS[name]()
+    swapped = from_generators(list(reversed(g.generators)), g.degree)
+    mapped = []
+    permutation = oracle._coset_permutation
+    monkeypatch.setattr(oracle, "_coset_permutation",
+                        lambda action, x: mapped.append(x) or permutation(action, x))
+    value = mibs(build_coset_action(g, h))[0]
+    assert mapped == []
+    assert mibs(build_coset_action(swapped, h))[0] == value
+    assert mapped == [s for lvl in h._levels for s in lvl.gens]

@@ -5,7 +5,8 @@ unpruned, must give the value, the witness bytes and the memo, entry by
 entry in insertion order, of ``reference_mibs`` (the full scan of every
 coset point at every node, over all of H).  For at most 8 cosets the value
 must also be the longest strictly descending chain of pointwise stabilizers
-of G itself, found over every point sequence.
+of G itself, found over every point sequence.  The strong generators' coset
+tables, made along words in G's generators, must be ``_coset_permutation``'s.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from irrbase.group import alternating_group, from_generators, symmetric_group
 from irrbase.oracle import _coset_permutation, build_coset_action, mibs
 from irrbase.perm import Permutation, compose, parse_cycles
 
+from test_coset_tables import check_strong_tables
 from test_oracle_reference import reference_mibs
 
 
@@ -47,6 +49,14 @@ def core_free_actions(draw):
         return ambient, build_coset_action(g, h)
     except ValueError:  # not core-free
         reject()
+
+
+@settings(max_examples=60)
+@given(core_free_actions())
+def test_word_tables_match_the_coset_permutation(drawn):
+    """The action's strong-generator tables, made along words, are the cosets' own."""
+    _, action = drawn
+    check_strong_tables(action)
 
 
 def brute_mibs(action):

@@ -269,6 +269,19 @@ def test_core_alike_in_both_reads(monkeypatch, name, tabled):
         build_coset_action(g, h)
 
 
+@pytest.mark.parametrize("name", ["D8-in-S4", "A4-in-S4", "klein-in-S4"])
+def test_core_refused_through_words(monkeypatch, name):
+    """S4 is given by its standard pair: its strong-generator tables come from words alone."""
+    def mapped(*args):
+        raise AssertionError("a strong generator was mapped through the cosets")
+
+    g, h = NOT_CORE_FREE[name]()
+    message = f"action not faithful: subgroup has a core of order {reference_core_order(g, h)}"
+    monkeypatch.setattr(oracle, "_coset_permutation", mapped)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_coset_action(g, h)
+
+
 def test_core_read_through_the_levels(monkeypatch):
     """The kernel of order 2 is found without tabling a fixer."""
     def tabled(*args):
