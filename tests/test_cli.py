@@ -1053,6 +1053,27 @@ def test_oracle_memo_refusal_message(capsys):
     assert capsys.readouterr() == ("", "refused: memo table exceeds limit 2 entries\n")
 
 
+# a generator file of H -> the order of its core in S_n: A5 in S5 and V4 in S4 are normal
+NOT_CORE_FREE_FILES = {
+    "A5-in-S5": ("5\n(1 2 3)\n(1 2 3 4 5)\n", 60),
+    "V4-in-S4": ("4\n(1 2)(3 4)\n(1 3)(2 4)\n", 4),
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--limit-memo", "0"], ["--limit-memo", "1"],
+                                   ["--no-prune"]], ids=["plain", "memo-0", "memo-1", "no-prune"])
+@pytest.mark.parametrize("name", sorted(NOT_CORE_FREE_FILES))
+def test_oracle_core_refusal_bytes(tmp_path, capsys, name, flags):
+    """A subgroup with a nontrivial core is refused before any memo limit, in every mode."""
+    text, core = NOT_CORE_FREE_FILES[name]
+    gens = tmp_path / "h.gens"
+    gens.write_text(text)
+    argv = ["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", str(gens)]
+    assert main(argv + flags) == 2
+    assert capsys.readouterr() == (
+        "", f"invalid parameters: action not faithful: subgroup has a core of order {core}\n")
+
+
 # -- verify: ambient parity, one-level and terminal reports ---------------------
 
 
