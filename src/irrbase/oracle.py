@@ -1,9 +1,9 @@
 """Exact maximum irredundant base sizes on coset actions.
 
-The action of G on the right cosets of a core-free subgroup H is realized
-with canonical minimal coset representatives (a greedy walk down H's
-stabilizer chain, valid because chain base points ascend through the natural
-point order).  H acts on the t coset points through a homomorphism T, so the
+The action of G on the right cosets of a subgroup H is realized with
+canonical minimal coset representatives (a greedy walk down H's stabilizer
+chain, valid because chain base points ascend through the natural point
+order).  H acts on the t coset points through a homomorphism T, so the
 tables T(u) of the transversal elements u of H's stabilizer chain carry all
 of H's action: they are made once per action, from the strong generators'
 tables alone (:class:`_CosetTables`), which also give H's orbits on the
@@ -17,9 +17,8 @@ generators mapped through the cosets (:func:`_coset_permutation`).  An
 element of H is u_{L-1} ⋯ u_0, one transversal element per chain level, so
 its image of a coset point is read through L of those tables without a
 table of its own, and the elements of H fixing a point j are found by
-pushing j through them.  Faithfulness is read off the fixers of one point,
-and no degree-t stabilizer chain and no list of all of H on the cosets is
-made.
+pushing j through them.  No degree-t stabilizer chain and no list of all
+of H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized depth-first search over subgroup element sets, with candidate points
@@ -38,9 +37,11 @@ orbit under the current subgroup is regular has the trivial stabilizer, and
 it stays regular under every subgroup below; so a node scans only the
 non-regular orbits its parent handed on, not all t points, and a node of
 prime order, whose orbits are all fixed points or regular, scans only up to
-its least moved point.  On M11's 5040 cosets in S11 every point stabilizer
-has fewer than 5040 elements, so the search makes no table of length t; it
-reads 6,787 columns, 410,038 level-table entries in all.
+its least moved point.  The search also decides faithfulness: an H with a
+nontrivial core is refused at the first node it would finish, the core.  On
+M11's 5040 cosets in S11 every point stabilizer has fewer than 5040
+elements, so the search makes no table of length t; it reads 6,787
+columns, 410,038 level-table entries in all.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
@@ -100,7 +101,11 @@ def build_coset_action(
     limit_t: int = 20_000,
     limit_enum: int = ENUM_LIMIT_DEFAULT,
 ) -> CosetAction:
-    """Realize G on the cosets of H; requires H ≤ G, core-free, index within limit."""
+    """Realize G on the cosets of H; requires H ≤ G and an index within limit.
+
+    An H with a nontrivial core gives an action that is not faithful; :func:`mibs`
+    refuses it.
+    """
     if g.degree != h.degree:
         raise ValueError("G and H must act on the same points")
     if not h.is_subgroup_of(g):
@@ -147,33 +152,7 @@ def build_coset_action(
     else:
         coset_tables = _word_tables(gen_tbls, [tuple(row) for row in images], alternating, strong)
     del images  # at t = 362,880 each of these tables is 2.8 MiB: none is held past its use
-    tables = action._tables = _CosetTables(action, coset_tables)
-    del coset_tables
-
-    # faithfulness: the kernel is the core of H and lies in every point
-    # stabilizer, so it lies in the fixers of one point, taken in a largest
-    # H-orbit, where the fixers are fewest
-    sizes = tables.orbit_size
-    j = max(sizes, key=sizes.get)
-    if sizes[j] == 1:  # H fixes every coset: all of it acts trivially
-        core = h.order()
-    elif _use_coset_tables(t, h.order() // sizes[j]):  # the identity tables among them
-        made = {}
-        fixers = tables.fixer_tables(j, made)
-        rows = list(made.values())  # in the order of fixers: none was known before
-        core = rows.count(tables.identity)
-        if core < len(rows):  # j's orbit is not regular: the search will stabilize j
-            tables.held = (j, (fixers, [rows]), made)
-    else:  # the intersection of their point stabilizers, read through the levels
-        numbers = tables.fixers(j)
-        lists = tables.level_lists(numbers)
-        for p in range(t):
-            if len(numbers) == 1:
-                break
-            numbers, lists = _fixing(numbers, lists, p, _column(lists, p))
-        core = len(numbers)
-    if core > 1:
-        raise ValueError(f"action not faithful: subgroup has a core of order {core}")
+    action._tables = _CosetTables(action, coset_tables)
     return action
 
 
@@ -269,7 +248,6 @@ class _CosetTables:
         # strides[k]: the place value of level k's choice in a number
         self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))
         self._inv0 = [_inverse_tbl(u) for u in self.levels[0]]
-        self.held = None  # (j, the node of its fixers, their tables), for the search
 
         # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables
         gens = list(coset_table.values())
@@ -418,7 +396,7 @@ def mibs(
     equivalent by transitivity); the search then works inside H, the
     stabilizer of point 1.  Memoized on the exact element set of the current
     subgroup; candidate points are pruned to orbit representatives unless
-    ``prune`` is False.
+    ``prune`` is False.  Raises ValueError if H has a nontrivial core.
     """
     limits = limits or OracleLimits()
     h = action.subgroup
@@ -472,38 +450,37 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     every point would recurse on every point a subgroup moves, so the first
     subgroup it finished would move no point; the trivial subgroup is
     therefore entered first, and the memo, entry by entry, is that of the
-    full scan.
+    full scan.  The core K of H fixes every point and lies in every node c,
+    so while K != 1 no orbit is regular (|j^c| <= |c|/|K|) and every node but
+    K has a moved point to descend through: the first node finished with no
+    moved point, its best point still t, is K, and it is refused there.
     """
     t = action.degree
     tables = action._tables
     mins = tables.orbit_min
     sizes = tables.orbit_size
     order = action.subgroup.order()
-    # element number -> coset table, for the tabled stabilizers; the
-    # faithfulness check's tables are taken over, and the search stabilizes its point
-    held_j, held_node, tbls = tables.held or (None, None, {})
-    tables.held = None
+    tbls = {}  # element number -> coset table, for the tabled stabilizers
 
     def stabilizer(j: int) -> tuple:
         """The element numbers of the stabilizer of j in H, and their lists."""
-        if j == held_j:
-            return held_node
         if _use_coset_tables(t, order // sizes[mins[j]]):
             numbers = tables.fixer_tables(j, tbls)
             return numbers, [[tbls[e] for e in numbers]]
         numbers = tables.fixers(j)
         return numbers, tables.level_lists(numbers)
 
-    memo: dict = {}
-
-    def enter(c, best_d: int, best_pt) -> None:
+    def enter(c, n: int, best_d: int, best_pt) -> None:
+        """Memoize c, of order n; a c whose best point is t moves no point: it is the core."""
+        if best_pt == t:
+            raise ValueError(f"action not faithful: subgroup has a core of order {n}")
         if len(memo) >= max_memo:
             raise LimitExceeded(f"memo table exceeds limit {max_memo} entries")
         memo[c] = (best_d, best_pt)
 
     trivial = frozenset((0,))  # element number 0 is the identity
-    if order > 1:
-        enter(trivial, 0, None)
+    # entered without the limit test, so that a core is refused before any memo limit
+    memo: dict = {trivial: (0, None)} if order > 1 else {}
     seen = bytearray(t)
 
     def depth_of(c: frozenset, numbers: list, lists: list, cand: Sequence[int],
@@ -521,7 +498,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         if is_prime(n):  # every orbit is a fixed point or regular: no child
             # a moved point's images are n distinct points, so the second is not j
             best_pt = next((j for j in cand if j < regular and _column(lists, j)[1] != j), regular)
-            enter(c, 1, best_pt)
+            enter(c, n, 1, best_pt)
             return 1
         cols = {}  # least point of a non-regular orbit -> its column
         inner = []  # all points of the non-regular orbits
@@ -547,7 +524,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
             d = 1 + depth_of(frozenset(child), child, child_lists, inner, regular)
             if d > best_d:
                 best_d, best_pt = d, j
-        enter(c, best_d, best_pt)
+        enter(c, n, best_d, best_pt)
         return best_d
 
     # H: its orbits come from the transversal tables; a point of a regular
@@ -555,7 +532,8 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     # non-regular orbits, listed with T(1)'s int objects rather than new ones
     root_cand = [j for j in tables.identity if 1 < sizes[mins[j]] < order]
     root_regular = next((j for j in range(t) if sizes[mins[j]] == order), t)
-    best_d, best_pt, best_node = 0, None, None
+    # a nontrivial H that moves no coset is its own core
+    best_d, best_pt, best_node = 0, (t if order > 1 else None), None
     for j in range(t):
         size = sizes[mins[j]]
         if size == 1 or (prune and mins[j] != j):
@@ -568,7 +546,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
             d = 1 + depth_of(*node, root_cand, root_regular)
         if d > best_d:
             best_d, best_pt, best_node = d, j, node
-    enter(None, best_d, best_pt)
+    enter(None, order, best_d, best_pt)
     # depth_of refers to itself through its closure; without this the cycle keeps
     # tbls and memo alive after the search, until the cyclic collector runs
     del depth_of

@@ -47,8 +47,10 @@ def test_coset_action_rejects_normal_subgroup():
     klein = from_generators(
         [parse_cycles("(1 2)(3 4)", 4), parse_cycles("(1 3)(2 4)", 4)], 4
     )
-    with pytest.raises(ValueError, match="not faithful"):
-        build_coset_action(s4, klein)
+    for prune in (True, False):
+        with pytest.raises(ValueError,
+                           match="^action not faithful: subgroup has a core of order 4$"):
+            mibs(build_coset_action(s4, klein), prune=prune)
 
 
 def test_coset_action_rejects_non_subgroup():

@@ -1,18 +1,22 @@
-"""The oracle's search against its references on random core-free subgroups.
+"""The oracle's search against its references on random subgroups.
 
-For random subgroups H of S_n or A_n with 4 <= n <= 6, ``mibs``, pruned and
-unpruned, must give the value, the witness bytes and the memo, entry by
-entry in insertion order, of ``reference_mibs`` (the full scan of every
-coset point at every node, over all of H).  For at most 8 cosets the value
-must also be the longest strictly descending chain of pointwise stabilizers
-of G itself, found over every point sequence.  The strong generators' coset
+For random subgroups H of G = S_n, A_n or S_k x S_(n-k) with 3 <= n <= 6,
+``mibs``, pruned and unpruned, must give the value, the witness bytes and
+the memo, entry by entry in insertion order, of ``reference_mibs`` (the full
+scan of every coset point at every node, over all of H) where H is
+core-free, and refuse H with the order ``reference_core_order`` gives where
+it is not.  For at most 8 cosets the value must also be the longest strictly
+descending chain of pointwise stabilizers of G itself, found over every
+point sequence.  The strong generators' coset
 tables, made along words in G's generators, must be ``_coset_permutation``'s.
 """
+
+import re
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from irrbase import oracle
 from irrbase.group import alternating_group, from_generators, symmetric_group
@@ -20,21 +24,34 @@ from irrbase.oracle import _coset_permutation, build_coset_action, mibs
 from irrbase.perm import Permutation, compose, parse_cycles
 
 from test_coset_tables import check_strong_tables
-from test_oracle_reference import reference_mibs
+from test_oracle_reference import reference_core_order, reference_mibs
+
+
+def _symmetric_cycles(lo: int, hi: int) -> list:
+    """Generators of the symmetric group on the points lo..hi, as cycle strings."""
+    if hi - lo < 1:
+        return []
+    return [f"({lo} {lo + 1})", "(" + " ".join(map(str, range(lo, hi + 1))) + ")"]
 
 
 @st.composite
-def core_free_actions(draw):
-    """G = S_n or A_n on the cosets of a core-free H with 1 to 3 random generators.
+def coset_actions(draw, kinds=("S", "A", "split")):
+    """G = S_n, A_n or S_k x S_(n-k) on the cosets of H with 1 to 3 random generators.
 
     The generators keep the points 1..k and k+1..n apart, for a drawn k (none
-    when k = n).  A draw that gives A_n or all of G falls back to a point
-    stabilizer; the rare non-core-free draws of degree 4 are rejected.
+    when k = n).  A draw that gives all of G falls back to the stabilizer of
+    a point that G moves.  H need not be core-free: in S_k x S_(n-k), and in
+    S_n and A_n for n <= 4, many a draw holds a normal subgroup of G.
     """
-    n = draw(st.integers(4, 6))
+    n = draw(st.integers(3, 6))
     k = draw(st.integers(1, n))
-    ambient = draw(st.sampled_from("SA"))
-    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    kind = draw(st.sampled_from(kinds))
+    ambient = "A" if kind == "A" else "S"
+    if kind == "split":
+        cycles = _symmetric_cycles(1, k) + _symmetric_cycles(k + 1, n)
+        g = from_generators([parse_cycles(c, n) for c in cycles], n)
+    else:
+        g = symmetric_group(n) if ambient == "S" else alternating_group(n)
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         left = draw(st.permutations(range(1, k + 1)))
@@ -43,16 +60,14 @@ def core_free_actions(draw):
             x = compose(x, parse_cycles("(1 2)", n))
         gens.append(x)
     h = from_generators(gens, n)
-    if 2 * h.order() >= symmetric_group(n).order():
-        h = g.point_stabilizer(draw(st.integers(1, n)))
-    try:
-        return ambient, build_coset_action(g, h)
-    except ValueError:  # not core-free
-        reject()
+    if h.order() == g.order():
+        moved = [p for p in range(1, n + 1) if any(x.image(p) != p for x in g.generators)]
+        h = g.point_stabilizer(draw(st.sampled_from(moved)))
+    return ambient, build_coset_action(g, h)
 
 
 @settings(max_examples=60)
-@given(core_free_actions())
+@given(coset_actions(kinds=("S", "A")))
 def test_word_tables_match_the_coset_permutation(drawn):
     """The action's strong-generator tables, made along words, are the cosets' own."""
     _, action = drawn
@@ -83,9 +98,16 @@ def brute_mibs(action):
 
 
 @settings(max_examples=150)
-@given(core_free_actions())
+@given(coset_actions())
 def test_search_matches_references(drawn):
     ambient, action = drawn
+    core = reference_core_order(action.group, action.subgroup)
+    if core > 1:
+        message = f"action not faithful: subgroup has a core of order {core}"
+        for prune in (True, False):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                mibs(action, prune=prune, ambient=ambient)
+        return
     order_h = action.subgroup.order()
     values = set()
     for prune in (True, False):

@@ -2,11 +2,13 @@
 
 The reference builds H's coset tables as a Schreier-Sims chain on the t coset
 points, lists all |H| of them and runs the memoized frozenset search from H
-itself; faithfulness is a filter of all of H through every coset
-representative.  The oracle reads H's point stabilizers and its core off the
-coset tables of H's chain transversals instead.  Both must give the same
-value, the same witness bytes and the same memo, entry by entry in insertion
-order, and refuse the same non-core-free subgroups with the same message.
+itself; the core of H is a filter of all of H through every coset
+representative.  The oracle reads H's point stabilizers off the coset tables
+of H's chain transversals instead, and its search meets the core as the
+first node it would finish.  Both must give the same value, the same witness
+bytes and the same memo, entry by entry in insertion order, and ``mibs``,
+pruned and unpruned, must refuse every non-core-free subgroup with the
+reference's core order.
 """
 
 import re
@@ -248,25 +250,27 @@ NOT_CORE_FREE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
-def test_core_matches_reference(name):
-    g, h = NOT_CORE_FREE[name]()
+def assert_core_refused(g, h):
+    """``mibs``, pruned and unpruned, refuses H with the order of its core by the reference."""
     core = reference_core_order(g, h)
     assert core > 1
     message = f"action not faithful: subgroup has a core of order {core}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_coset_action(g, h)
+    for prune in (True, False):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mibs(build_coset_action(g, h), prune=prune)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
+def test_core_matches_reference(name):
+    assert_core_refused(*NOT_CORE_FREE[name]())
 
 
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "levels"])
 @pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
 def test_core_alike_in_both_reads(monkeypatch, name, tabled):
-    """The identity tables among the fixers, or the fixers filtered point by point."""
+    """Every point stabilizer tabled, or every one read through the level tables."""
     monkeypatch.setattr(oracle, "_use_coset_tables", lambda t, n: tabled)
-    g, h = NOT_CORE_FREE[name]()
-    message = f"action not faithful: subgroup has a core of order {reference_core_order(g, h)}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_coset_action(g, h)
+    assert_core_refused(*NOT_CORE_FREE[name]())
 
 
 @pytest.mark.parametrize("name", ["D8-in-S4", "A4-in-S4", "klein-in-S4"])
@@ -275,25 +279,25 @@ def test_core_refused_through_words(monkeypatch, name):
     def mapped(*args):
         raise AssertionError("a strong generator was mapped through the cosets")
 
-    g, h = NOT_CORE_FREE[name]()
-    message = f"action not faithful: subgroup has a core of order {reference_core_order(g, h)}"
     monkeypatch.setattr(oracle, "_coset_permutation", mapped)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        build_coset_action(g, h)
+    assert_core_refused(*NOT_CORE_FREE[name]())
 
 
 def test_core_read_through_the_levels(monkeypatch):
     """The kernel of order 2 is found without tabling a fixer."""
     def tabled(*args):
-        raise AssertionError("the faithfulness check tabled a fixer")
+        raise AssertionError("the search tabled a fixer")
 
     monkeypatch.setattr(oracle._CosetTables, "fixer_tables", tabled)
-    with pytest.raises(ValueError, match="^action not faithful: subgroup has a core of order 2$"):
-        build_coset_action(*NOT_CORE_FREE["AGL(1,7)xS2-in-S7xS2"]())
+    for prune in (True, False):
+        with pytest.raises(ValueError,
+                           match="^action not faithful: subgroup has a core of order 2$"):
+            mibs(build_coset_action(*NOT_CORE_FREE["AGL(1,7)xS2-in-S7xS2"]()), prune=prune)
 
 
 @pytest.mark.parametrize("name", ["S6-natural", "A6-natural", "S7-agl-7-1", "A9-agl-3-2"])
 def test_core_free_matches_reference(name):
     g, h = INSTANCES[name]()
     assert reference_core_order(g, h) == 1
-    build_coset_action(g, h)
+    for prune in (True, False):
+        mibs(build_coset_action(g, h), prune=prune)
