@@ -198,24 +198,44 @@ def family_order(family: str, params: dict, degree: int, ambient: str) -> int:
 
 
 #: a lower bound 2^b on |H| with b past this refuses H without forming |H|, which
-#: takes seconds from about there on: |AGL(1448, 3)| has 3.3 million bits
+#: takes seconds from about there on: |AGL(1448, 3)| has 3.3 million bits, and
+#: (n-1)! takes 2.6 s at n = 500,000
 _FLOOR_BITS = 1 << 21
 
 
 def check_family_floor(family: str, params: dict, limit: int) -> None:
-    """Refuse an agl or wreath H over ``limit`` from a lower bound 2^b <= |H| too large to form.
+    """Refuse an agl, wreath or natural H over ``limit`` from a lower bound 2^b <= |H|.
 
     |AGL(d, p)| >= p^(d^2) >= 2^(d^2 (bits(p) - 1)), as each factor p^d - p^i
     of :func:`family_order`'s is at least p^(d-1); |S_m wr S_k| = (m!)^k k!
-    >= 2^(km - 1), as j! >= 2^(j-1).  Where b is at most ``_FLOOR_BITS``,
-    nothing is refused here: |H| is formed, and a refusal states it exactly.
+    >= 2^(km - 1), as j! >= 2^(j-1); |S_(n-1)| = j! >= (j/e)^j >= 2^(j (bits(j) - 2.5))
+    for j = n - 1.  Where b is at most ``_FLOOR_BITS``, nothing is refused here:
+    |H| is formed, and a refusal states it exactly.
     """
     if family == "agl":
         bits = params["d"] ** 2 * (params["p"].bit_length() - 1)
-    else:
+    elif family == "wreath":
         bits = params["m"] * params["k"] - 1
+    else:
+        j = params["n"] - 1
+        bits = j * (j.bit_length() - 1) - (3 * j + 1) // 2
     if bits > _FLOOR_BITS and bits >= limit.bit_length():  # 2^bits > limit
         raise LimitExceeded(f"subgroup order at least 2^{bits} exceeds enumeration limit {limit}")
+
+
+def checked_family_order(family: str, params: dict, ambient: str, limit: int) -> int:
+    """:func:`family_order`, refused over ``limit``: first from the floor, without forming it."""
+    check_family_floor(family, params, limit)
+    names = _POWER_PARAMS.get(family)
+    degree = params[names[0]] ** params[names[1]] if names else params["n"]
+    order = family_order(family, params, degree, ambient)
+    check_subgroup_limit(order, limit)
+    return order
+
+
+#: the oracle's cap on the degree n, so on explicit certificates, which it alone writes: a run
+#: holds all t cosets and lists a point stabilizer of H, (n!/2)^(1/3) items or more in all
+ORACLE_MAX_DEGREE = 1000
 
 
 def _is_int(value) -> bool:
@@ -236,7 +256,8 @@ class CertLevel:
 
 class ChainCertificate:
     def __init__(self, degree: int, ambient: str, family: str, params: dict,
-                 generators: list, levels: list, claimed_length: int):
+                 generators: list, levels: list, claimed_length: int,
+                 family_order: Optional[int] = None):
         self.degree = degree
         self.ambient = ambient  # "S" or "A"
         self.family = family  # "agl" | "wreath" | "natural" | "explicit"
@@ -244,6 +265,7 @@ class ChainCertificate:
         self.generators = generators  # generators of H, list[Permutation]
         self.levels = levels  # list[CertLevel]
         self.claimed_length = claimed_length
+        self.family_order = family_order  # |H ∩ G| of a family H, where from_dict formed it
 
     def to_dict(self) -> dict:
         return {
@@ -268,7 +290,10 @@ class ChainCertificate:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ChainCertificate":
+    def from_dict(cls, data: dict, limit: Optional[int] = None) -> "ChainCertificate":
+        """The certificate in ``data``; with a ``limit``, one too large to check is refused
+        after the header's checks and before any cycle is parsed: an explicit one over
+        ``ORACLE_MAX_DEGREE``, a family one whose ``family_order`` exceeds ``limit``."""
         try:
             degree = data["degree"]
             ambient = data["ambient"]
@@ -301,6 +326,13 @@ class ChainCertificate:
                 raise CertificateFormatError(
                     f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
                 )
+        h_order = None
+        if limit is not None:  # a certificate too large to check is refused unparsed
+            if family != "explicit":
+                h_order = checked_family_order(family, params, ambient, limit)
+            elif degree > ORACLE_MAX_DEGREE:  # only the oracle writes explicit certificates
+                raise LimitExceeded(f"explicit certificate degree {_order_text(degree)} "
+                                    f"exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
         generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
         if not isinstance(level_data, list):
             raise CertificateFormatError("levels must be a list")
@@ -316,15 +348,15 @@ class ChainCertificate:
                 raise CertificateFormatError(f"level {i}: {e}") from None
             conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
             levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
-        return cls(degree, ambient, family, params, generators, levels, claimed)
+        return cls(degree, ambient, family, params, generators, levels, claimed, h_order)
 
     @classmethod
-    def from_json(cls, text: str) -> "ChainCertificate":
+    def from_json(cls, text: str, limit: Optional[int] = None) -> "ChainCertificate":
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as e:  # too long an int; nested too deep
             raise CertificateFormatError(f"invalid JSON: {e}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(data, limit)
 
 
 # -- certificate assembly ------------------------------------------------------

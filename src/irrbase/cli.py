@@ -15,10 +15,11 @@ import sys
 
 from .certificate import (
     _POWER_PARAMS,
+    ORACLE_MAX_DEGREE,
     CertificateFormatError,
     ChainCertificate,
-    check_family_floor,
     check_family_params,
+    checked_family_order,
     checked_power,
     family_order,
     power_text,
@@ -30,7 +31,6 @@ from .group import (
     alternating_group,
     check_coset_orders,
     check_intersect_limit,
-    check_subgroup_limit,
     intersect,
     read_generator_cycles,
     symmetric_group,
@@ -82,11 +82,6 @@ def _family_params(args, family: str, flag: str) -> dict:
     if None in params.values():
         raise UsageError(f"{flag} requires " + " and ".join(f"--{a}" for a in names))
     return params
-
-
-#: the oracle's cap on the degree n: a run holds all t cosets and lists a point
-#: stabilizer of H, at least (n!/2)^(1/3) items in all, so none near it finishes
-ORACLE_MAX_DEGREE = 1000
 
 
 def _build_subgroup(args, ambient: str):
@@ -163,9 +158,7 @@ def cmd_chain(args) -> int:
     if family == "agl" and exp == 1 and base < 7:  # p^d < 7: p is odd, so p^2 >= 9
         raise UsageError(f"p^d = {base} < 7 is out of range")
     # build_chain refuses |H| over the cap too, but only after H is built
-    check_family_floor(family, params, args.limit_enum)
-    n = base**exp
-    check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
+    checked_family_order(family, params, "S", args.limit_enum)
     _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
         from .affine import affine_chain, build_agl
@@ -210,7 +203,7 @@ def cmd_oracle(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.cert) as fh:
-            cert = ChainCertificate.from_json(fh.read())
+            cert = ChainCertificate.from_json(fh.read(), limit=args.limit_enum)
     except OSError as e:
         print(f"cannot read certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,13 +211,12 @@ def cmd_verify(args) -> int:
         print(f"malformed certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
     h = PermutationGroup(cert.generators, cert.degree)
-    if cert.family != "explicit":  # from_dict checked the params against the degree
-        expected = family_order(cert.family, cert.params, cert.degree, cert.ambient)
-        if h.order() != expected:
-            name = "affine" if cert.family == "agl" else cert.family
-            print(f"subgroup order {h.order()} does not match the {name} family order "
-                  f"{expected}", file=sys.stderr)
-            return EXIT_VERIFY_FAIL
+    expected = cert.family_order  # formed by from_json, within the limit
+    if expected is not None and h.order() != expected:
+        name = "affine" if cert.family == "agl" else cert.family
+        print(f"subgroup order {h.order()} does not match the {name} family order "
+              f"{expected}", file=sys.stderr)
+        return EXIT_VERIFY_FAIL
     report = verify_certificate(cert, h, limit=args.limit_enum)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL

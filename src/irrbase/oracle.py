@@ -462,14 +462,6 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     order = action.subgroup.order()
     tbls = {}  # element number -> coset table, for the tabled stabilizers
 
-    def stabilizer(j: int) -> tuple:
-        """The element numbers of the stabilizer of j in H, and their lists."""
-        if _use_coset_tables(t, order // sizes[mins[j]]):
-            numbers = tables.fixer_tables(j, tbls)
-            return numbers, [[tbls[e] for e in numbers]]
-        numbers = tables.fixers(j)
-        return numbers, tables.level_lists(numbers)
-
     def enter(c, n: int, best_d: int, best_pt) -> None:
         """Memoize c, of order n; a c whose best point is t moves no point: it is the core."""
         if best_pt == t:
@@ -540,8 +532,13 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
             continue
         if size == order:
             node, d = (trivial, [0], []), 1
-        else:
-            numbers, lists = stabilizer(j)
+        else:  # the stabilizer of j in H, of order/size elements
+            if _use_coset_tables(t, order // size):
+                numbers = tables.fixer_tables(j, tbls)
+                lists = [[tbls[e] for e in numbers]]
+            else:
+                numbers = tables.fixers(j)
+                lists = tables.level_lists(numbers)
             node = frozenset(numbers), numbers, lists
             d = 1 + depth_of(*node, root_cand, root_regular)
         if d > best_d:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from irrbase import affine, cli, oracle, wreath
+from irrbase import affine, certificate, cli, oracle, wreath
 from irrbase.affine import affine_chain, build_agl
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, alternating_group, trivial_group
@@ -761,7 +761,8 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
     def formed(*args):
         raise AssertionError(f"a floor refusal formed the order of {args}")
 
-    monkeypatch.setattr(cli, "family_order", formed)
+    for module in (cli, certificate):
+        monkeypatch.setattr(module, "family_order", formed)
     assert main(["chain", *argv]) == 2
     assert capsys.readouterr() == (
         "", f"refused: subgroup order at least {bound} exceeds enumeration limit 2000000\n")
@@ -770,19 +771,28 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
 @pytest.mark.parametrize("family, params", [
     *(("agl", {"p": p, "d": d}) for p in (3, 5, 7, 11, 31) for d in range(1, 9)),
     *(("wreath", {"m": m, "k": k}) for m in range(5, 12) for k in range(2, 7)),
+    *(("natural", {"n": n}) for n in (5, 7, 10, 33, 100, 1000, 4097)),
 ])
 def test_chain_floor_is_a_lower_bound(monkeypatch, family, params):
     """With every bound checked, 2^b never exceeds the family's order."""
-    from irrbase import certificate
     from irrbase.group import LimitExceeded
 
-    base, exp = params.values()
+    base, exp = (params["n"], 1) if family == "natural" else params.values()
     order = certificate.family_order(family, params, base**exp, "S")
     certificate.check_family_floor(family, params, 1)  # b is far below 2^21: nothing refused
     monkeypatch.setattr(certificate, "_FLOOR_BITS", -1)
     with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^\d+ ") as info:
         certificate.check_family_floor(family, params, 1)
     assert 2 ** int(str(info.value).split()[4][2:]) <= order
+
+
+def test_natural_floor_admits_every_n_whose_order_forms_quickly():
+    """(n-1)! takes well under a second up to n = 135,301, the last n the floor lets through."""
+    from irrbase.group import LimitExceeded
+
+    certificate.check_family_floor("natural", {"n": 135_301}, 1)
+    with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^2097165 "):
+        certificate.check_family_floor("natural", {"n": 135_302}, 1)
 
 
 def test_oracle_degree_cap_admits_its_bound(tmp_path, capsys):
@@ -956,6 +966,62 @@ def test_verify_malformed_certificate_exits_2(tmp_path, capsys, case):
     assert out == "" and err.startswith("malformed certificate: ")
     if "5000-digits" in case:
         assert err.startswith("malformed certificate: invalid JSON: ") and err.count("\n") == 1
+
+
+def _small_certificate(degree, family, params, generator="(1 2)") -> dict:
+    return {"degree": degree, "ambient": "S",
+            "subgroup": {"family": family, "params": params, "generators": [generator]},
+            "levels": [{"conjugators": ["()"], "order": "2"}], "claimed_length": 1}
+
+
+# a certificate too large to check -> verify's one stderr line, before any cycle is parsed:
+# an explicit degree over the oracle's cap, or a family |H ∩ G| over --limit-enum
+VERIFY_REFUSALS = {
+    "explicit-degree-10^20": (_small_certificate(10**20, "explicit", {}),
+                              "refused: explicit certificate degree 100000000000000000000 "
+                              "exceeds the oracle's cap 1000\n"),
+    "explicit-degree-3*10^7": (_small_certificate(30_000_000, "explicit", {}),
+                               "refused: explicit certificate degree 30000000 exceeds the "
+                               "oracle's cap 1000\n"),
+    "agl-3-60": (_small_certificate(3**60, "agl", {"p": 3, "d": 60}),
+                 "refused: subgroup order {agl_3_60} exceeds enumeration limit 2000000\n"),
+    "agl-3-60-bad-cycle": (_small_certificate(3**60, "agl", {"p": 3, "d": 60}, "(1 x)"),
+                           "refused: subgroup order {agl_3_60} exceeds enumeration limit "
+                           "2000000\n"),
+    # |S_99999| = 99999! is formed, and refused as about 10^456568.5
+    "natural-100000": (_small_certificate(100_000, "natural", {"n": 100_000}),
+                       "refused: subgroup order about 10^456568.5 exceeds enumeration limit "
+                       "2000000\n"),
+    # 399999! >= 2^6599983 is refused without forming it
+    "natural-400000": (_small_certificate(400_000, "natural", {"n": 400_000}),
+                       "refused: subgroup order at least 2^6599983 exceeds enumeration limit "
+                       "2000000\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_REFUSALS))
+def test_verify_refuses_a_certificate_too_large_to_check(tmp_path, capsys, case):
+    """Exit 2 with one refusal line within a second, no generator tabled and little memory."""
+    import tracemalloc
+
+    from irrbase.certificate import family_order
+
+    data, err = VERIFY_REFUSALS[case]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    agl_3_60 = family_order("agl", {"p": 3, "d": 60}, 3**60, "S")
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["verify", str(path)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr() == ("", err.format(agl_3_60=agl_3_60))
+    assert elapsed < 1.0
+    assert peak < 1 << 22  # one table of 30,000,000 entries takes 240 MB
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):

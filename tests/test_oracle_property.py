@@ -7,8 +7,8 @@ scan of every coset point at every node, over all of H) where H is
 core-free, and refuse H with the order ``reference_core_order`` gives where
 it is not.  For at most 8 cosets the value must also be the longest strictly
 descending chain of pointwise stabilizers of G itself, found over every
-point sequence.  The strong generators' coset
-tables, made along words in G's generators, must be ``_coset_permutation``'s.
+point sequence.  The strong generators' coset tables, made along words in
+G's generators, must be ``_coset_permutation``'s.
 """
 
 import re

@@ -1,11 +1,13 @@
 """Fuzzing ``irrbase verify``: a mutated certificate gives exit 0, 1 or 2, never a traceback.
 
-Each example takes the affine (7, 1) or the wreath (5, 2) certificate, makes
-one to three mutations and runs ``main(["verify", path])`` in process.  A
-mutation drops, duplicates or swaps the entries of a list (the levels, a
-level's conjugators, the generators), perturbs a level's order, or puts a
-value of another type (None, a bool, int, float, str, list or dict) in any
-field.
+Each example takes the affine (7, 1) or the wreath (5, 2) certificate, or the
+oracle's explicit witness for AGL(1, 7) in S_7, makes one to three mutations
+and runs ``main(["verify", path])`` in process.  A mutation drops,
+duplicates or swaps the entries of a list (the levels, a level's
+conjugators, the generators), perturbs a level's order, puts another int in
+an int field, or puts a value of another type (None, a bool, int, float,
+str, list or dict) in any field; the ints include some too large for a
+table of that length, such as 10^20.
 """
 
 import contextlib
@@ -20,12 +22,16 @@ from hypothesis import given, settings, strategies as st
 
 from irrbase.affine import affine_chain
 from irrbase.cli import main
+from irrbase.group import symmetric_group
+from irrbase.oracle import build_coset_action, mibs
 from irrbase.wreath import wreath_chain
 
+# small ints, and ints too large for a table of that length
+INTS = st.one_of(st.integers(-3, 30), st.sampled_from([10**20, 3**60]))
 JUNK = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(-3, 30),
+    INTS,
     st.floats(allow_nan=False),
     st.text(max_size=6),
     st.lists(st.integers(0, 9), max_size=3),
@@ -36,7 +42,8 @@ JUNK = st.one_of(
 @pytest.fixture(scope="module")
 def certificates(agl71, wreath52):
     return {"agl-7-1": affine_chain(agl71).to_dict(),
-            "wreath-5-2": wreath_chain(wreath52).to_dict()}
+            "wreath-5-2": wreath_chain(wreath52).to_dict(),
+            "explicit-agl-7-1": mibs(build_coset_action(symmetric_group(7), agl71.H))[1].to_dict()}
 
 
 def _fields(node, path=()):
@@ -61,9 +68,10 @@ def _at(doc, path):
 def _mutate(data, doc) -> None:
     """One mutation of ``doc`` in place, drawn from ``data``."""
     fields = list(_fields(doc))
-    kind = data.draw(st.sampled_from(["list", "order", "retype"]))
+    kind = data.draw(st.sampled_from(["list", "order", "int", "retype"]))
     lists = [p for p in fields if isinstance(_at(doc, p), list) and _at(doc, p)]
     orders = [p for p in fields if p[-1] == "order" and str(_at(doc, p)).isdigit()]
+    ints = [p for p in fields if type(_at(doc, p)) is int]
     if kind == "list" and lists:
         items = _at(doc, data.draw(st.sampled_from(lists)))
         i = data.draw(st.integers(0, len(items) - 1))
@@ -79,6 +87,9 @@ def _mutate(data, doc) -> None:
         path = data.draw(st.sampled_from(orders))
         value = int(_at(doc, path)) + data.draw(st.integers(-3, 3))
         _at(doc, path[:-1])["order"] = str(value)
+    elif kind == "int" and ints:  # the degree, a param or claimed_length
+        path = data.draw(st.sampled_from(ints))
+        _at(doc, path[:-1])[path[-1]] = data.draw(INTS)
     else:  # a walk from the root that stops at each field with even odds: top fields are common
         node = doc
         while True:
