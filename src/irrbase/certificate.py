@@ -203,34 +203,28 @@ def family_order(family: str, params: dict, degree: int, ambient: str) -> int:
 _FLOOR_BITS = 1 << 21
 
 
+def _factorial_floor(j: int) -> int:
+    """b with 2^b <= j!: j! >= (j/e)^j >= 2^(j (bits(j) - 2.5)), as log2 e < 1.5."""
+    return j * (j.bit_length() - 1) - (3 * j + 1) // 2
+
+
 def check_family_floor(family: str, params: dict, limit: int) -> None:
     """Refuse an agl, wreath or natural H over ``limit`` from a lower bound 2^b <= |H|.
 
     |AGL(d, p)| >= p^(d^2) >= 2^(d^2 (bits(p) - 1)), as each factor p^d - p^i
-    of :func:`family_order`'s is at least p^(d-1); |S_m wr S_k| = (m!)^k k!
-    >= 2^(km - 1), as j! >= 2^(j-1); |S_(n-1)| = j! >= (j/e)^j >= 2^(j (bits(j) - 2.5))
-    for j = n - 1.  Where b is at most ``_FLOOR_BITS``, nothing is refused here:
-    |H| is formed, and a refusal states it exactly.
+    of :func:`family_order`'s is at least p^(d-1); |S_m wr S_k| = (m!)^k k! and
+    |S_(n-1)| = (n-1)! are bounded through :func:`_factorial_floor`.  Where b
+    is at most ``_FLOOR_BITS``, nothing is refused here: |H| is formed, and a
+    refusal states it exactly.
     """
     if family == "agl":
         bits = params["d"] ** 2 * (params["p"].bit_length() - 1)
     elif family == "wreath":
-        bits = params["m"] * params["k"] - 1
+        bits = params["k"] * _factorial_floor(params["m"]) + _factorial_floor(params["k"])
     else:
-        j = params["n"] - 1
-        bits = j * (j.bit_length() - 1) - (3 * j + 1) // 2
+        bits = _factorial_floor(params["n"] - 1)
     if bits > _FLOOR_BITS and bits >= limit.bit_length():  # 2^bits > limit
         raise LimitExceeded(f"subgroup order at least 2^{bits} exceeds enumeration limit {limit}")
-
-
-def checked_family_order(family: str, params: dict, ambient: str, limit: int) -> int:
-    """:func:`family_order`, refused over ``limit``: first from the floor, without forming it."""
-    check_family_floor(family, params, limit)
-    names = _POWER_PARAMS.get(family)
-    degree = params[names[0]] ** params[names[1]] if names else params["n"]
-    order = family_order(family, params, degree, ambient)
-    check_subgroup_limit(order, limit)
-    return order
 
 
 #: the oracle's cap on the degree n, so on explicit certificates, which it alone writes: a run
@@ -256,8 +250,7 @@ class CertLevel:
 
 class ChainCertificate:
     def __init__(self, degree: int, ambient: str, family: str, params: dict,
-                 generators: list, levels: list, claimed_length: int,
-                 family_order: Optional[int] = None):
+                 generators: list, levels: list, claimed_length: int):
         self.degree = degree
         self.ambient = ambient  # "S" or "A"
         self.family = family  # "agl" | "wreath" | "natural" | "explicit"
@@ -265,7 +258,6 @@ class ChainCertificate:
         self.generators = generators  # generators of H, list[Permutation]
         self.levels = levels  # list[CertLevel]
         self.claimed_length = claimed_length
-        self.family_order = family_order  # |H ∩ G| of a family H, where from_dict formed it
 
     def to_dict(self) -> dict:
         return {
@@ -290,10 +282,10 @@ class ChainCertificate:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict, limit: Optional[int] = None) -> "ChainCertificate":
-        """The certificate in ``data``; with a ``limit``, one too large to check is refused
-        after the header's checks and before any cycle is parsed: an explicit one over
-        ``ORACLE_MAX_DEGREE``, a family one whose ``family_order`` exceeds ``limit``."""
+    def from_dict(cls, data: dict, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
+        """The certificate in ``data``; one too large to check is refused after the header's
+        checks and before any cycle is parsed: an explicit one over ``ORACLE_MAX_DEGREE``,
+        a family one whose ``family_order`` exceeds ``limit``."""
         try:
             degree = data["degree"]
             ambient = data["ambient"]
@@ -326,13 +318,12 @@ class ChainCertificate:
                 raise CertificateFormatError(
                     f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
                 )
-        h_order = None
-        if limit is not None:  # a certificate too large to check is refused unparsed
-            if family != "explicit":
-                h_order = checked_family_order(family, params, ambient, limit)
-            elif degree > ORACLE_MAX_DEGREE:  # only the oracle writes explicit certificates
-                raise LimitExceeded(f"explicit certificate degree {_order_text(degree)} "
-                                    f"exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
+        if family != "explicit":  # a certificate too large to check is refused unparsed
+            check_family_floor(family, params, limit)
+            check_subgroup_limit(family_order(family, params, degree, ambient), limit)
+        elif degree > ORACLE_MAX_DEGREE:  # only the oracle writes explicit certificates
+            raise LimitExceeded(f"explicit certificate degree {_order_text(degree)} "
+                                f"exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
         generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
         if not isinstance(level_data, list):
             raise CertificateFormatError("levels must be a list")
@@ -348,10 +339,10 @@ class ChainCertificate:
                 raise CertificateFormatError(f"level {i}: {e}") from None
             conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
             levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
-        return cls(degree, ambient, family, params, generators, levels, claimed, h_order)
+        return cls(degree, ambient, family, params, generators, levels, claimed)
 
     @classmethod
-    def from_json(cls, text: str, limit: Optional[int] = None) -> "ChainCertificate":
+    def from_json(cls, text: str, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
         try:
             data = json.loads(text)
         except (ValueError, RecursionError) as e:  # too long an int; nested too deep

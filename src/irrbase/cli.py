@@ -18,8 +18,8 @@ from .certificate import (
     ORACLE_MAX_DEGREE,
     CertificateFormatError,
     ChainCertificate,
+    check_family_floor,
     check_family_params,
-    checked_family_order,
     checked_power,
     family_order,
     power_text,
@@ -31,6 +31,7 @@ from .group import (
     alternating_group,
     check_coset_orders,
     check_intersect_limit,
+    check_subgroup_limit,
     intersect,
     read_generator_cycles,
     symmetric_group,
@@ -158,7 +159,9 @@ def cmd_chain(args) -> int:
     if family == "agl" and exp == 1 and base < 7:  # p^d < 7: p is odd, so p^2 >= 9
         raise UsageError(f"p^d = {base} < 7 is out of range")
     # build_chain refuses |H| over the cap too, but only after H is built
-    checked_family_order(family, params, "S", args.limit_enum)
+    check_family_floor(family, params, args.limit_enum)
+    n = base**exp
+    check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
     _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
         from .affine import affine_chain, build_agl
@@ -211,12 +214,13 @@ def cmd_verify(args) -> int:
         print(f"malformed certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
     h = PermutationGroup(cert.generators, cert.degree)
-    expected = cert.family_order  # formed by from_json, within the limit
-    if expected is not None and h.order() != expected:
-        name = "affine" if cert.family == "agl" else cert.family
-        print(f"subgroup order {h.order()} does not match the {name} family order "
-              f"{expected}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
+    if cert.family != "explicit":  # from_dict checked the params against the degree
+        expected = family_order(cert.family, cert.params, cert.degree, cert.ambient)
+        if h.order() != expected:
+            name = "affine" if cert.family == "agl" else cert.family
+            print(f"subgroup order {h.order()} does not match the {name} family order "
+                  f"{expected}", file=sys.stderr)
+            return EXIT_VERIFY_FAIL
     report = verify_certificate(cert, h, limit=args.limit_enum)
     print(report.summary())
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL

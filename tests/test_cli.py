@@ -733,15 +733,15 @@ BIG_REFUSALS = {
 }
 
 # chain argv -> its refusal from a lower bound on |H|, made before |H| or p^d is formed:
-# |AGL(d, p)| >= 2^(d^2 (bits(p) - 1)) and |S_m wr S_k| >= 2^(km - 1)
+# |AGL(d, p)| >= 2^(d^2 (bits(p) - 1)), and j! >= 2^(j (bits(j) - 2.5)) in (m!)^k k!
 FLOOR_REFUSALS = {
     "affine-3-3000000": (["--family", "affine", "--p", "3", "--d", "3000000"], "2^9000000000000"),
     # the first d whose bound passes 2^21 bits; d = 1448 still states |H| exactly
     "affine-3-1449": (["--family", "affine", "--p", "3", "--d", "1449"], "2^2099601"),
     "affine-1000003-3000": (["--family", "affine", "--p", "1000003", "--d", "3000"],
                             "2^171000000"),
-    "wreath-5-3000000": (["--family", "wreath", "--m", "5", "--k", "3000000"], "2^14999999"),
-    "wreath-3000000-2": (["--family", "wreath", "--m", "3000000", "--k", "2"], "2^5999999"),
+    "wreath-5-3000000": (["--family", "wreath", "--m", "5", "--k", "3000000"], "2^64500000"),
+    "wreath-3000000-2": (["--family", "wreath", "--m", "3000000", "--k", "2"], "2^116999999"),
 }
 
 
@@ -761,8 +761,7 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
     def formed(*args):
         raise AssertionError(f"a floor refusal formed the order of {args}")
 
-    for module in (cli, certificate):
-        monkeypatch.setattr(module, "family_order", formed)
+    monkeypatch.setattr(cli, "family_order", formed)
     assert main(["chain", *argv]) == 2
     assert capsys.readouterr() == (
         "", f"refused: subgroup order at least {bound} exceeds enumeration limit 2000000\n")
@@ -772,6 +771,7 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
     *(("agl", {"p": p, "d": d}) for p in (3, 5, 7, 11, 31) for d in range(1, 9)),
     *(("wreath", {"m": m, "k": k}) for m in range(5, 12) for k in range(2, 7)),
     *(("natural", {"n": n}) for n in (5, 7, 10, 33, 100, 1000, 4097)),
+    *(("wreath", {"m": m, "k": k}) for m, k in ((100, 2), (1000, 2), (4097, 3), (5, 1000))),
 ])
 def test_chain_floor_is_a_lower_bound(monkeypatch, family, params):
     """With every bound checked, 2^b never exceeds the family's order."""
@@ -793,6 +793,16 @@ def test_natural_floor_admits_every_n_whose_order_forms_quickly():
     certificate.check_family_floor("natural", {"n": 135_301}, 1)
     with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^2097165 "):
         certificate.check_family_floor("natural", {"n": 135_302}, 1)
+
+
+def test_wreath_floor_admits_every_m_whose_order_forms_quickly():
+    """(m!)^2 2! takes well under a second up to m = 72,315, the last m the floor lets
+    through at k = 2; at m = 10^6, (m!)^2 took 10 s to form."""
+    from irrbase.group import LimitExceeded
+
+    certificate.check_family_floor("wreath", {"m": 72_315, "k": 2}, 1)
+    with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^2097163 "):
+        certificate.check_family_floor("wreath", {"m": 72_316, "k": 2}, 1)
 
 
 def test_oracle_degree_cap_admits_its_bound(tmp_path, capsys):
@@ -992,6 +1002,10 @@ VERIFY_REFUSALS = {
     "natural-100000": (_small_certificate(100_000, "natural", {"n": 100_000}),
                        "refused: subgroup order about 10^456568.5 exceeds enumeration limit "
                        "2000000\n"),
+    # (10^6!)^2 2! >= 2^34999999 is refused without forming it
+    "wreath-1000000-2": (_small_certificate(10**12, "wreath", {"m": 10**6, "k": 2}),
+                         "refused: subgroup order at least 2^34999999 exceeds enumeration "
+                         "limit 2000000\n"),
     # 399999! >= 2^6599983 is refused without forming it
     "natural-400000": (_small_certificate(400_000, "natural", {"n": 400_000}),
                        "refused: subgroup order at least 2^6599983 exceeds enumeration limit "
