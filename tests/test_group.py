@@ -124,6 +124,23 @@ def test_point_stabilizer_generators_pinned(agl32, agl71, wreath52):
     assert digest == POINT_STABILIZER_DIGEST
 
 
+#: sha256 over the corpus above of every chain level's base point, orbit order,
+#: transversal and inverse transversal tables, and every point's orbit
+ORBIT_WALK_DIGEST = "c20a03ed1ba5e037a479be878f496b3a93a7c855b5db3f9cad69692f9f9bee5e"
+
+
+def test_orbit_walk_pinned(agl32, agl71, wreath52):
+    """The chain's orbits and transversals and PermutationGroup.orbit keep their order and bytes."""
+    lines = []
+    for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
+        for lvl in g._levels:
+            lines.append(f"{name} {lvl.point}: {list(lvl.orbit)} {list(lvl.orbit.values())} "
+                         f"{[lvl.inv[b] for b in lvl.orbit]}")
+        lines.append(f"{name} orbits: {[g.orbit(i) for i in range(1, g.degree + 1)]}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == ORBIT_WALK_DIGEST
+
+
 def test_orbit_stabilizer_random():
     rng = random.Random(13)
     els7 = symmetric_group(7).elements()
