@@ -180,7 +180,7 @@ def span_points(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> set:
 def gl_subspace_stabilizer(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> PermutationGroup:
     """Setwise stabilizer of a linear subspace in GL(V), by orbit-stabilizer on point sets."""
     w = frozenset(pt - 1 for pt in span_points(ctx, basis))
-    return _stabilizer(ctx.gl, w, lambda pts, s: frozenset(s[p] for p in pts))
+    return _stabilizer(ctx.gl, w, lambda s, pts: frozenset(s[p] for p in pts))
 
 
 def scalar_conjugator(ctx: AffineContext) -> Permutation:

@@ -230,6 +230,10 @@ def check_family_floor(family: str, params: dict, limit: int) -> None:
 #: the oracle's cap on the degree n, so on explicit certificates, which it alone writes: a run
 #: holds all t cosets and lists a point stabilizer of H, (n!/2)^(1/3) items or more in all
 ORACLE_MAX_DEGREE = 1000
+#: the cap on an agl, wreath or natural degree n: a transitive H's chain holds n transversal
+#: tables of length n and their inverses, 64 MiB of pointers at 2048, the first power of two
+#: over 1409, the largest degree the default --limit-enum admits (|AGL(1, 1409)| = 1409·1408)
+FAMILY_MAX_DEGREE = 2048
 
 
 def _is_int(value) -> bool:
@@ -285,7 +289,7 @@ class ChainCertificate:
     def from_dict(cls, data: dict, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
         """The certificate in ``data``; one too large to check is refused after the header's
         checks and before any cycle is parsed: an explicit one over ``ORACLE_MAX_DEGREE``,
-        a family one whose ``family_order`` exceeds ``limit``."""
+        a family one whose ``family_order`` exceeds ``limit`` or degree ``FAMILY_MAX_DEGREE``."""
         try:
             degree = data["degree"]
             ambient = data["ambient"]
@@ -321,9 +325,10 @@ class ChainCertificate:
         if family != "explicit":  # a certificate too large to check is refused unparsed
             check_family_floor(family, params, limit)
             check_subgroup_limit(family_order(family, params, degree, ambient), limit)
-        elif degree > ORACLE_MAX_DEGREE:  # only the oracle writes explicit certificates
-            raise LimitExceeded(f"explicit certificate degree {_order_text(degree)} "
-                                f"exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
+        cap = ORACLE_MAX_DEGREE if family == "explicit" else FAMILY_MAX_DEGREE
+        if degree > cap:  # only the oracle writes explicit certificates
+            raise LimitExceeded(f"{family} certificate degree {_order_text(degree)} exceeds the "
+                                f"{'oracle' if family == 'explicit' else 'family'}'s cap {cap}")
         generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
         if not isinstance(level_data, list):
             raise CertificateFormatError("levels must be a list")

@@ -15,6 +15,7 @@ import sys
 
 from .certificate import (
     _POWER_PARAMS,
+    FAMILY_MAX_DEGREE,
     ORACLE_MAX_DEGREE,
     CertificateFormatError,
     ChainCertificate,
@@ -162,6 +163,8 @@ def cmd_chain(args) -> int:
     check_family_floor(family, params, args.limit_enum)
     n = base**exp
     check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
+    if n > FAMILY_MAX_DEGREE:
+        raise LimitExceeded(f"degree {n} exceeds the family's cap {FAMILY_MAX_DEGREE}")
     _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
         from .affine import affine_chain, build_agl

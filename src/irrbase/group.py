@@ -5,7 +5,9 @@ each strong generator is bucketed at the first point it moves, in the natural
 order 1, 2, ..., n.  So the base points ascend, the group fixing the points
 below a level's base point is generated by the buckets from that level on,
 and minimal-coset-representative canonicalization is a greedy walk down the
-chain.  Each level's orbit dict holds its points in breadth-first order.
+chain.  Every orbit, of a level's base point, of a point or of a key, is
+walked by one breadth-first routine, :func:`_orbit_tree`, which returns its
+Schreier vector; a level keeps it, and its transversals are products along it.
 
 Orders are exact Python integers; nothing here overflows.  A stabilizer of
 a key under a group's action, such as a coset Hx or a set of points, comes
@@ -23,7 +25,7 @@ refuses (never truncates) above a caller-supplied element limit.
 from __future__ import annotations
 
 import math
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
@@ -47,11 +49,12 @@ class LimitExceeded(RuntimeError):
 class _Level:
     """One stabilizer-chain level: a base point, its generator bucket, orbit and transversal."""
 
-    __slots__ = ("point", "gens", "orbit", "inv")
+    __slots__ = ("point", "gens", "tree", "orbit", "inv")
 
     def __init__(self, point: int):
         self.point = point
         self.gens = []  # strong generators whose first moved point is `point`
+        self.tree = {}  # the orbit's Schreier vector (:func:`_orbit_tree`)
         self.orbit = {}  # orbit point, in BFS order -> transversal table u with point^u = it
         self.inv = {}  # orbit point -> inverse transversal table
 
@@ -98,19 +101,9 @@ class PermutationGroup:
 
     def _rebuild_level(self, i: int) -> None:
         lvl = self._levels[i]
-        gens = self._gens_at(i)
-        ident = self._ident
-        lvl.orbit = orbit = {lvl.point: ident}
-        lvl.inv = {lvl.point: ident}
-        queue = [lvl.point]
-        for a in queue:  # grows while it is walked: a breadth-first queue
-            ua = orbit[a]
-            for s in gens:
-                b = s[a]
-                if b not in orbit:
-                    orbit[b] = ub = _compose_tbl(ua, s)
-                    lvl.inv[b] = _inverse_tbl(ub)
-                    queue.append(b)
+        lvl.tree = _orbit_tree(lvl.point, self._gens_at(i))
+        lvl.orbit = _tree_tables(lvl.tree, self._ident)
+        lvl.inv = {b: _inverse_tbl(u) for b, u in lvl.orbit.items()}
 
     def _sift_tbl(self, tbl: tuple, start: int = 0) -> tuple:
         """Strip tbl through the chain from level `start`; returns the residue table."""
@@ -200,7 +193,7 @@ class PermutationGroup:
         representatives; :func:`_stabilizer` finds it from the coset's orbit.
         """
         return _stabilizer(
-            k, _min_coset_rep(self, x), lambda a, s: _min_coset_rep(self, _compose_tbl(a, s))
+            k, _min_coset_rep(self, x), lambda s, a: _min_coset_rep(self, _compose_tbl(a, s))
         )
 
     def _conjugate_levels(
@@ -267,17 +260,7 @@ class PermutationGroup:
         """Orbit of a 1-based point under the group, ascending."""
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        gens = [g._tbl for g in self.generators]
-        seen = {point - 1}
-        queue = [point - 1]
-        while queue:
-            a = queue.pop()
-            for s in gens:
-                b = s[a]
-                if b not in seen:
-                    seen.add(b)
-                    queue.append(b)
-        return sorted(p + 1 for p in seen)
+        return sorted(p + 1 for p in _orbit_tree(point - 1, [g._tbl for g in self.generators]))
 
     def point_stabilizer(self, point: int) -> "PermutationGroup":
         """Subgroup fixing the 1-based point; order(G) = |orbit| * order(result).
@@ -330,52 +313,76 @@ def _products(steps: list, i: int, q: tuple) -> Iterator[tuple]:
         yield from _products(steps, i + 1, u_then(q))
 
 
+def _orbit_tree(root, gens: Sequence[tuple], image=getitem, cap: float = math.inf) -> dict:
+    """The breadth-first Schreier vector of a hashable key's orbit under generator tables.
+
+    Each key, in discovery order, maps to (parent key a, generator table s) with
+    ``image(s, a)`` the key, and the root to None; the walk stops past ``cap`` keys.
+    """
+    tree = {root: None}
+    queue = [root]
+    for a in queue:  # grows while it is walked: a breadth-first queue
+        for s in gens:
+            b = image(s, a)
+            if b not in tree:
+                tree[b] = (a, s)
+                queue.append(b)
+                if len(queue) > cap:
+                    return tree
+    return tree
+
+
+def _tree_tables(tree: dict, ident: tuple, table: Optional[dict] = None) -> dict:
+    """Each key of a Schreier vector -> the product of the tables along its path from the root.
+
+    A generator s's table is ``table[s]``, or s itself with no ``table``; the root's is ``ident``.
+    """
+    out = {}
+    for b, edge in tree.items():  # every parent comes before its children
+        out[b] = ident if edge is None else _compose_tbl(
+            out[edge[0]], edge[1] if table is None else table[edge[1]])
+    return out
+
+
 def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
     """The stabilizer in K of a hashable key, by orbit-stabilizer on the key's orbit.
 
-    ``image(a, s)`` is the key a moved by the generator table s, an action
-    of K.  A breadth-first orbit of ``root`` under K's generators is kept as
-    a Schreier vector (parent key, generator index), and orbit-stabilizer
-    gives the order |K| / |orbit| exactly.  An orbit longer than |K|/2 is
-    regular, since its length divides |K|: the search stops there and the
-    stabilizer is trivial.  Otherwise Schreier generators are sifted into a
-    new group until it has that order; a subgroup of the stabilizer with the
-    stabilizer's order is the stabilizer.  The orbit has at most |K| keys,
-    and no element of K is listed.
+    ``image(s, a)`` is the key a moved by the generator table s, an action
+    of K.  The key's orbit under K's generators is walked as a Schreier
+    vector (:func:`_orbit_tree`), and orbit-stabilizer gives the order
+    |K| / |orbit| exactly.  An orbit longer than |K|/2 is regular, since its
+    length divides |K|: the walk stops there and the stabilizer is trivial.
+    Otherwise Schreier generators are sifted into a new group until it has
+    that order; a subgroup of the stabilizer with the stabilizer's order is
+    the stabilizer.  The orbit has at most |K| keys, and no element of K is
+    listed.
     """
     gens = [g._tbl for g in k.generators]
     size = k.order()
-    parent = {root: None}  # Schreier vector: key -> (parent key, generator index)
-    queue = [root]
-    for a in queue:  # grows while it is walked: a breadth-first queue
-        for i, s in enumerate(gens):
-            b = image(a, s)
-            if b not in parent:
-                parent[b] = (a, i)
-                queue.append(b)
-                if 2 * len(queue) > size:
-                    return PermutationGroup([], k.degree)
-    target, rem = divmod(size, len(queue))
+    tree = _orbit_tree(root, gens, image, size // 2)
+    if 2 * len(tree) > size:
+        return PermutationGroup([], k.degree)
+    target, rem = divmod(size, len(tree))
     if rem:
-        raise RuntimeError(f"orbit of length {len(queue)} does not divide |K| = {size}")
+        raise RuntimeError(f"orbit of length {len(tree)} does not divide |K| = {size}")
     if target == size:
         return k
 
     def transversal(b) -> tuple:
         """The element of K taking the root to the key b, from the Schreier vector."""
         u = k._ident
-        while parent[b] is not None:
-            b, i = parent[b]
-            u = _compose_tbl(gens[i], u)  # the step from the parent key, then the rest
+        while tree[b] is not None:
+            b, s = tree[b]
+            u = _compose_tbl(s, u)  # the step from the parent key, then the rest
         return u
 
     def schreier_generators() -> Iterator[tuple]:
         """u_a s u_b⁻¹ for each orbit key a and generator s, b the image of a under s."""
-        for a in queue:
+        for a in tree:
             ua = None
-            for i, s in enumerate(gens):
-                b = image(a, s)
-                if parent[b] == (a, i):
+            for s in gens:
+                b = image(s, a)
+                if tree[b] == (a, s):
                     continue  # a tree edge: its Schreier generator is the identity
                 if ua is None:
                     ua = transversal(a)

@@ -57,7 +57,7 @@ from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
 from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep,
-                    _standard_generators, check_coset_orders)
+                    _standard_generators, _tree_tables, check_coset_orders)
 from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
 
 
@@ -123,10 +123,8 @@ def build_coset_action(
     reps = [first]
     index = {first: 0}
     images = [[] for _ in gen_tbls]  # images[i][p]: the point that generator i takes p to
-    qi = 0
-    while qi < len(reps):
-        base = reps[qi]
-        qi += 1
+    # not a Schreier vector: every edge's image is kept, for _word_tables's full rows
+    for base in reps:  # grows while it is walked: a breadth-first queue
         for s, row in zip(gen_tbls, images):
             key = _min_coset_rep(h, _compose_tbl(base, s))
             p = index.setdefault(key, len(reps))
@@ -212,44 +210,29 @@ class _CosetTables:
     """The coset tables of the transversals of H's stabilizer chain.
 
     T(e) is the 0-based table of e ∈ H on the t coset points.  ``levels[k]``
-    holds T(u) for the transversal elements u of level k, in the level's
-    orbit order, so ``levels[k][0]`` is the identity.  Every element of H is
-    u_{L-1} ⋯ u_0 for one u_k per level (so a coset point meets level L-1's
-    table first) and is numbered by its path (i_0, ..., i_{L-1}) in mixed
-    radix, i_0 varying fastest.  An element's image of a point j is therefore
-    T(u_0)[⋯T(u_{L-1})[j]], read off the level tables without a table of the
-    element: :meth:`level_lists` gives a set of elements that form, and
-    :meth:`fixer_tables` gives a point stabilizer's elements tables of their
-    own where that is cheaper.
+    holds T(u) for the transversal elements u of level k, composed along the
+    level's tree in its orbit order, so ``levels[k][0]`` is the identity.
+    Every element of H is u_{L-1} ⋯ u_0 for one u_k per level (so a coset
+    point meets level L-1's table first) and is numbered by its path
+    (i_0, ..., i_{L-1}) in mixed radix, i_0 varying fastest.  An element's
+    image of a point j is therefore T(u_0)[⋯T(u_{L-1})[j]], read off the
+    level tables without a table of the element: :meth:`level_lists` gives a
+    set of elements that form, and :meth:`fixer_tables` gives a point
+    stabilizer's elements tables of their own where that is cheaper.
     """
 
     def __init__(self, action: CosetAction, coset_table: dict):
-        # T is a homomorphism, so only the strong generators' tables are given
-        # (coset_table, from build_coset_action); each level's breadth-first
-        # search of PermutationGroup._rebuild_level is replayed on them
-        h = action.subgroup
+        # T is a homomorphism, so the strong generators' tables (coset_table) give each
+        # level's, composed along the Schreier vector that the level keeps
         self.identity = ident = _identity_tbl(action.degree)  # T(1): the points 0..t-1
-        self.levels = []
-        for i, lvl in enumerate(h._levels):
-            gens = [(s, coset_table[s]) for s in h._gens_at(i)]
-            tables = {lvl.point: ident}
-            order = [lvl.point]
-            for a in order:  # grows while it is walked: a breadth-first queue
-                ta = tables[a]
-                for s, ts in gens:
-                    b = s[a]
-                    if b not in tables:
-                        tables[b] = _compose_tbl(ta, ts)
-                        order.append(b)
-            if order != list(lvl.orbit):
-                raise RuntimeError(f"replayed orbit of level {i} differs from the chain's")
-            self.levels.append(list(tables.values()))
-        self.levels = self.levels or [[ident]]  # a trivial H: one level, the identity
+        self.levels = [list(_tree_tables(lvl.tree, ident, coset_table).values())
+                       for lvl in action.subgroup._levels] or [[ident]]  # a trivial H: one level
         # strides[k]: the place value of level k's choice in a number
         self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))
         self._inv0 = [_inverse_tbl(u) for u in self.levels[0]]
 
-        # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables
+        # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables;
+        # one flat list partitions all t points, cheaper than a Schreier vector per orbit
         gens = list(coset_table.values())
         self.orbit_min = mins = [-1] * action.degree
         self.orbit_size = {}  # the smallest point of an H-orbit -> the orbit's size

@@ -724,6 +724,12 @@ BIG_REFUSALS = {
                                 "--d", "1"],
                                "refused: subgroup order 10000000000000000007700000000000000001482 "
                                "exceeds enumeration limit 2000000\n"),
+    # |AGL(1, p)| is under the raised limit, but build_agl would walk all p points
+    "chain-affine-big-prime-raised-limit": (["chain", "--family", "affine",
+                                             "--p", "100000000000000000039", "--d", "1",
+                                             "--limit-enum", str(10**41)],
+                                            "refused: degree 100000000000000000039 exceeds the "
+                                            "family's cap 2048\n"),
     # the least p that Miller-Rabin over the primes 2..41 cannot decide
     "chain-affine-untestable-p": (["chain", "--family", "affine",
                                    "--p", "3317044064679887385961981", "--d", "1"],
@@ -750,6 +756,15 @@ def test_big_refusals_are_one_short_line(monkeypatch, capsys, case):
     argv, err = BIG_REFUSALS[case]
     _refuse_builds(monkeypatch)
     assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_family_degree_cap_refuses_within_a_second(monkeypatch, capsys):
+    argv, err = BIG_REFUSALS["chain-affine-big-prime-raised-limit"]
+    _refuse_builds(monkeypatch)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", err)
 
 
@@ -984,8 +999,12 @@ def _small_certificate(degree, family, params, generator="(1 2)") -> dict:
             "levels": [{"conjugators": ["()"], "order": "2"}], "claimed_length": 1}
 
 
+BIG_PRIME = 100000000000000000039
+RAISED_LIMIT = str(10**41)  # admits |AGL(1, BIG_PRIME)|
+
 # a certificate too large to check -> verify's one stderr line, before any cycle is parsed:
-# an explicit degree over the oracle's cap, or a family |H ∩ G| over --limit-enum
+# an explicit degree over the oracle's cap, a family |H ∩ G| over --limit-enum or a family
+# degree over its cap; then any verify flags
 VERIFY_REFUSALS = {
     "explicit-degree-10^20": (_small_certificate(10**20, "explicit", {}),
                               "refused: explicit certificate degree 100000000000000000000 "
@@ -1010,6 +1029,10 @@ VERIFY_REFUSALS = {
     "natural-400000": (_small_certificate(400_000, "natural", {"n": 400_000}),
                        "refused: subgroup order at least 2^6599983 exceeds enumeration limit "
                        "2000000\n"),
+    # |AGL(1, p)| is under the raised limit, but a table of degree p cannot be held
+    "agl-big-prime-1": (_small_certificate(BIG_PRIME, "agl", {"p": BIG_PRIME, "d": 1}),
+                        f"refused: agl certificate degree {BIG_PRIME} exceeds the family's cap "
+                        f"2048\n", "--limit-enum", RAISED_LIMIT),
 }
 
 
@@ -1021,13 +1044,13 @@ def test_verify_refuses_a_certificate_too_large_to_check(monkeypatch, tmp_path, 
     def parsed(*args):
         raise AssertionError(f"a cycle was parsed before the refusal: {args}")
 
-    data, err = VERIFY_REFUSALS[case]
+    data, err, *flags = VERIFY_REFUSALS[case]
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
     err = err.format(agl_3_60=family_order("agl", {"p": 3, "d": 60}, 3**60, "S"))
     monkeypatch.setattr(certificate, "parse_cycles", parsed)
     start = time.perf_counter()
-    assert main(["verify", str(path)]) == 2
+    assert main(["verify", *flags, str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", err)
 

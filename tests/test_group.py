@@ -1,5 +1,6 @@
 import hashlib
 import random
+from operator import getitem
 
 import pytest
 
@@ -118,7 +119,7 @@ def test_point_stabilizer_generators_pinned(agl32, agl71, wreath52):
     for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
         for i in range(1, g.degree + 1):
             stab = g.point_stabilizer(i)
-            assert equals(stab, _stabilizer(g, i - 1, lambda a, s: s[a])), (name, i)
+            assert equals(stab, _stabilizer(g, i - 1, getitem)), (name, i)
             lines.append(f"{name} {i}: " + " ".join(print_cycles(x) for x in stab.generators))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == POINT_STABILIZER_DIGEST
@@ -139,6 +140,45 @@ def test_orbit_walk_pinned(agl32, agl71, wreath52):
         lines.append(f"{name} orbits: {[g.orbit(i) for i in range(1, g.degree + 1)]}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ORBIT_WALK_DIGEST
+
+
+def test_level_tree_is_the_breadth_first_schreier_vector(agl32, agl71, wreath52):
+    """Each level's tree: its orbit's keys in order, each reached first by its parent edge.
+
+    The parent of a key b is the first pair (a, s), a in orbit order and s in
+    the level's generator order, with s[a] = b; the product of the generators
+    along b's path from the base point is b's transversal table.
+    """
+    for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
+        for i, lvl in enumerate(g._levels):
+            gens = g._gens_at(i)
+            order = list(lvl.tree)
+            assert order == list(lvl.orbit) and order[0] == lvl.point, (name, i)
+            assert lvl.tree[lvl.point] is None
+            first = {}
+            for a in order:
+                for s in gens:
+                    first.setdefault(s[a], (a, s))
+            assert set(first) == set(order)  # the orbit is closed under the generators
+            for b in order[1:]:
+                a, s = lvl.tree[b]
+                assert (a, s) == first[b] and s[a] == b, (name, i, b)
+                u = s
+                while lvl.tree[a] is not None:
+                    a, s = lvl.tree[a]
+                    u = tuple(u[v] for v in s)  # s first, then the path below it
+                assert u == lvl.orbit[b] and tuple(u[v] for v in lvl.inv[b]) == g._ident
+
+
+def test_stabilizer_at_the_regular_cap():
+    """An orbit of exactly |K|/2 keys is walked in full; a longer one is regular."""
+    s3 = symmetric_group(3)  # |S3| = 6 and the orbit of 1 has 3 = 6/2 points
+    stab = _stabilizer(s3, 0, getitem)
+    assert stab.order() == 2 and equals(stab, s3.point_stabilizer(1))
+    c5 = from_generators([parse_cycles("(1 2 3 4 5)", 5)], 5)  # a regular orbit, |K| odd
+    assert _stabilizer(c5, 0, getitem).order() == 1
+    c3 = from_generators([parse_cycles("(1 2 3)(4 5 6)", 6)], 6)
+    assert _stabilizer(c3, frozenset((0, 3)), lambda s, a: frozenset(s[p] for p in a)).order() == 1
 
 
 def test_orbit_stabilizer_random():
