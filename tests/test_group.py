@@ -175,8 +175,8 @@ def test_stabilizer_at_the_regular_cap():
     s3 = symmetric_group(3)  # |S3| = 6 and the orbit of 1 has 3 = 6/2 points
     stab = _stabilizer(s3, 0, getitem)
     assert stab.order() == 2 and equals(stab, s3.point_stabilizer(1))
-    c5 = from_generators([parse_cycles("(1 2 3 4 5)", 5)], 5)  # a regular orbit, |K| odd
-    assert _stabilizer(c5, 0, getitem).order() == 1
+    for cycle in ("(1 2 3 4)", "(1 2 3 4 5)"):  # a regular orbit, |K| even and odd
+        assert _stabilizer(from_generators([parse_cycles(cycle, 5)], 5), 0, getitem).order() == 1
     c3 = from_generators([parse_cycles("(1 2 3)(4 5 6)", 6)], 6)
     assert _stabilizer(c3, frozenset((0, 3)), lambda s, a: frozenset(s[p] for p in a)).order() == 1
 
