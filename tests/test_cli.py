@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -417,6 +418,29 @@ def test_optimized_interpreter_same_output(tmp_path):
     assert runs[0] == runs[1]
 
 
+def test_output_independent_of_hash_seed(tmp_path):
+    """A bytes table's hash is salted by PYTHONHASHSEED, so no output may depend on set order."""
+    (tmp_path / "agl-3-2.gens").write_text(GENERATOR_FILES["agl-3-2.gens"])
+    commands = [
+        ["chain", "--family", "affine", "--p", "3", "--d", "2"],
+        ["oracle", "--subgroup", "natural", "--n", "7", "--ambient", "A", "--out", "n7.json"],
+        ["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", "agl-3-2.gens",
+         "--out", "agl32.json"],
+    ]
+    runs = []
+    for seed in ("0", "4242"):
+        outputs = []
+        for argv in commands:
+            argv = [str(tmp_path / a) if a.endswith((".gens", ".json")) else a for a in argv]
+            r = subprocess.run(CLI + argv, capture_output=True, timeout=600,
+                               env={**os.environ, "PYTHONHASHSEED": seed})
+            assert r.returncode == 0, r.stderr
+            outputs.append(r.stdout)
+        outputs += [(tmp_path / name).read_bytes() for name in ("n7.json", "agl32.json")]
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
 # -- in-process runs of the CLI -------------------------------------------------
 
 # sha256 of the certificate bytes, which must stay stable across releases
@@ -436,6 +460,23 @@ def test_chain_bytes_pinned(tmp_path, key):
     argv = ["chain", "--family", family, names[0], a, names[1], b, "--format", fmt]
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_DIGESTS[key]
+
+
+# sha256 of `chain --family affine --p P --d 1` on either side of degree 256, the
+# largest degree whose permutation tables are bytes: AGL(1, 251) and AGL(1, 257)
+BOUNDARY_DIGESTS = {
+    "251": "334c66a6ae7ccaebec1518594878050410b49c2297876ff9c2725f2fb2c73fa3",
+    "257": "fe66db9b47b77f910ff31305b0049fd20cc1aac8591f35cd8e93bf4ffa8f5f80",
+}
+
+
+@pytest.mark.parametrize("p", sorted(BOUNDARY_DIGESTS))
+def test_chain_bytes_pinned_at_the_table_boundary(tmp_path, capsys, p):
+    out = tmp_path / "cert.json"
+    assert main(["chain", "--family", "affine", "--p", p, "--d", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BOUNDARY_DIGESTS[p]
+    assert main(["verify", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("certificate VERIFIED\n")
 
 
 def test_chain_never_enumerates_h(monkeypatch, capsys):
