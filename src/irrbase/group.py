@@ -25,17 +25,23 @@ refuses (never truncates) above a caller-supplied element limit.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
     DegreeMismatchError,
     Permutation,
+    Table,
     _compose_tbl,
+    _composer,
     _cycle_lists,
     _cycles_tbl,
     _identity_tbl,
     _inverse_tbl,
+    _pad,
+    _table,
+    _then,
 )
 
 #: default cap on enumeration-based operations (elements of the smaller group)
@@ -70,6 +76,8 @@ class PermutationGroup:
                 )
         self.degree = degree
         self._ident = _identity_tbl(degree)
+        self._pad = _pad(degree)  # a second operand's padding (perm's kernel)
+        self._after = _composer(degree)  # _compose_tbl(a, b) as self._after(a, b + self._pad)
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] = []
         self._order = 1
@@ -79,7 +87,7 @@ class PermutationGroup:
 
     # -- construction ------------------------------------------------------
 
-    def _place(self, tbl: tuple) -> int:
+    def _place(self, tbl: Table) -> int:
         """Bucket a new strong generator at its first moved point; returns its level's index."""
         pt = next(i for i, v in enumerate(tbl) if v != i)
         for idx, lvl in enumerate(self._levels):
@@ -105,8 +113,9 @@ class PermutationGroup:
         lvl.orbit = _tree_tables(lvl.tree, self._ident)
         lvl.inv = {b: _inverse_tbl(u) for b, u in lvl.orbit.items()}
 
-    def _sift_tbl(self, tbl: tuple, start: int = 0) -> tuple:
+    def _sift_tbl(self, tbl: Table, start: int = 0) -> Table:
         """Strip tbl through the chain from level `start`; returns the residue table."""
+        after, pad = self._after, self._pad
         for lvl in self._levels[start:]:
             b = tbl[lvl.point]
             if b == lvl.point:
@@ -114,8 +123,7 @@ class PermutationGroup:
             u_inv = lvl.inv.get(b)
             if u_inv is None:
                 return tbl
-            # _compose_tbl(tbl, u_inv) inlined: a moved point means degree >= 2
-            tbl = itemgetter(*tbl)(u_inv)
+            tbl = after(tbl, u_inv + pad)  # _compose_tbl(tbl, u_inv), C-level on bytes
         return tbl
 
     def _scan_level(self, i: int) -> Optional[int]:
@@ -142,7 +150,7 @@ class PermutationGroup:
             else:
                 i = nxt
 
-    def _add_generator(self, tbl: tuple) -> bool:
+    def _add_generator(self, tbl: Table) -> bool:
         """Extend the chain by tbl; False when tbl already lies in the group."""
         r = self._sift_tbl(tbl)
         if r == self._ident:
@@ -161,31 +169,30 @@ class PermutationGroup:
         """1-based base points of the stabilizer chain, in chain order."""
         return [lvl.point + 1 for lvl in self._levels]
 
-    def _contains_tbl(self, tbl: tuple) -> bool:
+    def _contains_tbl(self, tbl: Table) -> bool:
         return self._sift_tbl(tbl) == self._ident
 
-    def _conjugate_members(self, conjugators: Sequence[tuple], pool: Iterable[tuple]) -> list:
+    def _conjugate_members(self, conjugators: Sequence[Table], pool: Iterable[Table]) -> list:
         """The tables e of ``pool``, in pool order, lying in H^x for every conjugator table x.
 
-        ``e ∈ H^x ⟺ x e x⁻¹ ∈ H``; the table of x e x⁻¹ is built as (e then
-        x⁻¹) then x, so each element's itemgetter is made once and shared by
-        all conjugators, whose inverse and itemgetter are made once per call.
+        ``e ∈ H^x ⟺ x e x⁻¹ ∈ H``; the table of x e x⁻¹ is built as (x then
+        e) then x⁻¹, so each element is padded once and shared by all
+        conjugators, whose composers and padded inverses are made once per call.
         """
-        if self.degree < 2:
-            return list(pool)  # the identity is the only element of any such group
-        tests = [(itemgetter(*x), _inverse_tbl(x)) for x in conjugators]
+        after, pad = self._after, self._pad
+        tests = [(_then(x), _inverse_tbl(x) + pad) for x in conjugators]
         contains = self._contains_tbl
         out = []
         for e in pool:
-            e_then = itemgetter(*e)
+            e_padded = e + pad
             for x_then, x_inv in tests:
-                if not contains(x_then(e_then(x_inv))):
+                if not contains(after(x_then(e_padded), x_inv)):
                     break
             else:
                 out.append(e)
         return out
 
-    def _coset_stabilizer(self, k: "PermutationGroup", x: tuple) -> "PermutationGroup":
+    def _coset_stabilizer(self, k: "PermutationGroup", x: Table) -> "PermutationGroup":
         """K ∩ H^x (H is this group), as the stabilizer in K of the right coset Hx.
 
         ``k ∈ H^x ⟺ Hxk = Hx``, so the level is the stabilizer of the point
@@ -197,7 +204,7 @@ class PermutationGroup:
         )
 
     def _conjugate_levels(
-        self, conjugator_sets: Iterable[Sequence[tuple]]
+        self, conjugator_sets: Iterable[Sequence[Table]]
     ) -> Iterator["PermutationGroup"]:
         """Lazily, for each conjugator set, the group ⋂ H^x over its x.
 
@@ -229,22 +236,21 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    def _iter_element_tbls(self) -> Iterator[tuple]:
+    def _iter_element_tbls(self) -> Iterator[Table]:
         """All element tables exactly once, in a fixed deterministic order.
 
         The element for transversal tables u_0, ..., u_{L-1} (one per level,
         each level's orbit in ascending order, level 0 varying slowest) is
-        u_{L-1} ⋯ u_1 u_0.  It is accumulated from level 0 down, so every table
-        costs one call of a prebuilt itemgetter on its parent's partial product.
+        u_{L-1} ⋯ u_1 u_0.  It is accumulated from level 0 down: a partial
+        product is padded once and each table of the next level composed with it.
         """
         levels = self._levels
         if not levels:
             return iter((self._ident,))
-        # levels 1.. as itemgetters; level 0's tables start the products as they
-        # are, so the first (usually largest) orbit gets no getter copies
-        steps = [[itemgetter(*lvl.orbit[b]) for b in sorted(lvl.orbit)] for lvl in levels[1:]]
+        steps = [[lvl.orbit[b] for b in sorted(lvl.orbit)] for lvl in levels[1:]]
         top = levels[0].orbit
-        return (e for b in sorted(top) for e in _products(steps, 0, top[b]))
+        return (e for b in sorted(top)
+                for e in _products(steps, 0, top[b], self._after, self._pad))
 
     def iter_elements(self, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Permutation]:
         if self._order > limit:
@@ -273,7 +279,7 @@ class PermutationGroup:
         """
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")
-        x = Permutation._wrap((*range(1, point), 0, *range(point, self.degree)))
+        x = Permutation._wrap(_table((*range(1, point), 0, *range(point, self.degree))))
         gens = [s for lvl in self.conjugate(x)._levels for s in lvl.gens if s[0] == 0]
         back = x.inverse()
         return PermutationGroup(
@@ -299,21 +305,28 @@ class PermutationGroup:
         )
 
 
-def _products(steps: list, i: int, q: tuple) -> Iterator[tuple]:
-    """``v_k(⋯ v_i(q))`` for every choice of one getter v_j from each ``steps[j]``, j >= i.
+def _products(steps: list, i: int, q: Table, after, pad: Table) -> Iterator[Table]:
+    """The tables v_k ⋯ v_i q for every choice of one table v_j from each ``steps[j]``, j >= i.
 
-    Module-level rather than nested: a nested recursive generator refers to
-    itself through its closure, a reference cycle that would keep ``steps``
-    alive until the cyclic garbage collector runs.
+    ``after`` and ``pad`` are the group's :func:`irrbase.perm._composer` and
+    :func:`irrbase.perm._pad`; each partial product is padded once, and the
+    last level's products are made in one map.  Module-level rather than
+    nested: a nested recursive generator refers to itself through its
+    closure, a reference cycle that would keep ``steps`` alive until the
+    cyclic garbage collector runs.
     """
     if i == len(steps):
         yield q
         return
-    for u_then in steps[i]:
-        yield from _products(steps, i + 1, u_then(q))
+    products = map(after, steps[i], repeat(q + pad))
+    if i + 1 == len(steps):
+        yield from products
+        return
+    for p in products:
+        yield from _products(steps, i + 1, p, after, pad)
 
 
-def _orbit_tree(root, gens: Sequence[tuple], image=getitem, cap: float = math.inf) -> dict:
+def _orbit_tree(root, gens: Sequence[Table], image=getitem, cap: float = math.inf) -> dict:
     """The breadth-first Schreier vector of a hashable key's orbit under generator tables.
 
     Each key, in discovery order, maps to (parent key a, generator table s) with
@@ -332,7 +345,7 @@ def _orbit_tree(root, gens: Sequence[tuple], image=getitem, cap: float = math.in
     return tree
 
 
-def _tree_tables(tree: dict, ident: tuple, table: Optional[dict] = None) -> dict:
+def _tree_tables(tree: dict, ident: Table, table: Optional[dict] = None) -> dict:
     """Each key of a Schreier vector -> the product of the tables along its path from the root.
 
     A generator s's table is ``table[s]``, or s itself with no ``table``; the root's is ``ident``.
@@ -368,7 +381,7 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
     if target == size:
         return k
 
-    def transversal(b) -> tuple:
+    def transversal(b) -> Table:
         """The element of K taking the root to the key b, from the Schreier vector."""
         u = k._ident
         while tree[b] is not None:
@@ -376,7 +389,7 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
             u = _compose_tbl(s, u)  # the step from the parent key, then the rest
         return u
 
-    def schreier_generators() -> Iterator[tuple]:
+    def schreier_generators() -> Iterator[Table]:
         """u_a s u_b⁻¹ for each orbit key a and generator s, b the image of a under s."""
         for a in tree:
             ua = None
@@ -402,7 +415,7 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
     return stab
 
 
-def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
+def _min_coset_rep(h: PermutationGroup, y: Table) -> Table:
     """Lexicographically smallest image table in the coset {h y : h in H}.
 
     Walks H's stabilizer chain: at each level the image of the base point is
@@ -414,12 +427,13 @@ def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
         # per level: the base point, its orbit, a getter of the orbit's images
         # (None when the orbit holds at least half the points: its least image
         # is then found by scanning the values 0, 1, ... instead) and the
-        # transversal tables as getters, by orbit point
+        # transversal tables as composers (perm's _then), by orbit point
         walk = h._walk = []
         for lvl in h._levels:
             pts = list(lvl.orbit)  # at least two points: a level's generators move it
             images_of = None if 2 * len(pts) >= h.degree else itemgetter(*pts)
-            walk.append((lvl.point, pts, images_of, {b: itemgetter(*lvl.orbit[b]) for b in pts}))
+            walk.append((lvl.point, pts, images_of, {b: _then(lvl.orbit[b]) for b in pts}))
+    pad = h._pad
     for point, pts, images_of, u_then in walk:
         if images_of is None:
             v = 0
@@ -431,7 +445,7 @@ def _min_coset_rep(h: PermutationGroup, y: tuple) -> tuple:
             imgs = images_of(y)
             c = pts[imgs.index(min(imgs))]
         if c != point:
-            y = u_then[c](y)  # _compose_tbl(u, y): u first, then y
+            y = u_then[c](y + pad)  # _compose_tbl(u, y): u first, then y
     return y
 
 

@@ -58,7 +58,8 @@ from typing import Optional, Sequence
 from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
 from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep,
                     _standard_generators, _tree_tables, check_coset_orders)
-from .perm import Permutation, _compose_tbl, _identity_tbl, _inverse_tbl
+from .perm import (Permutation, Table, _compose_tbl, _composer, _identity_tbl, _inverse_tbl,
+                   _pad, _table, _then)
 
 
 class OracleLimits:
@@ -118,15 +119,15 @@ def build_coset_action(
     check_coset_orders(t, h.order(), limit_enum)
 
     gen_tbls = [x._tbl for x in g.generators]
-    ident = _identity_tbl(g.degree)
-    first = _min_coset_rep(h, ident)
+    after, padded = _composer(g.degree), [s + _pad(g.degree) for s in gen_tbls]
+    first = _min_coset_rep(h, _identity_tbl(g.degree))
     reps = [first]
     index = {first: 0}
     images = [[] for _ in gen_tbls]  # images[i][p]: the point that generator i takes p to
     # not a Schreier vector: every edge's image is kept, for _word_tables's full rows
     for base in reps:  # grows while it is walked: a breadth-first queue
-        for s, row in zip(gen_tbls, images):
-            key = _min_coset_rep(h, _compose_tbl(base, s))
+        for s, row in zip(padded, images):
+            key = _min_coset_rep(h, after(base, s))  # base first, then the generator
             p = index.setdefault(key, len(reps))
             if p == len(reps):
                 reps.append(key)
@@ -148,20 +149,21 @@ def build_coset_action(
     if alternating is None:  # G given otherwise: each strong generator mapped through the cosets
         coset_tables = {s: _coset_permutation(action, s) for s in strong}
     else:
-        coset_tables = _word_tables(gen_tbls, [tuple(row) for row in images], alternating, strong)
+        coset_tables = _word_tables(gen_tbls, [_table(row) for row in images], alternating, strong)
     del images  # at t = 362,880 each of these tables is 2.8 MiB: none is held past its use
     action._tables = _CosetTables(action, coset_tables)
     return action
 
 
-def _coset_permutation(action: CosetAction, h_tbl: tuple) -> tuple:
+def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
     """0-based image table of an element of H acting on the coset points."""
     h = action.subgroup
+    after, padded = _composer(len(h_tbl)), h_tbl + _pad(len(h_tbl))
     out = []
     for rep in action.transversal:
-        key = _min_coset_rep(h, _compose_tbl(rep._tbl, h_tbl))
+        key = _min_coset_rep(h, after(rep._tbl, padded))  # rep first, then h
         out.append(action._index[key])
-    return tuple(out)
+    return _table(out)
 
 
 def _word_tables(gens: list, images: list, alternating: bool, elements: list) -> dict:
@@ -281,11 +283,12 @@ class _CosetTables:
         levels, strides = self.levels, self.strides
         order = strides[-1] * len(levels[-1])
         m = min(range(len(levels)), key=lambda k: strides[k] + order // strides[k])
-        buckets = {}  # a point -> the lower numbers and tables of the Bs taking it to j
+        pad = _pad(len(self.identity))
+        buckets = {}  # a point -> the lower numbers and padded tables of the Bs taking it to j
         for lower, b in enumerate(_products(levels[:m][::-1] or [[self.identity]])):
             lows, bs = buckets.setdefault(b.index(j), ([], []))
             lows.append(lower)
-            bs.append(b)
+            bs.append(b + pad)  # a second operand of every A in its bucket
         numbers = []
         for upper, a in enumerate(_products(levels[m:][::-1])):
             bucket = buckets.get(a[j])
@@ -293,7 +296,7 @@ class _CosetTables:
                 lows, bs = bucket
                 fixers = list(map((upper * strides[m]).__add__, lows))
                 kept = [(e, known[e]) for e in filter(known.__contains__, fixers)]
-                known.update(zip(fixers, map(itemgetter(*a), bs)))
+                known.update(zip(fixers, map(_then(a), bs)))
                 known.update(kept)
                 numbers += fixers
         return numbers
@@ -319,16 +322,17 @@ def _products(levels: list):
 
     Each level lists its tables with the identity first.  The last level's
     choice varies fastest: a partial product is extended through the last
-    level in one map, and the identity passes it on.  Only one partial product
-    per level is held.
+    level, padded once, in one map, and the identity passes it on.  Only one
+    partial product per level is held.
     """
     if len(levels) == 1:
         yield from levels[0]
         return
-    rest = levels[-1][1:]
+    pad = _pad(len(levels[0][0]))
+    rest = [u + pad for u in levels[-1][1:]]
     for p in _products(levels[:-1]):
         yield p
-        yield from map(itemgetter(*p), rest)
+        yield from map(_then(p), rest)
 
 
 def _use_coset_tables(t: int, n: int) -> bool:

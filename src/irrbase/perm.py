@@ -1,9 +1,12 @@
 """Permutations of {1..n} as immutable image tables.
 
-A permutation is stored as a tuple ``tbl`` with ``tbl[i]`` the 0-based image
-of the 0-based point ``i``.  All public interfaces (cycle text, the
-``images`` field, ``image()``) speak 1-based points, matching the on-disk
-formats of this package; the 0-based table is an internal detail.
+A permutation is stored as a table ``tbl`` with ``tbl[i]`` the 0-based image
+of the 0-based point ``i``: a ``bytes`` of length n up to degree 256, since a
+byte holds 0..255, and a tuple above.  :func:`_table` alone makes tables from
+sequences, so every table of one degree has one type.  All public interfaces
+(cycle text, the ``images`` field, ``image()``) speak 1-based points,
+matching the on-disk formats of this package; the 0-based table is an
+internal detail.
 
 The composition convention is the right action: ``i^(pq) = (i^p)^q``, so
 ``compose(p, q)`` means "apply p first, then q".  Conjugation is
@@ -11,8 +14,10 @@ The composition convention is the right action: ``i^(pq) = (i^p)^q``, so
 
 The raw-table kernel at the bottom of this module is what the heavier modules
 run on.  On tables the same convention reads ``_compose_tbl(a, b)[i] =
-b[a[i]]`` (a first, then b), computed as ``itemgetter(*a)(b)``, and identity
-is tested by tuple ``==`` against a cached identity table.  Membership of a
+b[a[i]]`` (a first, then b), computed as ``a.translate(b + pad)`` on bytes,
+with b padded to the 256 entries ``bytes.translate`` wants, and as
+``itemgetter(*a)(b)`` on tuples; identity is tested by ``==`` against a
+cached identity table.  Membership of a
 conjugate rests on ``e ∈ H^x ⟺ x e x⁻¹ ∈ H ⟺ Hxe = Hx``: certificate levels
 and the wreath checks are stabilizers of cosets Hx
 (``PermutationGroup._coset_stabilizer``), and the enumeration filter of
@@ -25,7 +30,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Sequence
+from typing import Sequence, Union
+
+#: a permutation table: bytes up to :data:`BYTES_DEGREE`, a tuple above
+Table = Union[bytes, tuple]
+
+#: the largest degree whose tables are bytes: a byte holds the points 0..255
+BYTES_DEGREE = 256
 
 
 class CycleParseError(ValueError):
@@ -48,13 +59,13 @@ class Permutation:
 
     def __init__(self, images: Sequence[int]):
         n = len(images)
-        tbl = tuple(v - 1 for v in images)
+        tbl = [v - 1 for v in images]
         if sorted(tbl) != list(range(n)):
             raise ValueError("images do not form a bijection of {1..%d}" % n)
-        self._tbl = tbl
+        self._tbl = _table(tbl)
 
     @classmethod
-    def _wrap(cls, tbl: tuple) -> "Permutation":
+    def _wrap(cls, tbl: Table) -> "Permutation":
         """Wrap a trusted 0-based image table without validation."""
         p = object.__new__(cls)
         p._tbl = tbl
@@ -209,14 +220,14 @@ def _cycle_lists(text: str, degree: int) -> list:
     return cycles
 
 
-def _cycles_tbl(cycles: list, degree: int) -> tuple:
+def _cycles_tbl(cycles: list, degree: int) -> Table:
     """The table of the permutation with these disjoint cycles of 0-based points."""
     tbl = list(range(degree))
     for points in cycles:
         for a, b in zip(points, points[1:]):
             tbl[a] = b
         tbl[points[-1]] = points[0]
-    return tuple(tbl)
+    return _table(tbl)
 
 
 def _cycles_even(cycles: list) -> bool:
@@ -262,28 +273,66 @@ def cycle_type(p: Permutation) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# raw-table helpers shared by the heavier modules; tables are 0-based tuples
+# raw-table kernel shared by the heavier modules; tables are 0-based, bytes up to
+# degree 256 and tuples above.  A hot loop pads an operand it reuses once
+# (:func:`_pad`) and composes through :func:`_then` or :func:`_composer`, so no
+# Python-level call is made per composition on bytes.
 
 
-def _compose_tbl(a: tuple, b: tuple) -> tuple:
-    """a first, then b: the table of ``b[a[i]]``."""
-    if len(a) > 1:
-        return itemgetter(*a)(b)
-    # itemgetter() raises and itemgetter(v) returns a scalar
-    return tuple(b[v] for v in a)
+def _table(seq: Sequence[int]) -> Table:
+    """The table of a sequence of 0-based images: bytes up to degree 256, a tuple above.
+
+    The only place a table is made from a sequence, so that tables of one degree
+    have one type: a tuple never equals bytes, so a stray one would fail every
+    identity test.
+    """
+    return bytes(seq) if len(seq) <= BYTES_DEGREE else tuple(seq)
 
 
-def _inverse_tbl(a: tuple) -> tuple:
-    inv = [0] * len(a)
+# _PADS[n]: the zero bytes that bring a degree-n table to the 256 entries of a
+# translation table; only its first n entries are ever looked up
+_PADS = [bytes(BYTES_DEGREE - n) for n in range(BYTES_DEGREE + 1)]
+
+
+def _pad(n: int) -> Table:
+    """What a degree-n table b is extended by, ``b + _pad(n)``, as the second operand of
+    :func:`_then` and :func:`_composer`: zero bytes up to 256 entries, or nothing."""
+    return _PADS[n] if n <= BYTES_DEGREE else ()
+
+
+def _compose_tbl(a: Table, b: Table) -> Table:
+    """a first, then b: the table of ``b[a[i]]``, by ``bytes.translate`` up to degree 256."""
+    n = len(a)
+    if n <= BYTES_DEGREE:
+        return a.translate(b + _PADS[n])
+    return itemgetter(*a)(b)
+
+
+def _then(a: Table):
+    """The C-level callable taking a padded b (``b + _pad(n)``) to ``_compose_tbl(a, b)``."""
+    return a.translate if len(a) <= BYTES_DEGREE else itemgetter(*a)
+
+
+def _composer(n: int):
+    """``_compose_tbl`` of degree-n tables with b padded, ``f(a, b + _pad(n))``: on bytes
+    the C-level ``bytes.translate``, on tuples (pad empty) ``_compose_tbl`` itself."""
+    return bytes.translate if n <= BYTES_DEGREE else _compose_tbl
+
+
+def _inverse_tbl(a: Table) -> Table:
+    n = len(a)
+    if n <= BYTES_DEGREE:
+        return bytes.maketrans(a, _identity_tbl(n))[:n]
+    inv = [0] * n
     for i, v in enumerate(a):
         inv[v] = i
-    return tuple(inv)
+    return _table(inv)
 
 
 @lru_cache(maxsize=32)
-def _identity_tbl(n: int) -> tuple:
-    return tuple(range(n))
+def _identity_tbl(n: int) -> Table:
+    return _table(range(n))
 
 
-def _is_identity_tbl(a: tuple) -> bool:
+def _is_identity_tbl(a: Table) -> bool:
     return a == _identity_tbl(len(a))

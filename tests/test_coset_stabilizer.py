@@ -25,7 +25,7 @@ from irrbase.affine import (
 )
 from irrbase.group import PermutationGroup, equals, from_generators, symmetric_group
 from irrbase.oracle import build_coset_action, mibs
-from irrbase.perm import Permutation, parse_cycles
+from irrbase.perm import Permutation, _table, parse_cycles
 from irrbase.wreath import (
     build_wreath,
     predicted_stabilizer,
@@ -203,7 +203,7 @@ def trivial_level(h, seed=1):
     for draw in itertools.count(1):
         x = list(range(h.degree))
         rng.shuffle(x)
-        x = tuple(x)
+        x = _table(x)
         members = h._conjugate_members([x], k._iter_element_tbls())
         if len(members) == 1:
             return k, x
@@ -234,7 +234,7 @@ if given is not None:
 
         def conjugator():
             if draw(st.booleans()):
-                return tuple(draw(st.permutations(range(h.degree))))
+                return _table(draw(st.permutations(range(h.degree))))
             return elements[draw(st.integers(0, len(elements) - 1))]
 
         xs = [conjugator() for _ in range(draw(st.integers(1, 4)))]

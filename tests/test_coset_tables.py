@@ -20,7 +20,6 @@ cosets its breadth-first search meets, 1 + t·|G's generators| of them.
 
 from functools import lru_cache
 from math import prod
-from operator import itemgetter
 
 import pytest
 
@@ -45,7 +44,7 @@ from irrbase.oracle import (
     build_coset_action,
     mibs,
 )
-from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles
+from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, _then, parse_cycles
 
 from test_oracle_reference import INSTANCES, action_of as instance_of
 
@@ -121,18 +120,18 @@ def check_fixer_tables(action, j, known):
     before = dict(known)
     count = [0]
 
-    def counting(*items):  # itemgetter(*a) with a of length t composes tables of length t
-        get = itemgetter(*items)
-        if len(items) != action.degree:
-            return get
+    def counting(a):  # _then(a) with a of length t composes tables of length t
+        then = _then(a)
+        if len(a) != action.degree:
+            return then
 
         def tabled(b):
             count[0] += 1
-            return get(b)
+            return then(b)
         return tabled
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "itemgetter", counting)
+        mp.setattr(oracle, "_then", counting)
         numbers = tables.fixer_tables(j, known)
     made = {a: tbl for a, tbl in known.items() if a not in before}
     assert len(made) <= count[0] <= len(numbers) + split_cost(tables)

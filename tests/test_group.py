@@ -17,7 +17,8 @@ from irrbase.group import (
     subgroup_of,
     symmetric_group,
 )
-from irrbase.perm import DegreeMismatchError, Permutation, compose, parse_cycles, print_cycles
+from irrbase.perm import (DegreeMismatchError, Permutation, _table, compose, parse_cycles,
+                          print_cycles)
 
 from conftest import brute_closure
 
@@ -135,8 +136,9 @@ def test_orbit_walk_pinned(agl32, agl71, wreath52):
     lines = []
     for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
         for lvl in g._levels:
-            lines.append(f"{name} {lvl.point}: {list(lvl.orbit)} {list(lvl.orbit.values())} "
-                         f"{[lvl.inv[b] for b in lvl.orbit]}")
+            lines.append(f"{name} {lvl.point}: {list(lvl.orbit)} "
+                         f"{[tuple(u) for u in lvl.orbit.values()]} "
+                         f"{[tuple(lvl.inv[b]) for b in lvl.orbit]}")
         lines.append(f"{name} orbits: {[g.orbit(i) for i in range(1, g.degree + 1)]}")
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == ORBIT_WALK_DIGEST
@@ -166,8 +168,8 @@ def test_level_tree_is_the_breadth_first_schreier_vector(agl32, agl71, wreath52)
                 u = s
                 while lvl.tree[a] is not None:
                     a, s = lvl.tree[a]
-                    u = tuple(u[v] for v in s)  # s first, then the path below it
-                assert u == lvl.orbit[b] and tuple(u[v] for v in lvl.inv[b]) == g._ident
+                    u = _table([u[v] for v in s])  # s first, then the path below it
+                assert u == lvl.orbit[b] and _table([u[v] for v in lvl.inv[b]]) == g._ident
 
 
 def test_stabilizer_at_the_regular_cap():

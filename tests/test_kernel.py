@@ -4,7 +4,9 @@ The references are the per-element Python forms the kernel replaced: generator
 composition, scatter inversion and conjugation, the bottom-up recursive
 element enumeration, and the filter written on the ``Permutation`` API.  Every
 fast path must give the same tables, and the filter the same elements in the
-same order.
+same order.  Tables are bytes up to degree 256 and tuples above, so both
+representations are checked, on either side of that boundary; every table a
+group or a coset action keeps must have its degree's type.
 """
 
 import random
@@ -14,28 +16,40 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st
 
-from irrbase.group import PermutationGroup
+from irrbase.affine import build_agl
+from irrbase.group import PermutationGroup, symmetric_group
+from irrbase.oracle import build_coset_action
 from irrbase.perm import (
+    BYTES_DEGREE,
     Permutation,
     _compose_tbl,
+    _composer,
+    _cycles_tbl,
     _identity_tbl,
     _inverse_tbl,
     _is_identity_tbl,
+    _pad,
+    _table,
+    _then,
     compose,
     conjugate,
     inverse,
+    parse_cycles,
+    print_cycles,
 )
+
+from test_group import point_stabilizer_corpus
 
 
 def ref_compose(a, b):
-    return tuple(b[v] for v in a)
+    return _table([b[v] for v in a])
 
 
 def ref_inverse(a):
     inv = [0] * len(a)
     for i, v in enumerate(a):
         inv[v] = i
-    return tuple(inv)
+    return _table(inv)
 
 
 def ref_conjugate(g, x):
@@ -43,7 +57,7 @@ def ref_conjugate(g, x):
     out = [0] * len(g)
     for i, v in enumerate(g):
         out[x[i]] = x[v]
-    return tuple(out)
+    return _table(out)
 
 
 def ref_iter_element_tbls(group):
@@ -52,7 +66,7 @@ def ref_iter_element_tbls(group):
 
     def rec(i):
         if i == len(levels):
-            yield tuple(range(group.degree))
+            yield _table(range(group.degree))
             return
         lvl = levels[i]
         for b in sorted(lvl.orbit):
@@ -69,7 +83,7 @@ def ref_conjugate_members(h, conjugators, pool):
 
 
 def perms(n, count):
-    return st.tuples(*[st.permutations(range(n)).map(tuple)] * count)
+    return st.tuples(*[st.permutations(range(n)).map(_table)] * count)
 
 
 def same_degree(count, max_degree=12):
@@ -77,14 +91,15 @@ def same_degree(count, max_degree=12):
 
 
 @given(same_degree(2))
-@example(((), ()))
-@example(((0,), (0,)))
-@example(((1, 0), (0, 1)))
-@example(((1, 0), (1, 0)))
+@example((b"", b""))
+@example((b"\0", b"\0"))
+@example((b"\1\0", b"\0\1"))
+@example((b"\1\0", b"\1\0"))
 def test_compose_tbl(pair):
     a, b = pair
     c = _compose_tbl(a, b)
-    assert type(c) is tuple and c == ref_compose(a, b)
+    assert type(c) is bytes and c == ref_compose(a, b)
+    assert _then(a)(b + _pad(len(b))) == _composer(len(a))(a, b + _pad(len(b))) == c
     assert compose(Permutation._wrap(a), Permutation._wrap(b))._tbl == c
     # right action: i^(ab) = (i^a)^b, checked on the public 1-based API
     pa, pb = Permutation._wrap(a), Permutation._wrap(b)
@@ -93,24 +108,24 @@ def test_compose_tbl(pair):
 
 
 @given(same_degree(1))
-@example(((),))
-@example(((0,),))
-@example(((1, 0),))
+@example((b"",))
+@example((b"\0",))
+@example((b"\1\0",))
 def test_inverse_and_identity_tbl(one):
     (a,) = one
     n = len(a)
     inv = _inverse_tbl(a)
     assert inv == ref_inverse(a) == inverse(Permutation._wrap(a))._tbl
-    assert _compose_tbl(a, inv) == _compose_tbl(inv, a) == _identity_tbl(n) == tuple(range(n))
+    assert _compose_tbl(a, inv) == _compose_tbl(inv, a) == _identity_tbl(n) == bytes(range(n))
     assert _is_identity_tbl(a) == all(i == v for i, v in enumerate(a))
     assert Permutation._wrap(a).is_identity() == _is_identity_tbl(a)
     assert _is_identity_tbl(_compose_tbl(a, inv))
 
 
 @given(same_degree(2))
-@example(((), ()))
-@example(((0,), (0,)))
-@example(((1, 0), (1, 0)))
+@example((b"", b""))
+@example((b"\0", b"\0"))
+@example((b"\1\0", b"\1\0"))
 def test_conjugate_tbl(pair):
     g, x = pair
     pg, px = Permutation._wrap(g), Permutation._wrap(x)
@@ -120,12 +135,12 @@ def test_conjugate_tbl(pair):
 
 
 @given(same_degree(1), st.integers(-5, 7))
-@example(((),), 3)
-@example(((0,),), -2)
+@example((b"",), 3)
+@example((b"\0",), -2)
 def test_pow_matches_repeated_compose(one, e):
     (a,) = one
     base = a if e >= 0 else ref_inverse(a)
-    want = tuple(range(len(a)))
+    want = _table(range(len(a)))
     for _ in range(abs(e)):
         want = ref_compose(want, base)
     assert (Permutation._wrap(a) ** e)._tbl == want
@@ -135,19 +150,19 @@ def small_groups(max_degree=7):
     """A group from 0-2 random generators, plus a pool group and conjugators, all of one degree."""
     return st.integers(0, max_degree).flatmap(
         lambda n: st.tuples(
-            st.lists(st.permutations(range(n)).map(tuple), max_size=2),
-            st.lists(st.permutations(range(n)).map(tuple), max_size=2),
-            st.lists(st.permutations(range(n)).map(tuple), max_size=3),
+            st.lists(st.permutations(range(n)).map(_table), max_size=2),
+            st.lists(st.permutations(range(n)).map(_table), max_size=2),
+            st.lists(st.permutations(range(n)).map(_table), max_size=3),
             st.just(n),
         )
     )
 
 
 @given(small_groups())
-@example(([], [], [()], 0))
-@example(([], [], [(0,)], 1))
-@example(([(1, 0)], [], [(1, 0)], 2))
-@example(([(1, 0, 2)], [(0, 2, 1)], [], 3))
+@example(([], [], [b""], 0))
+@example(([], [], [b"\0"], 1))
+@example(([b"\1\0"], [], [b"\1\0"], 2))
+@example(([b"\1\0\2"], [b"\0\2\1"], [], 3))
 def test_conjugate_members_property(case):
     h_gens, k_gens, conjs, n = case
     h = PermutationGroup([Permutation._wrap(t) for t in h_gens], n)
@@ -197,3 +212,74 @@ def test_conjugate_members_matches_permutation_api(request, ctx, group):
     # H^x = H for x in H, and for the identity: nothing is filtered out
     assert len(h._conjugate_members([pool[-1]._tbl], h._iter_element_tbls())) == h.order()
 
+
+
+# -- both representations, on either side of degree 256 ---------------------------
+
+BOUNDARY = [0, 1, 2, 255, 256, 257]
+
+
+def draw_table(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return _table(images)
+
+
+@pytest.mark.parametrize("n", BOUNDARY + [3, 254, 300])
+def test_table_type_rule(n):
+    """A table is bytes if and only if its degree is at most 256, however it is made."""
+    kind = bytes if n <= BYTES_DEGREE else tuple
+    a = draw_table(random.Random(n), n)
+    made = [_identity_tbl(n), _table(range(n)), a, _inverse_tbl(a), _compose_tbl(a, a),
+            Permutation(list(range(1, n + 1)))._tbl, Permutation.identity(n)._tbl,
+            _cycles_tbl([[0, 1]] if n > 1 else [], n), parse_cycles("()", n)._tbl]
+    assert all(type(t) is kind for t in made)
+    assert type(_pad(n)) is kind and len(a + _pad(n)) == max(n, BYTES_DEGREE)
+
+
+@pytest.mark.parametrize("n", BOUNDARY)
+@pytest.mark.parametrize("seed", range(3))
+def test_kernel_at_the_boundary(n, seed):
+    """Compose, inverse, identity and the Permutation API against the references."""
+    rng = random.Random(f"{n}/{seed}")
+    a, b = draw_table(rng, n), draw_table(rng, n)
+    c = _compose_tbl(a, b)
+    assert c == ref_compose(a, b)
+    assert _then(a)(b + _pad(n)) == _composer(n)(a, b + _pad(n)) == c
+    assert _inverse_tbl(a) == ref_inverse(a)
+    assert _compose_tbl(a, _inverse_tbl(a)) == _identity_tbl(n) == _table(range(n))
+    assert _is_identity_tbl(_identity_tbl(n)) and _is_identity_tbl(a) == (a == _table(range(n)))
+    pa, pb = Permutation([v + 1 for v in a]), Permutation([v + 1 for v in b])
+    assert pa._tbl == a and pa.images == tuple(v + 1 for v in a)
+    assert (pa * pb)._tbl == c and (pa * pb).images == tuple(pb.image(pa.image(i))
+                                                            for i in range(1, n + 1))
+    assert (pa * pa.inverse()).is_identity() and pa.inverse()._tbl == ref_inverse(a)
+    assert pa.conjugate(pb)._tbl == ref_conjugate(a, b) == conjugate(pa, pb)._tbl
+    assert (pa ** 3)._tbl == ref_compose(ref_compose(a, a), a)
+    assert parse_cycles(print_cycles(pa), n) == pa and hash(pa) == hash(Permutation._wrap(a))
+    assert Permutation.identity(n)._tbl == _identity_tbl(n)
+
+
+def kept_tables(g):
+    """Every table a group's chain keeps: level orbits, inverses and tree generators."""
+    for lvl in g._levels:
+        yield from lvl.orbit.values()
+        yield from lvl.inv.values()
+        yield from (edge[1] for edge in lvl.tree.values() if edge is not None)
+        yield from lvl.gens
+
+
+def test_kept_tables_have_their_degrees_type(agl32, agl71, wreath52):
+    """Every kept table, of a group or of a coset action on t <= 256 or t > 256 cosets,
+    has the type of the identity table of its length."""
+    groups = [g for _, g in point_stabilizer_corpus(agl32, agl71, wreath52)]
+    groups += [build_agl(257, 1).H]  # degree 257: tuple tables
+    actions = [build_coset_action(symmetric_group(7), agl71.H),  # t = 120
+               build_coset_action(symmetric_group(9), agl32.H)]  # t = 840
+    assert [a.degree for a in actions] == [120, 840]
+    groups += [g for a in actions for g in (a.group, a.subgroup)]
+    tables = [t for g in groups for t in kept_tables(g)]
+    tables += [t for a in actions for level in a._tables.levels for t in level]
+    tables += [t for a in actions for t in (*a._index, *(x._tbl for x in a.transversal))]
+    assert {len(t) for t in tables} >= {7, 9, 25, 120, 257, 840}
+    assert all(type(t) is type(_identity_tbl(len(t))) for t in tables)
