@@ -309,13 +309,17 @@ def _compose_tbl(a: Table, b: Table) -> Table:
 
 
 def _then(a: Table):
-    """The C-level callable taking a padded b (``b + _pad(n)``) to ``_compose_tbl(a, b)``."""
+    """The C-level callable taking a padded b (``b + _pad(n)``) to ``_compose_tbl(a, b)``.
+
+    For a first operand composed with many second ones: a tuple's itemgetter is made once.
+    """
     return a.translate if len(a) <= BYTES_DEGREE else itemgetter(*a)
 
 
 def _composer(n: int):
-    """``_compose_tbl`` of degree-n tables with b padded, ``f(a, b + _pad(n))``: on bytes
-    the C-level ``bytes.translate``, on tuples (pad empty) ``_compose_tbl`` itself."""
+    """``f(a, b + _pad(n)) == _compose_tbl(a, b)`` for degree-n tables, for a first
+    operand that varies: on bytes the C-level ``bytes.translate``, on tuples (an
+    empty pad) ``_compose_tbl`` itself."""
     return bytes.translate if n <= BYTES_DEGREE else _compose_tbl
 
 

@@ -47,3 +47,16 @@ def test_no_assert_guards(path):
 )
 def test_guard_detection(code, lines):
     assert _assert_guards(ast.parse(code)) == lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "perm.py"],
+                         ids=lambda p: p.name)
+def test_table_representation_stays_in_the_kernel(path):
+    """Only perm.py knows that tables are bytes up to degree 256: no other module names
+    ``bytes`` or ``BYTES_DEGREE`` or tests a degree against 256."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id in ("bytes", "BYTES_DEGREE")
+             or isinstance(node, ast.alias) and node.name == "BYTES_DEGREE"
+             or isinstance(node, ast.Constant) and node.value == 256]
+    assert found == []
