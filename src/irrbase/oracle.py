@@ -58,8 +58,8 @@ from typing import Optional, Sequence
 from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
 from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep,
                     _standard_generators, _tree_tables, check_coset_orders)
-from .perm import (Permutation, Table, _compose_tbl, _composer, _identity_tbl, _inverse_tbl,
-                   _pad, _table, _then)
+from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _pad, _table,
+                   _then)
 
 
 class OracleLimits:
@@ -119,8 +119,8 @@ def build_coset_action(
     check_coset_orders(t, h.order(), limit_enum)
 
     gen_tbls = [x._tbl for x in g.generators]
-    after, padded = _composer(g.degree), [s + _pad(g.degree) for s in gen_tbls]
-    first = _min_coset_rep(h, _identity_tbl(g.degree))
+    after, padded = g._after, [s + g._pad for s in gen_tbls]
+    first = _min_coset_rep(h, g._ident)
     reps = [first]
     index = {first: 0}
     images = [[] for _ in gen_tbls]  # images[i][p]: the point that generator i takes p to
@@ -158,7 +158,7 @@ def build_coset_action(
 def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
     """0-based image table of an element of H acting on the coset points."""
     h = action.subgroup
-    after, padded = _composer(len(h_tbl)), h_tbl + _pad(len(h_tbl))
+    after, padded = h._after, h_tbl + h._pad
     out = []
     for rep in action.transversal:
         key = _min_coset_rep(h, after(rep._tbl, padded))  # rep first, then h
