@@ -18,8 +18,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .certificate import (ChainCertificate, build_chain, check_family_params, family_order,
-                          prime_factors)
+from .certificate import (ChainCertificate, build_chain, check_degree, check_family_params,
+                          family_order, prime_factors)
 from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer, equals
 from .perm import Permutation, compose
 
@@ -192,8 +192,7 @@ def scalar_conjugator(ctx: AffineContext) -> Permutation:
     """
     if ctx.d != 1:
         raise ValueError("scalar_conjugator requires d = 1")
-    if ctx.p < 7:
-        raise ValueError("scalar_conjugator requires p >= 7")
+    check_degree(ctx.n)
     p, mu = ctx.p, ctx.mu
     images = list(range(1, p + 1))
     for i in range((p - 1) // 2):
@@ -397,8 +396,7 @@ def affine_chain(ctx: AffineContext, limit: int = ENUM_LIMIT_DEFAULT) -> ChainCe
     chain reaches T where predicted and matches every predicted diagonal
     order.
     """
-    if ctx.n < 7:
-        raise ValueError(f"p^d = {ctx.n} < 7 is outside the supported range")
+    check_degree(ctx.n)
     ident = Permutation.identity(ctx.n)
     if ctx.d >= 2:
         to_t = [ident] + [step.conjugator for step in subspace_chain(ctx)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .certificate import check_family_params, is_prime, prime_factors
+from .certificate import check_degree, check_family, prime_factors
 from .group import LimitExceeded, _about_text
 
 TOL = 1e-9
@@ -82,8 +82,7 @@ def mibs_upper_bound(n: int, large: bool) -> float:
     (log n)^2 + log n + 1 in the generic case; 3*sqrt(n) - 1 when the
     stabilizer is large (wreath in product action, or set action of S_m).
     """
-    if n < 7:
-        raise ValueError(f"bound requires n >= 7, got {n}")
+    check_degree(n)
     if large:
         return 3.0 * math.sqrt(_float_degree(n)) - 1.0
     ln = math.log2(n)
@@ -100,12 +99,7 @@ class AffineBounds:
 
 
 def affine_mibs_bounds(p: int, d: int, ambient: str) -> AffineBounds:
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    if p**d < 7:
-        raise ValueError(f"p^d = {p ** d} < 7 is out of range")
+    check_family("agl", {"p": p, "d": d})
     eps = _eps(ambient)
     if d == 1:
         exact = 1 + omega(p - 1) + eps
@@ -120,22 +114,16 @@ def affine_mibs_bounds(p: int, d: int, ambient: str) -> AffineBounds:
 
 def wreath_mibs_bounds(m: int, k: int, ambient: str) -> tuple:
     """(lower, upper) for H = (S_m wr S_k) ∩ G in product action on m^k points."""
-    check_family_params("wreath", {"m": m, "k": k})
+    check_family("wreath", {"m": m, "k": k})
     lower = 1 + (m - 1) * (k - 1) + _eps(ambient)
     upper = 1.5 * m * k - 0.5 * k - 1
     return lower, upper
 
 
 def maximality_affine(p: int, d: int, ambient: str) -> bool:
-    """Whether AGL(d, p) ∩ G is maximal in G (for p^d >= 7), by the known case list."""
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if d < 1:
-        raise ValueError(f"d must be at least 1, got {d}")
-    if p**d < 7:
-        raise ValueError(f"p^d = {p ** d} < 7 is out of range")
-    eps_check = _eps(ambient)  # validates the ambient tag
-    del eps_check
+    """Whether AGL(d, p) ∩ G is maximal in G (for p^d >= 7, p = 2 too), by the known case list."""
+    check_family("agl", {"p": p, "d": d}, odd=False)
+    _eps(ambient)  # validates the ambient tag
     if d >= 2 and p >= 3:
         return True
     if ambient == "S" and d == 1 and p >= 7:
@@ -149,7 +137,7 @@ def maximality_affine(p: int, d: int, ambient: str) -> bool:
 
 def maximality_wreath(m: int, k: int, ambient: str) -> bool:
     """Whether (S_m wr S_k) ∩ G in product action is maximal in G, by the known case list."""
-    check_family_params("wreath", {"m": m, "k": k})
+    check_family("wreath", {"m": m, "k": k})
     _eps(ambient)
     if m % 2 == 1:
         return True
@@ -265,8 +253,7 @@ def index_growth_check(n: int, order_h: int, require_proof_range: bool = True) -
     case the constant checks are still evaluated and the report is flagged as
     relying on the externally verified table range (a partial check only).
     """
-    if n < 7:
-        raise ValueError(f"index_growth_check requires n >= 7, got {n}")
+    check_degree(n)
     if n > INDEX_GROWTH_MAX_N:
         raise LimitExceeded(f"n = {n} exceeds the index-growth check's cap {INDEX_GROWTH_MAX_N}")
     if order_h < 1:

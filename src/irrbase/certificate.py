@@ -154,13 +154,20 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
-def check_family_params(family: str, params: dict) -> None:
-    """Raise ValueError at the first AGL(d, p) or S_m wr S_k parameter outside the family."""
+def check_degree(n: int) -> None:
+    """Refuse a degree below 7, where the program has no agl instance and gives no bound."""
+    if n < 7:
+        raise ValueError(f"degree {n} < 7 is out of range")
+
+
+def check_family_params(family: str, params: dict, odd: bool = True) -> None:
+    """Raise ValueError at the first AGL(d, p) (p = 2 only if not ``odd``) or S_m wr S_k
+    parameter outside the family."""
     if family == "agl":
         p, d = params["p"], params["d"]
         if not is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if p == 2:
+        if p == 2 and odd:
             raise ValueError("odd p required")
         if d < 1:
             raise ValueError(f"d must be at least 1, got {d}")
@@ -169,6 +176,14 @@ def check_family_params(family: str, params: dict) -> None:
             raise ValueError(f"m must be at least 5, got {params['m']}")
         if params["k"] < 2:
             raise ValueError(f"k must be at least 2, got {params['k']}")
+
+
+def check_family(family: str, params: dict, odd: bool = True) -> None:
+    """:func:`check_family_params`, then :func:`check_degree` of an agl degree p^d, formed
+    only for d <= 2, where it can be below 7; S_m wr S_k has m^k >= 25 points."""
+    check_family_params(family, params, odd)
+    if family == "agl" and params["d"] <= 2:
+        check_degree(params["p"] ** params["d"])
 
 
 def family_order(family: str, params: dict, degree: int, ambient: str) -> int:
@@ -236,6 +251,24 @@ ORACLE_MAX_DEGREE = 1000
 FAMILY_MAX_DEGREE = 2048
 
 
+def check_oracle_degree(degree: Optional[int], shown) -> None:
+    """Refuse a degree over ORACLE_MAX_DEGREE, or None, one not formed; ``shown`` names it."""
+    if degree is None or degree > ORACLE_MAX_DEGREE:
+        raise LimitExceeded(f"degree {shown} exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
+
+
+def check_family_size(family: str, params: dict, ambient: str, limit: int) -> None:
+    """Refuse an agl, wreath or natural H before it is built, in this order: by
+    :func:`check_family`; for |H ∩ G| over ``limit``, from :func:`check_family_floor`'s
+    lower bound, then exactly; for a degree over FAMILY_MAX_DEGREE."""
+    check_family(family, params)
+    check_family_floor(family, params, limit)
+    degree = params["n"] if family == "natural" else pow(*map(params.get, _POWER_PARAMS[family]))
+    check_subgroup_limit(family_order(family, params, degree, ambient), limit)
+    if degree > FAMILY_MAX_DEGREE:
+        raise LimitExceeded(f"degree {degree} exceeds the family's cap {FAMILY_MAX_DEGREE}")
+
+
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -289,7 +322,7 @@ class ChainCertificate:
     def from_dict(cls, data: dict, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
         """The certificate in ``data``; one too large to check is refused after the header's
         checks and before any cycle is parsed: an explicit one over ``ORACLE_MAX_DEGREE``,
-        a family one whose ``family_order`` exceeds ``limit`` or degree ``FAMILY_MAX_DEGREE``."""
+        a family one by :func:`check_family_size`."""
         try:
             degree = data["degree"]
             ambient = data["ambient"]
@@ -322,13 +355,10 @@ class ChainCertificate:
                 raise CertificateFormatError(
                     f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
                 )
-        if family != "explicit":  # a certificate too large to check is refused unparsed
-            check_family_floor(family, params, limit)
-            check_subgroup_limit(family_order(family, params, degree, ambient), limit)
-        cap = ORACLE_MAX_DEGREE if family == "explicit" else FAMILY_MAX_DEGREE
-        if degree > cap:  # only the oracle writes explicit certificates
-            raise LimitExceeded(f"{family} certificate degree {_order_text(degree)} exceeds the "
-                                f"{'oracle' if family == 'explicit' else 'family'}'s cap {cap}")
+        if family == "explicit":  # a certificate too large to check is refused unparsed
+            check_oracle_degree(degree, degree)
+        else:
+            check_family_size(family, params, ambient, limit)
         generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
         if not isinstance(level_data, list):
             raise CertificateFormatError("levels must be a list")

@@ -13,30 +13,13 @@ import json
 import os
 import sys
 
-from .certificate import (
-    _POWER_PARAMS,
-    FAMILY_MAX_DEGREE,
-    ORACLE_MAX_DEGREE,
-    CertificateFormatError,
-    ChainCertificate,
-    check_family_floor,
-    check_family_params,
-    checked_power,
-    family_order,
-    power_text,
-    verify_certificate,
-)
-from .group import (
-    LimitExceeded,
-    PermutationGroup,
-    alternating_group,
-    check_coset_orders,
-    check_intersect_limit,
-    check_subgroup_limit,
-    intersect,
-    read_generator_cycles,
-    symmetric_group,
-)
+from .certificate import (_POWER_PARAMS, ORACLE_MAX_DEGREE, CertificateFormatError,
+                          ChainCertificate, check_degree, check_family, check_family_size,
+                          check_oracle_degree, checked_power, family_order, power_text,
+                          verify_certificate)
+from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
+                    PermutationGroup, alternating_group, check_coset_orders,
+                    check_intersect_limit, intersect, read_generator_cycles, symmetric_group)
 from .perm import Permutation, _cycles_even, _cycles_tbl
 
 # affine, wreath, oracle and bounds_cli are imported in the branches that run them:
@@ -90,10 +73,11 @@ def _build_subgroup(args, ambient: str):
     """Returns (G, H, family, params, degree, t) for the oracle subcommand.
 
     Every refusal that orders decide comes before H (agl, wreath) or G = S_n
-    or A_n is built, in this order: usage and the family's parameters; a
-    degree over ``ORACLE_MAX_DEGREE``; under A, intersect's cap on listing an
-    agl or wreath H; the index t; then t < 2 and |H|.  The orders come from
-    :func:`family_order`; only an explicit H's parity is read, for H <= A_n.
+    or A_n is built, in this order: usage and the family's rules
+    (:func:`check_family`); a degree over ``ORACLE_MAX_DEGREE``; under A,
+    intersect's cap on listing an agl or wreath H; the index t; then t < 2 and
+    |H|.  The orders come from :func:`family_order`; only an explicit H's
+    parity is read, for H <= A_n, and its chain is built under the |H| cap.
     """
     family = args.subgroup
     if family == "explicit":
@@ -112,14 +96,14 @@ def _build_subgroup(args, ambient: str):
                 raise UsageError("natural action needs n >= 3")
             n = shown = args.n
         else:
-            check_family_params(family, params)
+            check_family(family, params)
             base, exp = params.values()
             n = checked_power(ORACLE_MAX_DEGREE, base, exp)  # no work grows with exp
             shown = power_text(base, exp, n)
-    if n is None or n > ORACLE_MAX_DEGREE:
-        raise LimitExceeded(f"degree {shown} exceeds the oracle's cap {ORACLE_MAX_DEGREE}")
+    check_oracle_degree(n, shown)
     if family == "explicit":
-        h = PermutationGroup([Permutation._wrap(_cycles_tbl(c, n)) for c in cycles], n)
+        h = PermutationGroup([Permutation._wrap(_cycles_tbl(c, n)) for c in cycles], n,
+                             args.limit_enum)
         h_order = h.order()
     else:
         h_order = family_order(family, params, n, ambient)
@@ -153,27 +137,17 @@ def _build_subgroup(args, ambient: str):
 def cmd_chain(args) -> int:
     family = "agl" if args.family == "affine" else "wreath"
     params = _family_params(args, family, f"--family {args.family}")
-    if family == "agl" and args.p == 2:
-        raise UsageError("odd p required")
-    check_family_params(family, params)
-    base, exp = params.values()
-    if family == "agl" and exp == 1 and base < 7:  # p^d < 7: p is odd, so p^2 >= 9
-        raise UsageError(f"p^d = {base} < 7 is out of range")
     # build_chain refuses |H| over the cap too, but only after H is built
-    check_family_floor(family, params, args.limit_enum)
-    n = base**exp
-    check_subgroup_limit(family_order(family, params, n, "S"), args.limit_enum)
-    if n > FAMILY_MAX_DEGREE:
-        raise LimitExceeded(f"degree {n} exceeds the family's cap {FAMILY_MAX_DEGREE}")
+    check_family_size(family, params, "S", args.limit_enum)
     _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
         from .affine import affine_chain, build_agl
 
-        cert = affine_chain(build_agl(base, exp), limit=args.limit_enum)
+        cert = affine_chain(build_agl(**params), limit=args.limit_enum)
     else:
         from .wreath import build_wreath, wreath_chain
 
-        cert = wreath_chain(build_wreath(base, exp), limit=args.limit_enum)
+        cert = wreath_chain(build_wreath(**params), limit=args.limit_enum)
     _write_output(cert.to_json() if args.format == "json" else _cert_text_table(cert), args.out)
     _log(f"certificate of length {cert.claimed_length} written")
     return EXIT_OK
@@ -216,7 +190,7 @@ def cmd_verify(args) -> int:
     except CertificateFormatError as e:
         print(f"malformed certificate: {e}", file=sys.stderr)
         return EXIT_USAGE
-    h = PermutationGroup(cert.generators, cert.degree)
+    h = PermutationGroup(cert.generators, cert.degree, args.limit_enum)
     if cert.family != "explicit":  # from_dict checked the params against the degree
         expected = family_order(cert.family, cert.params, cert.degree, cert.ambient)
         if h.order() != expected:
@@ -236,8 +210,7 @@ def cmd_bounds(args) -> int:
     if n is None:
         raise UsageError(f"{'--lemma52' if args.lemma52 else 'bounds'} requires --n")
     if not args.lemma52:
-        if n < 7:
-            raise UsageError(f"these bounds require n >= 7, got {n}")
+        check_degree(n)
         if args.family:
             names = _POWER_PARAMS[args.family]
             base, exp = _family_params(args, args.family, f"--family {args.family}").values()
@@ -282,10 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--m", type=int)
     po.add_argument("--k", type=int)
     po.add_argument("--gens-file", metavar="PATH")
-    po.add_argument("--limit-t", type=int, default=20_000, metavar="N",
-                    help="cap on the coset index (default 20000)")
-    po.add_argument("--limit-memo", type=int, default=1_000_000, metavar="N",
-                    help="cap on memoized subgroups (default 1000000)")
+    po.add_argument("--limit-t", type=int, default=COSET_LIMIT_DEFAULT, metavar="N",
+                    help="cap on the coset index (default %(default)s)")
+    po.add_argument("--limit-memo", type=int, default=MEMO_LIMIT_DEFAULT, metavar="N",
+                    help="cap on memoized subgroups (default %(default)s)")
     po.add_argument("--no-prune", action="store_true",
                     help="search every point of a non-regular orbit, not one per orbit "
                          "(regression flag; same results)")
@@ -296,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("cert", metavar="CERT.json")
     pv.set_defaults(func=cmd_verify)
     for p in (pc, po, pv):  # the subcommands that build groups
-        p.add_argument("--limit-enum", type=int, default=2_000_000, metavar="N",
+        p.add_argument("--limit-enum", type=int, default=ENUM_LIMIT_DEFAULT, metavar="N",
                        help="cap on |H|, and for an ambient-A oracle on the group listed "
-                            "to intersect H with A_n (default 2000000)")
+                            "to intersect H with A_n (default %(default)s)")
 
     pb = sub.add_parser("bounds", help="evaluate closed-form bounds and criteria")
     pb.add_argument("--n", type=int)

@@ -46,6 +46,9 @@ from .perm import (
 
 #: default cap on enumeration-based operations (elements of the smaller group)
 ENUM_LIMIT_DEFAULT = 2_000_000
+#: the oracle's default caps on the coset index t and on the subgroups its search memoizes
+COSET_LIMIT_DEFAULT = 20_000
+MEMO_LIMIT_DEFAULT = 1_000_000
 
 
 class LimitExceeded(RuntimeError):
@@ -68,7 +71,8 @@ class _Level:
 class PermutationGroup:
     """Group generated by permutations of {1..n}, with order/membership/stabilizer queries."""
 
-    def __init__(self, generators: Sequence[Permutation], degree: int):
+    def __init__(self, generators: Sequence[Permutation], degree: int,
+                 limit: Optional[int] = None):
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatchError(
@@ -82,13 +86,24 @@ class PermutationGroup:
         self._levels: list[_Level] = []
         self._order = 1
         self._walk = None  # _min_coset_rep's per-level getters, made on first use
+        self._limit = limit  # a cap on a lower bound on the order while it is built (_place)
         for g in self.generators:
             self._add_generator(g._tbl)
 
     # -- construction ------------------------------------------------------
 
     def _place(self, tbl: Table) -> int:
-        """Bucket a new strong generator at its first moved point; returns its level's index."""
+        """Bucket a new strong generator at its first moved point; returns its level's index.
+
+        Every level is built when a generator is placed, and its orbit lies in the orbit of
+        its base point under the stabilizer of the base points before it, so the orbits'
+        lengths multiply to at most the order: past the limit, the group is refused.
+        """
+        if self._limit is not None:
+            bound = math.prod(len(lvl.orbit) for lvl in self._levels)
+            if bound > self._limit:
+                raise LimitExceeded(f"subgroup order at least {_order_text(bound)} exceeds "
+                                    f"enumeration limit {self._limit}")
         pt = next(i for i, v in enumerate(tbl) if v != i)
         for idx, lvl in enumerate(self._levels):
             if lvl.point == pt:

@@ -56,8 +56,9 @@ from operator import getitem, itemgetter, mul
 from typing import Optional, Sequence
 
 from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
-from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _min_coset_rep,
-                    _standard_generators, _tree_tables, check_coset_orders)
+from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
+                    PermutationGroup, _min_coset_rep, _standard_generators, _tree_tables,
+                    check_coset_orders)
 from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _pad, _table,
                    _then)
 
@@ -65,7 +66,7 @@ from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl
 class OracleLimits:
     """The oracle search's hard cap; exceeding it is a clean refusal."""
 
-    def __init__(self, max_memo: int = 1_000_000):
+    def __init__(self, max_memo: int = MEMO_LIMIT_DEFAULT):
         self.max_memo = max_memo  # distinct subgroups memoized during the search
 
 
@@ -99,7 +100,7 @@ class CosetAction:
 def build_coset_action(
     g: PermutationGroup,
     h: PermutationGroup,
-    limit_t: int = 20_000,
+    limit_t: int = COSET_LIMIT_DEFAULT,
     limit_enum: int = ENUM_LIMIT_DEFAULT,
 ) -> CosetAction:
     """Realize G on the cosets of H; requires H ≤ G and an index within limit.

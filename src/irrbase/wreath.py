@@ -148,21 +148,8 @@ def _slice_map(ctx: WreathContext, i: int, r: int, sigma: Permutation) -> Permut
 
 
 def wreath_conjugator(ctx: WreathContext, i: int, r: int) -> Permutation:
-    """The even conjugator x applying u to coordinate 1 on the slice {coordinate i = r}.
-
-    For i = 2 this is the slice map itself; for i >= 3 it is the i = 2 map
-    conjugated by the coordinate transposition (2 i) inside M, which yields
-    the same slice map with the marker moved to coordinate i.
-    """
-    if i == 2:
-        return _slice_map(ctx, 2, r, ctx.u)
-    base = _slice_map(ctx, 2, r, ctx.u)
-    swap = embed_wreath_element(
-        ctx,
-        [Permutation.identity(ctx.m)] * ctx.k,
-        parse_cycles(f"(2 {i})", ctx.k),
-    )
-    return base.conjugate(swap)
+    """The even conjugator x applying u to coordinate 1 on the slice {coordinate i = r}."""
+    return _slice_map(ctx, i, r, ctx.u)
 
 
 def predicted_stabilizer(ctx: WreathContext, i: int, r: int) -> PermutationGroup:

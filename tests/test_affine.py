@@ -20,7 +20,7 @@ from irrbase.affine import (
     subspace_scaling_conjugator,
     vector_to_point,
 )
-from irrbase.certificate import PRIME_TEST_BOUND, check_family_params, is_prime
+from irrbase.certificate import PRIME_TEST_BOUND, build_chain, check_family_params, is_prime
 from irrbase.group import equals, from_generators, intersect
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
 
@@ -380,3 +380,15 @@ def test_is_prime_refuses_from_its_bound():
             is_prime(n)
     with pytest.raises(ValueError, match="too large to test for primality"):
         check_family_params("agl", {"p": PRIME_TEST_BOUND, "d": 1})
+
+
+def test_build_chain_refuses_a_level_that_does_not_descend(agl71):
+    ident = Permutation.identity(agl71.n)
+    with pytest.raises(RuntimeError, match="^chain failed to descend at level 2$"):
+        build_chain(agl71.H, [[ident, scalar_conjugator(agl71)]] * 2, "agl", {"p": 7, "d": 1})
+
+
+def test_build_chain_refuses_a_chain_that_ends_above_1(agl71):
+    ident = Permutation.identity(agl71.n)
+    with pytest.raises(RuntimeError, match="^chain did not terminate at the trivial group$"):
+        build_chain(agl71.H, [[ident, scalar_conjugator(agl71)]], "agl", {"p": 7, "d": 1})

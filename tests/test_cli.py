@@ -119,6 +119,12 @@ def test_oracle_refuses_large_index():
     assert "exceeds" in r.stderr and "limit" in r.stderr
 
 
+def test_oracle_text_format(capsys):
+    assert main(["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "7",
+                 "--format", "text"]) == 0
+    assert capsys.readouterr() == ("mibs = 6  (ambient S, degree 7, index 7)\n", "")
+
+
 def test_oracle_no_prune_flag():
     r1 = run("oracle", "--ambient", "S", "--subgroup", "natural", "--n", "5")
     r2 = run("oracle", "--ambient", "S", "--subgroup", "natural", "--n", "5", "--no-prune")
@@ -145,6 +151,44 @@ def test_bounds_report():
     assert data["family"]["maximal"] is True
     assert abs(data["upper_bound_generic"] - 14.218) < 0.01
     assert all(c["ok"] for c in data["comparisons"])
+
+
+# bounds argv with --computed -> the family comparison it makes, and the exit code
+BOUNDS_COMPUTED = {
+    "agl-7-1-exact": (["--n", "7", "--family", "agl", "--p", "7", "--d", "1", "--computed", "4"],
+                      {"formula": "mibs == exact", "lhs": 4, "rhs": 4, "ok": True}, 0),
+    "agl-7-1-off": (["--n", "7", "--family", "agl", "--p", "7", "--d", "1", "--computed", "5"],
+                    {"formula": "mibs == exact", "lhs": 5, "rhs": 4, "ok": False}, 1),
+    "wreath-5-2-inside": (["--n", "25", "--family", "wreath", "--m", "5", "--k", "2",
+                           "--computed", "6"],
+                          {"formula": "lower <= mibs <= upper", "lhs": 6, "rhs": [6, 13.0],
+                           "ok": True}, 0),
+    "wreath-5-2-above": (["--n", "25", "--family", "wreath", "--m", "5", "--k", "2",
+                          "--computed", "14"],
+                         {"formula": "lower <= mibs <= upper", "lhs": 14, "rhs": [6, 13.0],
+                          "ok": False}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS_COMPUTED))
+def test_bounds_computed_against_the_family(capsys, case):
+    argv, comparison, code = BOUNDS_COMPUTED[case]
+    assert main(["bounds", *argv]) == code
+    assert json.loads(capsys.readouterr().out)["comparisons"][1] == comparison
+
+
+@pytest.mark.parametrize("n, length", [(10, None), (11, 7), (12, 8), (23, 11), (24, 14)])
+def test_bounds_mathieu_length_row(capsys, n, length):
+    assert main(["bounds", "--n", str(n)]) == 0
+    assert json.loads(capsys.readouterr().out).get("mathieu_length") == length
+
+
+def test_bounds_lemma52_table_range_note(capsys):
+    assert main(["bounds", "--lemma52", "--n", "81", "--order-h", "432"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mode"] == "table" and data["milestone_ok"] is None
+    assert data["note"] == ("constants checked only on this instance; the range n <= 100 "
+                            "relies on external enumeration (partial check)")
 
 
 def test_bounds_lemma52():
@@ -177,7 +221,7 @@ def test_bounds_lemma52_writes_out(tmp_path, capsys, fmt):
 def test_bounds_small_n_rejected():
     r = run("bounds", "--n", "6")
     assert r.returncode == 2
-    assert "n >= 7" in r.stderr
+    assert r.stderr == "invalid parameters: degree 6 < 7 is out of range\n"
 
 
 def test_bounds_text_format():
@@ -189,6 +233,7 @@ def test_bounds_text_format():
 # bounds argv -> its one usage-error line; the first three once ended in a traceback
 BOUNDS_USAGE_ERRORS = {
     "lemma52-without-n": (["--lemma52", "--order-h", "5"], "--lemma52 requires --n"),
+    "lemma52-without-order-h": (["--lemma52", "--n", "9"], "--lemma52 requires --order-h"),
     "agl-zero-base": (["--n", "9", "--family", "agl", "--p", "0", "--d", "-1"],
                       "p^d = 0^-1 does not match --n 9"),
     "wreath-zero-base": (["--n", "25", "--family", "wreath", "--m", "0", "--k", "-1"],
@@ -607,8 +652,7 @@ ORACLE_REFUSALS = {
                               "--limit-enum", "100"],
                              "refused: subgroup order 432 exceeds enumeration limit 100\n"),
     "S-agl-3-1": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "1"],
-                  "invalid parameters: subgroup equals the whole group; "
-                  "the coset action is trivial\n"),
+                  "invalid parameters: degree 3 < 7 is out of range\n"),
     "S-natural-7-limit-t": (["--ambient", "S", "--subgroup", "natural", "--n", "7",
                              "--limit-t", "5"],
                             "refused: coset index 5040/720 = 7 exceeds limit --limit-t 5\n"),
@@ -628,19 +672,28 @@ ORACLE_REFUSALS = {
                                  "--gens-file", "GENS"],
                                 "usage error: supplied generators do not lie in the ambient "
                                 "group\n"),
-    "S-explicit-whole": (["--ambient", "S", "--subgroup", "explicit", "--gens-file", "GENS",
-                          "--limit-enum", "5"],
+    "S-explicit-whole": (["--ambient", "S", "--subgroup", "explicit", "--gens-file", "GENS"],
                          "invalid parameters: subgroup equals the whole group; "
                          "the coset action is trivial\n"),
+    # H's chain is refused while it is built: its orbits so far, 5 and 4, give |H| >= 20
+    "S-explicit-whole-limit-enum": (["--ambient", "S", "--subgroup", "explicit",
+                                     "--gens-file", "GENS", "--limit-enum", "5"],
+                                    "refused: subgroup order at least 20 exceeds enumeration "
+                                    "limit 5\n"),
     "A-explicit-limit-enum": (["--ambient", "A", "--subgroup", "explicit", "--gens-file", "GENS",
                                "--limit-enum", "3"],
                               "refused: subgroup order 7 exceeds enumeration limit 3\n"),
+    "S-explicit-no-gens-file": (["--ambient", "S", "--subgroup", "explicit"],
+                                "usage error: --subgroup explicit requires --gens-file\n"),
+    "S-natural-2": (["--ambient", "S", "--subgroup", "natural", "--n", "2"],
+                    "usage error: natural action needs n >= 3\n"),
 }
 GENS_FILES = {
     "S-explicit-limit-t": "7\n",
     "A-explicit-odd": "5\n(1 2 3 4 5)\n(2 3 5 4)\n",
     "A-explicit-degree-2-odd": "2\n(1 2)\n",
     "S-explicit-whole": "5\n(1 2)\n(1 2 3 4 5)\n",
+    "S-explicit-whole-limit-enum": "5\n(1 2)\n(1 2 3 4 5)\n",
     "A-explicit-limit-enum": "7\n(1 2 3 4 5 6 7)\n",
 }
 
@@ -712,7 +765,7 @@ def test_oracle_explicit_refusal_reads_only_the_text(monkeypatch, tmp_path, caps
 
 
 # chain argv -> its stderr, decided from |H| = family_order before H is built, in the
-# precedence of usage, the family's parameters, p^d < 7 and the --limit-enum cap
+# precedence of usage, the family's rules (parameters, then degree >= 7) and the --limit-enum cap
 CHAIN_REFUSALS = {
     **{f"affine-3-{d}": (["--family", "affine", "--p", "3", "--d", str(d)],
                          f"refused: subgroup order {order} exceeds enumeration limit 2000000\n")
@@ -722,11 +775,11 @@ CHAIN_REFUSALS = {
     "wreath-6-3": (["--family", "wreath", "--m", "6", "--k", "3"],
                    "refused: subgroup order 2239488000 exceeds enumeration limit 2000000\n"),
     "affine-p-2": (["--family", "affine", "--p", "2", "--d", "3"],
-                   "usage error: odd p required\n"),
+                   "invalid parameters: odd p required\n"),
     "affine-p-4": (["--family", "affine", "--p", "4", "--d", "2"],
                    "invalid parameters: p = 4 is not prime\n"),
     "affine-3-1-limit-enum": (["--family", "affine", "--p", "3", "--d", "1", "--limit-enum", "1"],
-                              "usage error: p^d = 3 < 7 is out of range\n"),
+                              "invalid parameters: degree 3 < 7 is out of range\n"),
     "wreath-4-2": (["--family", "wreath", "--m", "4", "--k", "2"],
                    "invalid parameters: m must be at least 5, got 4\n"),
 }
@@ -737,6 +790,25 @@ def test_chain_refusal_builds_no_group(monkeypatch, capsys, case):
     argv, err = CHAIN_REFUSALS[case]
     _refuse_builds(monkeypatch)
     assert main(["chain", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+# one family rule -> (p, d) that break it, and the one stderr line of chain, oracle and bounds
+FAMILY_RULES = {
+    "p-2": ((2, 3), "invalid parameters: odd p required\n"),
+    "p-4": ((4, 2), "invalid parameters: p = 4 is not prime\n"),
+    "degree-5": ((5, 1), "invalid parameters: degree 5 < 7 is out of range\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["chain", "oracle", "bounds"])
+@pytest.mark.parametrize("case", sorted(FAMILY_RULES))
+def test_family_rule_reads_the_same_in_every_subcommand(monkeypatch, capsys, case, command):
+    (p, d), err = FAMILY_RULES[case]
+    argv = {"chain": ["--family", "affine"], "oracle": ["--ambient", "S", "--subgroup", "agl"],
+            "bounds": ["--n", str(p**d), "--family", "agl"]}[command]
+    _refuse_builds(monkeypatch)
+    assert main([command, *argv, "--p", str(p), "--d", str(d)]) == 2
     assert capsys.readouterr() == ("", err)
 
 
@@ -992,6 +1064,8 @@ MALFORMED = {
     "generators-int": lambda d: d["subgroup"].update(generators=5),
     "degree-bool": lambda d: d.update(degree=True),
     "claimed-length-bool": lambda d: d.update(claimed_length=True),
+    "ambient-T": lambda d: d.update(ambient="T"),
+    "family-psl": lambda d: d["subgroup"].update(family="psl"),
     # refused before building AGL(3, 101) on 1,030,301 points
     "p101-d3-on-degree-7": lambda d: d["subgroup"].update(params={"p": 101, "d": 3}),
     "wreath-m5-k2-on-degree-7": lambda d: d["subgroup"].update(
@@ -1040,11 +1114,10 @@ def _small_certificate(degree, family, params, generator="(1 2)") -> dict:
 # degree over its cap; then any verify flags
 VERIFY_REFUSALS = {
     "explicit-degree-10^20": (_small_certificate(10**20, "explicit", {}),
-                              "refused: explicit certificate degree 100000000000000000000 "
-                              "exceeds the oracle's cap 1000\n"),
+                              "refused: degree 100000000000000000000 exceeds the oracle's cap "
+                              "1000\n"),
     "explicit-degree-3*10^7": (_small_certificate(30_000_000, "explicit", {}),
-                               "refused: explicit certificate degree 30000000 exceeds the "
-                               "oracle's cap 1000\n"),
+                               "refused: degree 30000000 exceeds the oracle's cap 1000\n"),
     "agl-3-60": (_small_certificate(3**60, "agl", {"p": 3, "d": 60}),
                  "refused: subgroup order {agl_3_60} exceeds enumeration limit 2000000\n"),
     "agl-3-60-bad-cycle": (_small_certificate(3**60, "agl", {"p": 3, "d": 60}, "(1 x)"),
@@ -1064,8 +1137,8 @@ VERIFY_REFUSALS = {
                        "2000000\n"),
     # |AGL(1, p)| is under the raised limit, but a table of degree p cannot be held
     "agl-big-prime-1": (_small_certificate(BIG_PRIME, "agl", {"p": BIG_PRIME, "d": 1}),
-                        f"refused: agl certificate degree {BIG_PRIME} exceeds the family's cap "
-                        f"2048\n", "--limit-enum", RAISED_LIMIT),
+                        f"refused: degree {BIG_PRIME} exceeds the family's cap 2048\n",
+                        "--limit-enum", RAISED_LIMIT),
 }
 
 
@@ -1086,6 +1159,47 @@ def test_verify_refuses_a_certificate_too_large_to_check(monkeypatch, tmp_path, 
     assert main(["verify", *flags, str(path)]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr() == ("", err)
+
+
+def _cycle(n: int) -> str:
+    return "(" + " ".join(map(str, range(1, n + 1))) + ")"
+
+
+# argv (CERT, GENS: the files) and the degree n of an H generated by (1 2) and (1 2 ... n),
+# S_n, from outside the program -> the lower bound on |H| at which H's chain is refused
+# while it is built, once its first orbits multiply past --limit-enum
+UNBOUNDED_H = {
+    "verify-explicit-300": (["verify", "CERT"], "explicit", {}, 300, "26730600"),
+    # |AGL(1, 293)| = 85,556 passes every header check
+    "verify-agl-293": (["verify", "CERT"], "agl", {"p": 293, "d": 1}, 293, "24896796"),
+    "oracle-explicit-300": (["oracle", "--ambient", "S", "--subgroup", "explicit",
+                             "--gens-file", "GENS"], "explicit", {}, 300, "26730600"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_H))
+def test_outside_generators_are_refused_while_h_is_built(tmp_path, capsys, case):
+    argv, family, params, n, bound = UNBOUNDED_H[case]
+    cert = _small_certificate(n, family, params)
+    cert["subgroup"]["generators"] = ["(1 2)", _cycle(n)]
+    files = {"CERT": tmp_path / "c.json", "GENS": tmp_path / "g.gens"}
+    files["CERT"].write_text(json.dumps(cert))
+    files["GENS"].write_text(f"{n}\n(1 2)\n{_cycle(n)}\n")
+    start = time.perf_counter()
+    assert main([str(files.get(a, a)) for a in argv]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"refused: subgroup order at least {bound} exceeds "
+                                       f"enumeration limit 2000000\n")
+
+
+def test_verify_certificate_without_levels_fails(tmp_path, capsys):
+    data = affine_chain(build_agl(7, 1)).to_dict()
+    data["levels"] = []
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr() == ("level 0: claimed 0, computed ?: FAIL (certificate has no "
+                                   "levels)\ncertificate INVALID\n", "")
 
 
 def test_verify_deeply_nested_json_exits_2(tmp_path, capsys):

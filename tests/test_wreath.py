@@ -5,6 +5,7 @@ import pytest
 from irrbase.group import intersect
 from irrbase.perm import Permutation, compose, parse_cycles, parity
 from irrbase.wreath import (
+    WreathContext,
     _slice_map,
     build_wreath,
     embed_wreath_element,
@@ -115,10 +116,15 @@ def test_conjugator_even_m():
 
 
 def test_conjugator_higher_coordinate_matches_direct():
-    ctx = build_wreath(5, 3)
-    x = wreath_conjugator(ctx, 3, 2)
-    direct = _slice_map(ctx, 3, 2, ctx.u)
-    assert x == direct
+    """The slice map for coordinate i is the i = 2 map conjugated by the coordinate swap (2 i)."""
+    for m, k in [(5, 3), (6, 3), (5, 4), (7, 3)]:
+        u = parse_cycles("(" + " ".join(map(str, range(1, m + 1 - (m + 1) % 2))) + ")", m)
+        ctx = WreathContext(m, k, m**k, None, u, None, None, None)  # no group is needed
+        for i in range(3, k + 1):
+            swap = embed_wreath_element(ctx, [Permutation.identity(m)] * k,
+                                        parse_cycles(f"(2 {i})", k))
+            for r in range(1, m + 1):
+                assert wreath_conjugator(ctx, i, r) == _slice_map(ctx, 2, r, u).conjugate(swap)
 
 
 def test_predicted_stabilizer_orders(wreath52):
