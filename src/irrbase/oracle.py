@@ -11,19 +11,26 @@ cosets.  The breadth-first search that numbers the cosets finds the table
 of each generator of G on the way.  Where G is S_n or A_n given by its
 standard pair, a strong generator's table is the product of those along a
 word in G's generators (:func:`_word_tables`), so no coset is canonicalized
-after the search: M11's 5040 cosets in S11 take 10,081 canonicalizations,
-one for H and one per coset and generator of G.  Any other G has the strong
-generators mapped through the cosets (:func:`_coset_permutation`).  An
-element of H is u_{L-1} ⋯ u_0, one transversal element per chain level, so
-its image of a coset point is read through L of those tables without a
-table of its own, and the elements of H fixing a point j are found by
-pushing j through them.  No degree-t stabilizer chain and no list of all
-of H on the cosets is made.
+after the search.  An edge Hx·s = Hy of a generator s with s·s = 1 (S_n's
+transposition) also gives Hy·s = Hx, which is written at once: M11's 5040
+cosets in S11 take 7,561 canonicalizations, one for H and one per coset and
+generator of G, less one per 2-cycle of the transposition.  Any other G has
+the strong generators mapped through the cosets
+(:func:`_coset_permutation`).  An element of H is u_{L-1} ⋯ u_0, one
+transversal element per chain level, so its image of a coset point is read
+through L of those tables without a table of its own, and the elements of
+H fixing a point j are found by pushing j through them.  No degree-t
+stabilizer chain and no list of all of H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
-memoized depth-first search over subgroup element sets, with candidate points
-pruned to orbit representatives of the current subgroup (conjugate
-continuations have equal length).  Its first step, from H to a point
+memoized branch-and-bound search over subgroup element sets, with candidate
+points pruned to orbit representatives of the current subgroup (conjugate
+continuations have equal length).  Each step down divides the order by at
+least a prime, so a chain below a subgroup of order m has at most Ω(m)
+steps, Ω counting m's prime factors with multiplicity (the bound on an
+irredundant base of Cameron and Fon-Der-Flaass, *European J. Combin.* 16,
+1995); a child that could at best tie its node's best depth so far is not
+entered, and the search stays exact.  Its first step, from H to a point
 stabilizer c, is read off the transversal tables; every subgroup below is a
 set of elements of c.  Where c has at least t elements, each gets a table of
 length t, made by meeting in the middle: the levels are split in two, every
@@ -40,8 +47,8 @@ prime order, whose orbits are all fixed points or regular, scans only up to
 its least moved point.  The search also decides faithfulness: an H with a
 nontrivial core is refused at the first node it would finish, the core.  On
 M11's 5040 cosets in S11 every point stabilizer has fewer than 5040
-elements, so the search makes no table of length t; it reads 6,787
-columns, 410,038 level-table entries in all.
+elements, so the search makes no table of length t; it reads 3,383
+columns, 272,016 level-table entries in all.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
@@ -50,12 +57,13 @@ coset points.
 
 from __future__ import annotations
 
-from functools import reduce
+from collections.abc import Sequence
+from functools import cache, reduce
 from itertools import accumulate, compress
 from operator import getitem, itemgetter, mul
-from typing import Optional, Sequence
+from typing import Optional
 
-from .certificate import CertLevel, ChainCertificate, is_prime, verify_certificate
+from .certificate import CertLevel, ChainCertificate, prime_factors, verify_certificate
 from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
                     PermutationGroup, _min_coset_rep, _standard_generators, _tree_tables,
                     check_coset_orders)
@@ -75,16 +83,19 @@ class CosetAction:
 
     ``transversal[i]`` is the minimal element of the coset that is point
     i + 1; point 1 is the coset H itself with representative the identity.
-    The stabilizer of point i + 1 is H conjugated by ``transversal[i]``.
-    ``_tables`` holds the coset tables of H's chain transversals.
+    The stabilizer of point i + 1 is H conjugated by ``transversal[i]``.  The
+    representatives are kept as tables, ``_reps``, and ``transversal`` makes
+    a :class:`Permutation` only for an index that is read.  ``_tables``
+    holds the coset tables of H's chain transversals.
     """
 
     def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, degree: int,
-                 transversal: list, _index: dict, _tables: Optional[_CosetTables] = None):
+                 reps: list, _index: dict, _tables: Optional[_CosetTables] = None):
         self.group = group
         self.subgroup = subgroup
         self.degree = degree
-        self.transversal = transversal
+        self._reps = reps  # 0-based point -> canonical representative table
+        self.transversal = _Transversal(reps)
         self._index = _index  # canonical representative table -> 0-based point
         self._tables = _tables
 
@@ -95,6 +106,19 @@ class CosetAction:
         if idx is None:
             raise ValueError("element does not represent a coset of this action")
         return idx + 1
+
+
+class _Transversal(Sequence):
+    """The coset representatives as permutations, each wrapped when it is read."""
+
+    def __init__(self, reps: list):
+        self._reps = reps
+
+    def __len__(self) -> int:
+        return len(self._reps)
+
+    def __getitem__(self, i: int) -> Permutation:
+        return Permutation._wrap(self._reps[i])
 
 
 def build_coset_action(
@@ -121,28 +145,28 @@ def build_coset_action(
 
     gen_tbls = [x._tbl for x in g.generators]
     after, padded = g._after, [s + g._pad for s in gen_tbls]
+    involutions = [_compose_tbl(s, s) == g._ident for s in gen_tbls]
     first = _min_coset_rep(h, g._ident)
     reps = [first]
     index = {first: 0}
-    images = [[] for _ in gen_tbls]  # images[i][p]: the point that generator i takes p to
+    images = [[-1] * t for _ in gen_tbls]  # images[i][x]: the point that generator i takes x to
     # not a Schreier vector: every edge's image is kept, for _word_tables's full rows
-    for base in reps:  # grows while it is walked: a breadth-first queue
-        for s, row in zip(padded, images):
-            key = _min_coset_rep(h, after(base, s))  # base first, then the generator
-            p = index.setdefault(key, len(reps))
-            if p == len(reps):
-                reps.append(key)
-            row.append(p)
+    for x, base in enumerate(reps):  # grows while it is walked: a breadth-first queue
+        for s, row, involution in zip(padded, images, involutions):
+            if row[x] < 0:  # else an involution took a point numbered before x to x
+                key = _min_coset_rep(h, after(base, s))  # base first, then the generator
+                y = index.setdefault(key, len(reps))
+                if y == len(reps):
+                    if y == t:
+                        raise RuntimeError(f"coset enumeration found more than {t} cosets")
+                    reps.append(key)
+                row[x] = y
+                if involution:  # Hx·s = Hy gives Hy·s = Hx: Hy·s is never canonicalized
+                    row[y] = x
     if len(reps) != t:
         raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {t}")
 
-    action = CosetAction(
-        group=g,
-        subgroup=h,
-        degree=t,
-        transversal=[Permutation._wrap(r) for r in reps],
-        _index=index,
-    )
+    action = CosetAction(group=g, subgroup=h, degree=t, reps=reps, _index=index)
     strong = list(dict.fromkeys(s for lvl in h._levels for s in lvl.gens))
     alternating = next((alt for alt in (False, True)
                         if len(gen_tbls) == 2 and gen_tbls == _standard_generators(g.degree, alt)),
@@ -161,8 +185,8 @@ def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
     h = action.subgroup
     after, padded = h._after, h_tbl + h._pad
     out = []
-    for rep in action.transversal:
-        key = _min_coset_rep(h, after(rep._tbl, padded))  # rep first, then h
+    for rep in action._reps:
+        key = _min_coset_rep(h, after(rep, padded))  # rep first, then h
         out.append(action._index[key])
     return _table(out)
 
@@ -383,8 +407,9 @@ def mibs(
     stabilizers.  The first point is fixed to 1 (all first choices are
     equivalent by transitivity); the search then works inside H, the
     stabilizer of point 1.  Memoized on the exact element set of the current
-    subgroup; candidate points are pruned to orbit representatives unless
-    ``prune`` is False.  Raises ValueError if H has a nontrivial core.
+    subgroup and bounded by the subgroups' orders; candidate points are
+    pruned to orbit representatives unless ``prune`` is False.  Raises
+    ValueError if H has a nontrivial core.
     """
     limits = limits or OracleLimits()
     h = action.subgroup
@@ -416,10 +441,18 @@ def mibs(
 def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     """The points and orders of a longest stabilizer chain from H, and the search's memo.
 
-    The memo maps every subgroup met (a frozenset of element numbers) to its
-    (depth, best point), in the order the depth-first search finishes them.
-    H itself comes last, under the key None: its orbits and point stabilizers
-    come from the transversal tables.
+    The memo maps every subgroup entered (a frozenset of element numbers) to
+    its (depth, best point), in the order the depth-first search finishes
+    them.  H itself comes last, under the key None: its orbits and point
+    stabilizers come from the transversal tables.
+
+    The search is bounded: a chain below a subgroup of order m has at most
+    Ω(m) steps, so a child of order m = |c|/|j^c|, its orbit read in the
+    scan, is entered only when 1 + Ω(m) exceeds the best depth found at c
+    so far, at H as at every node below.  A child left out could at best
+    tie, and a tie never replaces the best point, so every entered
+    subgroup's depth and best point, the value and the witness are those of
+    the unbounded search; only memo entries that cannot win are missing.
 
     A node is a subgroup's element numbers with lists that give their images
     of a point (:func:`_column`): for a point stabilizer of H of order n with
@@ -438,10 +471,13 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     every point would recurse on every point a subgroup moves, so the first
     subgroup it finished would move no point; the trivial subgroup is
     therefore entered first, and the memo, entry by entry, is that of the
-    full scan.  The core K of H fixes every point and lies in every node c,
+    full scan under the same bound.  The core K of H fixes every point and lies in every node c,
     so while K != 1 no orbit is regular (|j^c| <= |c|/|K|) and every node but
     K has a moved point to descend through: the first node finished with no
-    moved point, its best point still t, is K, and it is refused there.
+    moved point, its best point still t, is K, and it is refused there.  The
+    bound leaves that first descent whole: each node's first child is always
+    entered, as its best depth is then at most 1 and the child has order at
+    least 2.
     """
     t = action.degree
     tables = action._tables
@@ -449,6 +485,8 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     sizes = tables.orbit_size
     order = action.subgroup.order()
     tbls = {}  # element number -> coset table, for the tabled stabilizers
+    # Ω(m), m's prime factors with multiplicity: bounds.omega, without loading bounds.py
+    omega = cache(lambda m: len(prime_factors(m)))
 
     def enter(c, n: int, best_d: int, best_pt) -> None:
         """Memoize c, of order n; a c whose best point is t moves no point: it is the core."""
@@ -475,13 +513,13 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         if hit is not None:
             return hit[0]
         n = len(numbers)
-        if is_prime(n):  # every orbit is a fixed point or regular: no child
+        if omega(n) == 1:  # prime order: every orbit is a fixed point or regular, no child
             # a moved point's images are n distinct points, so the second is not j
             best_pt = next((j for j in cand if j < regular and _column(lists, j)[1] != j), regular)
             enter(c, n, 1, best_pt)
             return 1
         cols = {}  # least point of a non-regular orbit -> its column
-        inner = []  # all points of the non-regular orbits
+        inner = {}  # every point of the non-regular orbits -> its orbit's size
         for j in cand:
             if seen[j]:
                 continue
@@ -493,15 +531,17 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
                 regular = min(regular, j)
             elif len(orb) > 1:
                 cols[j] = col
-                inner.extend(orb)
+                inner.update(dict.fromkeys(orb, len(orb)))
         for j in cand:
             seen[j] = 0
-        inner.sort()
+        below = sorted(inner)
         best_d, best_pt = 1, regular  # with no non-regular orbit, the least moved point
-        for j in cols if prune else inner:
+        for j in cols if prune else below:
+            if 1 + omega(n // inner[j]) <= best_d:  # the child, of order n/|j^c|, can only tie
+                continue
             col = cols[j] if j in cols else _column(lists, j)
             child, child_lists = _fixing(numbers, lists, j, col)
-            d = 1 + depth_of(frozenset(child), child, child_lists, inner, regular)
+            d = 1 + depth_of(frozenset(child), child, child_lists, below, regular)
             if d > best_d:
                 best_d, best_pt = d, j
         enter(c, n, best_d, best_pt)
@@ -516,7 +556,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     best_d, best_pt, best_node = 0, (t if order > 1 else None), None
     for j in range(t):
         size = sizes[mins[j]]
-        if size == 1 or (prune and mins[j] != j):
+        if size == 1 or (prune and mins[j] != j) or 1 + omega(order // size) <= best_d:
             continue
         if size == order:
             node, d = (trivial, [0], []), 1
@@ -580,7 +620,7 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
     kept = seq[:1]
     visited_orders = {current.order()}
     for p in seq[1:]:
-        new = h._coset_stabilizer(current, action.transversal[p - 1]._tbl)
+        new = h._coset_stabilizer(current, action._reps[p - 1])
         if new.order() < current.order():
             kept.append(p)
             current = new

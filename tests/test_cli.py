@@ -1243,6 +1243,11 @@ PINNED_ORACLE = {
         "87a598a38e1324e631bb61eed27a481127c64e27699ccef7961cddfab49fb1fa",
         "c384e60422cd1e167bac26f54be34b45244ec9ee54cae7307ed6428ee734f6ca",
     ),
+    "S11-m11-file-no-prune": (
+        ["--ambient", "S", "--subgroup", "explicit", "--gens-file", "m11.gens", "--no-prune"],
+        "87a598a38e1324e631bb61eed27a481127c64e27699ccef7961cddfab49fb1fa",
+        "c384e60422cd1e167bac26f54be34b45244ec9ee54cae7307ed6428ee734f6ca",
+    ),
     "S10-natural": (
         ["--ambient", "S", "--subgroup", "natural", "--n", "10"],
         "9865c675cf61627eabb6953046c4b3f2bf4319392f70856b76b75261105558d4",

@@ -42,6 +42,21 @@ def test_coset_action_agl(agl71):
     assert act.transversal[0].is_identity()
 
 
+def test_transversal_made_as_it_is_read(monkeypatch, agl71):
+    """The coset representatives stay tables: one Permutation per index read, none per coset."""
+    wrapped = []
+    wrap = Permutation._wrap.__func__
+    monkeypatch.setattr(Permutation, "_wrap",
+                        classmethod(lambda cls, tbl: wrapped.append(tbl) or wrap(cls, tbl)))
+    act = build_coset_action(symmetric_group(7), agl71.H)
+    assert len(wrapped) < act.degree
+    wrapped.clear()
+    x = act.transversal[5]
+    assert wrapped == [act._reps[5]] and x._tbl is act._reps[5]
+    assert len(act.transversal) == act.degree
+    assert [y._tbl for y in act.transversal] == act._reps
+
+
 def test_coset_action_rejects_normal_subgroup():
     s4 = symmetric_group(4)
     klein = from_generators(

@@ -1,14 +1,15 @@
 """The oracle's search against its references on random subgroups.
 
 For random subgroups H of G = S_n, A_n or S_k x S_(n-k) with 3 <= n <= 6,
-``mibs``, pruned and unpruned, must give the value, the witness bytes and
-the memo, entry by entry in insertion order, of ``reference_mibs`` (the full
-scan of every coset point at every node, over all of H) where H is
-core-free, and refuse H with the order ``reference_core_order`` gives where
-it is not.  For at most 8 cosets the value must also be the longest strictly
-descending chain of pointwise stabilizers of G itself, found over every
-point sequence.  The strong generators' coset tables, made along words in
-G's generators, must be ``_coset_permutation``'s.
+``mibs``, pruned and unpruned, must give the value and the witness bytes of
+``reference_mibs`` (the full scan of every coset point at every node, over
+all of H), and the memo, entry by entry in insertion order, of the reference
+under the oracle's order bound, where H is core-free, and refuse H with the
+order ``reference_core_order`` gives where it is not.  For at most 8
+cosets the value must also be the longest strictly descending chain of
+pointwise stabilizers of G itself, found over every point sequence.  The
+strong generators' coset tables, made along words in G's generators, must
+be ``_coset_permutation``'s.
 """
 
 import re
@@ -111,7 +112,10 @@ def test_search_matches_references(drawn):
     order_h = action.subgroup.order()
     values = set()
     for prune in (True, False):
-        ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient)
+        full_value, full_cert, _ = reference_mibs(action, prune=prune, ambient=ambient)
+        ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient,
+                                                       bound=True)
+        assert (ref_value, ref_cert.to_json()) == (full_value, full_cert.to_json())
         searches = []
         search = oracle._longest_chain
 

@@ -5,10 +5,13 @@ points, lists all |H| of them and runs the memoized frozenset search from H
 itself; the core of H is a filter of all of H through every coset
 representative.  The oracle reads H's point stabilizers off the coset tables
 of H's chain transversals instead, and its search meets the core as the
-first node it would finish.  Both must give the same value, the same witness
-bytes and the same memo, entry by entry in insertion order, and ``mibs``,
-pruned and unpruned, must refuse every non-core-free subgroup with the
-reference's core order.
+first node it would finish.  Both must give the same value and the same
+witness bytes as the reference's full scan, and the same memo, entry by
+entry in insertion order, as the reference under the oracle's order bound:
+a child whose order has Ω prime factors (with multiplicity) has depth at
+most Ω, so one with 1 + Ω no more than the node's best depth so far is not
+entered.  ``mibs``, pruned and unpruned, must refuse every non-core-free
+subgroup with the reference's core order.
 """
 
 import re
@@ -41,11 +44,22 @@ M11_GENERATORS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
 # -- the reference --------------------------------------------------------------
 
 
-def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S"):
+def omega(m):
+    """The number of prime factors of m, with multiplicity, by trial division."""
+    k, f = 0, 2
+    while m > 1:
+        while m % f == 0:
+            m, k = m // f, k + 1
+        f += 1
+    return k
+
+
+def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=False):
     """The search from H over all |H| coset tables; returns (value, witness, memo shape).
 
     The memo shape lists (subgroup order, (depth, best point)) per entry, in
-    insertion order.
+    insertion order.  With ``bound``, a child is skipped when 1 + Ω(|child|)
+    is at most the best depth found at its node so far.
     """
     h = action.subgroup
     t = action.degree
@@ -74,13 +88,15 @@ def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S"):
                 if len(orb) == 1:
                     continue
                 child = frozenset(e for e in c if tbls[e][j] == j)
+                if bound and 1 + omega(len(child)) <= best_d:
+                    continue
                 d = 1 + depth_of(child)
                 if d > best_d:
                     best_d, best_pt = d, j
         else:
             for j in range(t):
                 child = frozenset(e for e in c if tbls[e][j] == j)
-                if len(child) == len(c):
+                if len(child) == len(c) or (bound and 1 + omega(len(child)) <= best_d):
                     continue
                 d = 1 + depth_of(child)
                 if d > best_d:
@@ -172,7 +188,10 @@ CASES = [(name, True) for name in INSTANCES] + [
 def test_search_matches_reference(monkeypatch, name, prune):
     action = action_of(name)
     ambient = name[0]
-    ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient)
+    full_value, full_cert, _ = reference_mibs(action, prune=prune, ambient=ambient)
+    ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient,
+                                                   bound=True)
+    assert (ref_value, ref_cert.to_json()) == (full_value, full_cert.to_json())
     searches = []
     search = oracle._longest_chain
 
@@ -217,7 +236,7 @@ def test_m11_search_makes_no_coset_table(monkeypatch):
 def test_memo_refusal_point_matches_reference(prune):
     """The refusal comes at the same memo entry: the last cap that fails is count - 1."""
     action = action_of("S7-agl-7-1")
-    count = len(reference_mibs(action, prune=prune)[2])
+    count = len(reference_mibs(action, prune=prune, bound=True)[2])
     assert mibs(action, limits=OracleLimits(max_memo=count), prune=prune)[0] == 4
     with pytest.raises(oracle.LimitExceeded, match=rf"^memo table exceeds limit {count - 1} entries$"):
         mibs(action, limits=OracleLimits(max_memo=count - 1), prune=prune)
