@@ -416,18 +416,40 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
                     ua = transversal(a)
                 yield _compose_tbl(_compose_tbl(ua, s), _inverse_tbl(transversal(b)))
 
-    stab = PermutationGroup([], k.degree)
-    added = []
-    for g in schreier_generators():
-        if stab._add_generator(g):
-            added.append(Permutation._wrap(g))
-            if stab._order >= target:
-                break
+    stab = _group_of_order(schreier_generators(), k.degree, target)
     if stab._order != target:
         raise RuntimeError(f"stabilizer has order {stab._order}, expected |K| / |orbit| = "
                            f"{target}")
-    stab.generators = tuple(added)
     return stab
+
+
+def _group_of_order(tables: Iterable[Table], degree: int, order: int) -> PermutationGroup:
+    """The group generated by tables lying in a group of the given order.
+
+    Each table is sifted through the chain made so far and a nontrivial
+    residue placed, with the orbits of its level and those above rebuilt but
+    no Schreier generator scanned.  The orbits' lengths multiply to at most
+    the order of the group generated, so once they reach ``order`` the chain
+    is complete (Seress, *Permutation Group Algorithms*, 2003, ch. 4, on a
+    known order); if the tables run out first, the scan completes it.
+    """
+    grp = PermutationGroup([], degree)
+    added = []
+    for tbl in tables:
+        r = grp._sift_tbl(tbl)
+        if r == grp._ident:
+            continue
+        added.append(Permutation._wrap(tbl))
+        for i in reversed(range(grp._place(r) + 1)):
+            grp._rebuild_level(i)
+        grp._order = math.prod(len(lvl.orbit) for lvl in grp._levels)
+        if grp._order == order:
+            break
+    else:
+        grp._complete(len(grp._levels) - 1)
+        grp._order = math.prod(len(lvl.orbit) for lvl in grp._levels)
+    grp.generators = tuple(added)
+    return grp
 
 
 def _min_coset_rep(h: PermutationGroup, y: Table) -> Table:

@@ -19,36 +19,29 @@ the strong generators mapped through the cosets
 (:func:`_coset_permutation`).  An element of H is u_{L-1} ⋯ u_0, one
 transversal element per chain level, so its image of a coset point is read
 through L of those tables without a table of its own, and the elements of
-H fixing a point j are found by pushing j through them.  No degree-t
-stabilizer chain and no list of all of H on the cosets is made.
+H fixing a point j are found by pushing j through them.  No list of all of
+H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
-memoized branch-and-bound search over subgroup element sets, with candidate
-points pruned to orbit representatives of the current subgroup (conjugate
-continuations have equal length).  Each step down divides the order by at
-least a prime, so a chain below a subgroup of order m has at most Ω(m)
-steps, Ω counting m's prime factors with multiplicity (the bound on an
-irredundant base of Cameron and Fon-Der-Flaass, *European J. Combin.* 16,
-1995); a child that could at best tie its node's best depth so far is not
-entered, and the search stays exact.  Its first step, from H to a point
-stabilizer c, is read off the transversal tables; every subgroup below is a
-set of elements of c.  Where c has at least t elements, each gets a table of
-length t, made by meeting in the middle: the levels are split in two, every
-product of one transversal element per level of either half is tabled once,
-and each element of c is an upper product composed with a lower one that
-brings the point back, one pass of length t and no Python-level step per
-element; where c has fewer, the images of a point under c's elements are
-read through the level tables, one pass of length |c| per level, and
-nothing of length t is made.  By orbit-stabilizer, a point whose
-orbit under the current subgroup is regular has the trivial stabilizer, and
-it stays regular under every subgroup below; so a node scans only the
-non-regular orbits its parent handed on, not all t points, and a node of
-prime order, whose orbits are all fixed points or regular, scans only up to
-its least moved point.  The search also decides faithfulness: an H with a
-nontrivial core is refused at the first node it would finish, the core.  On
-M11's 5040 cosets in S11 every point stabilizer has fewer than 5040
-elements, so the search makes no table of length t; it reads 3,383
-columns, 272,016 level-table entries in all.
+memoized branch-and-bound search over subgroups of H (:func:`_longest_chain`),
+with candidate points pruned to orbit representatives of the current
+subgroup (conjugate continuations have equal length).  A chain below a
+subgroup of order m has at most Ω(m) steps, Ω counting m's prime factors
+with multiplicity (the bound on an irredundant base of Cameron and
+Fon-Der-Flaass, *European J. Combin.* 16, 1995), so a child that could at
+best tie its node's best depth so far is not entered, and the search stays
+exact.  A node is a point stabilizer of H, of one of two kinds chosen once
+per action from t and |H| (:func:`_group_nodes`).  Where t is small beside
+|H|, as for natural S_n and A_n (t = n), it is a permutation group of
+degree t in T(H), the group the strong generators' tables generate, so
+natural S10's search never lists the 40,320 elements of a point
+stabilizer.  Otherwise it is a set of H's element numbers whose images of a
+point are read through the level tables, one pass of length |c| per level,
+and nothing of length t is made: on M11's 5040 cosets in S11 the search
+reads 3,383 columns, 272,016 level-table entries in all.  Either kind scans
+only the non-regular orbits a node's parent handed on, as a point regular
+for a subgroup is regular below it, and an H with a nontrivial core is
+refused, from |T(H)| < |H| or at the first node the search would finish.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
@@ -60,15 +53,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from functools import cache, reduce
 from itertools import accumulate, compress
-from operator import getitem, itemgetter, mul
+from operator import getitem, itemgetter, mul, ne
 from typing import Optional
 
 from .certificate import CertLevel, ChainCertificate, prime_factors, verify_certificate
 from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
-                    PermutationGroup, _min_coset_rep, _standard_generators, _tree_tables,
-                    check_coset_orders)
-from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _pad, _table,
-                   _then)
+                    PermutationGroup, _group_of_order, _min_coset_rep, _stabilizer,
+                    _standard_generators, _tree_tables, check_coset_orders)
+from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _inverts_in_c,
+                   _table)
 
 
 class OracleLimits:
@@ -117,7 +110,9 @@ class _Transversal(Sequence):
     def __len__(self) -> int:
         return len(self._reps)
 
-    def __getitem__(self, i: int) -> Permutation:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Permutation._wrap(rep) for rep in self._reps[i]]
         return Permutation._wrap(self._reps[i])
 
 
@@ -244,8 +239,8 @@ class _CosetTables:
     (i_0, ..., i_{L-1}) in mixed radix, i_0 varying fastest.  An element's
     image of a point j is therefore T(u_0)[⋯T(u_{L-1})[j]], read off the
     level tables without a table of the element: :meth:`level_lists` gives a
-    set of elements that form, and :meth:`fixer_tables` gives a point
-    stabilizer's elements tables of their own where that is cheaper.
+    set of elements that form.  ``gens`` holds the strong generators'
+    tables, which generate T(H) and give H's orbits.
     """
 
     def __init__(self, action: CosetAction, coset_table: dict):
@@ -260,7 +255,7 @@ class _CosetTables:
 
         # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables;
         # one flat list partitions all t points, cheaper than a Schreier vector per orbit
-        gens = list(coset_table.values())
+        self.gens = gens = list(coset_table.values())
         self.orbit_min = mins = [-1] * action.degree
         self.orbit_size = {}  # the smallest point of an H-orbit -> the orbit's size
         for j in range(action.degree):
@@ -291,41 +286,6 @@ class _CosetTables:
         n0 = len(levels[0])
         return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
 
-    def fixer_tables(self, j: int, known: dict) -> list:
-        """:meth:`fixers` of j; tables new ones into ``known``.
-
-        ``known`` maps numbers to tables; a fixer in it keeps its table.  The
-        levels meet in the middle: split at m, an element is A·B with
-        A = u_{L-1} ⋯ u_m, one of U upper products, and B = u_{m-1} ⋯ u_0,
-        one of D lower ones, and its number is upper·strides[m] + lower.  It
-        fixes j exactly when B takes A[j] to j.  Every A and every B is tabled
-        once (:func:`_products`), each B is bucketed under the point it takes
-        to j, and the fixers under A are A composed with each B in the bucket
-        of A[j]: one pass of length t per fixer, made in one map per A, so no
-        Python-level step is taken per fixer.  m minimizes U + D, from the
-        level sizes alone.
-        """
-        levels, strides = self.levels, self.strides
-        order = strides[-1] * len(levels[-1])
-        m = min(range(len(levels)), key=lambda k: strides[k] + order // strides[k])
-        pad = _pad(len(self.identity))
-        buckets = {}  # a point -> the lower numbers and padded tables of the Bs taking it to j
-        for lower, b in enumerate(_products(levels[:m][::-1] or [[self.identity]])):
-            lows, bs = buckets.setdefault(b.index(j), ([], []))
-            lows.append(lower)
-            bs.append(b + pad)  # a second operand of every A in its bucket
-        numbers = []
-        for upper, a in enumerate(_products(levels[m:][::-1])):
-            bucket = buckets.get(a[j])
-            if bucket:
-                lows, bs = bucket
-                fixers = list(map((upper * strides[m]).__add__, lows))
-                kept = [(e, known[e]) for e in filter(known.__contains__, fixers)]
-                known.update(zip(fixers, map(_then(a), bs)))
-                known.update(kept)
-                numbers += fixers
-        return numbers
-
     def level_lists(self, numbers: list) -> list:
         """Per level, top first, the level table that each numbered element uses there.
 
@@ -342,46 +302,13 @@ class _CosetTables:
         return lists
 
 
-def _products(levels: list):
-    """Yield the tables of the products of one element per level, the first level's first.
-
-    Each level lists its tables with the identity first.  The last level's
-    choice varies fastest: a partial product is extended through the last
-    level, padded once, in one map, and the identity passes it on.  Only one
-    partial product per level is held.
-    """
-    if len(levels) == 1:
-        yield from levels[0]
-        return
-    pad = _pad(len(levels[0][0]))
-    rest = [u + pad for u in levels[-1][1:]]
-    for p in _products(levels[:-1]):
-        yield p
-        yield from map(_then(p), rest)
-
-
-def _use_coset_tables(t: int, n: int) -> bool:
-    """Whether a point stabilizer of order n in H gets coset tables of length t.
-
-    Its tables cost n passes of length t, and about 2√|H| more for the
-    products of the two halves of the levels, after which a column is one
-    pass of length n; read through the level tables, a column is one pass of
-    length n per level, with nothing to build first.  Up to t columns are
-    read.  In process on a 2-vCPU x86-64 host, medians of 11 runs: on natural
-    S10 (n = 40,320, t = 10, 8 levels) the action and search take 0.045 s
-    tabled and 0.16-0.19 s read through the levels; on S11/M11 (n < t = 5040)
-    tabling every stabilizer makes them 0.49-0.53 s against 0.15-0.19 s.
-    """
-    return t <= n
-
-
 def _column(lists: list, j: int) -> list:
     """The images of point j under a set of elements, read through their lists.
 
     ``lists[k][i]`` is the k-th table that element i's image passes through:
-    the level lists of :meth:`_CosetTables.level_lists`, top level first, or
-    one list of the elements' own coset tables.  ``lists`` is empty only for
-    the identity alone, which is never read.
+    the level lists of :meth:`_CosetTables.level_lists`, top level first, one
+    pass of length len(lists[k]) per level.  ``lists`` is empty only for the
+    identity alone, which is never read.
     """
     col = list(map(itemgetter(j), lists[0]))
     for tbls in lists[1:]:
@@ -406,10 +333,10 @@ def mibs(
     Searches for the longest chain of strictly descending pointwise
     stabilizers.  The first point is fixed to 1 (all first choices are
     equivalent by transitivity); the search then works inside H, the
-    stabilizer of point 1.  Memoized on the exact element set of the current
-    subgroup and bounded by the subgroups' orders; candidate points are
-    pruned to orbit representatives unless ``prune`` is False.  Raises
-    ValueError if H has a nontrivial core.
+    stabilizer of point 1.  Memoized on the current subgroup's exact element
+    set or fixed-point set and bounded by the subgroups' orders; candidate
+    points are pruned to orbit representatives unless ``prune`` is False.
+    Raises ValueError if H has a nontrivial core.
     """
     limits = limits or OracleLimits()
     h = action.subgroup
@@ -441,50 +368,47 @@ def mibs(
 def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     """The points and orders of a longest stabilizer chain from H, and the search's memo.
 
-    The memo maps every subgroup entered (a frozenset of element numbers) to
-    its (depth, best point), in the order the depth-first search finishes
-    them.  H itself comes last, under the key None: its orbits and point
-    stabilizers come from the transversal tables.
+    A node is a point stabilizer c of H, a tuple (key, order, ...) of the kind
+    chosen once per action (:func:`_group_nodes`): a permutation group of
+    degree t (:class:`_GroupNodes`) or H's element numbers read through the
+    level tables (:class:`_LevelNodes`).  The kind gives a point's orbit and
+    the child fixing it; the search, its bound and the witness replay are
+    one for both.  The memo maps every subgroup entered, by its key, to its
+    (depth, best point), in the order the depth-first search finishes them;
+    H comes last, under the key None, its orbits read off the transversal
+    tables.
 
-    The search is bounded: a chain below a subgroup of order m has at most
-    Ω(m) steps, so a child of order m = |c|/|j^c|, its orbit read in the
-    scan, is entered only when 1 + Ω(m) exceeds the best depth found at c
-    so far, at H as at every node below.  A child left out could at best
-    tie, and a tie never replaces the best point, so every entered
-    subgroup's depth and best point, the value and the witness are those of
-    the unbounded search; only memo entries that cannot win are missing.
+    A chain below a subgroup of order m has at most Ω(m) steps, so a child
+    of order m = |c|/|j^c|, its orbit read in the scan, is entered only when
+    1 + Ω(m) exceeds the best depth found at c so far.  A child left out
+    could at best tie, and a tie never replaces the best point, so every
+    entered subgroup's depth and best point, the value and the witness are
+    those of the unbounded search; only memo entries that cannot win are
+    missing.
 
-    A node is a subgroup's element numbers with lists that give their images
-    of a point (:func:`_column`): for a point stabilizer of H of order n with
-    t <= n, one list of the elements' own coset tables, each made once; for
-    a smaller one, the level lists of :meth:`_CosetTables.level_lists`, and
-    no table of length t.  A child keeps the entries of its parent's lists
-    that its mask selects, and the column read for an orbit is that mask.
-
-    A point j gives a subgroup c a nontrivial child only when j's c-orbit is
+    A point j gives c a nontrivial child only when j's c-orbit is
     non-regular; every other point that c moves gives depth 1, through the
-    trivial subgroup.  A point regular for c is regular for every subgroup
-    below it, so a node scans only the non-regular orbits its parent handed
-    on (H's, below H) and hands on its own.  With none left, the best depth
-    is 1 at the least point that c moves; a subgroup of prime order has
-    none, so it reads columns only up to that point.  A search that scanned
-    every point would recurse on every point a subgroup moves, so the first
-    subgroup it finished would move no point; the trivial subgroup is
-    therefore entered first, and the memo, entry by entry, is that of the
-    full scan under the same bound.  The core K of H fixes every point and lies in every node c,
-    so while K != 1 no orbit is regular (|j^c| <= |c|/|K|) and every node but
-    K has a moved point to descend through: the first node finished with no
-    moved point, its best point still t, is K, and it is refused there.  The
-    bound leaves that first descent whole: each node's first child is always
-    entered, as its best depth is then at most 1 and the child has order at
-    least 2.
+    trivial subgroup, and stays regular for every subgroup below.  So a
+    node scans only the non-regular orbits its parent handed on (H's, below
+    H) and hands on its own; with none left, the best depth is 1 at the
+    least point that c moves, and a subgroup of prime order, which has none,
+    reads points only up to that one.  A full scan would recurse on every
+    point a subgroup moves, so the first subgroup it finished would move no
+    point: the trivial subgroup is entered first, and the memo, entry by
+    entry, is that of the full scan under the same bound.  The core K of H
+    fixes every point and lies in every node, so while K != 1 no orbit is
+    regular and every node but K has a moved point to descend through: the
+    first node finished with no moved point, its best point still t, is K,
+    and it is refused there (group nodes refuse it earlier, from T(H)).  The
+    bound leaves that first descent whole, as each node's first child has
+    order at least 2 and its node's best depth is then at most 1.
     """
     t = action.degree
     tables = action._tables
     mins = tables.orbit_min
     sizes = tables.orbit_size
     order = action.subgroup.order()
-    tbls = {}  # element number -> coset table, for the tabled stabilizers
+    kind = _GroupNodes(tables, order) if _group_nodes(t, order) else _LevelNodes(tables)
     # Ω(m), m's prime factors with multiplicity: bounds.omega, without loading bounds.py
     omega = cache(lambda m: len(prime_factors(m)))
 
@@ -496,52 +420,49 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
             raise LimitExceeded(f"memo table exceeds limit {max_memo} entries")
         memo[c] = (best_d, best_pt)
 
-    trivial = frozenset((0,))  # element number 0 is the identity
     # entered without the limit test, so that a core is refused before any memo limit
-    memo: dict = {trivial: (0, None)} if order > 1 else {}
+    memo: dict = {kind.trivial[0]: (0, None)} if order > 1 else {}
     seen = bytearray(t)
 
-    def depth_of(c: frozenset, numbers: list, lists: list, cand: Sequence[int],
-                 regular: int) -> int:
-        """The depth of c, a nontrivial subgroup below H, listed as ``numbers`` with ``lists``.
+    def depth_of(node: tuple, cand: Sequence[int], regular: int) -> int:
+        """The depth of a nontrivial subgroup below H.
 
-        ``cand`` is a union of c-orbits holding every non-regular one, in
-        increasing order; ``regular`` is the least point regular for c's
-        parent, and every such point is regular for c.
+        ``cand`` is a union of its orbits holding every non-regular one, in
+        increasing order; ``regular`` is the least point regular for its
+        parent, and every such point is regular for it.
         """
+        c, n = node[:2]
         hit = memo.get(c)
         if hit is not None:
             return hit[0]
-        n = len(numbers)
         if omega(n) == 1:  # prime order: every orbit is a fixed point or regular, no child
-            # a moved point's images are n distinct points, so the second is not j
-            best_pt = next((j for j in cand if j < regular and _column(lists, j)[1] != j), regular)
+            moved = (j for j in cand if j < regular and len(set(kind.orbit(node, j))) > 1)
+            best_pt = next(moved, regular)
             enter(c, n, 1, best_pt)
             return 1
-        cols = {}  # least point of a non-regular orbit -> its column
+        reads = {}  # least point of a non-regular orbit -> its orbit as the kind reads it
         inner = {}  # every point of the non-regular orbits -> its orbit's size
         for j in cand:
             if seen[j]:
                 continue
-            col = _column(lists, j)
-            orb = set(col)
+            read = kind.orbit(node, j)
+            orb = set(read)
             for o in orb:
                 seen[o] = 1
             if len(orb) == n:
                 regular = min(regular, j)
             elif len(orb) > 1:
-                cols[j] = col
+                reads[j] = read
                 inner.update(dict.fromkeys(orb, len(orb)))
         for j in cand:
             seen[j] = 0
         below = sorted(inner)
         best_d, best_pt = 1, regular  # with no non-regular orbit, the least moved point
-        for j in cols if prune else below:
+        for j in reads if prune else below:
             if 1 + omega(n // inner[j]) <= best_d:  # the child, of order n/|j^c|, can only tie
                 continue
-            col = cols[j] if j in cols else _column(lists, j)
-            child, child_lists = _fixing(numbers, lists, j, col)
-            d = 1 + depth_of(frozenset(child), child, child_lists, below, regular)
+            read = reads[j] if j in reads else kind.orbit(node, j)
+            d = 1 + depth_of(kind.child(node, j, read), below, regular)
             if d > best_d:
                 best_d, best_pt = d, j
         enter(c, n, best_d, best_pt)
@@ -559,37 +480,140 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         if size == 1 or (prune and mins[j] != j) or 1 + omega(order // size) <= best_d:
             continue
         if size == order:
-            node, d = (trivial, [0], []), 1
+            node, d = kind.trivial, 1
         else:  # the stabilizer of j in H, of order/size elements
-            if _use_coset_tables(t, order // size):
-                numbers = tables.fixer_tables(j, tbls)
-                lists = [[tbls[e] for e in numbers]]
-            else:
-                numbers = tables.fixers(j)
-                lists = tables.level_lists(numbers)
-            node = frozenset(numbers), numbers, lists
-            d = 1 + depth_of(*node, root_cand, root_regular)
+            node = kind.stabilizer(j)
+            d = 1 + depth_of(node, root_cand, root_regular)
         if d > best_d:
             best_d, best_pt, best_node = d, j, node
     enter(None, order, best_d, best_pt)
     # depth_of refers to itself through its closure; without this the cycle keeps
-    # tbls and memo alive after the search, until the cyclic collector runs
+    # the nodes and memo alive after the search, until the cyclic collector runs
     del depth_of
 
     # replay the memoized best choices into a witness chain
     points, orders = [0], [order]
     pt, node = best_pt, best_node
     while pt is not None:
-        c, numbers, lists = node
-        if len(numbers) >= orders[-1]:
+        if node[1] >= orders[-1]:
             raise RuntimeError(f"witness replay does not descend at point {pt}")
         points.append(pt)
-        orders.append(len(numbers))
-        pt = memo[c][1]
+        orders.append(node[1])
+        pt = memo[node[0]][1]
         if pt is not None:
-            numbers, lists = _fixing(numbers, lists, pt, _column(lists, pt))
-            node = frozenset(numbers), numbers, lists
+            node = kind.child(node, pt, kind.orbit(node, pt))
     return points, orders, memo
+
+
+def _group_nodes(t: int, order: int) -> bool:
+    """Whether the search over an H of this order on t cosets takes group nodes.
+
+    Group nodes pay for orbit walks and Schreier-Sims at degree t, which
+    inverts tables of length t, in one C-level call only where
+    :func:`irrbase.perm._inverts_in_c` says so.  Element reads pay one pass
+    of length |c| per chain level for each orbit that a node c reads.  So
+    group nodes are taken where t^(3/2) <= |H| and tables of length t invert
+    in C.  Medians of ``_longest_chain`` in ms, in process on a 2-vCPU
+    x86-64 host, with every stabilizer of at least t elements tabled element
+    by element (the search this replaced) / group nodes / element reads:
+
+    - natural S6 0.12 / 0.36 / 0.14, S7 0.28 / 0.56 / 0.39, S8 1.05 / 0.83 /
+      1.61, S9 4.5 / 1.07 / 11.9, S10 30.8 / 1.4 / 100;
+    - natural A6 0.09 / 0.16 / 0.08, A7 0.18 / 0.34 / 0.20, A8 0.58 / 0.41 /
+      0.95, A9 2.1 / 0.84 / 5.5, A10 17.2 / 0.85 / 51;
+    - S5 wr S2 in S10 (t = 126) 4.8 / 5.1 / 11.9, S6 x S3 in S9 (t = 84)
+      4.3 / 8.2 / 7.2, S5 x S5 in S10 (t = 252) 19.7 / 39 / 57;
+    - element reads, as tuples invert in a Python loop: S6 wr S2 in S12
+      (t = 462) 857 / 637 / 615, S7 x S4 in S11 (t = 330) 283 / 784 / 449.
+    """
+    return _inverts_in_c(t) and t ** 3 <= order ** 2
+
+
+class _GroupNodes:
+    """Search nodes as permutation groups of degree t, each a point stabilizer in T(H).
+
+    T(H) is generated by the coset tables of H's strong generators; its
+    order is |H| over the order of H's core, which is refused here.  A node
+    is (fixed-point set, order, group, its generators' tables): every node c
+    is a pointwise stabilizer, so c = H_(Fix c) and its fixed points are an
+    exact key.  A point's orbit is walked through the tables, and the child
+    fixing it comes from orbit-stabilizer (:func:`irrbase.group._stabilizer`),
+    or, at c's first base point, is c's chain from its second level.
+    """
+
+    def __init__(self, tables: _CosetTables, order: int):
+        t = len(tables.identity)
+        self.h = _group_node(_group_of_order(tables.gens, t, order))
+        if self.h[1] < order:
+            raise ValueError(f"action not faithful: subgroup has a core of order "
+                             f"{order // self.h[1]}")
+        self.trivial = _group_node(PermutationGroup([], t))
+
+    def stabilizer(self, j: int) -> tuple:
+        """The stabilizer of point j in H."""
+        return self.child(self.h, j, None)
+
+    @staticmethod
+    def orbit(node: tuple, j: int):
+        if j in node[0]:
+            return j,
+        gens, orbit, new = node[3], {j}, [j]
+        while new:  # the images of the points last added that are not in the orbit yet
+            new = {g[p] for g in gens for p in new}.difference(orbit)
+            orbit.update(new)
+        return orbit
+
+    @staticmethod
+    def child(node: tuple, j: int, orbit) -> tuple:
+        _, n, grp, gens = node
+        levels = grp._levels
+        if levels[0].point == j:
+            child = PermutationGroup([], grp.degree)
+            child._levels = levels[1:]
+            child._order = n // len(levels[0].orbit)
+            child.generators = tuple(map(Permutation._wrap, grp._gens_at(1)))
+            return _group_node(child)
+        return _group_node(_stabilizer(grp, j, getitem))
+
+
+def _group_node(grp: PermutationGroup) -> tuple:
+    gens = [g._tbl for g in grp.generators]
+    points = range(grp.degree)
+    moved = set()
+    for g in gens:
+        moved.update(compress(points, map(ne, g, grp._ident)))
+    return frozenset(points).difference(moved), grp.order(), grp, gens
+
+
+class _LevelNodes:
+    """Search nodes as H's element numbers, whose images are read through the level tables.
+
+    A node is (numbers, order, sorted numbers, level lists
+    (:meth:`_CosetTables.level_lists`)).  A point's orbit is its column
+    (:func:`_column`), and the child fixing it keeps the entries that the
+    column's mask selects (:func:`_fixing`).  Nothing of length t is made.
+    """
+
+    def __init__(self, tables: _CosetTables):
+        self.tables = tables
+        self.trivial = _level_node([0], [])  # element number 0 is the identity
+
+    def stabilizer(self, j: int) -> tuple:
+        """The stabilizer of point j in H."""
+        numbers = self.tables.fixers(j)
+        return _level_node(numbers, self.tables.level_lists(numbers))
+
+    @staticmethod
+    def orbit(node: tuple, j: int) -> list:
+        return _column(node[3], j)
+
+    @staticmethod
+    def child(node: tuple, j: int, col: list) -> tuple:
+        return _level_node(*_fixing(node[2], node[3], j, col))
+
+
+def _level_node(numbers: list, lists: list) -> tuple:
+    return frozenset(numbers), len(numbers), numbers, lists
 
 
 def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:

@@ -333,6 +333,12 @@ def _inverse_tbl(a: Table) -> Table:
     return _table(inv)
 
 
+def _inverts_in_c(n: int) -> bool:
+    """Whether degree-n tables are inverted by one C-level call, as bytes are; a tuple's
+    inverse is a Python loop over its entries."""
+    return n <= BYTES_DEGREE
+
+
 @lru_cache(maxsize=32)
 def _identity_tbl(n: int) -> Table:
     return _table(range(n))

@@ -1312,15 +1312,22 @@ NOT_CORE_FREE_FILES = {
 @pytest.mark.parametrize("flags", [[], ["--limit-memo", "0"], ["--limit-memo", "1"],
                                    ["--no-prune"]], ids=["plain", "memo-0", "memo-1", "no-prune"])
 @pytest.mark.parametrize("name", sorted(NOT_CORE_FREE_FILES))
-def test_oracle_core_refusal_bytes(tmp_path, capsys, name, flags):
-    """A subgroup with a nontrivial core is refused before any memo limit, in every mode."""
+def test_oracle_core_refusal_bytes(tmp_path, capsys, monkeypatch, name, flags):
+    """A subgroup with a nontrivial core is refused before any memo limit, in every mode.
+
+    A5 in S5 (t = 2) searches group nodes and is refused from |T(H)|; V4 in
+    S4 (t = 6, |H| = 4) reads through the level tables and meets its core.
+    """
     text, core = NOT_CORE_FREE_FILES[name]
     gens = tmp_path / "h.gens"
     gens.write_text(text)
+    kinds, rule = [], oracle._group_nodes
+    monkeypatch.setattr(oracle, "_group_nodes", lambda t, n: kinds.append(rule(t, n)) or kinds[-1])
     argv = ["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", str(gens)]
     assert main(argv + flags) == 2
     assert capsys.readouterr() == (
         "", f"invalid parameters: action not faithful: subgroup has a core of order {core}\n")
+    assert kinds == [name == "A5-in-S5"]
 
 
 # -- verify: ambient parity, one-level and terminal reports ---------------------

@@ -4,12 +4,12 @@ An element of H is numbered by its transversal path, u_{L-1} ⋯ u_0 with one
 u_k per level of H's chain.  ``table`` below composes its coset table T level
 by level, one pass of length t per level: the slow reference.  It must be the
 table ``_coset_permutation`` computes from the element through the coset
-representatives, and T must be a homomorphism.  ``fixer_tables`` must give
+representatives, and T must be a homomorphism.  ``fixers`` must give
 exactly the elements whose reference table fixes the point, in ascending
-order, and add the reference tables of those not already known, making no
-more tables of length t than the fixers and the upper and lower products of
-the best split of the levels.  An image read through the level tables,
-without a table of the element, must be the reference table's entry.
+order.  An image read through the level tables, without a table of the
+element, must be the reference table's entry.  A group node's point
+stabilizer, and each stabilizer below it, must hold exactly the reference
+tables of those elements, and its key must be the points they all fix.
 
 For G = S_n or A_n given by its standard pair, ``build_coset_action`` makes
 the strong generators' tables along words in G's generators
@@ -22,8 +22,6 @@ involution s also gives Hy·s = Hx.
 """
 
 from functools import lru_cache
-from math import prod
-
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -47,7 +45,7 @@ from irrbase.oracle import (
     build_coset_action,
     mibs,
 )
-from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, _then, parse_cycles
+from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles
 
 from test_oracle_reference import INSTANCES, action_of as instance_of
 
@@ -77,8 +75,6 @@ ACTIONS = {
 SMALL = ["S3xS2-in-S5", "S7-agl-7-1", "S6-natural"]
 NATURAL = ["S7-natural", "A7-natural"]
 LOPSIDED = ["S2xC6-in-S8", "C6xS2-in-S8", "C7-in-S7", "S2xS2xC3-in-S7"]
-LARGE = ["S9-agl-3-2", "A9-agl-3-2", "S11-m11"]
-MAX_DRAWN_FIXERS = 100  # keeps the reference tables of a drawn point small
 
 
 @lru_cache(maxsize=None)
@@ -105,45 +101,6 @@ def table(tables, number):
         number, i = divmod(number, len(level))
         q = _compose_tbl(level[i], q)  # u_k first, then the product of the levels below
     return q
-
-
-def split_cost(tables):
-    """min over m of U + D: the upper products u_{L-1} ⋯ u_m and the lower u_{m-1} ⋯ u_0."""
-    sizes = [len(level) for level in tables.levels]
-    return min(prod(sizes[m:]) + prod(sizes[:m]) for m in range(len(sizes) + 1))
-
-
-def check_fixer_tables(action, j, known):
-    """``fixer_tables(j, known)`` against the reference; returns the numbers and new tables.
-
-    The tables of length t that the call makes are counted: at most one per
-    fixer and one per upper and lower product.
-    """
-    tables = action._tables
-    before = dict(known)
-    count = [0]
-
-    def counting(a):  # _then(a) with a of length t composes tables of length t
-        then = _then(a)
-        if len(a) != action.degree:
-            return then
-
-        def tabled(b):
-            count[0] += 1
-            return then(b)
-        return tabled
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "_then", counting)
-        numbers = tables.fixer_tables(j, known)
-    made = {a: tbl for a, tbl in known.items() if a not in before}
-    assert len(made) <= count[0] <= len(numbers) + split_cost(tables)
-    assert numbers == sorted(set(numbers))
-    assert set(known) == set(before) | set(numbers)
-    assert all(known[a] is tbl for a, tbl in before.items())  # known fixers are not tabled again
-    for a, tbl in made.items():
-        assert tbl == table(tables, a)
-    return numbers, made
 
 
 @st.composite
@@ -183,93 +140,58 @@ def test_fixers_are_the_point_stabilizer(name):
     tables = action._tables
     all_tables = [table(tables, a) for a in range(action.subgroup.order())]
     for j in range(action.degree):
-        numbers = tables.fixer_tables(j, {})
-        assert numbers == [a for a, tbl in enumerate(all_tables) if tbl[j] == j]
+        assert tables.fixers(j) == [a for a, tbl in enumerate(all_tables) if tbl[j] == j]
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_fixer_tables_on_every_point(name):
+    """The tables of the elements fixing each point: each is the element's coset permutation."""
     action = action_of(name)
-    h = action.subgroup
+    h, tables = action.subgroup, action._tables
     for j in range(action.degree):
-        numbers, made = check_fixer_tables(action, j, {})
-        assert len(numbers) * action._tables.orbit_size[action._tables.orbit_min[j]] == h.order()
+        numbers = tables.fixers(j)
+        assert len(numbers) * tables.orbit_size[tables.orbit_min[j]] == h.order()
         for a in numbers:
-            assert made[a] == _coset_permutation(action, element(h, a))
-
-
-@pytest.mark.parametrize("name", NATURAL + LOPSIDED)
-def test_fixer_tables_split_against_the_reference(name):
-    """The meet in the middle at every point of S7 and A7, and at every 41st of S8's 3360."""
-    action = action_of(name)
-    tables = action._tables
-    all_tables = [table(tables, a) for a in range(action.subgroup.order())]
-    step = 1 if name in NATURAL else 41  # t = 3360 on S8
-    for j in range(0, action.degree, step):
-        numbers, made = check_fixer_tables(action, j, {})
-        assert numbers == [a for a, tbl in enumerate(all_tables) if tbl[j] == j]
-
-
-@pytest.mark.parametrize("name", NATURAL)
-def test_fixer_tables_keep_known_tables(name):
-    """Fixers tabled for earlier points keep their table objects; only new ones are added."""
-    action = action_of(name)
-    known, overlaps = {}, 0
-    for j in reversed(range(action.degree)):  # point 0, fixed by all of H, comes last
-        before = set(known)
-        numbers, made = check_fixer_tables(action, j, known)
-        assert set(made) == set(numbers) - before
-        overlaps += len(before.intersection(numbers))
-    assert overlaps
-
-
-def test_fixer_tables_far_fewer_than_the_products():
-    """On M11's 5040 cosets a point in a largest orbit has fewer fixers than U + D."""
-    action = action_of("S11-m11")
-    tables = action._tables
-    sizes = tables.orbit_size
-    j = max(sizes, key=sizes.get)
-    numbers, made = check_fixer_tables(action, j, {})
-    assert len(numbers) * sizes[j] == action.subgroup.order()
-    assert 10 * len(numbers) < split_cost(tables)
-
-
-@st.composite
-def fixer_draws(draw):
-    action = action_of(draw(st.sampled_from(LARGE)))
-    tables = action._tables
-    order = action.subgroup.order()
-    points = [
-        j for j in range(action.degree)
-        if order <= MAX_DRAWN_FIXERS * tables.orbit_size[tables.orbit_min[j]]
-    ]
-    j = draw(st.sampled_from(points))
-    numbers = tables.fixer_tables(j, {})
-    known = draw(st.sets(st.sampled_from(numbers)))
-    return action, j, numbers, known
-
-
-@settings(max_examples=25)
-@given(fixer_draws())
-def test_fixer_tables_skip_known_fixers(drawn):
-    action, j, all_numbers, known = drawn
-    known = {a: object() for a in known}
-    numbers, made = check_fixer_tables(action, j, known)
-    assert numbers == all_numbers  # known fixers keep their numbers
-    a = min(made, default=None)
-    if a is not None:
-        assert made[a] == _coset_permutation(action, element(action.subgroup, a))
+            tbl = table(tables, a)
+            assert tbl[j] == j and tbl == _coset_permutation(action, element(h, a))
 
 
 def test_fixer_tables_trivial_subgroup():
     action = build_coset_action(symmetric_group(3), trivial_group(3))
     tables = action._tables
     for j in range(action.degree):
-        known = {}
-        assert tables.fixer_tables(j, known) == [0]
-        assert known == {0: _identity_tbl(6)}
-        assert tables.fixer_tables(j, known) == [0]
-        assert known == {0: _identity_tbl(6)}
+        assert tables.fixers(j) == [0]
+        assert table(tables, 0) == _identity_tbl(6)
+
+
+def node_elements(node):
+    """The element tables of a group node's group."""
+    return set(node[2]._iter_element_tbls())
+
+
+@pytest.mark.parametrize("name", NATURAL + LOPSIDED)
+def test_group_stabilizers_are_the_fixers(name):
+    """A group node's stabilizer of a point, and each stabilizer below it, against the fixers.
+
+    At every point of S7 and A7, and at every 41st of S8's 3360 cosets (every
+    287th below it): the stabilizer holds exactly the reference tables of the
+    elements that ``fixers`` lists, and its key is the points all of them fix.
+    """
+    action = action_of(name)
+    tables = action._tables
+    all_tables = [table(tables, a) for a in range(action.subgroup.order())]
+    kind = oracle._GroupNodes(tables, action.subgroup.order())
+    step = 1 if name in NATURAL else 41  # t = 3360 on S8
+    for j in range(0, action.degree, step):
+        node = kind.stabilizer(j)
+        fixing = [all_tables[a] for a in tables.fixers(j)]
+        assert node_elements(node) == set(fixing)
+        assert node[0] == {p for p in range(action.degree)
+                                  if all(tbl[p] == p for tbl in fixing)}
+        for p in range(0, action.degree, step if name in NATURAL else 7 * step):
+            if p not in node[0]:
+                child = kind.child(node, p, kind.orbit(node, p))
+                assert node_elements(child) == {tbl for tbl in fixing if tbl[p] == p}
 
 
 @pytest.mark.parametrize("name", SMALL)

@@ -1,8 +1,10 @@
 import copy
 import gc
+import tracemalloc
 
 import pytest
 
+from irrbase import oracle
 from irrbase.certificate import ChainCertificate
 from irrbase.group import (
     LimitExceeded,
@@ -55,6 +57,35 @@ def test_transversal_made_as_it_is_read(monkeypatch, agl71):
     assert wrapped == [act._reps[5]] and x._tbl is act._reps[5]
     assert len(act.transversal) == act.degree
     assert [y._tbl for y in act.transversal] == act._reps
+
+
+def test_transversal_slices(agl71):
+    """A slice of the transversal is a list of permutations, each wrapped from its table."""
+    act = build_coset_action(symmetric_group(7), agl71.H)
+    assert act.transversal[1:3] == [act.transversal[1], act.transversal[2]]
+    assert act.transversal[::-40] == [act.transversal[i] for i in (119, 79, 39)]
+    assert [x._tbl for x in act.transversal[:]] == act._reps
+    assert act.transversal[-1] == act.transversal[119]
+
+
+@pytest.mark.parametrize("ambient", "SA")
+def test_natural_search_memory_bounded(ambient):
+    """Natural S10 and A10 search group nodes of degree 10: no table per element of a stabilizer.
+
+    Tabling each of natural S10's 40,320 point-stabilizer elements on the 10
+    cosets peaked at about 8 MiB under tracemalloc; group nodes take tens of KiB.
+    """
+    g = symmetric_group(10) if ambient == "S" else alternating_group(10)
+    act = build_coset_action(g, g.point_stabilizer(10))
+    tracemalloc.start()
+    try:
+        value = mibs(act)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == (9 if ambient == "S" else 8)
+    assert peak < 1 << 20
+    assert oracle._group_nodes(act.degree, act.subgroup.order())
 
 
 def test_coset_action_rejects_normal_subgroup():
@@ -303,8 +334,10 @@ def test_no_reference_cycles():
 
     A reference cycle through a closure or a generator would keep every coset
     table alive until a collection, so each run must free its objects by
-    reference counting alone.
+    reference counting alone.  Natural S6 searches group nodes, the others
+    read through the level tables.
     """
+    assert oracle._group_nodes(6, 120) and not oracle._group_nodes(120, 42)
     gc.collect()
     gc.disable()
     try:

@@ -1,11 +1,13 @@
 """The oracle's search against its references on random subgroups.
 
 For random subgroups H of G = S_n, A_n or S_k x S_(n-k) with 3 <= n <= 6,
-``mibs``, pruned and unpruned, must give the value and the witness bytes of
-``reference_mibs`` (the full scan of every coset point at every node, over
-all of H), and the memo, entry by entry in insertion order, of the reference
-under the oracle's order bound, where H is core-free, and refuse H with the
-order ``reference_core_order`` gives where it is not.  For at most 8
+``mibs``, pruned and unpruned, with every search node a permutation group
+of degree t and with every one read through the level tables, must give the
+value and the witness bytes of ``reference_mibs`` (the full scan of every
+coset point at every node, over all of H), and the memo, entry by entry in
+insertion order, of the reference under the oracle's order bound, where H is
+core-free, and refuse H with the order ``reference_core_order`` gives where
+it is not.  For at most 8
 cosets the value must also be the longest strictly descending chain of
 pointwise stabilizers of G itself, found over every point sequence.  The
 strong generators' coset tables, made along words in G's generators, must
@@ -19,13 +21,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from irrbase import oracle
 from irrbase.group import alternating_group, from_generators, symmetric_group
 from irrbase.oracle import _coset_permutation, build_coset_action, mibs
 from irrbase.perm import Permutation, compose, parse_cycles
 
 from test_coset_tables import check_strong_tables
-from test_oracle_reference import reference_core_order, reference_mibs
+from test_oracle_reference import KINDS, as_searched, reference_core_order, reference_mibs, searched
 
 
 def _symmetric_cycles(lo: int, hi: int) -> list:
@@ -105,33 +106,22 @@ def test_search_matches_references(drawn):
     core = reference_core_order(action.group, action.subgroup)
     if core > 1:
         message = f"action not faithful: subgroup has a core of order {core}"
-        for prune in (True, False):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                mibs(action, prune=prune, ambient=ambient)
+        for groups in KINDS.values():
+            for prune in (True, False):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    searched(action, groups, prune, ambient)
         return
-    order_h = action.subgroup.order()
     values = set()
     for prune in (True, False):
         full_value, full_cert, _ = reference_mibs(action, prune=prune, ambient=ambient)
         ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient,
                                                        bound=True)
         assert (ref_value, ref_cert.to_json()) == (full_value, full_cert.to_json())
-        searches = []
-        search = oracle._longest_chain
-
-        def recorded(*args):
-            searches.append(search(*args))
-            return searches[-1]
-
-        oracle._longest_chain = recorded
-        try:
-            value, cert = mibs(action, prune=prune, ambient=ambient)
-        finally:
-            oracle._longest_chain = search
-        memo = searches[0][2]
-        assert value == ref_value
-        assert cert.to_json() == ref_cert.to_json()
-        assert [(order_h if k is None else len(k), v) for k, v in memo.items()] == ref_memo
+        for groups in KINDS.values():
+            value, cert, _, _, memo = searched(action, groups, prune, ambient)
+            assert value == ref_value
+            assert cert.to_json() == ref_cert.to_json()
+            assert memo == as_searched(ref_memo, groups)
         values.add(value)
     if action.degree <= 8:
         assert values == {brute_mibs(action)}

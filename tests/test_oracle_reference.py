@@ -4,14 +4,18 @@ The reference builds H's coset tables as a Schreier-Sims chain on the t coset
 points, lists all |H| of them and runs the memoized frozenset search from H
 itself; the core of H is a filter of all of H through every coset
 representative.  The oracle reads H's point stabilizers off the coset tables
-of H's chain transversals instead, and its search meets the core as the
-first node it would finish.  Both must give the same value and the same
-witness bytes as the reference's full scan, and the same memo, entry by
-entry in insertion order, as the reference under the oracle's order bound:
-a child whose order has Ω prime factors (with multiplicity) has depth at
-most Ω, so one with 1 + Ω no more than the node's best depth so far is not
-entered.  ``mibs``, pruned and unpruned, must refuse every non-core-free
-subgroup with the reference's core order.
+of H's chain transversals instead, as permutation groups of degree t or as
+element numbers read through the level tables, and its search meets the
+core as the first node it would finish, or, with group nodes, refuses it
+from |T(H)| before searching.  Under either node kind it must give the
+same value and the same witness bytes as the reference's full scan, and
+the same memo, entry by entry in insertion order, as the reference under
+the oracle's order bound: a child whose order has Ω prime factors (with
+multiplicity) has depth at most Ω, so one with 1 + Ω no more than the
+node's best depth so far is not entered.  Entries match in subgroup
+order, depth and best point, and a group node's key, its fixed-point set,
+must be the reference subgroup's.  ``mibs``, pruned and unpruned, must
+refuse every non-core-free subgroup with the reference's core order.
 """
 
 import re
@@ -57,8 +61,8 @@ def omega(m):
 def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=False):
     """The search from H over all |H| coset tables; returns (value, witness, memo shape).
 
-    The memo shape lists (subgroup order, (depth, best point)) per entry, in
-    insertion order.  With ``bound``, a child is skipped when 1 + Ω(|child|)
+    The memo shape lists (subgroup order, fixed points, (depth, best point))
+    per entry, in insertion order.  With ``bound``, a child is skipped when 1 + Ω(|child|)
     is at most the best depth found at its node so far.
     """
     h = action.subgroup
@@ -123,7 +127,9 @@ def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=Fa
         levels=[CertLevel(list(conjugators[: j + 1]), orders[j]) for j in range(len(points))],
         claimed_length=value,
     )
-    return value, cert, [(len(k), v) for k, v in memo.items()]
+    shape = [(len(k), frozenset(j for j in range(t) if all(tbls[e][j] == j for e in k)), v)
+             for k, v in memo.items()]
+    return value, cert, shape
 
 
 def reference_core_order(g, h):
@@ -182,48 +188,97 @@ CASES = [(name, True) for name in INSTANCES] + [
 ]
 
 
+def searched(action, groups, prune=True, ambient="S"):
+    """``mibs`` with every node a group (``groups``) or none, and the search behind it.
+
+    Returns the value, the witness, the search's points and orders, and its
+    memo as the reference lists it: (subgroup order, fixed points, (depth,
+    best point)) per entry.  A group node is keyed by its fixed-point set,
+    and its order is read off the node when it is made; a level-read node
+    is keyed by its element numbers, whose count is its order, and gives
+    None for its fixed points, as H's entry, under the key None, does in
+    both kinds.
+    """
+    orders, searches = {}, []
+    group_node, search = oracle._group_node, oracle._longest_chain
+
+    def keyed(grp):
+        node = group_node(grp)
+        orders[node[0]] = node[1]
+        return node
+
+    def recorded(*args):
+        searches.append(search(*args))
+        return searches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_group_nodes", lambda t, order: groups)
+        mp.setattr(oracle, "_group_node", keyed)
+        mp.setattr(oracle, "_longest_chain", recorded)
+        value, cert = mibs(action, prune=prune, ambient=ambient)
+    (points, chain_orders, memo), = searches
+    entries = []
+    for k, v in memo.items():
+        if k is None:
+            entries.append((action.subgroup.order(), None, v))
+        else:
+            entries.append((orders[k], k, v) if groups else (len(k), None, v))
+    return value, cert, points, chain_orders, entries
+
+
+def as_searched(ref_memo, groups):
+    """The reference memo with the fixed points a node kind keeps: a group's, not H's."""
+    last = len(ref_memo) - 1
+    return [(order, fixed if groups and i < last else None, v)
+            for i, (order, fixed, v) in enumerate(ref_memo)]
+
+
+KINDS = {"groups": True, "levels": False}
+
+
 @pytest.mark.parametrize(
     "name, prune", CASES, ids=[f"{n}-{'pruned' if p else 'unpruned'}" for n, p in CASES]
 )
-def test_search_matches_reference(monkeypatch, name, prune):
+def test_search_matches_reference(name, prune):
+    """Under both node kinds: the reference's value, witness and memo, entry by entry."""
     action = action_of(name)
     ambient = name[0]
     full_value, full_cert, _ = reference_mibs(action, prune=prune, ambient=ambient)
     ref_value, ref_cert, ref_memo = reference_mibs(action, prune=prune, ambient=ambient,
                                                    bound=True)
     assert (ref_value, ref_cert.to_json()) == (full_value, full_cert.to_json())
-    searches = []
-    search = oracle._longest_chain
-
-    def recorded(*args):
-        searches.append(search(*args))
-        return searches[-1]
-
-    monkeypatch.setattr(oracle, "_longest_chain", recorded)
-    value, cert = mibs(action, prune=prune, ambient=ambient)
-    memo = searches[0][2]
-    order_h = action.subgroup.order()
-    assert value == ref_value
-    assert cert.to_json() == ref_cert.to_json()
-    assert [(order_h if k is None else len(k), v) for k, v in memo.items()] == ref_memo
+    for groups in KINDS.values():
+        value, cert, _, _, memo = searched(action, groups, prune, ambient)
+        assert value == ref_value
+        assert cert.to_json() == ref_cert.to_json()
+        assert memo == as_searched(ref_memo, groups)
 
 
 @pytest.mark.parametrize(
     "name, prune", CASES, ids=[f"{n}-{'pruned' if p else 'unpruned'}" for n, p in CASES]
 )
-def test_tables_and_level_reads_search_alike(monkeypatch, name, prune):
-    """Every point stabilizer tabled, or none: the same points, orders and memo, in order."""
-    results = []
-    for tabled in (True, False):
-        monkeypatch.setattr(oracle, "_use_coset_tables", lambda t, n, tabled=tabled: tabled)
-        action = build_coset_action(*INSTANCES[name]())
-        points, orders, memo = oracle._longest_chain(action, 1_000_000, prune)
-        results.append((points, orders, list(memo.items())))
-    assert results[0] == results[1]
+def test_tables_and_level_reads_search_alike(name, prune):
+    """Group nodes, made of coset tables, and level reads: the same points, orders and memo.
+
+    The memo is compared entry by entry, in insertion order: subgroup order,
+    depth and best point.
+    """
+    groups, levels = (searched(action_of(name), groups, prune)[2:] for groups in (True, False))
+    assert groups[:2] == levels[:2]
+    assert [(order, v) for order, _, v in groups[2]] == [(order, v) for order, _, v in levels[2]]
+
+
+def test_rule_takes_both_kinds():
+    """The rule, from t and |H| alone: group nodes for natural S_n and A_n, level reads for
+    the affine actions and M11, whose t is not small beside |H|."""
+    kinds = {name: oracle._group_nodes(action_of(name).degree, action_of(name).subgroup.order())
+             for name in INSTANCES}
+    assert {name for name, groups in kinds.items() if groups} == {
+        name for name in INSTANCES if name.endswith("natural")}
 
 
 def test_m11_search_makes_no_coset_table(monkeypatch):
-    """Below t = 5040 elements a stabilizer is read through the levels: no pass of length t."""
+    """M11's 5040 cosets are read through the level tables: no pass of length t."""
     action = build_coset_action(*INSTANCES["S11-m11"]())
     lengths = []
     compose = oracle._compose_tbl
@@ -242,6 +297,17 @@ def test_memo_refusal_point_matches_reference(prune):
         mibs(action, limits=OracleLimits(max_memo=count - 1), prune=prune)
 
 
+@pytest.mark.parametrize("prune", [True, False], ids=["pruned", "unpruned"])
+def test_group_memo_refusal_point_matches_reference(prune):
+    """Natural S7 searches group nodes; its memo is refused at the reference's entry count."""
+    action = action_of("S7-natural")
+    assert oracle._group_nodes(action.degree, action.subgroup.order())
+    count = len(reference_mibs(action, prune=prune, bound=True)[2])
+    assert mibs(action, limits=OracleLimits(max_memo=count), prune=prune)[0] == 6
+    with pytest.raises(oracle.LimitExceeded, match=rf"^memo table exceeds limit {count - 1} entries$"):
+        mibs(action, limits=OracleLimits(max_memo=count - 1), prune=prune)
+
+
 def _s4_subgroup(*cycles):
     return symmetric_group(4), from_generators([parse_cycles(c, 4) for c in cycles], 4)
 
@@ -256,8 +322,8 @@ NOT_CORE_FREE = {
         build_agl(7, 1).H,
         from_generators([parse_cycles("(1 2 3 4 5 6 7)", 7)], 7),
     ),
-    # t = 120 and the fixers of a point in a largest orbit are the kernel, the S2 factor:
-    # fewer than t, so the kernel is filtered through the level tables
+    # t = 120 and the fixers of a point in a largest orbit are the kernel, the S2 factor;
+    # t is not small beside |H| = 84, so the rule reads through the level tables
     "AGL(1,7)xS2-in-S7xS2": lambda: (
         from_generators([parse_cycles(c, 9) for c in ("(1 2 3 4 5 6 7)", "(1 2)", "(8 9)")], 9),
         from_generators(
@@ -287,8 +353,9 @@ def test_core_matches_reference(name):
 @pytest.mark.parametrize("tabled", [True, False], ids=["tabled", "levels"])
 @pytest.mark.parametrize("name", sorted(NOT_CORE_FREE))
 def test_core_alike_in_both_reads(monkeypatch, name, tabled):
-    """Every point stabilizer tabled, or every one read through the level tables."""
-    monkeypatch.setattr(oracle, "_use_coset_tables", lambda t, n: tabled)
+    """Every node a group of coset tables, refused from |T(H)|, or every one read through
+    the level tables, refused at the core."""
+    monkeypatch.setattr(oracle, "_group_nodes", lambda t, n: tabled)
     assert_core_refused(*NOT_CORE_FREE[name]())
 
 
@@ -303,11 +370,11 @@ def test_core_refused_through_words(monkeypatch, name):
 
 
 def test_core_read_through_the_levels(monkeypatch):
-    """The kernel of order 2 is found without tabling a fixer."""
+    """t = 120 is not small beside |H| = 84: the kernel of order 2 is met by the level reads."""
     def tabled(*args):
-        raise AssertionError("the search tabled a fixer")
+        raise AssertionError("the search made group nodes")
 
-    monkeypatch.setattr(oracle._CosetTables, "fixer_tables", tabled)
+    monkeypatch.setattr(oracle, "_GroupNodes", tabled)
     for prune in (True, False):
         with pytest.raises(ValueError,
                            match="^action not faithful: subgroup has a core of order 2$"):
