@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from irrbase.group import alternating_group, from_generators, symmetric_group
-from irrbase.oracle import _coset_permutation, build_coset_action, mibs
+from irrbase.oracle import _coset_permutation, build_coset_action
 from irrbase.perm import Permutation, compose, parse_cycles
 
 from test_coset_tables import check_strong_tables

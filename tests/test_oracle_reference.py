@@ -62,8 +62,8 @@ def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=Fa
     """The search from H over all |H| coset tables; returns (value, witness, memo shape).
 
     The memo shape lists (subgroup order, fixed points, (depth, best point))
-    per entry, in insertion order.  With ``bound``, a child is skipped when 1 + Ω(|child|)
-    is at most the best depth found at its node so far.
+    per entry, in insertion order.  With ``bound``, a child is skipped when
+    1 + Ω(|child|) is at most the best depth found at its node so far.
     """
     h = action.subgroup
     t = action.degree
@@ -263,7 +263,7 @@ def test_tables_and_level_reads_search_alike(name, prune):
     The memo is compared entry by entry, in insertion order: subgroup order,
     depth and best point.
     """
-    groups, levels = (searched(action_of(name), groups, prune)[2:] for groups in (True, False))
+    groups, levels = (searched(action_of(name), kind, prune)[2:] for kind in KINDS.values())
     assert groups[:2] == levels[:2]
     assert [(order, v) for order, _, v in groups[2]] == [(order, v) for order, _, v in levels[2]]
 
