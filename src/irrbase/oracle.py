@@ -545,7 +545,7 @@ class _GroupNodes:
         t = len(tables.identity)
         self.h = _group_node(_group_of_order(tables.gens, t, order))
         if self.h[1] < order:
-            raise ValueError(f"action not faithful: subgroup has a core of order "
+            raise ValueError("action not faithful: subgroup has a core of order "
                              f"{order // self.h[1]}")
         self.trivial = _group_node(PermutationGroup([], t))
 
@@ -588,8 +588,8 @@ def _group_node(grp: PermutationGroup) -> tuple:
 class _LevelNodes:
     """Search nodes as H's element numbers, whose images are read through the level tables.
 
-    A node is (numbers, order, sorted numbers, level lists
-    (:meth:`_CosetTables.level_lists`)).  A point's orbit is its column
+    A node is (the set of element numbers, order, the numbers ascending,
+    level lists (:meth:`_CosetTables.level_lists`)).  A point's orbit is its column
     (:func:`_column`), and the child fixing it keeps the entries that the
     column's mask selects (:func:`_fixing`).  Nothing of length t is made.
     """
