@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .certificate import check_degree, check_family, prime_factors
+from .certificate import check_degree, check_family, omega
 from .group import LimitExceeded, _about_text
 
 TOL = 1e-9
@@ -34,13 +34,6 @@ CONSTANTS = {
     "c7": 0.70,
     "c8": 1.53,
 }
-
-
-def omega(n: int) -> int:
-    """Number of prime factors of n, counted with multiplicity."""
-    if n < 1:
-        raise ValueError(f"omega requires n >= 1, got {n}")
-    return len(prime_factors(n))
 
 
 def binary_weight(n: int) -> int:

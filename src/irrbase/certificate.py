@@ -113,6 +113,13 @@ def prime_factors(n: int) -> list:
     return out
 
 
+def omega(n: int) -> int:
+    """Number of prime factors of n, counted with multiplicity."""
+    if n < 1:
+        raise ValueError(f"omega requires n >= 1, got {n}")
+    return len(prime_factors(n))
+
+
 def _rho_factors(n: int) -> list:
     """The prime factors of 1 < n < PRIME_TEST_BOUND, ascending, none under _TRIAL_DIVISORS."""
     if is_prime(n):

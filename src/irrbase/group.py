@@ -372,12 +372,13 @@ def _tree_tables(tree: dict, ident: Table, table: Optional[dict] = None) -> dict
     return out
 
 
-def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
+def _stabilizer(k: PermutationGroup, root, image, tree: Optional[dict] = None) -> PermutationGroup:
     """The stabilizer in K of a hashable key, by orbit-stabilizer on the key's orbit.
 
     ``image(s, a)`` is the key a moved by the generator table s, an action
     of K.  The key's orbit under K's generators is walked as a Schreier
-    vector (:func:`_orbit_tree`), and orbit-stabilizer gives the order
+    vector (:func:`_orbit_tree`), unless the caller passes that walk, made
+    over the same generators, as ``tree``; orbit-stabilizer gives the order
     |K| / |orbit| exactly.  An orbit longer than |K|/2 is regular, since its
     length divides |K|: the walk stops there and the stabilizer is trivial.
     Otherwise Schreier generators are sifted into a new group until it has
@@ -387,7 +388,8 @@ def _stabilizer(k: PermutationGroup, root, image) -> PermutationGroup:
     """
     gens = [g._tbl for g in k.generators]
     size = k.order()
-    tree = _orbit_tree(root, gens, image, size // 2)
+    if tree is None:
+        tree = _orbit_tree(root, gens, image, size // 2)
     if 2 * len(tree) > size:
         return PermutationGroup([], k.degree)
     target, rem = divmod(size, len(tree))

@@ -19,8 +19,8 @@ the strong generators mapped through the cosets
 (:func:`_coset_permutation`).  An element of H is u_{L-1} ⋯ u_0, one
 transversal element per chain level, so its image of a coset point is read
 through L of those tables without a table of its own, and the elements of
-H fixing a point j are found by pushing j through them.  No list of all of
-H on the cosets is made.
+H fixing a point j are found by pushing j through them, with no table
+inverted.  No list of all of H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized branch-and-bound search over subgroups of H (:func:`_longest_chain`),
@@ -35,10 +35,12 @@ per action from t and |H| (:func:`_group_nodes`).  Where t is small beside
 |H|, as for natural S_n and A_n (t = n), it is a permutation group of
 degree t in T(H), the group the strong generators' tables generate, so
 natural S10's search never lists the 40,320 elements of a point
-stabilizer.  Otherwise it is a set of H's element numbers whose images of a
-point are read through the level tables, one pass of length |c| per level,
-and nothing of length t is made: on M11's 5040 cosets in S11 the search
-reads 3,383 columns, 272,016 level-table entries in all.  Either kind scans
+stabilizer; each orbit that the scan reads is walked once, and the child
+fixing a point comes from that walk by orbit-stabilizer.  Otherwise it is
+a set of H's element numbers whose images of a point are read through the
+level tables, one pass of length |c| per level, and nothing of length t is
+made: on M11's 5040 cosets in S11 the search reads 3,383 columns, 272,016
+level-table entries in all.  Either kind scans
 only the non-regular orbits a node's parent handed on, as a point regular
 for a subgroup is regular below it, and an H with a nontrivial core is
 refused, from |T(H)| < |H| or at the first node the search would finish.
@@ -56,10 +58,10 @@ from itertools import accumulate, compress
 from operator import getitem, itemgetter, mul, ne
 from typing import Optional
 
-from .certificate import CertLevel, ChainCertificate, prime_factors, verify_certificate
+from .certificate import CertLevel, ChainCertificate, omega, verify_certificate
 from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
-                    PermutationGroup, _group_of_order, _min_coset_rep, _stabilizer,
-                    _standard_generators, _tree_tables, check_coset_orders)
+                    PermutationGroup, _group_of_order, _min_coset_rep, _orbit_tree,
+                    _stabilizer, _standard_generators, _tree_tables, check_coset_orders)
 from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _inverts_in_c,
                    _table)
 
@@ -251,7 +253,6 @@ class _CosetTables:
                        for lvl in action.subgroup._levels] or [[ident]]  # a trivial H: one level
         # strides[k]: the place value of level k's choice in a number
         self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))
-        self._inv0 = [_inverse_tbl(u) for u in self.levels[0]]
 
         # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables;
         # one flat list partitions all t points, cheaper than a Schreier vector per orbit
@@ -274,17 +275,16 @@ class _CosetTables:
         """Numbers of the elements of H fixing point j, ascending.
 
         j is pushed through levels L-1 down to 1 without building any element;
-        the u_0 that bring it back to j are read off level 0's inverse tables.
+        for each distinct point p reached, the u_0 with T(u_0)[p] = j are kept,
+        one entry of each level-0 table read per point.
         """
         levels = self.levels
         pts = [j]
         for level in reversed(levels[1:]):
             pts = [u[p] for p in pts for u in level]  # the later level varies fastest
-        back = {}
-        for i, inv in enumerate(self._inv0):
-            back.setdefault(inv[j], []).append(i)
+        back = {p: [i for i, u in enumerate(levels[0]) if u[p] == j] for p in set(pts)}
         n0 = len(levels[0])
-        return [k * n0 + i for k, p in enumerate(pts) for i in back.get(p, ())]
+        return [k * n0 + i for k, p in enumerate(pts) for i in back[p]]
 
     def level_lists(self, numbers: list) -> list:
         """Per level, top first, the level table that each numbered element uses there.
@@ -409,8 +409,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     sizes = tables.orbit_size
     order = action.subgroup.order()
     kind = _GroupNodes(tables, order) if _group_nodes(t, order) else _LevelNodes(tables)
-    # Ω(m), m's prime factors with multiplicity: bounds.omega, without loading bounds.py
-    omega = cache(lambda m: len(prime_factors(m)))
+    max_steps = cache(omega)  # Ω(m) bounds the steps of a chain below a subgroup of order m
 
     def enter(c, n: int, best_d: int, best_pt) -> None:
         """Memoize c, of order n; a c whose best point is t moves no point: it is the core."""
@@ -435,7 +434,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         hit = memo.get(c)
         if hit is not None:
             return hit[0]
-        if omega(n) == 1:  # prime order: every orbit is a fixed point or regular, no child
+        if max_steps(n) == 1:  # prime order: every orbit is a fixed point or regular, no child
             moved = (j for j in cand if j < regular and len(set(kind.orbit(node, j))) > 1)
             best_pt = next(moved, regular)
             enter(c, n, 1, best_pt)
@@ -459,7 +458,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         below = sorted(inner)
         best_d, best_pt = 1, regular  # with no non-regular orbit, the least moved point
         for j in reads if prune else below:
-            if 1 + omega(n // inner[j]) <= best_d:  # the child, of order n/|j^c|, can only tie
+            if 1 + max_steps(n // inner[j]) <= best_d:  # the child, of order n/|j^c|, can only tie
                 continue
             read = reads[j] if j in reads else kind.orbit(node, j)
             d = 1 + depth_of(kind.child(node, j, read), below, regular)
@@ -477,7 +476,7 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     best_d, best_pt, best_node = 0, (t if order > 1 else None), None
     for j in range(t):
         size = sizes[mins[j]]
-        if size == 1 or (prune and mins[j] != j) or 1 + omega(order // size) <= best_d:
+        if size == 1 or (prune and mins[j] != j) or 1 + max_steps(order // size) <= best_d:
             continue
         if size == order:
             node, d = kind.trivial, 1
@@ -515,16 +514,17 @@ def _group_nodes(t: int, order: int) -> bool:
     group nodes are taken where t^(3/2) <= |H| and tables of length t invert
     in C.  Medians of ``_longest_chain`` in ms, in process on a 2-vCPU
     x86-64 host, with every stabilizer of at least t elements tabled element
-    by element (the search this replaced) / group nodes / element reads:
+    by element (the search this replaced) / group nodes / element reads; the
+    group-node column is re-measured with one orbit walk per orbit read:
 
-    - natural S6 0.12 / 0.36 / 0.14, S7 0.28 / 0.56 / 0.39, S8 1.05 / 0.83 /
-      1.61, S9 4.5 / 1.07 / 11.9, S10 30.8 / 1.4 / 100;
-    - natural A6 0.09 / 0.16 / 0.08, A7 0.18 / 0.34 / 0.20, A8 0.58 / 0.41 /
-      0.95, A9 2.1 / 0.84 / 5.5, A10 17.2 / 0.85 / 51;
-    - S5 wr S2 in S10 (t = 126) 4.8 / 5.1 / 11.9, S6 x S3 in S9 (t = 84)
-      4.3 / 8.2 / 7.2, S5 x S5 in S10 (t = 252) 19.7 / 39 / 57;
+    - natural S6 0.12 / 0.40 / 0.14, S7 0.28 / 0.41 / 0.39, S8 1.05 / 0.53 /
+      1.61, S9 4.5 / 0.71 / 11.9, S10 30.8 / 1.02 / 100;
+    - natural A6 0.09 / 0.19 / 0.08, A7 0.18 / 0.39 / 0.20, A8 0.58 / 0.42 /
+      0.95, A9 2.1 / 0.64 / 5.5, A10 17.2 / 0.71 / 51;
+    - S5 wr S2 in S10 (t = 126) 4.8 / 3.9 / 11.9, S6 x S3 in S9 (t = 84)
+      4.3 / 5.5 / 7.2, S5 x S5 in S10 (t = 252) 19.7 / 24 / 57;
     - element reads, as tuples invert in a Python loop: S6 wr S2 in S12
-      (t = 462) 857 / 637 / 615, S7 x S4 in S11 (t = 330) 283 / 784 / 449.
+      (t = 462) 857 / 414 / 615, S7 x S4 in S11 (t = 330) 283 / 614 / 449.
     """
     return _inverts_in_c(t) and t ** 3 <= order ** 2
 
@@ -536,9 +536,10 @@ class _GroupNodes:
     order is |H| over the order of H's core, which is refused here.  A node
     is (fixed-point set, order, group, its generators' tables): every node c
     is a pointwise stabilizer, so c = H_(Fix c) and its fixed points are an
-    exact key.  A point's orbit is walked through the tables, and the child
-    fixing it comes from orbit-stabilizer (:func:`irrbase.group._stabilizer`),
-    or, at c's first base point, is c's chain from its second level.
+    exact key.  A point's orbit is walked once, as a Schreier vector
+    (:func:`irrbase.group._orbit_tree`), and the child fixing it comes from
+    that vector by orbit-stabilizer (:func:`irrbase.group._stabilizer`), or,
+    at c's first base point, is c's chain from its second level.
     """
 
     def __init__(self, tables: _CosetTables, order: int):
@@ -554,18 +555,12 @@ class _GroupNodes:
         return self.child(self.h, j, None)
 
     @staticmethod
-    def orbit(node: tuple, j: int):
-        if j in node[0]:
-            return j,
-        gens, orbit, new = node[3], {j}, [j]
-        while new:  # the images of the points last added that are not in the orbit yet
-            new = {g[p] for g in gens for p in new}.difference(orbit)
-            orbit.update(new)
-        return orbit
+    def orbit(node: tuple, j: int) -> dict:
+        return _orbit_tree(j, node[3])
 
     @staticmethod
-    def child(node: tuple, j: int, orbit) -> tuple:
-        _, n, grp, gens = node
+    def child(node: tuple, j: int, tree: Optional[dict]) -> tuple:
+        _, n, grp, _ = node
         levels = grp._levels
         if levels[0].point == j:
             child = PermutationGroup([], grp.degree)
@@ -573,7 +568,7 @@ class _GroupNodes:
             child._order = n // len(levels[0].orbit)
             child.generators = tuple(map(Permutation._wrap, grp._gens_at(1)))
             return _group_node(child)
-        return _group_node(_stabilizer(grp, j, getitem))
+        return _group_node(_stabilizer(grp, j, getitem, tree))
 
 
 def _group_node(grp: PermutationGroup) -> tuple:

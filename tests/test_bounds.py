@@ -34,6 +34,13 @@ def test_omega():
         omega(0)
 
 
+def test_omega_is_defined_once():
+    """bounds.omega is the function that the oracle's search bound calls, not a copy of it."""
+    from irrbase import certificate, oracle
+
+    assert omega is certificate.omega is oracle.omega
+
+
 def trial_division(n):
     """Prime factors with multiplicity, ascending, by trial division alone: the reference."""
     out, f = [], 2
