@@ -363,12 +363,17 @@ def _orbit_tree(root, gens: Sequence[Table], image=getitem, cap: float = math.in
 def _tree_tables(tree: dict, ident: Table, table: Optional[dict] = None) -> dict:
     """Each key of a Schreier vector -> the product of the tables along its path from the root.
 
-    A generator s's table is ``table[s]``, or s itself with no ``table``; the root's is ``ident``.
+    A generator s's table is ``table[s]``, or s itself with no ``table``; the root's is
+    ``ident``, and a child of the root takes its generator's table object, not a copy.
     """
     out = {}
     for b, edge in tree.items():  # every parent comes before its children
-        out[b] = ident if edge is None else _compose_tbl(
-            out[edge[0]], edge[1] if table is None else table[edge[1]])
+        if edge is None:
+            out[b] = ident
+            continue
+        a, s = edge
+        s = s if table is None else table[s]
+        out[b] = s if out[a] is ident else _compose_tbl(out[a], s)
     return out
 
 

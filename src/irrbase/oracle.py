@@ -47,7 +47,7 @@ refused, from |T(H)| < |H| or at the first node the search would finish.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
-coset points.
+coset points, finding each conjugator's point among the t representatives.
 """
 
 from __future__ import annotations
@@ -80,27 +80,20 @@ class CosetAction:
     i + 1; point 1 is the coset H itself with representative the identity.
     The stabilizer of point i + 1 is H conjugated by ``transversal[i]``.  The
     representatives are kept as tables, ``_reps``, and ``transversal`` makes
-    a :class:`Permutation` only for an index that is read.  ``_tables``
-    holds the coset tables of H's chain transversals.
+    a :class:`Permutation` only for an index that is read; t is their number.
+    No map from representative to point is kept: the search that numbers the
+    cosets drops its own when it ends.  ``_tables`` holds the coset tables
+    of H's chain transversals.
     """
 
-    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, degree: int,
-                 reps: list, _index: dict, _tables: Optional[_CosetTables] = None):
+    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, reps: list,
+                 _tables: Optional[_CosetTables] = None):
         self.group = group
         self.subgroup = subgroup
-        self.degree = degree
+        self.degree = len(reps)
         self._reps = reps  # 0-based point -> canonical representative table
         self.transversal = _Transversal(reps)
-        self._index = _index  # canonical representative table -> 0-based point
         self._tables = _tables
-
-    def point_of(self, x: Permutation) -> int:
-        """1-based point for the coset H x (x must lie in G)."""
-        key = _min_coset_rep(self.subgroup, x._tbl)
-        idx = self._index.get(key)
-        if idx is None:
-            raise ValueError("element does not represent a coset of this action")
-        return idx + 1
 
 
 class _Transversal(Sequence):
@@ -162,8 +155,9 @@ def build_coset_action(
                     row[y] = x
     if len(reps) != t:
         raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {t}")
+    del index  # at t = 362,880 a 20 MiB dict: nothing after the search reads it
 
-    action = CosetAction(group=g, subgroup=h, degree=t, reps=reps, _index=index)
+    action = CosetAction(group=g, subgroup=h, reps=reps)
     strong = list(dict.fromkeys(s for lvl in h._levels for s in lvl.gens))
     alternating = next((alt for alt in (False, True)
                         if len(gen_tbls) == 2 and gen_tbls == _standard_generators(g.degree, alt)),
@@ -179,13 +173,10 @@ def build_coset_action(
 
 def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
     """0-based image table of an element of H acting on the coset points."""
-    h = action.subgroup
+    h, reps = action.subgroup, action._reps
     after, padded = h._after, h_tbl + h._pad
-    out = []
-    for rep in action._reps:
-        key = _min_coset_rep(h, after(rep, padded))  # rep first, then h
-        out.append(action._index[key])
-    return _table(out)
+    index = dict(zip(reps, range(len(reps))))  # canonical representative -> 0-based point
+    return _table([index[_min_coset_rep(h, after(rep, padded))] for rep in reps])  # rep, then h
 
 
 def _word_tables(gens: list, images: list, alternating: bool, elements: list) -> dict:
@@ -624,14 +615,12 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
     if not report.ok:
         raise ValueError("certificate invalid:\n" + report.summary())
 
-    seq = []
-    seen = set()
-    for lvl in cert.levels:
-        for x in lvl.conjugators:
-            p = action.point_of(x)
-            if p not in seen:
-                seen.add(p)
-                seq.append(p)
+    # each conjugator's coset, by its canonical representative, first appearances only
+    keys = dict.fromkeys(_min_coset_rep(h, x._tbl) for lvl in cert.levels for x in lvl.conjugators)
+    try:
+        seq = [action._reps.index(key) + 1 for key in keys]  # 1-based points
+    except ValueError:
+        raise ValueError("element does not represent a coset of this action") from None
 
     level_orders = {lvl.order for lvl in cert.levels}
     # the first point always descends: its stabilizer is H^x < G

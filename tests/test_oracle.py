@@ -109,6 +109,56 @@ def test_action_keeps_no_per_point_inverse_tables():
     assert retained < 3 << 20
 
 
+def _reachable_dicts(*roots):
+    """Every dict reachable from the roots through containers and irrbase objects' attributes."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        o = stack.pop()
+        if id(o) in seen:
+            continue
+        seen.add(id(o))
+        if isinstance(o, dict):
+            out.append(o)
+            stack += [*o, *o.values()]
+        elif isinstance(o, (list, tuple, set, frozenset)):
+            stack += o
+        elif type(o).__module__.startswith("irrbase.") and hasattr(o, "__dict__"):
+            stack += vars(o).values()
+    return out
+
+
+def test_action_keeps_no_representative_map(agl32):
+    """No dict keyed by coset representatives outlives the build of S9 on AGL(2,3)'s cosets."""
+    act = build_coset_action(symmetric_group(9), agl32.H)
+    reps = set(act._reps)
+    dicts = _reachable_dicts(*vars(act).values(), *vars(act._tables).values())
+    assert len(reps) == act.degree == 840 and dicts
+    assert not any(key in reps for d in dicts for key in d)
+
+
+def _root_children(lvl, tables):
+    """(table, generator) for each key one step from the level's base point, in tree order."""
+    return [(u, edge[1]) for edge, u in zip(lvl.tree.values(), tables)
+            if edge is not None and edge[0] == lvl.point]
+
+
+@pytest.mark.parametrize("ambient", "SA")
+def test_root_children_share_the_generator_tables(agl32, ambient):
+    """A root child's transversal table is its generator's table object, not a copy of it,
+    in each group chain and in the coset action's level tables."""
+    g = symmetric_group(9) if ambient == "S" else alternating_group(9)
+    h = agl32.H if ambient == "S" else intersect(agl32.H, g)
+    act = build_coset_action(g, h)
+    strong = list(dict.fromkeys(s for lvl in h._levels for s in lvl.gens))
+    coset_table = dict(zip(strong, act._tables.gens))  # _CosetTables keeps them in this order
+    in_chains = [pair for grp in (g, h) for lvl in grp._levels
+                 for pair in _root_children(lvl, lvl.orbit.values())]
+    in_levels = [(u, coset_table[s]) for lvl, level in zip(h._levels, act._tables.levels)
+                 for u, s in _root_children(lvl, level)]
+    assert in_chains and in_levels
+    assert all(u is s for u, s in in_chains + in_levels)
+
+
 GROUP_NODE_ACTIONS = {
     "S8-natural": lambda: (symmetric_group(8), symmetric_group(8).point_stabilizer(8)),
     "S5xS5-in-S10": lambda: (symmetric_group(10), from_generators(
@@ -329,6 +379,17 @@ def test_chain_to_base_rejects_invalid(agl32):
     act = build_coset_action(symmetric_group(9), agl32.H)
     with pytest.raises(ValueError, match="invalid"):
         chain_to_base(cert, act)
+
+
+def test_chain_to_base_refuses_a_conjugator_outside_the_action(agl71):
+    """A verified ambient-S witness holding an odd conjugator names no coset of A7 on H ≤ A7."""
+    a7 = alternating_group(7)
+    h = intersect(agl71.H, a7)
+    _, cert = mibs(build_coset_action(symmetric_group(7), h))
+    assert verify_certificate(cert, h).ok
+    assert not all(x.is_even() for lvl in cert.levels for x in lvl.conjugators)
+    with pytest.raises(ValueError, match="element does not represent a coset of this action"):
+        chain_to_base(cert, build_coset_action(a7, h))
 
 
 def test_sandwich_alternating(agl71):
