@@ -2,15 +2,13 @@
 
 Exit codes are a stable contract: 0 success/verified, 1 mathematical
 verification failure, 2 usage or limit error.  JSON output is byte-stable
-for identical inputs.  No environment variable affects results; IRRBASE_VERBOSE
-only turns on progress chatter on stderr.
+for identical inputs.  No environment variable affects results.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .certificate import (_POWER_PARAMS, ORACLE_MAX_DEGREE, CertificateFormatError,
@@ -28,11 +26,6 @@ from .perm import Permutation, _cycles_even, _cycles_tbl
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _log(msg: str) -> None:
-    if os.environ.get("IRRBASE_VERBOSE"):
-        print(msg, file=sys.stderr)
 
 
 class UsageError(Exception):
@@ -139,7 +132,6 @@ def cmd_chain(args) -> int:
     params = _family_params(args, family, f"--family {args.family}")
     # build_chain refuses |H| over the cap too, but only after H is built
     check_family_size(family, params, "S", args.limit_enum)
-    _log(f"building {args.family} chain for " + ", ".join(f"{a}={v}" for a, v in params.items()))
     if family == "agl":
         from .affine import affine_chain, build_agl
 
@@ -149,7 +141,6 @@ def cmd_chain(args) -> int:
 
         cert = wreath_chain(build_wreath(**params), limit=args.limit_enum)
     _write_output(cert.to_json() if args.format == "json" else _cert_text_table(cert), args.out)
-    _log(f"certificate of length {cert.claimed_length} written")
     return EXIT_OK
 
 
@@ -176,7 +167,6 @@ def cmd_oracle(args) -> int:
         print(f"mibs = {value}  (ambient {ambient}, degree {degree}, index {t})")
     if args.out:
         _write_output(cert.to_json(), args.out)
-        _log(f"witness certificate written to {args.out}")
     return EXIT_OK
 
 
@@ -236,12 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", metavar="PATH", help="write output to a file")
 
+    def add_family_params(p):  # --p --d of AGL(d, p), then --m --k of S_m wr S_k
+        for name in (a for names in _POWER_PARAMS.values() for a in names):
+            p.add_argument(f"--{name}", type=int)
+
     pc = sub.add_parser("chain", help="build a chain certificate, its orders from one pass over H")
     pc.add_argument("--family", required=True, choices=("affine", "wreath"))
-    pc.add_argument("--p", type=int)
-    pc.add_argument("--d", type=int)
-    pc.add_argument("--m", type=int)
-    pc.add_argument("--k", type=int)
+    add_family_params(pc)
     add_common(pc)
     pc.set_defaults(func=cmd_chain)
 
@@ -250,10 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--subgroup", required=True,
                     choices=("natural", "agl", "wreath", "explicit"))
     po.add_argument("--n", type=int)
-    po.add_argument("--p", type=int)
-    po.add_argument("--d", type=int)
-    po.add_argument("--m", type=int)
-    po.add_argument("--k", type=int)
+    add_family_params(po)
     po.add_argument("--gens-file", metavar="PATH")
     po.add_argument("--limit-t", type=int, default=COSET_LIMIT_DEFAULT, metavar="N",
                     help="cap on the coset index (default %(default)s)")
@@ -277,10 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--n", type=int)
     pb.add_argument("--ambient", choices=("S", "A"), default="S")
     pb.add_argument("--family", choices=("agl", "wreath"))
-    pb.add_argument("--p", type=int)
-    pb.add_argument("--d", type=int)
-    pb.add_argument("--m", type=int)
-    pb.add_argument("--k", type=int)
+    add_family_params(pb)
     pb.add_argument("--order-h", type=int, metavar="ORDER")
     pb.add_argument("--computed", type=int, metavar="MIBS",
                     help="a computed mibs value to compare against the bounds")

@@ -12,9 +12,12 @@ Schreier vector; a level keeps it, and its transversals are products along it.
 Orders are exact Python integers; nothing here overflows.  A stabilizer of
 a key under a group's action, such as a coset Hx or a set of points, comes
 from one orbit-stabilizer routine, :func:`_stabilizer`, which walks the key's
-orbit and sifts Schreier generators without listing the group.  A chain of
-conjugate intersections, built or verified, runs through one level pass,
-:meth:`PermutationGroup._conjugate_levels`: its level K ∩ H^x is the
+orbit and sifts Schreier generators without listing the group.  Schreier's
+lemma is written once, :func:`_schreier_generators`, for Schreier-Sims's
+level scan and for :func:`_stabilizer` alike.  Every group is built in this
+module: no other module writes a group's chain, order or generators.  A
+chain of conjugate intersections, built or verified, runs through one level
+pass, :meth:`PermutationGroup._conjugate_levels`: its level K ∩ H^x is the
 stabilizer in K of the coset Hx (:meth:`PermutationGroup._coset_stabilizer`).
 Enumeration (:meth:`PermutationGroup._conjugate_members` over
 :meth:`PermutationGroup._iter_element_tbls`) remains for ``iter_elements``
@@ -25,8 +28,9 @@ refuses (never truncates) above a caller-supplied element limit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import repeat
-from operator import getitem, itemgetter
+from operator import attrgetter, getitem, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
@@ -84,11 +88,13 @@ class PermutationGroup:
         self._after = _composer(degree)  # _compose_tbl(a, b) as self._after(a, b + self._pad)
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] = []
-        self._order = 1
         self._walk = None  # _min_coset_rep's per-level getters, made on first use
         self._limit = limit  # a cap on a lower bound on the order while it is built (_place)
         for g in self.generators:
-            self._add_generator(g._tbl)
+            r = self._sift_tbl(g._tbl)
+            if r != self._ident:  # else g already lies in the group
+                self._complete(self._place(r))
+        self._order = math.prod(len(lvl.orbit) for lvl in self._levels)
 
     # -- construction ------------------------------------------------------
 
@@ -105,19 +111,12 @@ class PermutationGroup:
                 raise LimitExceeded(f"subgroup order at least {_order_text(bound)} exceeds "
                                     f"enumeration limit {self._limit}")
         pt = next(i for i, v in enumerate(tbl) if v != i)
-        for idx, lvl in enumerate(self._levels):
-            if lvl.point == pt:
-                lvl.gens.append(tbl)
-                return idx
-            if lvl.point > pt:
-                new = _Level(pt)
-                new.gens.append(tbl)
-                self._levels.insert(idx, new)
-                return idx
-        new = _Level(pt)
-        new.gens.append(tbl)
-        self._levels.append(new)
-        return len(self._levels) - 1
+        levels = self._levels
+        idx = bisect_left(levels, pt, key=attrgetter("point"))
+        if idx == len(levels) or levels[idx].point != pt:
+            levels.insert(idx, _Level(pt))
+        levels[idx].gens.append(tbl)
+        return idx
 
     def _gens_at(self, i: int) -> list:
         return [g for lvl in self._levels[i:] for g in lvl.gens]
@@ -144,13 +143,8 @@ class PermutationGroup:
     def _scan_level(self, i: int) -> Optional[int]:
         """Sift all Schreier generators of level i; place the first non-trivial residue."""
         lvl = self._levels[i]
-        gens = self._gens_at(i)
-        for a, ua in lvl.orbit.items():
-            for s in gens:
-                b = s[a]
-                h = _compose_tbl(_compose_tbl(ua, s), lvl.inv[b])
-                if h == self._ident:
-                    continue
+        for h in _schreier_generators(lvl.tree, self._gens_at(i), getitem, lvl.orbit, lvl.inv):
+            if h != self._ident:
                 r = self._sift_tbl(h, i + 1)
                 if r != self._ident:
                     return self._place(r)
@@ -164,16 +158,6 @@ class PermutationGroup:
                 i -= 1
             else:
                 i = nxt
-
-    def _add_generator(self, tbl: Table) -> bool:
-        """Extend the chain by tbl; False when tbl already lies in the group."""
-        r = self._sift_tbl(tbl)
-        if r == self._ident:
-            return False
-        self._complete(self._place(r))
-        self._order = math.prod(len(lvl.orbit) for lvl in self._levels)
-        self._walk = None
-        return True
 
     # -- queries -----------------------------------------------------------
 
@@ -377,22 +361,50 @@ def _tree_tables(tree: dict, ident: Table, table: Optional[dict] = None) -> dict
     return out
 
 
+def _schreier_generators(tree: dict, gens: Sequence[Table], image, u, u_inv) -> Iterator[Table]:
+    """Schreier's lemma: u_a·s·u_b⁻¹ for each key a of a Schreier vector and generator s.
+
+    ``image(s, a)`` is the key b; ``u`` and ``u_inv`` map each key to its
+    transversal table, the product along its path from the root, and to that
+    table's inverse.  The products generate the root's stabilizer.  They come
+    keys in tree order, then generators in order; a tree edge, whose product
+    is the identity, gives none.
+    """
+    n = len(u[next(iter(tree))])  # the root's table is the identity
+    after, pad = _composer(n), _pad(n)
+    for a in tree:
+        ua = u[a]
+        for s in gens:
+            b = image(s, a)
+            if tree[b] != (a, s):
+                yield after(after(ua, s + pad), u_inv[b] + pad)
+
+
 def _stabilizer(k: PermutationGroup, root, image, tree: Optional[dict] = None) -> PermutationGroup:
     """The stabilizer in K of a hashable key, by orbit-stabilizer on the key's orbit.
 
     ``image(s, a)`` is the key a moved by the generator table s, an action
-    of K.  The key's orbit under K's generators is walked as a Schreier
-    vector (:func:`_orbit_tree`), unless the caller passes that walk, made
-    over the same generators, as ``tree``; orbit-stabilizer gives the order
-    |K| / |orbit| exactly.  An orbit longer than |K|/2 is regular, since its
-    length divides |K|: the walk stops there and the stabilizer is trivial.
-    Otherwise Schreier generators are sifted into a new group until it has
-    that order; a subgroup of the stabilizer with the stabilizer's order is
-    the stabilizer.  The orbit has at most |K| keys, and no element of K is
-    listed.
+    of K.  When the key is K's first base point under ``getitem``, the
+    stabilizer is K's chain from its second level: its levels are K's own,
+    shared, and nothing is walked.  For any other key, the key's orbit
+    under K's generators is walked as a Schreier vector (:func:`_orbit_tree`),
+    unless the caller passes that walk, made over the same generators, as
+    ``tree``; orbit-stabilizer gives the order |K| / |orbit| exactly.  An
+    orbit longer than |K|/2 is regular, since its length divides |K|: the
+    walk stops there and the stabilizer is trivial.  Otherwise Schreier
+    generators (:func:`_schreier_generators`) are sifted into a new group
+    until it has that order; a subgroup of the stabilizer with the
+    stabilizer's order is the stabilizer.  The orbit has at most |K| keys,
+    and no element of K is listed.
     """
-    gens = [g._tbl for g in k.generators]
     size = k.order()
+    if image is getitem and k._levels and k._levels[0].point == root:
+        tail = PermutationGroup([], k.degree)
+        tail._levels = k._levels[1:]
+        tail._order = size // len(k._levels[0].orbit)
+        tail.generators = tuple(map(Permutation._wrap, k._gens_at(1)))
+        return tail
+    gens = [g._tbl for g in k.generators]
     if tree is None:
         tree = _orbit_tree(root, gens, image, size // 2)
     if 2 * len(tree) > size:
@@ -402,28 +414,9 @@ def _stabilizer(k: PermutationGroup, root, image, tree: Optional[dict] = None) -
         raise RuntimeError(f"orbit of length {len(tree)} does not divide |K| = {size}")
     if target == size:
         return k
-
-    def transversal(b) -> Table:
-        """The element of K taking the root to the key b, from the Schreier vector."""
-        u = k._ident
-        while tree[b] is not None:
-            b, s = tree[b]
-            u = _compose_tbl(s, u)  # the step from the parent key, then the rest
-        return u
-
-    def schreier_generators() -> Iterator[Table]:
-        """u_a s u_b⁻¹ for each orbit key a and generator s, b the image of a under s."""
-        for a in tree:
-            ua = None
-            for s in gens:
-                b = image(s, a)
-                if tree[b] == (a, s):
-                    continue  # a tree edge: its Schreier generator is the identity
-                if ua is None:
-                    ua = transversal(a)
-                yield _compose_tbl(_compose_tbl(ua, s), _inverse_tbl(transversal(b)))
-
-    stab = _group_of_order(schreier_generators(), k.degree, target)
+    u = _tree_tables(tree, k._ident)
+    u_inv = {b: _inverse_tbl(x) for b, x in u.items()}
+    stab = _group_of_order(_schreier_generators(tree, gens, image, u, u_inv), k.degree, target)
     if stab._order != target:
         raise RuntimeError(f"stabilizer has order {stab._order}, expected |K| / |orbit| = "
                            f"{target}")
@@ -449,12 +442,11 @@ def _group_of_order(tables: Iterable[Table], degree: int, order: int) -> Permuta
         added.append(Permutation._wrap(tbl))
         for i in reversed(range(grp._place(r) + 1)):
             grp._rebuild_level(i)
-        grp._order = math.prod(len(lvl.orbit) for lvl in grp._levels)
-        if grp._order == order:
+        if math.prod(len(lvl.orbit) for lvl in grp._levels) == order:
             break
     else:
         grp._complete(len(grp._levels) - 1)
-        grp._order = math.prod(len(lvl.orbit) for lvl in grp._levels)
+    grp._order = math.prod(len(lvl.orbit) for lvl in grp._levels)
     grp.generators = tuple(added)
     return grp
 

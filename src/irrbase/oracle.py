@@ -86,14 +86,13 @@ class CosetAction:
     of H's chain transversals.
     """
 
-    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, reps: list,
-                 _tables: Optional[_CosetTables] = None):
+    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, reps: list):
         self.group = group
         self.subgroup = subgroup
         self.degree = len(reps)
         self._reps = reps  # 0-based point -> canonical representative table
         self.transversal = _Transversal(reps)
-        self._tables = _tables
+        self._tables = None  # the _CosetTables, once build_coset_action has made them
 
 
 class _Transversal(Sequence):
@@ -528,9 +527,9 @@ class _GroupNodes:
     is (fixed-point set, order, group, its generators' tables): every node c
     is a pointwise stabilizer, so c = H_(Fix c) and its fixed points are an
     exact key.  A point's orbit is walked once, as a Schreier vector
-    (:func:`irrbase.group._orbit_tree`), and the child fixing it comes from
-    that vector by orbit-stabilizer (:func:`irrbase.group._stabilizer`), or,
-    at c's first base point, is c's chain from its second level.
+    (:func:`irrbase.group._orbit_tree`), and the child fixing it is
+    :func:`irrbase.group._stabilizer` of that vector, which at c's first base
+    point is c's chain from its second level.
     """
 
     def __init__(self, tables: _CosetTables, order: int):
@@ -551,15 +550,7 @@ class _GroupNodes:
 
     @staticmethod
     def child(node: tuple, j: int, tree: Optional[dict]) -> tuple:
-        _, n, grp, _ = node
-        levels = grp._levels
-        if levels[0].point == j:
-            child = PermutationGroup([], grp.degree)
-            child._levels = levels[1:]
-            child._order = n // len(levels[0].orbit)
-            child.generators = tuple(map(Permutation._wrap, grp._gens_at(1)))
-            return _group_node(child)
-        return _group_node(_stabilizer(grp, j, getitem, tree))
+        return _group_node(_stabilizer(node[2], j, getitem, tree))
 
 
 def _group_node(grp: PermutationGroup) -> tuple:

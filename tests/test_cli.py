@@ -1453,3 +1453,119 @@ def test_verify_random_conjugator_level(tmp_path, capsys):
         "level 5: claimed 1, computed 1: pass\n"
         "certificate INVALID\n"
     ))
+
+
+_LIMIT_ENUM_HELP = ("cap on |H|, and for an ambient-A oracle on the group\n"
+                    "                        listed to intersect H with A_n (default 2000000)\n")
+
+#: the --help text of irrbase and of each subcommand, at 80 columns
+HELP = {
+    (): (
+        "usage: irrbase [-h] {chain,oracle,verify,bounds} ...\n"
+        "\n"
+        "irredundant-base chains, exact maximum base sizes, and bound checks\n"
+        "\n"
+        "positional arguments:\n"
+        "  {chain,oracle,verify,bounds}\n"
+        "    chain               build a chain certificate, its orders from one pass\n"
+        "                        over H\n"
+        "    oracle              exact maximum irredundant base size of an action\n"
+        "    verify              independently verify a certificate file\n"
+        "    bounds              evaluate closed-form bounds and criteria\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ),
+    ("chain",): (
+        "usage: irrbase chain [-h] --family {affine,wreath} [--p P] [--d D] [--m M]\n"
+        "                     [--k K] [--format {json,text}] [--out PATH]\n"
+        "                     [--limit-enum N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --family {affine,wreath}\n"
+        "  --p P\n"
+        "  --d D\n"
+        "  --m M\n"
+        "  --k K\n"
+        "  --format {json,text}\n"
+        "  --out PATH            write output to a file\n"
+        "  --limit-enum N        " + _LIMIT_ENUM_HELP
+    ),
+    ("oracle",): (
+        "usage: irrbase oracle [-h] --ambient {S,A} --subgroup\n"
+        "                      {natural,agl,wreath,explicit} [--n N] [--p P] [--d D]\n"
+        "                      [--m M] [--k K] [--gens-file PATH] [--limit-t N]\n"
+        "                      [--limit-memo N] [--no-prune] [--format {json,text}]\n"
+        "                      [--out PATH] [--limit-enum N]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --ambient {S,A}\n"
+        "  --subgroup {natural,agl,wreath,explicit}\n"
+        "  --n N\n"
+        "  --p P\n"
+        "  --d D\n"
+        "  --m M\n"
+        "  --k K\n"
+        "  --gens-file PATH\n"
+        "  --limit-t N           cap on the coset index (default 20000)\n"
+        "  --limit-memo N        cap on memoized subgroups (default 1000000)\n"
+        "  --no-prune            search every point of a non-regular orbit, not one per\n"
+        "                        orbit (regression flag; same results)\n"
+        "  --format {json,text}\n"
+        "  --out PATH            write output to a file\n"
+        "  --limit-enum N        " + _LIMIT_ENUM_HELP
+    ),
+    ("verify",): (
+        "usage: irrbase verify [-h] [--limit-enum N] CERT.json\n"
+        "\n"
+        "positional arguments:\n"
+        "  CERT.json\n"
+        "\n"
+        "options:\n"
+        "  -h, --help      show this help message and exit\n"
+        "  --limit-enum N  cap on |H|, and for an ambient-A oracle on the group listed\n"
+        "                  to intersect H with A_n (default 2000000)\n"
+    ),
+    ("bounds",): (
+        "usage: irrbase bounds [-h] [--n N] [--ambient {S,A}] [--family {agl,wreath}]\n"
+        "                      [--p P] [--d D] [--m M] [--k K] [--order-h ORDER]\n"
+        "                      [--computed MIBS] [--lemma52] [--format {json,text}]\n"
+        "                      [--out PATH]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N\n"
+        "  --ambient {S,A}\n"
+        "  --family {agl,wreath}\n"
+        "  --p P\n"
+        "  --d D\n"
+        "  --m M\n"
+        "  --k K\n"
+        "  --order-h ORDER\n"
+        "  --computed MIBS       a computed mibs value to compare against the bounds\n"
+        "  --lemma52             index-growth relation checks (requires --n and\n"
+        "                        --order-h)\n"
+        "  --format {json,text}\n"
+        "  --out PATH            write output to a file\n"
+    ),
+}
+
+
+def help_parts(text: str) -> tuple:
+    """The usage block's words, then the rest as it is: Python 3.13 breaks usage lines
+    in other places than 3.10-3.12 do."""
+    usage, rest = text.split("\n\n", 1)
+    return usage.split(), rest
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: " ".join(("irrbase",) + c))
+def test_help_text_pinned(monkeypatch, capsys, command):
+    """Every option keeps its place, metavar, choices, default and help line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert (help_parts(out), err) == (help_parts(HELP[command]), "")

@@ -1,14 +1,19 @@
 import hashlib
+import math
 import random
 from operator import getitem
 
 import pytest
 
-from irrbase.affine import affine_chain
+from irrbase.affine import affine_chain, build_agl
 from irrbase.group import (
     LimitExceeded,
     PermutationGroup,
+    _min_coset_rep,
+    _orbit_tree,
+    _schreier_generators,
     _stabilizer,
+    _tree_tables,
     alternating_group,
     equals,
     from_generators,
@@ -17,8 +22,8 @@ from irrbase.group import (
     subgroup_of,
     symmetric_group,
 )
-from irrbase.perm import (DegreeMismatchError, Permutation, _table, compose, parse_cycles,
-                          print_cycles)
+from irrbase.perm import (DegreeMismatchError, Permutation, _inverse_tbl, _table, compose,
+                          parse_cycles, print_cycles)
 
 from conftest import brute_closure
 
@@ -144,6 +149,25 @@ def test_orbit_walk_pinned(agl32, agl71, wreath52):
     assert digest == ORBIT_WALK_DIGEST
 
 
+#: sha256 of AGL(1,257)'s chain, on tuple tables above degree 256: each level's base
+#: point, orbit order, transversal and inverse transversal tables, then the generators
+#: of its point stabilizers of 1 and 257
+AGL_1_257_CHAIN_DIGEST = "06e09e175b0eb836545c3f89822240309c0c939056b3982010160238d36e83df"
+
+
+def test_tuple_table_chain_pinned():
+    """A chain past degree 256, where the tables are tuples, keeps its bytes."""
+    h = build_agl(257, 1).H
+    assert type(h._ident) is tuple
+    lines = [f"{lvl.point}: {list(lvl.orbit)} "
+             f"{[tuple(u) for u in lvl.orbit.values()]} "
+             f"{[tuple(lvl.inv[b]) for b in lvl.orbit]}" for lvl in h._levels]
+    for i in (1, 257):
+        lines.append(f"{i}: " + " ".join(print_cycles(x) for x in h.point_stabilizer(i).generators))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == AGL_1_257_CHAIN_DIGEST
+
+
 def test_level_tree_is_the_breadth_first_schreier_vector(agl32, agl71, wreath52):
     """Each level's tree: its orbit's keys in order, each reached first by its parent edge.
 
@@ -170,6 +194,78 @@ def test_level_tree_is_the_breadth_first_schreier_vector(agl32, agl71, wreath52)
                     a, s = lvl.tree[a]
                     u = _table([u[v] for v in s])  # s first, then the path below it
                 assert u == lvl.orbit[b] and _table([u[v] for v in lvl.inv[b]]) == g._ident
+
+
+def _lemma(tree, gens, image, ident):
+    """Schreier's lemma written out: u_a s u_b⁻¹ for every key a and generator s, b = a^s,
+    with the transversals from ``_tree_tables`` and no composer of the package's."""
+    def then(x, y):  # x first, then y
+        return _table([y[v] for v in x])
+
+    u = _tree_tables(tree, ident)
+    out = []
+    for a in tree:
+        for s in gens:
+            b = image(s, a)
+            h = then(then(u[a], s), _table(sorted(range(len(ident)), key=u[b].__getitem__)))
+            out.append((tree[b] == (a, s), h))
+    return out
+
+
+def _check_schreier_generators(tree, gens, image, ident, root, order):
+    """The routine yields the lemma's products off the tree edges, in order; on a tree edge
+    the product is the identity; each fixes the root; together they give the order."""
+    u = _tree_tables(tree, ident)
+    u_inv = {b: _inverse_tbl(x) for b, x in u.items()}
+    got = list(_schreier_generators(tree, gens, image, u, u_inv))
+    want = _lemma(tree, gens, image, ident)
+    assert got == [h for edge, h in want if not edge]
+    assert all(h == ident for edge, h in want if edge)
+    assert len(want) - len(got) == len(tree) - 1  # one tree edge per key but the root
+    assert all(image(h, root) == root for h in got)
+    assert from_generators([Permutation._wrap(h) for h in got], len(ident)).order() == order
+
+
+def test_schreier_generators_on_level_trees(agl32, wreath52):
+    for g in (symmetric_group(6), alternating_group(7), agl32.H, wreath52.M):
+        for i, lvl in enumerate(g._levels):
+            order = math.prod(len(below.orbit) for below in g._levels[i + 1:])
+            _check_schreier_generators(lvl.tree, g._gens_at(i), getitem, g._ident, lvl.point,
+                                       order)
+
+
+def test_schreier_generators_on_a_coset_key_tree(agl32):
+    """K = H acting on H's right cosets, keys their minimal representatives: the key Hx."""
+    h = agl32.H
+    x = affine_chain(agl32).levels[1].conjugators[1]._tbl
+    gens = [g._tbl for g in h.generators]
+
+    def image(s, a):
+        return _min_coset_rep(h, _table([s[v] for v in a]))
+
+    root = _min_coset_rep(h, x)
+    tree = _orbit_tree(root, gens, image)
+    assert len(tree) > 1
+    _check_schreier_generators(tree, gens, image, h._ident, root, h.order() // len(tree))
+
+
+def test_stabilizer_at_the_first_base_point_is_the_chain_tail(agl32, agl71, wreath52):
+    """At K's first base point the stabilizer is K's chain from its second level, shared;
+    at every point it equals the orbit-stabilizer result, which any image but getitem gives."""
+    def image(s, a):
+        return s[a]
+
+    for name, g in point_stabilizer_corpus(agl32, agl71, wreath52):
+        for j in range(g.degree):
+            assert equals(_stabilizer(g, j, getitem), _stabilizer(g, j, image)), (name, j)
+        if not g._levels:
+            continue
+        first = g._levels[0]
+        tail = _stabilizer(g, first.point, getitem)
+        assert len(tail._levels) == len(g._levels) - 1
+        assert all(a is b for a, b in zip(tail._levels, g._levels[1:])), name
+        assert tail.order() == g.order() // len(first.orbit)
+        assert [x._tbl for x in tail.generators] == g._gens_at(1)
 
 
 def test_stabilizer_at_the_regular_cap():

@@ -60,3 +60,42 @@ def test_table_representation_stays_in_the_kernel(path):
              or isinstance(node, ast.alias) and node.name == "BYTES_DEGREE"
              or isinstance(node, ast.Constant) and node.value == 256]
     assert found == []
+
+
+def _group_field_writes(tree: ast.AST) -> list:
+    """Line numbers of assignments to a ``_levels``, ``_order`` or ``generators`` attribute
+    of anything but ``self``: a class may set its own fields of those names."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if (isinstance(sub, ast.Attribute)
+                            and sub.attr in ("_levels", "_order", "generators")
+                            and not (isinstance(sub.value, ast.Name) and sub.value.id == "self")):
+                        lines.append(sub.lineno)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "code, lines",
+    [
+        ("g._levels = []", [1]),
+        ("x = 1\ng._order += 2", [2]),
+        ("a, g.generators = 1, ()", [1]),
+        ("g._levels[0] = lvl", [1]),
+        ("self._levels = []\nself.generators: tuple = ()", []),
+        ("n = g._order\nlevels = g._levels", []),
+    ],
+)
+def test_group_field_write_detection(code, lines):
+    assert _group_field_writes(ast.parse(code)) == lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "group.py"],
+                         ids=lambda p: p.name)
+def test_groups_are_built_in_group_py(path):
+    """Only group.py writes a group's chain, order or generators: every other module
+    gets its groups from group.py's constructors and stabilizers."""
+    assert _group_field_writes(ast.parse(path.read_text(), filename=str(path))) == []
