@@ -2,9 +2,14 @@
 
 Points are the vectors of V = F_p^d under the encoding
 ``point = 1 + sum(coords[j] * p^j)`` (0-based j), so the zero vector is
-point 1.  H = AGL(V) is generated by elementary transvections, the diagonal
-map scaling the first basis vector by a primitive root, and the basis
-translations; T is the group of diagonal matrices.
+point 1.  The context keeps that encoding as two tables, the vectors in
+point order and a dict from each vector to its point, so every affine
+permutation is one map on coordinates read through them.  H = AGL(V) is
+generated by elementary transvections, the diagonal map scaling the first
+basis vector by a primitive root, and the basis translations; T is the group
+of diagonal matrices.  GL(V), the stabilizer of the zero vector, is H's
+chain from its second level: every translation moves the zero vector, so it
+is H's first base point, and no second Schreier-Sims is run.
 
 The chain builders return certificates whose levels descend from H through
 subspace stabilizers to T and on through diagonal subgroups to the trivial
@@ -16,6 +21,8 @@ characteristic is out of scope here.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import product
+from operator import getitem, mul
 from typing import Optional, Sequence
 
 from .certificate import (ChainCertificate, build_chain, check_degree, check_family_params,
@@ -38,42 +45,39 @@ def smallest_primitive_root(p: int) -> int:
 
 
 class AffineContext:
-    """V = F_p^d realized on {1..p^d}, with H = AGL(V), GL(V), and the diagonal group T."""
+    """V = F_p^d realized on {1..p^d}, with H = AGL(V), GL(V), and the diagonal group T.
 
-    def __init__(self, p: int, d: int, n: int, mu: int, H: PermutationGroup,
-                 gl: PermutationGroup, T: PermutationGroup, diag_gens: list):
+    ``vectors[i]`` is the coordinate tuple of point i + 1 and ``points`` maps it
+    back; :func:`build_agl` sets the groups.
+    """
+
+    def __init__(self, p: int, d: int, mu: int):
         self.p = p
         self.d = d
-        self.n = n
+        self.n = p**d
         self.mu = mu  # smallest primitive root mod p
-        self.H = H  # AGL(V)
-        self.gl = gl  # GL(V), the stabilizer of the zero vector in H
-        self.T = T  # diagonal matrices
-        self.diag_gens = diag_gens  # g_i scales basis vector i by mu; order p - 1 each
+        self.vectors = [v[::-1] for v in product(range(p), repeat=d)]  # coordinate 0 fastest
+        self.points = {v: pt for pt, v in enumerate(self.vectors, 1)}
+        self.H = None  # AGL(V)
+        self.gl = None  # GL(V), the stabilizer of the zero vector in H
+        self.T = None  # diagonal matrices
+        self.diag_gens = None  # g_i scales basis vector i by mu; order p - 1 each
 
 
 def vector_to_point(ctx: AffineContext, coords: Sequence[int]) -> int:
     """1-based point of a coordinate vector; the zero vector is point 1."""
     if len(coords) != ctx.d:
         raise ValueError(f"expected {ctx.d} coordinates, got {len(coords)}")
-    pt = 0
-    for j in range(ctx.d - 1, -1, -1):
-        c = coords[j]
-        if not 0 <= c < ctx.p:
+    for c in reversed(coords):
+        if c not in range(ctx.p):  # refuses a non-integer too
             raise ValueError(f"coordinate {c} out of range 0..{ctx.p - 1}")
-        pt = pt * ctx.p + c
-    return pt + 1
+    return ctx.points[tuple(coords)]
 
 
 def point_to_vector(ctx: AffineContext, point: int) -> tuple:
-    if not 1 <= point <= ctx.n:
+    if point not in range(1, ctx.n + 1):
         raise ValueError(f"point {point} out of range 1..{ctx.n}")
-    v = point - 1
-    coords = []
-    for _ in range(ctx.d):
-        coords.append(v % ctx.p)
-        v //= ctx.p
-    return tuple(coords)
+    return ctx.vectors[point - 1]
 
 
 def affine_to_permutation(
@@ -84,25 +88,17 @@ def affine_to_permutation(
     ``matrix[i]`` is the image of basis vector i (row convention).  Raises
     ValueError for a singular matrix.
     """
-    p, d, n = ctx.p, ctx.d, ctx.n
+    p, d = ctx.p, ctx.d
     if translation is None:
         translation = (0,) * d
     rows = [tuple(int(x) % p for x in row) for row in matrix]
     t = tuple(int(x) % p for x in translation)
     if len(rows) != d or any(len(r) != d for r in rows) or len(t) != d:
         raise ValueError(f"matrix must be {d}x{d} and translation length {d}")
-    images = []
-    for pt in range(1, n + 1):
-        v = point_to_vector(ctx, pt)
-        w = list(t)
-        for i in range(d):
-            vi = v[i]
-            if vi:
-                row = rows[i]
-                for j in range(d):
-                    w[j] = (w[j] + vi * row[j]) % p
-        images.append(vector_to_point(ctx, w))
-    if len(set(images)) != n:
+    cols = list(zip(t, *rows))  # per coordinate j: t_j, then column j of the matrix
+    images = [ctx.points[tuple(sum(map(mul, (1,) + v, col)) % p for col in cols)]
+              for v in ctx.vectors]
+    if len(set(images)) != ctx.n:
         raise ValueError("singular matrix: affine map is not a bijection")
     return Permutation(images)
 
@@ -114,7 +110,7 @@ def build_agl(p: int, d: int) -> AffineContext:
     n = p**d
     order = family_order("agl", params, n, "S")
     mu = smallest_primitive_root(p)
-    ctx = AffineContext(p=p, d=d, n=n, mu=mu, H=None, gl=None, T=None, diag_gens=None)
+    ctx = AffineContext(p, d, mu)
 
     def basis_rows():
         return [[1 if i == j else 0 for j in range(d)] for i in range(d)]
@@ -136,10 +132,6 @@ def build_agl(p: int, d: int) -> AffineContext:
         t[j] = 1
         translations.append(affine_to_permutation(ctx, basis_rows(), t))
 
-    gl = PermutationGroup(gl_gens, n)
-    if gl.order() != order // n:
-        raise RuntimeError(f"|GL| = {gl.order()}, expected {order // n}")
-
     h = PermutationGroup(gl_gens + translations, n)
     if h.order() != order:
         raise RuntimeError(f"|AGL| = {h.order()}, expected {order}")
@@ -154,7 +146,7 @@ def build_agl(p: int, d: int) -> AffineContext:
         raise RuntimeError(f"|T| = {t_group.order()}, expected {(p - 1) ** d}")
 
     ctx.H = h
-    ctx.gl = gl
+    ctx.gl = _stabilizer(h, 0, getitem)  # H is transitive: |H_0| = |H| / n = |GL(V)|
     ctx.T = t_group
     ctx.diag_gens = diag_gens
     return ctx
@@ -174,7 +166,7 @@ def span_points(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> set:
             for c in range(p):
                 new.add(tuple((v[j] + c * b[j]) % p for j in range(d)))
         vecs = new
-    return {vector_to_point(ctx, v) for v in vecs}
+    return {ctx.points[v] for v in vecs}
 
 
 def gl_subspace_stabilizer(ctx: AffineContext, basis: Sequence[Sequence[int]]) -> PermutationGroup:
@@ -194,14 +186,8 @@ def scalar_conjugator(ctx: AffineContext) -> Permutation:
         raise ValueError("scalar_conjugator requires d = 1")
     check_degree(ctx.n)
     p, mu = ctx.p, ctx.mu
-    images = list(range(1, p + 1))
-    for i in range((p - 1) // 2):
-        a = pow(mu, i, p)  # mu^i * u with u = 1
-        b = pow(mu, -i - 1, p)
-        pa = vector_to_point(ctx, (a,))
-        pb = vector_to_point(ctx, (b,))
-        images[pa - 1], images[pb - 1] = pb, pa
-    return Permutation(images)
+    # c -> 1/(c mu) sends mu^i to mu^(-i-1), and 0 to 0 by Fermat: pow(0, p - 2, p) = 0
+    return Permutation([ctx.points[(pow(c * mu, p - 2, p),)] for (c,) in ctx.vectors])
 
 
 def subspace_scaling_conjugator(
@@ -219,11 +205,9 @@ def subspace_scaling_conjugator(
     w = span_points(ctx, basis)
     if len(w) in (1, ctx.n):
         raise ValueError("subspace must be proper and non-trivial")
-    images = list(range(1, ctx.n + 1))
-    for pt in w:
-        v = point_to_vector(ctx, pt)
-        images[pt - 1] = vector_to_point(ctx, tuple((lam * c) % ctx.p for c in v))
-    return Permutation(images)
+    p = ctx.p
+    return Permutation([ctx.points[tuple(lam * c % p for c in v)] if pt in w else pt
+                        for pt, v in enumerate(ctx.vectors, 1)])
 
 
 class SubspaceStep:
@@ -327,19 +311,10 @@ def coordinate_power_conjugator(ctx: AffineContext, i: int, a: int) -> Permutati
         raise ValueError("excluded case (p, a) = (5, 2)")
     # line labels: l in 1..p-1 is mu^(l-1) * b_i, label p is the zero multiple
     line = cycle_power_conjugator(p - 1, a, p)
-    value_of_label = {p: 0}
-    label_of_value = {0: p}
-    for l in range(1, p):
-        val = pow(ctx.mu, l - 1, p)
-        value_of_label[l] = val
-        label_of_value[val] = l
-    images = []
-    for pt in range(1, ctx.n + 1):
-        v = list(point_to_vector(ctx, pt))
-        new_label = line.image(label_of_value[v[i - 1]])
-        v[i - 1] = value_of_label[new_label]
-        images.append(vector_to_point(ctx, tuple(v)))
-    return Permutation(images)
+    values = [pow(ctx.mu, l, p) for l in range(p - 1)] + [0]  # by 0-based label
+    moved = {values[l]: values[img - 1] for l, img in enumerate(line.images)}
+    return Permutation([ctx.points[v[:i - 1] + (moved[v[i - 1]],) + v[i:]]
+                        for v in ctx.vectors])
 
 
 class DiagonalStep:

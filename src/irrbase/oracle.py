@@ -614,16 +614,18 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
         raise ValueError("element does not represent a coset of this action") from None
 
     level_orders = {lvl.order for lvl in cert.levels}
-    # the first point always descends: its stabilizer is H^x < G
-    current = h.conjugate(action.transversal[seq[0] - 1])
+    # the running stabilizers, over the nested prefixes of the points' representatives; the
+    # first point is H's coset, level 0's, whose representative is the identity
+    reps = [action._reps[p - 1] for p in seq]
+    levels = h._conjugate_levels(reps[: j + 1] for j in range(len(reps)))
+    current = next(levels)  # H, the stabilizer of the first point: it always descends from G
     kept = seq[:1]
     visited_orders = {current.order()}
-    for p in seq[1:]:
-        new = h._coset_stabilizer(current, action._reps[p - 1])
+    for p, new in zip(seq[1:], levels):
         if new.order() < current.order():
             kept.append(p)
-            current = new
-            visited_orders.add(current.order())
+            visited_orders.add(new.order())
+        current = new
     if current.order() != 1:
         raise ValueError("base does not reduce the stabilizer to the trivial group")
     if not level_orders <= visited_orders:

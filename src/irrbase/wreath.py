@@ -1,9 +1,11 @@
 """S_m wr S_k in product action on m^k tuples, and its conjugate-intersection chain.
 
 Points are k-tuples over {1..m} under ``point = 1 + sum((entries[j]-1) * m^j)``
-(0-based j).  An element ((v_1, ..., v_k), w) maps (a_1, ..., a_k) to the
-tuple whose coordinate i^w is a_i^{v_i}; the product action preserves Hamming
-distance between tuples.
+(0-based j).  The context keeps that encoding as two tables, the tuples in
+point order and a dict from each tuple to its point, so every permutation
+built here is one map on tuples read through them.  An element
+((v_1, ..., v_k), w) maps (a_1, ..., a_k) to the tuple whose coordinate i^w
+is a_i^{v_i}; the product action preserves Hamming distance between tuples.
 
 The chain builder realizes each level as an intersection of conjugates of
 M = S_m wr S_k.  The working conjugators apply the even cycle u (the full
@@ -16,6 +18,7 @@ slice than on another.
 
 from __future__ import annotations
 
+from itertools import product
 from math import factorial
 from typing import Sequence
 
@@ -25,42 +28,39 @@ from .perm import Permutation, parse_cycles
 
 
 class WreathContext:
-    """S_m wr S_k on m^k points, with the distinguished even cycle u."""
+    """S_m wr S_k on m^k points, with the distinguished even cycle u.
 
-    def __init__(self, m: int, k: int, n: int, M: PermutationGroup, u: Permutation,
-                 U: PermutationGroup, sm: PermutationGroup, sk: PermutationGroup):
+    ``tuples[i]`` is the k-tuple of point i + 1 and ``points`` maps it back;
+    :func:`build_wreath` sets M.
+    """
+
+    def __init__(self, m: int, k: int, u: Permutation):
         self.m = m
         self.k = k
-        self.n = n
-        self.M = M  # the wreath product in product action
+        self.n = m**k
+        self.tuples = [t[::-1] for t in product(range(1, m + 1), repeat=k)]  # entry 1 fastest
+        self.points = {t: pt for pt, t in enumerate(self.tuples, 1)}
+        self.M = None  # the wreath product in product action
         self.u = u  # degree m: (1..m) for odd m, (1..m-1) for even m
-        self.U = U  # <u>, degree m
-        self.sm = sm  # S_m on {1..m}
-        self.sk = sk  # S_k on {1..k}
+        self.U = PermutationGroup([u], m)  # <u>
+        self.sm = symmetric_group(m)  # S_m on {1..m}
+        self.sk = symmetric_group(k)  # S_k on {1..k}
 
 
 def tuple_to_point(ctx: WreathContext, entries: Sequence[int]) -> int:
     """1-based point of a k-tuple with entries in {1..m}."""
     if len(entries) != ctx.k:
         raise ValueError(f"expected {ctx.k} entries, got {len(entries)}")
-    pt = 0
-    for j in range(ctx.k - 1, -1, -1):
-        e = entries[j]
-        if not 1 <= e <= ctx.m:
+    for e in reversed(entries):
+        if e not in range(1, ctx.m + 1):  # refuses a non-integer too
             raise ValueError(f"entry {e} out of range 1..{ctx.m}")
-        pt = pt * ctx.m + (e - 1)
-    return pt + 1
+    return ctx.points[tuple(entries)]
 
 
 def point_to_tuple(ctx: WreathContext, point: int) -> tuple:
-    if not 1 <= point <= ctx.n:
+    if point not in range(1, ctx.n + 1):
         raise ValueError(f"point {point} out of range 1..{ctx.n}")
-    v = point - 1
-    entries = []
-    for _ in range(ctx.k):
-        entries.append(v % ctx.m + 1)
-        v //= ctx.m
-    return tuple(entries)
+    return ctx.tuples[point - 1]
 
 
 def hamming(a: Sequence[int], b: Sequence[int]) -> int:
@@ -81,22 +81,9 @@ def embed_wreath_element(
             raise ValueError(f"block permutation degree {v.degree} != m = {ctx.m}")
     if top.degree != ctx.k:
         raise ValueError(f"top permutation degree {top.degree} != k = {ctx.k}")
-    block_tbls = [v._tbl for v in blocks]
-    top_tbl = top._tbl
-    m, k = ctx.m, ctx.k
-    images = []
-    for pt in range(ctx.n):
-        v = pt
-        out = [0] * k
-        for i in range(k):
-            a = v % m
-            v //= m
-            out[top_tbl[i]] = block_tbls[i][a]
-        code = 0
-        for j in range(k - 1, -1, -1):
-            code = code * m + out[j]
-        images.append(code + 1)
-    return Permutation(images)
+    # coordinate j of the image is entry i = j^(w^-1) moved by v_i, read as 1-based maps
+    cols = [(i, (0,) + blocks[i].images) for i in top.inverse()._tbl]
+    return Permutation([ctx.points[tuple(v[a[i]] for i, v in cols)] for a in ctx.tuples])
 
 
 def build_wreath(m: int, k: int) -> WreathContext:
@@ -104,22 +91,14 @@ def build_wreath(m: int, k: int) -> WreathContext:
     params = {"m": m, "k": k}
     check_family_params("wreath", params)
     n = m**k
-    sm = symmetric_group(m)
-    sk = symmetric_group(k)
-    if m % 2 == 1:
-        u = parse_cycles("(" + " ".join(str(i) for i in range(1, m + 1)) + ")", m)
-    else:
-        u = parse_cycles("(" + " ".join(str(i) for i in range(1, m)) + ")", m)
+    u = parse_cycles("(" + " ".join(map(str, range(1, m + m % 2))) + ")", m)
     if not u.is_even():
         raise RuntimeError(f"distinguished cycle {u} is odd")
-    ctx = WreathContext(m=m, k=k, n=n, M=None, u=u, U=PermutationGroup([u], m), sm=sm, sk=sk)
+    ctx = WreathContext(m, k, u)
     id_m = Permutation.identity(m)
     id_k = Permutation.identity(k)
-    gens = []
-    for g in sm.generators:
-        gens.append(embed_wreath_element(ctx, [g] + [id_m] * (k - 1), id_k))
-    for w in sk.generators:
-        gens.append(embed_wreath_element(ctx, [id_m] * k, w))
+    gens = [embed_wreath_element(ctx, [g] + [id_m] * (k - 1), id_k) for g in ctx.sm.generators]
+    gens += [embed_wreath_element(ctx, [id_m] * k, w) for w in ctx.sk.generators]
     big = PermutationGroup(gens, n)
     expected = family_order("wreath", params, n, "S")
     if big.order() != expected:
@@ -136,15 +115,9 @@ def _slice_map(ctx: WreathContext, i: int, r: int, sigma: Permutation) -> Permut
         raise ValueError(f"marker r must be in 1..{ctx.m}, got {r}")
     if sigma.degree != ctx.m:
         raise ValueError(f"slice map degree {sigma.degree} != m = {ctx.m}")
-    images = []
-    for pt in range(1, ctx.n + 1):
-        t = point_to_tuple(ctx, pt)
-        if t[i - 1] == r:
-            t = (sigma.image(t[0]),) + t[1:]
-            images.append(tuple_to_point(ctx, t))
-        else:
-            images.append(pt)
-    return Permutation(images)
+    s = (0,) + sigma.images  # 1-based map
+    return Permutation([ctx.points[(s[t[0]],) + t[1:]] if t[i - 1] == r else pt
+                        for pt, t in enumerate(ctx.tuples, 1)])
 
 
 def wreath_conjugator(ctx: WreathContext, i: int, r: int) -> Permutation:

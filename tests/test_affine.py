@@ -25,12 +25,38 @@ from irrbase.group import equals, from_generators, intersect
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
 
 
-def test_point_encoding(agl32):
-    assert vector_to_point(agl32, (0, 0)) == 1
-    assert vector_to_point(agl32, (1, 0)) == 2
-    assert vector_to_point(agl32, (0, 1)) == 4
-    for pt in range(1, 10):
-        assert vector_to_point(agl32, point_to_vector(agl32, pt)) == pt
+def test_point_encoding(agl32, agl71, agl52):
+    """Every point against the documented encoding point = 1 + sum(c_j p^j)."""
+    for ctx in (agl32, agl71, agl52):
+        _check_point_encoding(ctx)
+
+
+def _check_point_encoding(ctx):
+    p, d = ctx.p, ctx.d
+    assert vector_to_point(ctx, (0,) * d) == 1
+    assert vector_to_point(ctx, (1,) + (0,) * (d - 1)) == 2
+    assert vector_to_point(ctx, (0,) * (d - 1) + (1,)) == p ** (d - 1) + 1
+    for pt in range(1, p**d + 1):
+        v = point_to_vector(ctx, pt)
+        assert len(v) == d and all(0 <= c < p for c in v)
+        assert 1 + sum(c * p**j for j, c in enumerate(v)) == pt
+        assert vector_to_point(ctx, v) == pt
+    for bad in [(p,) + (0,) * (d - 1), (-1,) + (0,) * (d - 1), (0,) * (d + 1)]:
+        with pytest.raises(ValueError):
+            vector_to_point(ctx, bad)
+    for bad in (0, p**d + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            point_to_vector(ctx, bad)
+
+
+def test_codecs_refuse_non_integers(agl32):
+    """A coordinate or point that is in range but not an integer is refused, not decoded."""
+    for bad in [(0.5, 0), (0, "1")]:
+        with pytest.raises(ValueError, match="out of range"):
+            vector_to_point(agl32, bad)
+    assert vector_to_point(agl32, (1.0, 0)) == 2  # an integral float names its point
+    with pytest.raises(ValueError, match="out of range"):
+        point_to_vector(agl32, 1.5)
 
 
 def test_identity_map(agl32):

@@ -497,6 +497,29 @@ PINNED_DIGESTS = {
 }
 
 
+# sha256 of the chains no pin above covers: affine (3,3), (5,2) and (7,2); wreath (6,2),
+# whose even m makes u an (m-1)-cycle; and wreath (5,3), whose k = 3 needs a raised cap
+CHAIN_DIGESTS = {
+    ("affine", "--p", "3", "--d", "3"):
+        "bfc885300b21197dbdac53b336ccf782a7708e519a5028665b42d976f6bdf76e",
+    ("affine", "--p", "5", "--d", "2"):
+        "dd814c6b09f23a5c0d2396b626223cc93ff6027e0dc5f8057cf4df1a3fa92a7d",
+    ("affine", "--p", "7", "--d", "2"):
+        "de1f1e449a99686626831c211e1beb1c84f02a748081cd3fd2762614ad419fc8",
+    ("wreath", "--m", "6", "--k", "2"):
+        "b546e82413bc5739d34f9242d366f715b39f8b62f3198baacf31126c554fc423",
+    ("wreath", "--m", "5", "--k", "3", "--limit-enum", "20000000"):
+        "3e82af4b12e846553b6149fea54bb1e47968789e14f8bf30868c9042847e55de",
+}
+
+
+@pytest.mark.parametrize("key", sorted(CHAIN_DIGESTS), ids="".join)
+def test_family_chain_bytes_pinned(tmp_path, key):
+    out = tmp_path / "cert.json"
+    assert main(["chain", "--family", *key, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CHAIN_DIGESTS[key]
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_DIGESTS), ids="-".join)
 def test_chain_bytes_pinned(tmp_path, key):
     fmt, family, a, b = key

@@ -31,7 +31,7 @@ def test_agl(p, d):
 
 def _wreath_generators(m: int, k: int) -> list:
     """build_wreath's generators of S_m wr S_k, without building the group."""
-    ctx = WreathContext(m, k, m**k, None, None, None, None, None)
+    ctx = WreathContext(m, k, Permutation.identity(m))  # neither M nor u is needed
     id_m, id_k = Permutation.identity(m), Permutation.identity(k)
     return [embed_wreath_element(ctx, [g] + [id_m] * (k - 1), id_k)
             for g in symmetric_group(m).generators] + [

@@ -99,3 +99,36 @@ def test_groups_are_built_in_group_py(path):
     """Only group.py writes a group's chain, order or generators: every other module
     gets its groups from group.py's constructors and stabilizers."""
     assert _group_field_writes(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+FAMILY_CODECS = {"affine.py": ("vector_to_point", "point_to_vector"),
+                 "wreath.py": ("tuple_to_point", "point_to_tuple")}
+
+
+def _codec_calls(tree: ast.AST, names: tuple) -> list:
+    """Line numbers of calls to any of the named functions, by name or as an attribute."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (node.func.id if isinstance(node.func, ast.Name)
+                 else getattr(node.func, "attr", None)) in names]
+
+
+@pytest.mark.parametrize(
+    "code, lines",
+    [
+        ("vector_to_point(ctx, v)", [1]),
+        ("x = 1\naffine.point_to_vector(ctx, 3)", [2]),
+        ("ctx.points[v]\nf = vector_to_point", []),
+    ],
+)
+def test_codec_call_detection(code, lines):
+    assert _codec_calls(ast.parse(code), FAMILY_CODECS["affine.py"]) == lines
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_CODECS))
+def test_families_read_their_point_tables(name):
+    """The family modules never call their own public codecs, which check input from
+    outside: their own code reads the context's labels and its ``points`` dict."""
+    path = SRC / name
+    assert _codec_calls(ast.parse(path.read_text(), filename=str(path)),
+                        FAMILY_CODECS[name]) == []

@@ -19,12 +19,36 @@ from irrbase.wreath import (
 )
 
 
-def test_point_encoding(wreath52):
-    assert tuple_to_point(wreath52, (1, 1)) == 1
-    assert tuple_to_point(wreath52, (2, 1)) == 2
-    assert tuple_to_point(wreath52, (1, 2)) == 6
-    for pt in range(1, 26):
-        assert tuple_to_point(wreath52, point_to_tuple(wreath52, pt)) == pt
+def test_point_encoding():
+    """Every point against the documented encoding point = 1 + sum((e_j - 1) m^j)."""
+    for m, k in [(5, 2), (6, 2), (5, 3)]:
+        _check_point_encoding(build_wreath(m, k), m, k)
+
+
+def _check_point_encoding(ctx, m, k):
+    assert tuple_to_point(ctx, (1,) * k) == 1
+    assert tuple_to_point(ctx, (2,) + (1,) * (k - 1)) == 2
+    assert tuple_to_point(ctx, (1, 2) + (1,) * (k - 2)) == m + 1
+    for pt in range(1, m**k + 1):
+        t = point_to_tuple(ctx, pt)
+        assert len(t) == k and all(1 <= e <= m for e in t)
+        assert 1 + sum((e - 1) * m**j for j, e in enumerate(t)) == pt
+        assert tuple_to_point(ctx, t) == pt
+    for bad in [(0,) + (1,) * (k - 1), (m + 1,) + (1,) * (k - 1), (1,) * (k + 1)]:
+        with pytest.raises(ValueError):
+            tuple_to_point(ctx, bad)
+    for bad in (0, m**k + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            point_to_tuple(ctx, bad)
+
+
+def test_codecs_refuse_non_integers(wreath52):
+    """An entry or point that is in range but not an integer is refused, not decoded."""
+    for bad in [(1.5, 1), (1, "2")]:
+        with pytest.raises(ValueError, match="out of range"):
+            tuple_to_point(wreath52, bad)
+    with pytest.raises(ValueError, match="out of range"):
+        point_to_tuple(wreath52, 2.5)
 
 
 def test_build_orders(wreath52):
@@ -119,7 +143,7 @@ def test_conjugator_higher_coordinate_matches_direct():
     """The slice map for coordinate i is the i = 2 map conjugated by the coordinate swap (2 i)."""
     for m, k in [(5, 3), (6, 3), (5, 4), (7, 3)]:
         u = parse_cycles("(" + " ".join(map(str, range(1, m + 1 - (m + 1) % 2))) + ")", m)
-        ctx = WreathContext(m, k, m**k, None, u, None, None, None)  # no group is needed
+        ctx = WreathContext(m, k, u)  # M is not needed
         for i in range(3, k + 1):
             swap = embed_wreath_element(ctx, [Permutation.identity(m)] * k,
                                         parse_cycles(f"(2 {i})", k))
