@@ -4,10 +4,11 @@ Every chain has one shape, built by a deterministic Schreier-Sims procedure:
 each strong generator is bucketed at the first point it moves, in the natural
 order 1, 2, ..., n.  So the base points ascend, the group fixing the points
 below a level's base point is generated by the buckets from that level on,
-and minimal-coset-representative canonicalization is a greedy walk down the
-chain.  Every orbit, of a level's base point, of a point or of a key, is
-walked by one breadth-first routine, :func:`_orbit_tree`, which returns its
-Schreier vector; a level keeps it, and its transversals are products along it.
+and a right coset is named by its key, the inverse of its least table,
+found by a greedy walk down the chain on inverse tables (:func:`_coset_key`).
+Every orbit, of a level's base point, of a point or of a key, is walked by
+one breadth-first routine, :func:`_orbit_tree`, which returns its Schreier
+vector; a level keeps it, and its transversals are products along it.
 
 Orders are exact Python integers; nothing here overflows.  A stabilizer of
 a key under a group's action, such as a coset Hx or a set of points, comes
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import repeat
-from operator import attrgetter, getitem, itemgetter
+from operator import attrgetter, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .perm import (
@@ -41,6 +42,7 @@ from .perm import (
     _composer,
     _cycle_lists,
     _cycles_tbl,
+    _first_into,
     _identity_tbl,
     _inverse_tbl,
     _pad,
@@ -88,7 +90,7 @@ class PermutationGroup:
         self._after = _composer(degree)  # _compose_tbl(a, b) as self._after(a, b + self._pad)
         self.generators = tuple(g for g in generators if not g.is_identity())
         self._levels: list[_Level] = []
-        self._walk = None  # _min_coset_rep's per-level getters, made on first use
+        self._walk = None  # _coset_key's per-level inverse transversals, made on first use
         self._limit = limit  # a cap on a lower bound on the order while it is built (_place)
         for g in self.generators:
             r = self._sift_tbl(g._tbl)
@@ -195,12 +197,14 @@ class PermutationGroup:
         """K ∩ H^x (H is this group), as the stabilizer in K of the right coset Hx.
 
         ``k ∈ H^x ⟺ Hxk = Hx``, so the level is the stabilizer of the point
-        Hx in K's action on H's right cosets, whose points are their minimal
-        representatives; :func:`_stabilizer` finds it from the coset's orbit.
+        Hx in K's action on H's right cosets, whose points are their keys
+        (:func:`_coset_key`); :func:`_stabilizer` finds it from the coset's
+        orbit.  Hy·s is canonicalized from (ys)⁻¹, s⁻¹ then Hy's key.
         """
-        return _stabilizer(
-            k, _min_coset_rep(self, x), lambda s, a: _min_coset_rep(self, _compose_tbl(a, s))
-        )
+        pad = self._pad
+        inv_then = {g._tbl: _then(_inverse_tbl(g._tbl)) for g in k.generators}
+        return _stabilizer(k, _coset_key(self, _inverse_tbl(x)),
+                           lambda s, a: _coset_key(self, inv_then[s](a + pad)))
 
     def _conjugate_levels(
         self, conjugator_sets: Iterable[Sequence[Table]]
@@ -365,10 +369,10 @@ def _schreier_generators(tree: dict, gens: Sequence[Table], image, u, u_inv) -> 
     """Schreier's lemma: u_a·s·u_b⁻¹ for each key a of a Schreier vector and generator s.
 
     ``image(s, a)`` is the key b; ``u`` and ``u_inv`` map each key to its
-    transversal table, the product along its path from the root, and to that
-    table's inverse.  The products generate the root's stabilizer.  They come
-    keys in tree order, then generators in order; a tree edge, whose product
-    is the identity, gives none.
+    transversal table, the product along its path from the root, and to its
+    inverse, made into ``u_inv`` when first needed.  The products generate
+    the root's stabilizer.  They come keys in tree order, then generators in
+    order; a tree edge, whose product is the identity, gives none.
     """
     n = len(u[next(iter(tree))])  # the root's table is the identity
     after, pad = _composer(n), _pad(n)
@@ -377,6 +381,8 @@ def _schreier_generators(tree: dict, gens: Sequence[Table], image, u, u_inv) -> 
         for s in gens:
             b = image(s, a)
             if tree[b] != (a, s):
+                if b not in u_inv:
+                    u_inv[b] = _inverse_tbl(u[b])
                 yield after(after(ua, s + pad), u_inv[b] + pad)
 
 
@@ -414,9 +420,8 @@ def _stabilizer(k: PermutationGroup, root, image, tree: Optional[dict] = None) -
         raise RuntimeError(f"orbit of length {len(tree)} does not divide |K| = {size}")
     if target == size:
         return k
-    u = _tree_tables(tree, k._ident)
-    u_inv = {b: _inverse_tbl(x) for b, x in u.items()}
-    stab = _group_of_order(_schreier_generators(tree, gens, image, u, u_inv), k.degree, target)
+    generators = _schreier_generators(tree, gens, image, _tree_tables(tree, k._ident), {})
+    stab = _group_of_order(generators, k.degree, target)
     if stab._order != target:
         raise RuntimeError(f"stabilizer has order {stab._order}, expected |K| / |orbit| = "
                            f"{target}")
@@ -451,38 +456,36 @@ def _group_of_order(tables: Iterable[Table], degree: int, order: int) -> Permuta
     return grp
 
 
-def _min_coset_rep(h: PermutationGroup, y: Table) -> Table:
-    """Lexicographically smallest image table in the coset {h y : h in H}.
+def _coset_key(h: PermutationGroup, y_inv: Table) -> Table:
+    """The key of the right coset Hy, from y⁻¹: the inverse of the coset's least table.
 
-    Walks H's stabilizer chain: at each level the image of the base point is
-    made as small as possible.  Greedy is exact because every chain's base
-    points ascend and each level's group fixes every point below its base point.
+    Walks H's stabilizer chain on the representative's inverse z: at each
+    level the base point's image is made least, by the orbit point c = z[v]
+    with v least, then z becomes z·u⁻¹ for the level's transversal u to c.
+    Greedy is exact because every chain's base points ascend and each level's
+    group fixes every point below its base point.
     """
     walk = h._walk
     if walk is None:
-        # per level: the base point, its orbit, a getter of the orbit's images
-        # (None when the orbit holds at least half the points: its least image
-        # is then found by scanning the values 0, 1, ... instead) and the
-        # transversal tables as composers (perm's _then), by orbit point
+        # per level: the base point, its padded inverse transversals by orbit point,
+        # and for an orbit of under half the points perm's _first_into; without it the
+        # orbit is met reading z from 0 up, in about two entries for a larger orbit
         walk = h._walk = []
         for lvl in h._levels:
-            pts = list(lvl.orbit)  # at least two points: a level's generators move it
-            images_of = None if 2 * len(pts) >= h.degree else itemgetter(*pts)
-            walk.append((lvl.point, pts, images_of, {b: _then(lvl.orbit[b]) for b in pts}))
-    pad = h._pad
-    for point, pts, images_of, u_then in walk:
-        if images_of is None:
-            v = 0
-            c = y.index(0)
-            while c not in u_then:
-                v += 1
-                c = y.index(v)
+            inv = {b: u + h._pad for b, u in lvl.inv.items()}
+            small = 2 * len(inv) < h.degree
+            walk.append((lvl.point, inv, _first_into(inv, h.degree) if small else None))
+    after, z = h._after, y_inv
+    for point, inv, first in walk:
+        if first is None:
+            for c in z:
+                if c in inv:
+                    break
         else:
-            imgs = images_of(y)
-            c = pts[imgs.index(min(imgs))]
+            c = z[first(z)]
         if c != point:
-            y = u_then[c](y + pad)  # _compose_tbl(u, y): u first, then y
-    return y
+            z = after(z, inv[c])  # _compose_tbl(z, u⁻¹): z first, then u⁻¹
+    return z
 
 
 def from_generators(gens: Sequence[Permutation], degree: int) -> PermutationGroup:

@@ -1,15 +1,16 @@
 """Exact maximum irredundant base sizes on coset actions.
 
-The action of G on the right cosets of a subgroup H is realized with
-canonical minimal coset representatives (a greedy walk down H's stabilizer
-chain, valid because chain base points ascend through the natural point
-order).  H acts on the t coset points through a homomorphism T, so the
-tables T(u) of the transversal elements u of H's stabilizer chain carry all
-of H's action: they are made once per action, from the strong generators'
-tables alone (:class:`_CosetTables`), which also give H's orbits on the
-cosets.  The breadth-first search that numbers the cosets finds the table
-of each generator of G on the way.  Where G is S_n or A_n given by its
-standard pair, a strong generator's table is the product of those along a
+The action of G on the right cosets of a subgroup H is realized with coset
+keys, the inverses of the least coset representatives, from a greedy walk
+down H's stabilizer chain on inverse tables (:func:`irrbase.group._coset_key`):
+Hx·s is canonicalized from (xs)⁻¹, the table s⁻¹ then Hx's key.  H acts
+on the t coset points through a homomorphism T, so the tables T(u) of the
+transversal elements u of H's stabilizer chain carry all of H's action:
+they are made once per action, from the strong generators' tables alone
+(:class:`_CosetTables`), which also give H's orbits on the cosets.  The
+breadth-first search that numbers the cosets finds the table of each
+generator of G on the way.  Where G is S_n or A_n given by its standard
+pair, a strong generator's table is the product of those along a
 word in G's generators (:func:`_word_tables`), so no coset is canonicalized
 after the search.  An edge Hx·s = Hy of a generator s with s·s = 1 (S_n's
 transposition) also gives Hy·s = Hx, which is written at once: M11's 5040
@@ -47,7 +48,7 @@ refused, from |T(H)| < |H| or at the first node the search would finish.
 
 :func:`chain_to_base` turns a certificate, checked by
 :func:`irrbase.certificate.verify_certificate`, into an irredundant base of
-coset points, finding each conjugator's point among the t representatives.
+coset points, finding each conjugator's point among the t coset keys.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ from typing import Optional
 
 from .certificate import CertLevel, ChainCertificate, omega, verify_certificate
 from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
-                    PermutationGroup, _group_of_order, _min_coset_rep, _orbit_tree,
-                    _stabilizer, _standard_generators, _tree_tables, check_coset_orders)
+                    PermutationGroup, _coset_key, _group_of_order, _orbit_tree, _stabilizer,
+                    _standard_generators, _tree_tables, check_coset_orders)
 from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _inverts_in_c,
-                   _table)
+                   _table, _then)
 
 
 class OracleLimits:
@@ -79,35 +80,36 @@ class CosetAction:
     ``transversal[i]`` is the minimal element of the coset that is point
     i + 1; point 1 is the coset H itself with representative the identity.
     The stabilizer of point i + 1 is H conjugated by ``transversal[i]``.  The
-    representatives are kept as tables, ``_reps``, and ``transversal`` makes
-    a :class:`Permutation` only for an index that is read; t is their number.
-    No map from representative to point is kept: the search that numbers the
-    cosets drops its own when it ends.  ``_tables`` holds the coset tables
-    of H's chain transversals.
+    cosets are kept as their keys, ``_keys``, the inverse tables of those
+    representatives (:func:`irrbase.group._coset_key`), and ``transversal``
+    inverts a key and makes a :class:`Permutation` only for an index that is
+    read; t is their number.  No map from key to point is kept: the search
+    that numbers the cosets drops its own when it ends.  ``_tables`` holds
+    the coset tables of H's chain transversals.
     """
 
-    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, reps: list):
+    def __init__(self, group: PermutationGroup, subgroup: PermutationGroup, keys: list):
         self.group = group
         self.subgroup = subgroup
-        self.degree = len(reps)
-        self._reps = reps  # 0-based point -> canonical representative table
-        self.transversal = _Transversal(reps)
+        self.degree = len(keys)
+        self._keys = keys  # 0-based point -> its coset's key
+        self.transversal = _Transversal(keys)
         self._tables = None  # the _CosetTables, once build_coset_action has made them
 
 
 class _Transversal(Sequence):
-    """The coset representatives as permutations, each wrapped when it is read."""
+    """The coset representatives as permutations, each made from its key when it is read."""
 
-    def __init__(self, reps: list):
-        self._reps = reps
+    def __init__(self, keys: list):
+        self._keys = keys
 
     def __len__(self) -> int:
-        return len(self._reps)
+        return len(self._keys)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [Permutation._wrap(rep) for rep in self._reps[i]]
-        return Permutation._wrap(self._reps[i])
+            return [Permutation._wrap(_inverse_tbl(key)) for key in self._keys[i]]
+        return Permutation._wrap(_inverse_tbl(self._keys[i]))
 
 
 def build_coset_action(
@@ -133,30 +135,31 @@ def build_coset_action(
     check_coset_orders(t, h.order(), limit_enum)
 
     gen_tbls = [x._tbl for x in g.generators]
-    after, padded = g._after, [s + g._pad for s in gen_tbls]
+    inv_then, pad = [_then(_inverse_tbl(s)) for s in gen_tbls], g._pad
     involutions = [_compose_tbl(s, s) == g._ident for s in gen_tbls]
-    first = _min_coset_rep(h, g._ident)
-    reps = [first]
+    first = _coset_key(h, g._ident)
+    keys = [first]
     index = {first: 0}
     images = [[-1] * t for _ in gen_tbls]  # images[i][x]: the point that generator i takes x to
     # not a Schreier vector: every edge's image is kept, for _word_tables's full rows
-    for x, base in enumerate(reps):  # grows while it is walked: a breadth-first queue
-        for s, row, involution in zip(padded, images, involutions):
+    for x, base in enumerate(keys):  # grows while it is walked: a breadth-first queue
+        base = base + pad
+        for then, row, involution in zip(inv_then, images, involutions):
             if row[x] < 0:  # else an involution took a point numbered before x to x
-                key = _min_coset_rep(h, after(base, s))  # base first, then the generator
-                y = index.setdefault(key, len(reps))
-                if y == len(reps):
+                key = _coset_key(h, then(base))
+                y = index.setdefault(key, len(keys))
+                if y == len(keys):
                     if y == t:
                         raise RuntimeError(f"coset enumeration found more than {t} cosets")
-                    reps.append(key)
+                    keys.append(key)
                 row[x] = y
                 if involution:  # Hx·s = Hy gives Hy·s = Hx: Hy·s is never canonicalized
                     row[y] = x
-    if len(reps) != t:
-        raise RuntimeError(f"coset enumeration found {len(reps)} cosets, expected {t}")
+    if len(keys) != t:
+        raise RuntimeError(f"coset enumeration found {len(keys)} cosets, expected {t}")
     del index  # at t = 362,880 a 20 MiB dict: nothing after the search reads it
 
-    action = CosetAction(group=g, subgroup=h, reps=reps)
+    action = CosetAction(group=g, subgroup=h, keys=keys)
     strong = list(dict.fromkeys(s for lvl in h._levels for s in lvl.gens))
     alternating = next((alt for alt in (False, True)
                         if len(gen_tbls) == 2 and gen_tbls == _standard_generators(g.degree, alt)),
@@ -172,10 +175,10 @@ def build_coset_action(
 
 def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
     """0-based image table of an element of H acting on the coset points."""
-    h, reps = action.subgroup, action._reps
-    after, padded = h._after, h_tbl + h._pad
-    index = dict(zip(reps, range(len(reps))))  # canonical representative -> 0-based point
-    return _table([index[_min_coset_rep(h, after(rep, padded))] for rep in reps])  # rep, then h
+    h, keys = action.subgroup, action._keys
+    then, pad = _then(_inverse_tbl(h_tbl)), h._pad  # the key of Hx·e: e⁻¹ then x⁻¹
+    index = dict(zip(keys, range(len(keys))))  # coset key -> 0-based point
+    return _table([index[_coset_key(h, then(key + pad))] for key in keys])
 
 
 def _word_tables(gens: list, images: list, alternating: bool, elements: list) -> dict:
@@ -339,20 +342,9 @@ def mibs(
         )
 
     conjugators = [action.transversal[p] for p in points]
-    levels = [
-        CertLevel(conjugators=list(conjugators[: j + 1]), order=orders[j])
-        for j in range(len(points))
-    ]
-    cert = ChainCertificate(
-        degree=action.group.degree,
-        ambient=ambient,
-        family="explicit",
-        params={},
-        generators=list(h.generators),
-        levels=levels,
-        claimed_length=value,
-    )
-    return value, cert
+    levels = [CertLevel(conjugators[: j + 1], orders[j]) for j in range(len(points))]
+    return value, ChainCertificate(action.group.degree, ambient, "explicit", {},
+                                   list(h.generators), levels, value)
 
 
 def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
@@ -606,17 +598,18 @@ def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
     if not report.ok:
         raise ValueError("certificate invalid:\n" + report.summary())
 
-    # each conjugator's coset, by its canonical representative, first appearances only
-    keys = dict.fromkeys(_min_coset_rep(h, x._tbl) for lvl in cert.levels for x in lvl.conjugators)
+    # each conjugator's coset, by its key, first appearances only
+    keys = dict.fromkeys(_coset_key(h, _inverse_tbl(x._tbl))
+                         for lvl in cert.levels for x in lvl.conjugators)
     try:
-        seq = [action._reps.index(key) + 1 for key in keys]  # 1-based points
+        seq = [action._keys.index(key) + 1 for key in keys]  # 1-based points
     except ValueError:
         raise ValueError("element does not represent a coset of this action") from None
 
     level_orders = {lvl.order for lvl in cert.levels}
     # the running stabilizers, over the nested prefixes of the points' representatives; the
     # first point is H's coset, level 0's, whose representative is the identity
-    reps = [action._reps[p - 1] for p in seq]
+    reps = [_inverse_tbl(action._keys[p - 1]) for p in seq]
     levels = h._conjugate_levels(reps[: j + 1] for j in range(len(reps)))
     current = next(levels)  # H, the stabilizer of the first point: it always descends from G
     kept = seq[:1]

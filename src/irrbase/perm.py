@@ -17,13 +17,7 @@ run on.  On tables the same convention reads ``_compose_tbl(a, b)[i] =
 b[a[i]]`` (a first, then b), computed as ``a.translate(b + pad)`` on bytes,
 with b padded to the 256 entries ``bytes.translate`` wants, and as
 ``itemgetter(*a)(b)`` on tuples; identity is tested by ``==`` against a
-cached identity table.  Membership of a
-conjugate rests on ``e ∈ H^x ⟺ x e x⁻¹ ∈ H ⟺ Hxe = Hx``: certificate levels
-and the wreath checks are stabilizers of cosets Hx
-(``PermutationGroup._coset_stabilizer``), and the enumeration filter of
-``intersect`` and of the tests' references,
-``PermutationGroup._conjugate_members``, sifts the table of x e x⁻¹,
-``_compose_tbl(_compose_tbl(x, e), _inverse_tbl(x))``.
+cached identity table.
 """
 
 from __future__ import annotations
@@ -321,6 +315,16 @@ def _composer(n: int):
     operand that varies: on bytes the C-level ``bytes.translate``, on tuples (an
     empty pad) ``_compose_tbl`` itself."""
     return bytes.translate if n <= BYTES_DEGREE else _compose_tbl
+
+
+def _first_into(points, n: int):
+    """The callable taking a degree-n table z to the least i with ``z[i]`` in ``points``, on
+    bytes ``z.translate(mask).index(1)`` with the mask 1 at each point; None on tuples, where
+    reading z from 0 up until a point is met costs less than any ``z.index`` per point."""
+    if n > BYTES_DEGREE:
+        return None
+    mask = bytes(p in points for p in range(BYTES_DEGREE))
+    return lambda z: z.translate(mask).index(1)
 
 
 def _inverse_tbl(a: Table) -> Table:

@@ -1,6 +1,7 @@
 import pytest
 
 from irrbase.affine import build_agl
+from irrbase.perm import _compose_tbl
 from irrbase.wreath import build_wreath
 
 try:
@@ -33,6 +34,21 @@ def brute_closure(gens, degree):
                     new.append(c)
         frontier = new
     return els
+
+
+def min_coset_rep(h, y):
+    """The lexicographically least table of the right coset Hy: the reference for
+    ``group._coset_key``, whose key is this table's inverse.
+
+    The greedy walk down H's chain on y itself: at each level the base point's
+    image is made least over the level's orbit, by taking the transversal u to
+    the orbit point of least image first, then y.
+    """
+    for lvl in h._levels:
+        c = min(lvl.orbit, key=y.__getitem__)
+        if c != lvl.point:
+            y = _compose_tbl(lvl.orbit[c], y)
+    return y
 
 
 @pytest.fixture(scope="session")

@@ -276,13 +276,13 @@ def test_coset_action_canonicalizations(monkeypatch, name, calls):
     """One canonicalization for the coset H and one per coset and G-generator, less one
     per 2-cycle of an involution generator: no more."""
     count = [0]
-    canonical = oracle._min_coset_rep
+    canonical = oracle._coset_key
 
     def counted(*args):
         count[0] += 1
         return canonical(*args)
 
-    monkeypatch.setattr(oracle, "_min_coset_rep", counted)
+    monkeypatch.setattr(oracle, "_coset_key", counted)
     action = build_coset_action(*ACTIONS[name]())
     monkeypatch.undo()
     two_cycles = 0

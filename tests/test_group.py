@@ -5,11 +5,11 @@ from operator import getitem
 
 import pytest
 
+from irrbase import group
 from irrbase.affine import affine_chain, build_agl
 from irrbase.group import (
     LimitExceeded,
     PermutationGroup,
-    _min_coset_rep,
     _orbit_tree,
     _schreier_generators,
     _stabilizer,
@@ -25,7 +25,7 @@ from irrbase.group import (
 from irrbase.perm import (DegreeMismatchError, Permutation, _inverse_tbl, _table, compose,
                           parse_cycles, print_cycles)
 
-from conftest import brute_closure
+from conftest import brute_closure, min_coset_rep
 
 
 def s4():
@@ -241,9 +241,9 @@ def test_schreier_generators_on_a_coset_key_tree(agl32):
     gens = [g._tbl for g in h.generators]
 
     def image(s, a):
-        return _min_coset_rep(h, _table([s[v] for v in a]))
+        return min_coset_rep(h, _table([s[v] for v in a]))
 
-    root = _min_coset_rep(h, x)
+    root = min_coset_rep(h, x)
     tree = _orbit_tree(root, gens, image)
     assert len(tree) > 1
     _check_schreier_generators(tree, gens, image, h._ident, root, h.order() // len(tree))
@@ -266,6 +266,23 @@ def test_stabilizer_at_the_first_base_point_is_the_chain_tail(agl32, agl71, wrea
         assert all(a is b for a, b in zip(tail._levels, g._levels[1:])), name
         assert tail.order() == g.order() // len(first.orbit)
         assert [x._tbl for x in tail.generators] == g._gens_at(1)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_stabilizer_inverts_transversals_as_it_needs_them(monkeypatch, n):
+    """A stabilizer that reaches its order before the last Schreier generator inverts
+    fewer of its key tree's transversals than the tree has keys."""
+    k = symmetric_group(n)
+    trees, inverted = [], []
+    tree_tables, inverse = group._tree_tables, group._inverse_tbl
+    monkeypatch.setattr(group, "_tree_tables",
+                        lambda *args: trees.append(tree_tables(*args)) or trees[-1])
+    monkeypatch.setattr(group, "_inverse_tbl", lambda t: inverted.append(t) or inverse(t))
+    stab = _stabilizer(k, 0, lambda s, a: s[a])  # not getitem: the key's tree is walked
+    u = trees[0]  # the key tree's transversals; later calls build the stabilizer's levels
+    made = [t for t in inverted if any(t is x for x in u.values() if x is not k._ident)]
+    assert stab.order() == math.factorial(n - 1) and len(u) == n
+    assert 0 < len(made) < len(u) - 1
 
 
 def test_stabilizer_at_the_regular_cap():

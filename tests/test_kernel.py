@@ -280,6 +280,6 @@ def test_kept_tables_have_their_degrees_type(agl32, agl71, wreath52):
     groups += [g for a in actions for g in (a.group, a.subgroup)]
     tables = [t for g in groups for t in kept_tables(g)]
     tables += [t for a in actions for level in a._tables.levels for t in level]
-    tables += [t for a in actions for t in (*a._reps, *(x._tbl for x in a.transversal))]
+    tables += [t for a in actions for t in (*a._keys, *(x._tbl for x in a.transversal))]
     assert {len(t) for t in tables} >= {7, 9, 25, 120, 257, 840}
     assert all(type(t) is type(_identity_tbl(len(t))) for t in tables)

@@ -21,11 +21,12 @@ from irrbase.oracle import (
     chain_to_base,
     mibs,
     verify_certificate,
-    _min_coset_rep,
 )
 from irrbase.affine import affine_chain, build_agl
-from irrbase.perm import Permutation, compose, parse_cycles
+from irrbase.perm import Permutation, _inverse_tbl, compose, parse_cycles
 from irrbase.wreath import build_wreath, wreath_chain
+
+from conftest import min_coset_rep
 
 
 def test_coset_action_point_stabilizer_cosets():
@@ -54,9 +55,9 @@ def test_transversal_made_as_it_is_read(monkeypatch, agl71):
     assert len(wrapped) < act.degree
     wrapped.clear()
     x = act.transversal[5]
-    assert wrapped == [act._reps[5]] and x._tbl is act._reps[5]
+    assert wrapped == [x._tbl] == [_inverse_tbl(act._keys[5])]
     assert len(act.transversal) == act.degree
-    assert [y._tbl for y in act.transversal] == act._reps
+    assert [_inverse_tbl(y._tbl) for y in act.transversal] == act._keys
 
 
 def test_transversal_slices(agl71):
@@ -64,7 +65,7 @@ def test_transversal_slices(agl71):
     act = build_coset_action(symmetric_group(7), agl71.H)
     assert act.transversal[1:3] == [act.transversal[1], act.transversal[2]]
     assert act.transversal[::-40] == [act.transversal[i] for i in (119, 79, 39)]
-    assert [x._tbl for x in act.transversal[:]] == act._reps
+    assert [_inverse_tbl(x._tbl) for x in act.transversal[:]] == act._keys
     assert act.transversal[-1] == act.transversal[119]
 
 
@@ -130,10 +131,10 @@ def _reachable_dicts(*roots):
 def test_action_keeps_no_representative_map(agl32):
     """No dict keyed by coset representatives outlives the build of S9 on AGL(2,3)'s cosets."""
     act = build_coset_action(symmetric_group(9), agl32.H)
-    reps = set(act._reps)
+    keys = set(act._keys)
     dicts = _reachable_dicts(*vars(act).values(), *vars(act._tables).values())
-    assert len(reps) == act.degree == 840 and dicts
-    assert not any(key in reps for d in dicts for key in d)
+    assert len(keys) == act.degree == 840 and dicts
+    assert not any(key in keys for d in dicts for key in d)
 
 
 def _root_children(lvl, tables):
@@ -227,7 +228,7 @@ def test_min_coset_rep_is_minimal():
     h = s4.point_stabilizer(4)
     h_els = h.elements()
     for g in s4.elements():
-        rep = _min_coset_rep(h, g._tbl)
+        rep = min_coset_rep(h, g._tbl)
         coset = sorted(compose(e, Permutation._wrap(g._tbl))._tbl for e in h_els)
         assert rep == coset[0]
 

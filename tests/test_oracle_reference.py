@@ -36,11 +36,12 @@ from irrbase.group import (
 from irrbase.oracle import (
     OracleLimits,
     _coset_permutation,
-    _min_coset_rep,
     build_coset_action,
     mibs,
 )
 from irrbase.perm import Permutation, _compose_tbl, _identity_tbl, parse_cycles, print_cycles
+
+from conftest import min_coset_rep
 
 M11_GENERATORS = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)"]
 
@@ -134,11 +135,11 @@ def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=Fa
 
 def reference_core_order(g, h):
     """Order of the kernel of G on the cosets of H, by filtering all of H."""
-    reps = [_min_coset_rep(h, _identity_tbl(g.degree))]
+    reps = [min_coset_rep(h, _identity_tbl(g.degree))]
     seen = set(reps)
     for rep in reps:
         for s in g.generators:
-            key = _min_coset_rep(h, _compose_tbl(rep, s._tbl))
+            key = min_coset_rep(h, _compose_tbl(rep, s._tbl))
             if key not in seen:
                 seen.add(key)
                 reps.append(key)
