@@ -77,6 +77,8 @@ def report(args) -> tuple:
     overall_ok = True
     if args.computed is not None:
         v = args.computed
+        if v < 1:  # a base of a nontrivial faithful action has a point
+            raise ValueError("computed mibs must be positive")
         result["computed_mibs"] = v
         result["relational_complexity_upper"] = bounds_mod.relational_complexity_upper(v)
         lg = result["length"][args.ambient]

@@ -3,13 +3,19 @@
 Exit codes are a stable contract: 0 success/verified, 1 mathematical
 verification failure, 2 usage or limit error.  JSON output is byte-stable
 for identical inputs.  No environment variable affects results.
+
+Every subcommand's options are declared once, in ``_COMMANDS``.  A plain
+invocation (exact ``--name value`` pairs, flags and verify's positional) is
+parsed from that table by ``_fast_args``; everything else, help, abbreviations
+and every malformed argv, goes to argparse.  Only ``build_parser`` imports
+argparse, so a plain run's start-up loads none of argparse, gettext and locale.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .certificate import (_POWER_PARAMS, ORACLE_MAX_DEGREE, CertificateFormatError,
                           ChainCertificate, check_degree, check_family, check_family_size,
@@ -215,70 +221,124 @@ def cmd_bounds(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int}
+# --p --d of AGL(d, p), then --m --k of S_m wr S_k
+_FAMILY_PARAMS = tuple((f"--{a}", _INT) for names in _POWER_PARAMS.values() for a in names)
+_OUTPUT = (("--format", {"choices": ("json", "text"), "default": "json"}),
+           ("--out", {"metavar": "PATH", "help": "write output to a file"}))
+_LIMIT_ENUM = ("--limit-enum", {"type": int, "default": ENUM_LIMIT_DEFAULT, "metavar": "N",
+                                "help": "cap on |H|, and for an ambient-A oracle on the group "
+                                        "listed to intersect H with A_n (default %(default)s)"})
+# each subcommand's help line, function and options in --help order, every option as
+# add_argument takes it; build_parser and _fast_args both read this table
+_COMMANDS = {
+    "chain": ("build a chain certificate, its orders from one pass over H", cmd_chain, (
+        ("--family", {"required": True, "choices": ("affine", "wreath")}),
+        *_FAMILY_PARAMS, *_OUTPUT, _LIMIT_ENUM)),
+    "oracle": ("exact maximum irredundant base size of an action", cmd_oracle, (
+        ("--ambient", {"required": True, "choices": ("S", "A")}),
+        ("--subgroup", {"required": True, "choices": ("natural", "agl", "wreath", "explicit")}),
+        ("--n", _INT),
+        *_FAMILY_PARAMS,
+        ("--gens-file", {"metavar": "PATH"}),
+        ("--limit-t", {"type": int, "default": COSET_LIMIT_DEFAULT, "metavar": "N",
+                       "help": "cap on the coset index (default %(default)s)"}),
+        ("--limit-memo", {"type": int, "default": MEMO_LIMIT_DEFAULT, "metavar": "N",
+                          "help": "cap on memoized subgroups (default %(default)s)"}),
+        ("--no-prune", {"action": "store_true",
+                        "help": "search every point of a non-regular orbit, not one per orbit "
+                                "(regression flag; same results)"}),
+        *_OUTPUT, _LIMIT_ENUM)),
+    "verify": ("independently verify a certificate file", cmd_verify, (
+        ("cert", {"metavar": "CERT.json"}), _LIMIT_ENUM)),
+    "bounds": ("evaluate closed-form bounds and criteria", cmd_bounds, (
+        ("--n", _INT),
+        ("--ambient", {"choices": ("S", "A"), "default": "S"}),
+        ("--family", {"choices": ("agl", "wreath")}),
+        *_FAMILY_PARAMS,
+        ("--order-h", {"type": int, "metavar": "ORDER"}),
+        ("--computed", {"type": int, "metavar": "MIBS",
+                        "help": "a computed mibs value to compare against the bounds"}),
+        ("--lemma52", {"action": "store_true",
+                       "help": "index-growth relation checks (requires --n and --order-h)"}),
+        *_OUTPUT)),
+}
+
+
+def build_parser():
+    """The argparse parser of ``_COMMANDS``, for help texts, errors and every argv that
+    :func:`_fast_args` leaves to it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="irrbase",
         description="irredundant-base chains, exact maximum base sizes, and bound checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--out", metavar="PATH", help="write output to a file")
-
-    def add_family_params(p):  # --p --d of AGL(d, p), then --m --k of S_m wr S_k
-        for name in (a for names in _POWER_PARAMS.values() for a in names):
-            p.add_argument(f"--{name}", type=int)
-
-    pc = sub.add_parser("chain", help="build a chain certificate, its orders from one pass over H")
-    pc.add_argument("--family", required=True, choices=("affine", "wreath"))
-    add_family_params(pc)
-    add_common(pc)
-    pc.set_defaults(func=cmd_chain)
-
-    po = sub.add_parser("oracle", help="exact maximum irredundant base size of an action")
-    po.add_argument("--ambient", required=True, choices=("S", "A"))
-    po.add_argument("--subgroup", required=True,
-                    choices=("natural", "agl", "wreath", "explicit"))
-    po.add_argument("--n", type=int)
-    add_family_params(po)
-    po.add_argument("--gens-file", metavar="PATH")
-    po.add_argument("--limit-t", type=int, default=COSET_LIMIT_DEFAULT, metavar="N",
-                    help="cap on the coset index (default %(default)s)")
-    po.add_argument("--limit-memo", type=int, default=MEMO_LIMIT_DEFAULT, metavar="N",
-                    help="cap on memoized subgroups (default %(default)s)")
-    po.add_argument("--no-prune", action="store_true",
-                    help="search every point of a non-regular orbit, not one per orbit "
-                         "(regression flag; same results)")
-    add_common(po)
-    po.set_defaults(func=cmd_oracle)
-
-    pv = sub.add_parser("verify", help="independently verify a certificate file")
-    pv.add_argument("cert", metavar="CERT.json")
-    pv.set_defaults(func=cmd_verify)
-    for p in (pc, po, pv):  # the subcommands that build groups
-        p.add_argument("--limit-enum", type=int, default=ENUM_LIMIT_DEFAULT, metavar="N",
-                       help="cap on |H|, and for an ambient-A oracle on the group listed "
-                            "to intersect H with A_n (default %(default)s)")
-
-    pb = sub.add_parser("bounds", help="evaluate closed-form bounds and criteria")
-    pb.add_argument("--n", type=int)
-    pb.add_argument("--ambient", choices=("S", "A"), default="S")
-    pb.add_argument("--family", choices=("agl", "wreath"))
-    add_family_params(pb)
-    pb.add_argument("--order-h", type=int, metavar="ORDER")
-    pb.add_argument("--computed", type=int, metavar="MIBS",
-                    help="a computed mibs value to compare against the bounds")
-    pb.add_argument("--lemma52", action="store_true",
-                    help="index-growth relation checks (requires --n and --order-h)")
-    add_common(pb)
-    pb.set_defaults(func=cmd_bounds)
+    for command, (help_line, func, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, spec in options:
+            p.add_argument(name, **spec)
+        p.set_defaults(func=func)
     return ap
 
 
+def _fast_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read off ``_COMMANDS``,
+    or None where argparse must parse ``argv``.
+
+    Read here: a subcommand, then its options as exact ``--name value`` pairs and flags,
+    each at most once, with verify's one positional anywhere among them.  Every other
+    argv returns None: help, ``--name=value``, abbreviations, any value or positional
+    starting with ``-`` (``--`` and ``-1`` too), a bad int or choice, a repeated or missing
+    required option, and a stray positional; argparse then parses it or prints its error.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    specs = dict(options)
+    given, positionals = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            positionals.append(arg)
+            continue
+        spec = specs.get(arg)
+        if spec is None or arg in given:
+            return None
+        if spec.get("action") == "store_true":
+            given[arg] = True
+            continue
+        value = next(rest, "-")
+        if value.startswith("-"):
+            return None
+        if "type" in spec:
+            try:
+                value = spec["type"](value)
+            except ValueError:  # int's own text, and past its digit limit
+                return None
+        if value not in spec.get("choices", (value,)):
+            return None
+        given[arg] = value
+    wanted = [name for name in specs if not name.startswith("-")]
+    if len(positionals) != len(wanted):
+        return None
+    ns = dict(zip(wanted, positionals), command=argv[0], func=func)
+    for name, spec in options:
+        if name.startswith("-"):
+            if name in given:
+                value = given[name]
+            elif spec.get("required"):
+                return None
+            else:
+                value = spec.get("default", False if "action" in spec else None)
+            ns[name[2:].replace("-", "_")] = value
+    return SimpleNamespace(**ns)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _fast_args(argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as e:

@@ -371,6 +371,13 @@ def test_bounds_once_hung_exit_within_a_second(capsys, case):
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("computed", ["0", "-1"])
+def test_bounds_refuses_a_computed_mibs_below_1(capsys, computed):
+    """A computed mibs below 1 is refused as --order-h 0 is; both once read "ok": true."""
+    assert main(["bounds", "--n", "10", "--computed", computed]) == 2
+    assert capsys.readouterr() == ("", "invalid parameters: computed mibs must be positive\n")
+
+
 def test_bounds_has_no_limit_enum_flag():
     r = run("bounds", "--n", "9", "--limit-enum", "5")
     assert r.returncode == 2
@@ -426,6 +433,44 @@ def test_cli_imports_only_what_it_runs(cert_files, argv, used, unused):
     assert {f"irrbase.{m}" for m in used} <= set(added)
     for name in ["dataclasses", "inspect", *(f"irrbase.{m}" for m in unused)]:
         assert name not in added
+
+
+# one plain run of each subcommand; "{c32}" is a certificate from cert_files
+PLAIN_RUNS = [
+    ["chain", "--family", "affine", "--p", "3", "--d", "2"],
+    ["verify", "{c32}"],
+    ["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"],
+    ["bounds", "--n", "9", "--computed", "5"],
+]
+
+
+def imported_modules(importtime: str) -> set:
+    """The module names that ``python -X importtime`` lists on stderr."""
+    return {line.rsplit("|", 1)[1].strip() for line in importtime.splitlines()
+            if line.startswith("import time:") and "|" in line}
+
+
+@pytest.mark.parametrize("argv", PLAIN_RUNS, ids=lambda argv: argv[0])
+def test_plain_runs_import_no_argparse(cert_files, argv):
+    """A plain run is parsed from the option table: argparse, and the gettext and locale
+    that its parse imports, are left out of ``python -m irrbase``'s start-up."""
+    base = subprocess.run([sys.executable, "-X", "importtime", "-c", "pass"],
+                          capture_output=True, text=True, timeout=600)
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "irrbase",
+                        *(a.format(**cert_files) for a in argv)],
+                       capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    added = imported_modules(r.stderr) - imported_modules(base.stderr)
+    assert "irrbase.cli" in added
+    assert added.isdisjoint({"argparse", "gettext", "locale"})
+
+
+def test_help_in_a_fresh_process():
+    """``--help`` still goes to argparse, imported only then, with the pinned text."""
+    r = subprocess.run([*CLI, "oracle", "--help"], capture_output=True, text=True,
+                       timeout=600, env=dict(os.environ, COLUMNS="80"))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert help_parts(r.stdout) == help_parts(HELP[("oracle",)])
 
 
 def test_bounds_module_loads_no_cli():
