@@ -101,14 +101,15 @@ def report(args) -> tuple:
         result["comparisons"] = comparisons
     if args.format == "json":
         return json.dumps(result, indent=2) + "\n", overall_ok
-    lines = []
+    return "\n".join(_text_lines(result)) + "\n", overall_ok
 
-    def flatten(prefix, obj):
-        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
-            if isinstance(v, (dict, list)):
-                flatten(f"{prefix}{k}.", v)
-            else:
-                lines.append(f"{prefix}{k:<28} {v}")
 
-    flatten("", result)
-    return "\n".join(lines) + "\n", overall_ok
+def _text_lines(obj, prefix=""):
+    """A ``key value`` line per leaf of the report, nested keys joined by dots.
+
+    A module function, not a recursive closure, which would be a reference cycle."""
+    for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        if isinstance(v, (dict, list)):
+            yield from _text_lines(v, f"{prefix}{k}.")
+        else:
+            yield f"{prefix}{k:<28} {v}"

@@ -9,10 +9,15 @@ invocation (exact ``--name value`` pairs, flags and verify's positional) is
 parsed from that table by ``_fast_args``; everything else, help, abbreviations
 and every malformed argv, goes to argparse.  Only ``build_parser`` imports
 argparse, so a plain run's start-up loads none of argparse, gettext and locale.
+
+A process runs the CLI through ``run``, which ``python -m irrbase`` and the
+``irrbase`` script both call; ``main`` is the same CLI for callers in a process
+that goes on after it.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 from types import SimpleNamespace
@@ -199,12 +204,31 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY_FAIL
 
 
+def _check_bounds_mode(args) -> None:
+    """Refuses an option that the report's mode would not read: ``--lemma52`` reads no
+    family option and no ``--computed``, ``--family`` reads its own parameters and not
+    ``--order-h``, and without either no family parameter is read.  ``--ambient`` has a
+    default, so a given one cannot be told from it and is not checked."""
+    names = [a for family_names in _POWER_PARAMS.values() for a in family_names]
+    if args.lemma52:
+        unread, text = ["family", *names, "computed"], "--lemma52 does not read --{}"
+    elif args.family:
+        unread = ["order_h", *(a for a in names if a not in _POWER_PARAMS[args.family])]
+        text = f"--family {args.family} does not read --{{}}"
+    else:
+        unread, text = names, "--{} requires --family"
+    for a in unread:
+        if getattr(args, a) is not None:
+            raise UsageError(text.format(a.replace("_", "-")))
+
+
 def cmd_bounds(args) -> int:
     n = args.n
     if args.lemma52 and args.order_h is None:
         raise UsageError("--lemma52 requires --order-h")
     if n is None:
         raise UsageError(f"{'--lemma52' if args.lemma52 else 'bounds'} requires --n")
+    _check_bounds_mode(args)
     if not args.lemma52:
         check_degree(n)
         if args.family:
@@ -253,7 +277,10 @@ _COMMANDS = {
         ("cert", {"metavar": "CERT.json"}), _LIMIT_ENUM)),
     "bounds": ("evaluate closed-form bounds and criteria", cmd_bounds, (
         ("--n", _INT),
-        ("--ambient", {"choices": ("S", "A"), "default": "S"}),
+        ("--ambient", {"choices": ("S", "A"), "default": "S",
+                       "help": "the ambient group, read only by --family and --computed; as it "
+                               "has a default, it is never refused as unread (default "
+                               "%(default)s)"}),
         ("--family", {"choices": ("agl", "wreath")}),
         *_FAMILY_PARAMS,
         ("--order-h", {"type": int, "metavar": "ORDER"}),
@@ -358,5 +385,19 @@ def main(argv=None) -> int:
         return EXIT_VERIFY_FAIL
 
 
+def run() -> int:
+    """The process entry: :func:`main` on ``sys.argv``, then ``gc.freeze()``, however it ends.
+
+    The interpreter's shutdown collections walk every object still alive only to free
+    memory the OS takes back anyway; frozen objects are out of their reach.  Exit codes,
+    stream flushes and atexit handlers are kept.  Safe because no CLI path leaves a file
+    in a reference cycle (every write is a ``with``; ``tests/test_process_entry.py``).
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from irrbase.affine import build_agl
@@ -12,6 +16,22 @@ else:
     # derandomized: the same examples on every run, so the suite stays deterministic
     settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
     settings.load_profile("tier1")
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_workloads():
+    """``bench/workloads.py`` as a module: the steps the benchmark runs and their inputs."""
+    path = ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up while built
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return workloads
 
 
 def brute_closure(gens, degree):

@@ -248,6 +248,21 @@ BOUNDS_USAGE_ERRORS = {
                          "p^d = 1009 does not match --n 9"),
     "wreath-without-k": (["--n", "25", "--family", "wreath", "--m", "5"],
                          "--family wreath requires --m and --k"),
+    # an option the report's mode does not read; each once exited 0 with it ignored
+    "family-with-order-h": (["--n", "9", "--family", "agl", "--p", "3", "--d", "2",
+                             "--order-h", "0"], "--family agl does not read --order-h"),
+    "agl-with-m": (["--n", "9", "--family", "agl", "--p", "3", "--d", "2", "--m", "5"],
+                   "--family agl does not read --m"),
+    "wreath-with-d": (["--n", "25", "--family", "wreath", "--m", "5", "--k", "2", "--d", "2"],
+                      "--family wreath does not read --d"),
+    "lemma52-with-computed": (["--lemma52", "--n", "121", "--order-h", "1597200",
+                               "--computed", "0"], "--lemma52 does not read --computed"),
+    "lemma52-with-family": (["--lemma52", "--n", "121", "--order-h", "1597200", "--family",
+                             "agl", "--p", "11", "--d", "2"], "--lemma52 does not read --family"),
+    "lemma52-with-k": (["--lemma52", "--n", "121", "--order-h", "1597200", "--k", "2"],
+                       "--lemma52 does not read --k"),
+    "params-without-family": (["--n", "9", "--p", "3", "--d", "2"], "--p requires --family"),
+    "m-without-family": (["--n", "25", "--m", "5", "--order-h", "2"], "--m requires --family"),
 }
 
 
@@ -369,6 +384,14 @@ def test_bounds_once_hung_exit_within_a_second(capsys, case):
     assert main(["bounds", *argv]) == code
     assert time.perf_counter() - start < 1
     assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize("extra", [[], ["--ambient", "S"], ["--ambient", "A"]])
+def test_bounds_lemma52_reads_no_ambient(capsys, extra):
+    """``--ambient`` has a default, so a given one is accepted in every mode, read or not."""
+    assert main(["bounds", "--lemma52", "--n", "121", "--order-h", "1597200", *extra]) == 0
+    out, err = capsys.readouterr()
+    assert (hashlib.sha256(out.encode()).hexdigest(), err) == (LEMMA52_DIGESTS["json"], "")
 
 
 @pytest.mark.parametrize("computed", ["0", "-1"])
@@ -1605,7 +1628,9 @@ HELP = {
         "options:\n"
         "  -h, --help            show this help message and exit\n"
         "  --n N\n"
-        "  --ambient {S,A}\n"
+        "  --ambient {S,A}       the ambient group, read only by --family and\n"
+        "                        --computed; as it has a default, it is never refused\n"
+        "                        as unread (default S)\n"
         "  --family {agl,wreath}\n"
         "  --p P\n"
         "  --d D\n"

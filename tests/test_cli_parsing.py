@@ -5,19 +5,17 @@ edge cases, and a seeded generator over each subcommand's options, valid and not
 """
 
 import contextlib
-import importlib.util
 import io
 import random
 import re
 import shlex
-import sys
 from pathlib import Path
 
 import pytest
 
 from irrbase import cli
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, bench_workloads
 
 
 @pytest.fixture(scope="module")
@@ -37,15 +35,8 @@ def argparse_vars(parser, argv):
 
 def bench_argvs() -> list:
     """Every argv of every bench workload step."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up while built
-    try:
-        spec.loader.exec_module(workloads)
-    finally:
-        del sys.modules[spec.name]
     work = Path("work")
-    return [step.argv(work) for steps in workloads.WORKLOADS.values() for step in steps]
+    return [step.argv(work) for steps in bench_workloads().WORKLOADS.values() for step in steps]
 
 
 _SHELL_END = re.compile(r"\|\||&&|;|\||\d*>.*")
