@@ -7,7 +7,13 @@ verifies certificates independently, and evaluates the closed-form bounds
 and maximality criteria the constructions are checked against.
 
 The exported names load on first use: ``import irrbase`` runs no module, and
-``irrbase.build_agl`` imports only the modules that ``build_agl`` needs.
+``irrbase.build_agl`` imports only the modules that ``build_agl`` needs.  The
+modules are cut so that each subcommand's process imports, and so compiles
+where no bytecode is cached, only code its subcommand runs: the group
+builders (``affine``, ``wreath``) apart from the chain constructions
+(``agl_chain``, ``chain``), the verifier (``verify``) apart from every module
+that writes a certificate, and code no subcommand calls (``elements``,
+``coset_points``, ``wreath_predict``, ``rho``) in modules only its callers import.
 """
 
 import importlib
@@ -20,18 +26,21 @@ _EXPORTS = {
              "conjugate", "cycle_type", "inverse", "parity", "parse_cycles",
              "print_cycles"),
     "group": ("ENUM_LIMIT_DEFAULT", "LimitExceeded", "PermutationGroup",
-              "alternating_group", "equals", "from_generators", "intersect",
-              "read_generator_file", "subgroup_of", "symmetric_group", "trivial_group"),
-    "certificate": ("CertificateFormatError", "CertLevel", "ChainCertificate",
-                    "VerificationReport", "verify_certificate"),
-    "affine": ("AffineContext", "affine_chain", "affine_to_permutation", "build_agl",
-               "coordinate_power_conjugator", "cycle_power_conjugator", "diagonal_chain",
-               "gl_subspace_stabilizer", "point_to_vector", "scalar_conjugator",
-               "subspace_chain", "subspace_scaling_conjugator", "vector_to_point"),
-    "wreath": ("WreathContext", "build_wreath", "embed_wreath_element", "hamming",
-               "point_to_tuple", "predicted_stabilizer", "tuple_to_point",
-               "verify_intersection", "wreath_chain", "wreath_conjugator"),
-    "oracle": ("CosetAction", "OracleLimits", "build_coset_action", "chain_to_base", "mibs"),
+              "alternating_group", "from_generators", "read_generator_file",
+              "symmetric_group", "trivial_group"),
+    "elements": ("equals", "intersect", "subgroup_of"),
+    "certificate": ("CertificateFormatError", "CertLevel", "ChainCertificate"),
+    "verify": ("VerificationReport", "verify_certificate"),
+    "affine": ("AffineContext", "affine_to_permutation", "build_agl", "point_to_vector",
+               "vector_to_point"),
+    "agl_chain": ("affine_chain", "coordinate_power_conjugator", "cycle_power_conjugator",
+                  "diagonal_chain", "gl_subspace_stabilizer", "scalar_conjugator",
+                  "subspace_chain", "subspace_scaling_conjugator"),
+    "wreath": ("WreathContext", "build_wreath", "embed_wreath_element", "point_to_tuple",
+               "tuple_to_point", "wreath_chain", "wreath_conjugator"),
+    "wreath_predict": ("hamming", "predicted_stabilizer", "verify_intersection"),
+    "oracle": ("CosetAction", "OracleLimits", "build_coset_action", "mibs"),
+    "coset_points": ("chain_to_base",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME, "bounds"]

@@ -1,8 +1,9 @@
-"""The report of ``irrbase bounds``: closed-form bounds and criteria as JSON or text.
+"""The ``irrbase bounds`` subcommand: closed-form bounds and criteria as JSON or text.
 
-Only the ``bounds`` branch of :mod:`irrbase.cli` imports this module, so the
-other subcommands do not compile it.  That branch checks the arguments
-first, and writes the report and maps its verdict to an exit code after.
+Only a ``bounds`` run imports this module, so the other subcommands do not
+compile it.  ``cmd_bounds`` checks the arguments, and writes the report and
+maps its verdict to an exit code; :func:`report` makes the report, and imports
+nothing of :mod:`irrbase.cli`.
 """
 
 from __future__ import annotations
@@ -10,7 +11,31 @@ from __future__ import annotations
 import json
 
 from . import bounds as bounds_mod
-from .certificate import _POWER_PARAMS, family_order
+from .certificate import _POWER_PARAMS, check_degree, checked_power, family_order, power_text
+
+
+def cmd_bounds(args) -> int:
+    from .cli import (EXIT_OK, EXIT_VERIFY_FAIL, UsageError, _check_reads, _family_params,
+                      _write_output)
+
+    n = args.n
+    if args.lemma52 and args.order_h is None:
+        raise UsageError("--lemma52 requires --order-h")
+    if n is None:
+        raise UsageError(f"{'--lemma52' if args.lemma52 else 'bounds'} requires --n")
+    _check_reads(args)
+    if not args.lemma52:
+        check_degree(n)
+        if args.family:
+            names = _POWER_PARAMS[args.family]
+            base, exp = _family_params(args, args.family, f"--family {args.family}").values()
+            power = checked_power(n, base, exp)
+            if power != n:
+                raise UsageError(f"{names[0]}^{names[1]} = {power_text(base, exp, power)} "
+                                 f"does not match --n {n}")
+    text, ok = report(args)
+    _write_output(text, args.out)
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
 def report(args) -> tuple:

@@ -1,20 +1,24 @@
-"""Chain certificates: serialized strictly descending chains of subgroups.
+"""Chain certificates: serialized strictly descending chains of subgroups, and family rules.
 
 A certificate presents each subgroup in the chain as the intersection of
 conjugates of a distinguished subgroup H of the ambient symmetric or
 alternating group, with the conjugating permutations as explicit witnesses.
 Level 0 is H itself (witness set {identity}); claimed orders must strictly
-decrease and end at 1, and ``claimed_length`` is the number of levels.  These
-rules are written once here: :func:`build_chain` assembles a certificate from
-a family's conjugator sets, and :func:`verify_certificate` checks one.
+decrease and end at 1, and ``claimed_length`` is the number of levels.  This
+module holds a certificate's fields, its JSON writer and the rules of the
+agl, wreath and natural families that every subcommand checks; the
+certificate rules are written once each, beside the one subcommand that runs
+them: :func:`irrbase.chain.build_chain` assembles a certificate from a
+family's conjugator sets, and :mod:`irrbase.verify` reads one
+(:meth:`ChainCertificate.from_json` is its short delegate) and checks it.
 
 The verifier recomputes every certificate level as an intersection of
 conjugates of H from H and the certificate's conjugator witnesses alone: each
 level is the stabilizer of a coset of H in the level above, found by
 orbit-stabilizer on the cosets without enumerating H.  The chain builders
-read their orders, through :func:`build_chain`, off the same level pass,
-:meth:`PermutationGroup._conjugate_levels`; enumeration is the tests'
-reference for it.
+read their orders, through :func:`irrbase.chain.build_chain`, off the same
+level pass, :meth:`PermutationGroup._conjugate_levels`; enumeration
+(:mod:`irrbase.elements`) is the tests' reference for it.
 
 JSON schema (all points and cycle strings 1-based, orders decimal strings):
 
@@ -32,12 +36,11 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
-from math import factorial, gcd, prod
-from typing import Callable, Optional
+from math import factorial, prod
+from typing import Optional
 
-from .group import (ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, _order_text,
-                    check_subgroup_limit)
-from .perm import Permutation, parse_cycles, print_cycles
+from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, _order_text, check_subgroup_limit
+from .perm import print_cycles
 
 
 class CertificateFormatError(ValueError):
@@ -102,6 +105,8 @@ def prime_factors(n: int) -> list:
         if n % f:
             f += 1
             if f == _TRIAL_DIVISORS and n < PRIME_TEST_BOUND:
+                from .rho import _rho_factors
+
                 return out + _rho_factors(n)
         else:
             out.append(f)
@@ -118,47 +123,6 @@ def omega(n: int) -> int:
     if n < 1:
         raise ValueError(f"omega requires n >= 1, got {n}")
     return len(prime_factors(n))
-
-
-def _rho_factors(n: int) -> list:
-    """The prime factors of 1 < n < PRIME_TEST_BOUND, ascending, none under _TRIAL_DIVISORS."""
-    if is_prime(n):
-        return [n]
-    d = _rho_divisor(n)
-    return sorted(_rho_factors(d) + _rho_factors(n // d))
-
-
-def _rho_divisor(n: int) -> int:
-    """A proper divisor of the odd composite n, by Pollard's rho with Brent's cycle search.
-
-    The walk x -> x² + c mod n, from x = 2, is tried for c = 1, 2, ... until
-    one splits n; gcds are taken over batches of 128 steps, and a batch whose
-    product collapses to n is replayed one step at a time.
-    """
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
 
 
 def check_degree(n: int) -> None:
@@ -276,16 +240,6 @@ def check_family_size(family: str, params: dict, ambient: str, limit: int) -> No
         raise LimitExceeded(f"degree {degree} exceeds the family's cap {FAMILY_MAX_DEGREE}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _cycle_strings(value, what: str) -> list:
-    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-        raise CertificateFormatError(f"{what} must be a list of cycle strings")
-    return value
-
-
 class CertLevel:
     def __init__(self, conjugators: list, order: int):
         self.conjugators = conjugators  # list[Permutation]
@@ -326,215 +280,8 @@ class ChainCertificate:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_dict(cls, data: dict, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
-        """The certificate in ``data``; one too large to check is refused after the header's
-        checks and before any cycle is parsed: an explicit one over ``ORACLE_MAX_DEGREE``,
-        a family one by :func:`check_family_size`."""
-        try:
-            degree = data["degree"]
-            ambient = data["ambient"]
-            sub = data["subgroup"]
-            family = sub["family"]
-            params = sub["params"]
-            gen_strs = sub["generators"]
-            level_data = data["levels"]
-            claimed = data["claimed_length"]
-        except (KeyError, TypeError) as e:
-            raise CertificateFormatError(f"missing or malformed field: {e}") from None
-        if not _is_int(degree) or degree < 1:
-            raise CertificateFormatError(f"bad degree {degree!r}")
-        if ambient not in ("S", "A"):
-            raise CertificateFormatError(f"bad ambient {ambient!r}, expected 'S' or 'A'")
-        if family not in ("agl", "wreath", "natural", "explicit"):
-            raise CertificateFormatError(f"unknown subgroup family {family!r}")
-        if not _is_int(claimed):
-            raise CertificateFormatError("claimed_length must be an integer")
-        if not isinstance(params, dict) or not all(map(_is_int, params.values())):
-            raise CertificateFormatError("params must map names to integers")
-        if family == "natural" and params != {"n": degree}:
-            raise CertificateFormatError(f"natural params must be exactly n = {degree}")
-        if family in _POWER_PARAMS:  # checked before any work that grows with them
-            names = _POWER_PARAMS[family]
-            if not all(name in params for name in names):
-                raise CertificateFormatError(f"{family} params need {' and '.join(names)}")
-            base, exp = (params[name] for name in names)
-            if checked_power(degree, base, exp) != degree:
-                raise CertificateFormatError(
-                    f"params {names[0]}={base}, {names[1]}={exp} do not give degree {degree}"
-                )
-        if family == "explicit":  # a certificate too large to check is refused unparsed
-            check_oracle_degree(degree, degree)
-        else:
-            check_family_size(family, params, ambient, limit)
-        generators = [parse_cycles(s, degree) for s in _cycle_strings(gen_strs, "generators")]
-        if not isinstance(level_data, list):
-            raise CertificateFormatError("levels must be a list")
-        levels = []
-        for i, lv in enumerate(level_data):
-            try:
-                conj_strs = lv["conjugators"]
-                text = lv["order"]
-                if not (isinstance(text, str) and text.isascii() and text.isdigit()):
-                    raise ValueError(f"order {text!r} is not a string of decimal digits")
-                order = int(text)
-            except (KeyError, TypeError, ValueError) as e:
-                raise CertificateFormatError(f"level {i}: {e}") from None
-            conjs = _cycle_strings(conj_strs, f"level {i} conjugators")
-            levels.append(CertLevel([parse_cycles(s, degree) for s in conjs], order))
-        return cls(degree, ambient, family, params, generators, levels, claimed)
-
-    @classmethod
     def from_json(cls, text: str, limit: int = ENUM_LIMIT_DEFAULT) -> "ChainCertificate":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as e:  # too long an int; nested too deep
-            raise CertificateFormatError(f"invalid JSON: {e}") from None
-        return cls.from_dict(data, limit)
+        """The certificate in ``text``, read and checked by :func:`irrbase.verify.from_json`."""
+        from .verify import from_json
 
-
-# -- certificate assembly ------------------------------------------------------
-
-
-def build_chain(h: PermutationGroup, conjugator_sets: list, family: str, params: dict,
-                check: Optional[Callable] = None,
-                limit: int = ENUM_LIMIT_DEFAULT) -> ChainCertificate:
-    """The certificate of the chain H > ⋂_{x in Y_1} H^x > ... for conjugator sets Y_1, Y_2, ...
-
-    Level 0 is H with {identity}; the orders of levels 1, 2, ... come from
-    one pass of :meth:`PermutationGroup._conjugate_levels`.  Raises
-    RuntimeError unless every level descends strictly and the last is
-    trivial; ``check(idx, level)``, the family's own test of level idx, runs
-    on each level in order, after its descent check.
-    """
-    check_subgroup_limit(h.order(), limit)
-    levels = [CertLevel([Permutation.identity(h.degree)], h.order())]
-    groups = h._conjugate_levels([x._tbl for x in c] for c in conjugator_sets)
-    for idx, (conjs, level) in enumerate(zip(conjugator_sets, groups), 1):
-        if not level.order() < levels[-1].order:
-            raise RuntimeError(f"chain failed to descend at level {idx}")
-        if check is not None:
-            check(idx, level)
-        levels.append(CertLevel(conjs, level.order()))
-    if levels[-1].order != 1:
-        raise RuntimeError("chain did not terminate at the trivial group")
-    return ChainCertificate(h.degree, "S", family, params, list(h.generators), levels, len(levels))
-
-
-# -- certificate verification --------------------------------------------------
-
-
-class LevelResult:
-    def __init__(self, index: int, claimed_order: int, computed_order: Optional[int],
-                 ok: bool, message: str = ""):
-        self.index = index
-        self.claimed_order = claimed_order
-        self.computed_order = computed_order
-        self.ok = ok
-        self.message = message
-
-
-class VerificationReport:
-    def __init__(self, ok: bool, levels: Optional[list] = None):
-        self.ok = ok
-        self.levels = [] if levels is None else levels
-
-    def summary(self) -> str:
-        lines = []
-        for r in self.levels:
-            status = "pass" if r.ok else "FAIL"
-            got = "?" if r.computed_order is None else str(r.computed_order)
-            line = f"level {r.index}: claimed {r.claimed_order}, computed {got}: {status}"
-            if r.message:
-                line += f" ({r.message})"
-            lines.append(line)
-        lines.append("certificate VERIFIED" if self.ok else "certificate INVALID")
-        return "\n".join(lines)
-
-
-def verify_certificate(
-    cert: ChainCertificate, h: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT
-) -> VerificationReport:
-    """Recompute every level as an intersection of conjugates of H and check all claims.
-
-    Trusts nothing from the builder: each level is recomputed from H and the
-    level's conjugator set, as the stabilizer of the cosets Hx in the level
-    above (orbit-stabilizer, no enumeration of H).  The levels come from one
-    pass of :meth:`PermutationGroup._conjugate_levels`: nested conjugator
-    sets cut the previous level by their new conjugators, a non-nested set
-    starts again from H, and a level is computed only once every earlier
-    level has been reported.  For ambient "A", H's generators and every
-    conjugator must be even: an odd conjugate of H need not be an
-    A_n-conjugate.  Each level gets one report line; a ``claimed_length``
-    mismatch is marked on level 0's.
-    """
-    report = VerificationReport(ok=True)
-
-    def fail(idx, claimed, computed, msg):
-        report.levels.append(LevelResult(idx, claimed, computed, False, msg))
-        report.ok = False
-
-    if h.degree != cert.degree:
-        fail(0, 0, None, f"subgroup degree {h.degree} != certificate degree {cert.degree}")
-        return report
-    check_subgroup_limit(h.order(), limit)
-    if not cert.levels:
-        fail(0, 0, None, "certificate has no levels")
-        return report
-
-    lvl0 = cert.levels[0]
-    computed, msg = h.order(), None
-    odd = _first_odd(h.generators, cert.ambient)
-    if not lvl0.conjugators or not all(x.is_identity() for x in lvl0.conjugators):
-        computed, msg = None, "level 0 must carry exactly the identity conjugator"
-    elif odd is not None:
-        computed, msg = None, f"generator {odd} is odd but the ambient group is A_{cert.degree}"
-    elif lvl0.order != h.order():
-        msg = "level 0 order does not match |H|"
-    msgs = [msg] if msg else []
-    if cert.claimed_length != len(cert.levels):
-        msgs.append(f"claimed_length {cert.claimed_length} != {len(cert.levels)} levels")
-    if msgs:
-        fail(0, lvl0.order, computed, "; ".join(msgs))
-    else:
-        report.levels.append(LevelResult(0, lvl0.order, computed, True))
-    if msg:
-        return report
-
-    groups = h._conjugate_levels([x._tbl for x in lvl.conjugators] for lvl in cert.levels[1:])
-    prev_order = h.order()
-    for idx, lvl in enumerate(cert.levels[1:], 1):
-        if not any(x.is_identity() for x in lvl.conjugators):
-            fail(idx, lvl.order, None, "conjugator set lacks the identity")
-            return report
-        odd = _first_odd(lvl.conjugators, cert.ambient)
-        if odd is not None:
-            msg = f"conjugator {odd} is odd but the ambient group is A_{cert.degree}"
-            fail(idx, lvl.order, None, msg)
-            return report
-        order = next(groups).order()
-
-        ok = True
-        msgs = []
-        if order != lvl.order:
-            ok = False
-            msgs.append("recomputed order differs from claim")
-        if not order < prev_order:
-            ok = False
-            msgs.append("level does not strictly descend")
-        report.levels.append(LevelResult(idx, lvl.order, order, ok, "; ".join(msgs)))
-        if not ok:
-            report.ok = False
-        prev_order = order
-
-    last = report.levels[-1]
-    if last.claimed_order != 1 or last.computed_order != 1:
-        last.ok = report.ok = False
-        last.message = "; ".join(filter(None, (last.message, "terminal level is not trivial")))
-    return report
-
-
-def _first_odd(perms, ambient: str) -> Optional[Permutation]:
-    """The first odd permutation of ``perms`` when the ambient group is A, else None."""
-    if ambient == "A":
-        return next((x for x in perms if not x.is_even()), None)
-    return None
+        return from_json(text, limit)

@@ -20,17 +20,15 @@ module: no other module writes a group's chain, order or generators.  A
 chain of conjugate intersections, built or verified, runs through one level
 pass, :meth:`PermutationGroup._conjugate_levels`: its level K ∩ H^x is the
 stabilizer in K of the coset Hx (:meth:`PermutationGroup._coset_stabilizer`).
-Enumeration (:meth:`PermutationGroup._conjugate_members` over
-:meth:`PermutationGroup._iter_element_tbls`) remains for ``iter_elements``
-and ``intersect``, and is the tests' reference for the stabilizers; it
-refuses (never truncates) above a caller-supplied element limit.
+Enumeration, which ``iter_elements`` and ``intersect`` run and which is the
+tests' reference for the stabilizers, is :mod:`irrbase.elements`; a process
+imports it only to list a group.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import repeat
 from operator import attrgetter, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -173,26 +171,6 @@ class PermutationGroup:
     def _contains_tbl(self, tbl: Table) -> bool:
         return self._sift_tbl(tbl) == self._ident
 
-    def _conjugate_members(self, conjugators: Sequence[Table], pool: Iterable[Table]) -> list:
-        """The tables e of ``pool``, in pool order, lying in H^x for every conjugator table x.
-
-        ``e ∈ H^x ⟺ x e x⁻¹ ∈ H``; the table of x e x⁻¹ is built as (x then
-        e) then x⁻¹, so each element is padded once and shared by all
-        conjugators, whose composers and padded inverses are made once per call.
-        """
-        after, pad = self._after, self._pad
-        tests = [(_then(x), _inverse_tbl(x) + pad) for x in conjugators]
-        contains = self._contains_tbl
-        out = []
-        for e in pool:
-            e_padded = e + pad
-            for x_then, x_inv in tests:
-                if not contains(after(x_then(e_padded), x_inv)):
-                    break
-            else:
-                out.append(e)
-        return out
-
     def _coset_stabilizer(self, k: "PermutationGroup", x: Table) -> "PermutationGroup":
         """K ∩ H^x (H is this group), as the stabilizer in K of the right coset Hx.
 
@@ -239,28 +217,10 @@ class PermutationGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    def _iter_element_tbls(self) -> Iterator[Table]:
-        """All element tables exactly once, in a fixed deterministic order.
-
-        The element for transversal tables u_0, ..., u_{L-1} (one per level,
-        each level's orbit in ascending order, level 0 varying slowest) is
-        u_{L-1} ⋯ u_1 u_0.  It is accumulated from level 0 down: a partial
-        product is padded once and each table of the next level composed with it.
-        """
-        levels = self._levels
-        if not levels:
-            return iter((self._ident,))
-        steps = [[lvl.orbit[b] for b in sorted(lvl.orbit)] for lvl in levels[1:]]
-        top = levels[0].orbit
-        return (e for b in sorted(top)
-                for e in _products(steps, 0, top[b], self._after, self._pad))
-
     def iter_elements(self, limit: int = ENUM_LIMIT_DEFAULT) -> Iterator[Permutation]:
-        if self._order > limit:
-            raise LimitExceeded(
-                f"group too large: order {self._order} exceeds enumeration limit {limit}"
-            )
-        return (Permutation._wrap(t) for t in self._iter_element_tbls())
+        from .elements import iter_elements
+
+        return iter_elements(self, limit)
 
     def elements(self, limit: int = ENUM_LIMIT_DEFAULT) -> list:
         return list(self.iter_elements(limit))
@@ -306,27 +266,6 @@ class PermutationGroup:
             f"<PermutationGroup degree={self.degree} order={self._order} "
             f"ngens={len(self.generators)}>"
         )
-
-
-def _products(steps: list, i: int, q: Table, after, pad: Table) -> Iterator[Table]:
-    """The tables v_k ⋯ v_i q for every choice of one table v_j from each ``steps[j]``, j >= i.
-
-    ``after`` and ``pad`` are the group's :func:`irrbase.perm._composer` and
-    :func:`irrbase.perm._pad`; each partial product is padded once, and the
-    last level's products are made in one map.  Module-level rather than
-    nested: a nested recursive generator refers to itself through its
-    closure, a reference cycle that would keep ``steps`` alive until the
-    cyclic garbage collector runs.
-    """
-    if i == len(steps):
-        yield q
-        return
-    products = map(after, steps[i], repeat(q + pad))
-    if i + 1 == len(steps):
-        yield from products
-        return
-    for p in products:
-        yield from _products(steps, i + 1, p, after, pad)
 
 
 def _orbit_tree(root, gens: Sequence[Table], image=getitem, cap: float = math.inf) -> dict:
@@ -553,33 +492,6 @@ def check_intersect_limit(smaller: int, limit: int) -> None:
     if smaller > limit:
         raise LimitExceeded(f"intersection too large to enumerate: smaller group has order "
                             f"{_order_text(smaller)}, limit {limit}")
-
-
-def intersect(
-    g1: PermutationGroup, g2: PermutationGroup, limit: int = ENUM_LIMIT_DEFAULT
-) -> PermutationGroup:
-    """Exact intersection by enumerating the smaller group through the larger's membership test."""
-    if g1.degree != g2.degree:
-        raise DegreeMismatchError("degree mismatch between groups")
-    small, large = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
-    check_intersect_limit(small.order(), limit)
-    members = large._conjugate_members([large._ident], small._iter_element_tbls())
-    return PermutationGroup([Permutation._wrap(t) for t in members], g1.degree)
-
-
-def equals(g1: PermutationGroup, g2: PermutationGroup) -> bool:
-    """True iff the groups have the same element set."""
-    if g1.degree != g2.degree:
-        raise DegreeMismatchError("degree mismatch between groups")
-    return (
-        g1.order() == g2.order()
-        and g1.is_subgroup_of(g2)
-        and g2.is_subgroup_of(g1)
-    )
-
-
-def subgroup_of(g1: PermutationGroup, g2: PermutationGroup) -> bool:
-    return g1.is_subgroup_of(g2)
 
 
 def read_generator_file(text: str) -> tuple:

@@ -17,11 +17,11 @@ transposition) also gives Hy·s = Hx, which is written at once: M11's 5040
 cosets in S11 take 7,561 canonicalizations, one for H and one per coset and
 generator of G, less one per 2-cycle of the transposition.  Any other G has
 the strong generators mapped through the cosets
-(:func:`_coset_permutation`).  An element of H is u_{L-1} ⋯ u_0, one
-transversal element per chain level, so its image of a coset point is read
-through L of those tables without a table of its own, and the elements of
-H fixing a point j are found by pushing j through them, with no table
-inverted.  No list of all of H on the cosets is made.
+(:func:`irrbase.coset_points._coset_permutation`).  An element of H is
+u_{L-1} ⋯ u_0, one transversal element per chain level, so its image of a
+coset point is read through L of those tables without a table of its own,
+and the elements of H fixing a point j are found by pushing j through them,
+with no table inverted.  No list of all of H on the cosets is made.
 
 The longest strictly descending chain of pointwise stabilizers is found by a
 memoized branch-and-bound search over subgroups of H (:func:`_longest_chain`),
@@ -46,25 +46,31 @@ only the non-regular orbits a node's parent handed on, as a point regular
 for a subgroup is regular below it, and an H with a nontrivial core is
 refused, from |T(H)| < |H| or at the first node the search would finish.
 
-:func:`chain_to_base` turns a certificate, checked by
-:func:`irrbase.certificate.verify_certificate`, into an irredundant base of
-coset points, finding each conjugator's point among the t coset keys.
+``cmd_oracle`` is the ``oracle`` subcommand, and :func:`_build_subgroup`
+makes its G and H, every refusal that orders decide first.  Code that no
+``oracle`` run calls lives in :mod:`irrbase.coset_points`: an element's coset
+table for a G other than the standard pair of S_n or A_n, and
+:func:`irrbase.coset_points.chain_to_base`, which turns a verified
+certificate into an irredundant base of coset points.
 """
 
 from __future__ import annotations
 
+import json
 from collections.abc import Sequence
 from functools import cache, reduce
 from itertools import accumulate, compress
 from operator import getitem, itemgetter, mul, ne
 from typing import Optional
 
-from .certificate import CertLevel, ChainCertificate, omega, verify_certificate
+from .certificate import (ORACLE_MAX_DEGREE, CertLevel, ChainCertificate, check_family,
+                          check_oracle_degree, checked_power, family_order, omega, power_text)
 from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
                     PermutationGroup, _coset_key, _group_of_order, _orbit_tree, _stabilizer,
-                    _standard_generators, _tree_tables, check_coset_orders)
-from .perm import (Permutation, Table, _compose_tbl, _identity_tbl, _inverse_tbl, _inverts_in_c,
-                   _table, _then)
+                    _standard_generators, _tree_tables, alternating_group, check_coset_orders,
+                    check_intersect_limit, read_generator_cycles, symmetric_group)
+from .perm import (Permutation, _compose_tbl, _cycles_even, _cycles_tbl, _identity_tbl,
+                   _inverse_tbl, _inverts_in_c, _table, _then)
 
 
 class OracleLimits:
@@ -165,20 +171,14 @@ def build_coset_action(
                         if len(gen_tbls) == 2 and gen_tbls == _standard_generators(g.degree, alt)),
                        None)
     if alternating is None:  # G given otherwise: each strong generator mapped through the cosets
+        from .coset_points import _coset_permutation
+
         coset_tables = {s: _coset_permutation(action, s) for s in strong}
     else:
         coset_tables = _word_tables(gen_tbls, [_table(row) for row in images], alternating, strong)
     del images  # at t = 362,880 each of these tables is 2.8 MiB: none is held past its use
     action._tables = _CosetTables(action, coset_tables)
     return action
-
-
-def _coset_permutation(action: CosetAction, h_tbl: Table) -> Table:
-    """0-based image table of an element of H acting on the coset points."""
-    h, keys = action.subgroup, action._keys
-    then, pad = _then(_inverse_tbl(h_tbl)), h._pad  # the key of Hx·e: e⁻¹ then x⁻¹
-    index = dict(zip(keys, range(len(keys))))  # coset key -> 0-based point
-    return _table([index[_coset_key(h, then(key + pad))] for key in keys])
 
 
 def _word_tables(gens: list, images: list, alternating: bool, elements: list) -> dict:
@@ -585,47 +585,96 @@ def _level_node(numbers: list, lists: list) -> tuple:
     return frozenset(numbers), len(numbers), numbers, lists
 
 
-def chain_to_base(cert: ChainCertificate, action: CosetAction) -> list:
-    """Convert a verified certificate into an irredundant base of coset points.
+def _build_subgroup(args, ambient: str):
+    """Returns (G, H, family, params, degree, t) for the oracle subcommand.
 
-    Collects the points of the conjugator cosets level by level, then removes
-    every point that does not strictly reduce the running pointwise
-    stabilizer.  The resulting sequence has length at least the certificate's
-    claimed length and its stabilizer chain passes through every level.
+    Every refusal that orders decide comes before H (agl, wreath) or G = S_n
+    or A_n is built, in this order: usage and the family's rules
+    (:func:`check_family`); a degree over ``ORACLE_MAX_DEGREE``; under A,
+    intersect's cap on listing an agl or wreath H; the index t; then t < 2 and
+    |H|.  The orders come from :func:`family_order`; only an explicit H's
+    parity is read, for H <= A_n, and its chain is built under the |H| cap.
     """
-    h = action.subgroup
-    report = verify_certificate(cert, h)
-    if not report.ok:
-        raise ValueError("certificate invalid:\n" + report.summary())
+    from .cli import UsageError, _check_reads, _family_params
 
-    # each conjugator's coset, by its key, first appearances only
-    keys = dict.fromkeys(_coset_key(h, _inverse_tbl(x._tbl))
-                         for lvl in cert.levels for x in lvl.conjugators)
-    try:
-        seq = [action._keys.index(key) + 1 for key in keys]  # 1-based points
-    except ValueError:
-        raise ValueError("element does not represent a coset of this action") from None
-
-    level_orders = {lvl.order for lvl in cert.levels}
-    # the running stabilizers, over the nested prefixes of the points' representatives; the
-    # first point is H's coset, level 0's, whose representative is the identity
-    reps = [_inverse_tbl(action._keys[p - 1]) for p in seq]
-    levels = h._conjugate_levels(reps[: j + 1] for j in range(len(reps)))
-    current = next(levels)  # H, the stabilizer of the first point: it always descends from G
-    kept = seq[:1]
-    visited_orders = {current.order()}
-    for p, new in zip(seq[1:], levels):
-        if new.order() < current.order():
-            kept.append(p)
-            visited_orders.add(new.order())
-        current = new
-    if current.order() != 1:
-        raise ValueError("base does not reduce the stabilizer to the trivial group")
-    if not level_orders <= visited_orders:
-        raise ValueError("stabilizer chain of the base misses a certificate level")
-    if len(kept) < cert.claimed_length:
-        raise ValueError(
-            f"irredundant base of length {len(kept)} shorter than claimed "
-            f"{cert.claimed_length}"
+    family = args.subgroup
+    if family == "explicit" and not args.gens_file:
+        raise UsageError("--subgroup explicit requires --gens-file")
+    params = {} if family == "explicit" else _family_params(args, family, f"--subgroup {family}")
+    _check_reads(args)
+    if family == "explicit":
+        with open(args.gens_file) as fh:  # cycles, not tables: the degree cap comes first
+            n, cycles = read_generator_cycles(fh.read())
+        # H <= S_n always, and H <= A_n exactly when every generator is even (A_1, A_2 too)
+        if ambient == "A" and not all(map(_cycles_even, cycles)):
+            raise UsageError("supplied generators do not lie in the ambient group")
+        shown = n
+    elif family == "natural":
+        if args.n < 3:
+            raise UsageError("natural action needs n >= 3")
+        n = shown = args.n
+    else:
+        check_family(family, params)
+        base, exp = params.values()
+        n = checked_power(ORACLE_MAX_DEGREE, base, exp)  # no work grows with exp
+        shown = power_text(base, exp, n)
+    check_oracle_degree(n, shown)
+    if family == "explicit":
+        h = PermutationGroup([Permutation._wrap(_cycles_tbl(c, n)) for c in cycles], n,
+                             args.limit_enum)
+        h_order = h.order()
+    else:
+        h_order = family_order(family, params, n, ambient)
+    # |S_n| = n! and |A_n| = max(1, n!/2): G is the point stabilizer of S_{n+1} or A_{n+1}
+    g_order = family_order("natural", {"n": n + 1}, n + 1, ambient)
+    if ambient == "A" and family in ("agl", "wreath"):  # intersect lists the smaller of H, A_n
+        check_intersect_limit(min(family_order(family, params, n, "S"), g_order),
+                              args.limit_enum)
+    t = g_order // h_order  # H <= G in every family, so |H| divides |G|
+    if t > args.limit_t:
+        raise LimitExceeded(
+            f"coset index {g_order}/{h_order} = {t} exceeds limit --limit-t {args.limit_t}"
         )
-    return kept
+    check_coset_orders(t, h_order, args.limit_enum)
+    if family == "agl":
+        from .affine import build_agl
+
+        h = build_agl(args.p, args.d).H
+    elif family == "wreath":
+        from .wreath import build_wreath
+
+        h = build_wreath(args.m, args.k).M
+    g = symmetric_group(n) if ambient == "S" else alternating_group(n)
+    if family == "natural":
+        h = g.point_stabilizer(n)
+    elif ambient == "A" and family in ("agl", "wreath"):
+        from .elements import intersect
+
+        h = intersect(h, g, args.limit_enum)
+    return g, h, family, params, n, t
+
+
+def cmd_oracle(args) -> int:
+    from .cli import EXIT_OK, _write_output
+
+    ambient = args.ambient
+    g, h, family, params, degree, t = _build_subgroup(args, ambient)
+    limits = OracleLimits(max_memo=args.limit_memo)
+    action = build_coset_action(g, h, limit_t=args.limit_t, limit_enum=args.limit_enum)
+    value, cert = mibs(action, limits=limits, prune=not args.no_prune, ambient=ambient)
+    cert.family = family
+    cert.params = params
+    result = {
+        "ambient": ambient,
+        "degree": degree,
+        "subgroup": {"family": family, "params": dict(sorted(params.items()))},
+        "index": str(t),
+        "mibs": value,
+    }
+    if args.format == "json":
+        print(json.dumps(result, indent=2))
+    else:
+        print(f"mibs = {value}  (ambient {ambient}, degree {degree}, index {t})")
+    if args.out:
+        _write_output(cert.to_json(), args.out)
+    return EXIT_OK

@@ -13,17 +13,17 @@ m-cycle for odd m, an (m-1)-cycle for even m) to the first coordinate of
 exactly the tuples whose i-th coordinate equals a marker value r; a final
 conjugator of the same slice shape with a transposition in place of u kills
 the last cyclic factor, since no element of M can act differently on one
-slice than on another.
+slice than on another.  The levels it is predicted to reach, which the tests
+check it against, are :mod:`irrbase.wreath_predict`.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import factorial
 from typing import Sequence
 
-from .certificate import ChainCertificate, build_chain, check_family_params, family_order
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, equals, symmetric_group
+from .certificate import ChainCertificate, check_family_params, family_order
+from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, symmetric_group
 from .perm import Permutation, parse_cycles
 
 
@@ -61,13 +61,6 @@ def point_to_tuple(ctx: WreathContext, point: int) -> tuple:
     if point not in range(1, ctx.n + 1):
         raise ValueError(f"point {point} out of range 1..{ctx.n}")
     return ctx.tuples[point - 1]
-
-
-def hamming(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of differing coordinates between two tuples of equal length."""
-    if len(a) != len(b):
-        raise ValueError(f"tuple shapes differ: {len(a)} vs {len(b)}")
-    return sum(1 for x, y in zip(a, b) if x != y)
 
 
 def embed_wreath_element(
@@ -125,57 +118,6 @@ def wreath_conjugator(ctx: WreathContext, i: int, r: int) -> Permutation:
     return _slice_map(ctx, i, r, ctx.u)
 
 
-def predicted_stabilizer(ctx: WreathContext, i: int, r: int) -> PermutationGroup:
-    """(U x S_m^(i-2) x T_r x S_m^(k-i)) semidirect W_i, where T_r fixes r and W_i fixes 1 and i.
-
-    This is the predicted intersection M ∩ M^x for the (i, r) conjugator; its
-    order is |u| * (m-1)! * (m!)^(k-2) * (k-2)!.
-    """
-    if not 2 <= i <= ctx.k:
-        raise ValueError(f"coordinate i must be in 2..{ctx.k}, got {i}")
-    if not 1 <= r <= ctx.m:
-        raise ValueError(f"marker r must be in 1..{ctx.m}, got {r}")
-    m, k = ctx.m, ctx.k
-    id_m = Permutation.identity(m)
-    id_k = Permutation.identity(k)
-    gens = []
-
-    def at_coordinate(c, g):
-        blocks = [id_m] * k
-        blocks[c - 1] = g
-        return embed_wreath_element(ctx, blocks, id_k)
-
-    gens.append(at_coordinate(1, ctx.u))
-    t_r = ctx.sm.point_stabilizer(r)
-    for g in t_r.generators:
-        gens.append(at_coordinate(i, g))
-    for c in range(2, k + 1):
-        if c == i:
-            continue
-        for g in ctx.sm.generators:
-            gens.append(at_coordinate(c, g))
-    w_i = ctx.sk.point_stabilizer(1).point_stabilizer(i)
-    for w in w_i.generators:
-        gens.append(embed_wreath_element(ctx, [id_m] * k, w))
-    group = PermutationGroup(gens, ctx.n)
-    expected = (
-        ctx.u.order() * factorial(m - 1) * factorial(m) ** (k - 2) * factorial(k - 2)
-    )
-    if group.order() != expected:
-        raise RuntimeError(f"predicted stabilizer has order {group.order()}, expected {expected}")
-    return group
-
-
-def verify_intersection(ctx: WreathContext, i: int, r: int) -> bool:
-    """True iff M ∩ M^x equals the predicted stabilizer.
-
-    M ∩ M^x is the stabilizer in M of the coset Mx, found by orbit-stabilizer
-    on M's cosets without listing M.
-    """
-    x = wreath_conjugator(ctx, i, r)
-    return equals(ctx.M._coset_stabilizer(ctx.M, x._tbl), predicted_stabilizer(ctx, i, r))
-
-
 def wreath_chain(ctx: WreathContext, limit: int = ENUM_LIMIT_DEFAULT) -> ChainCertificate:
     """Certificate for Sym(m^k) > M > ... > 1 of length (m-1)(k-1) + 2.
 
@@ -186,6 +128,8 @@ def wreath_chain(ctx: WreathContext, limit: int = ENUM_LIMIT_DEFAULT) -> ChainCe
     order from one level pass over M, and RuntimeError is raised unless the
     chain has the predicted number of levels.
     """
+    from .chain import build_chain  # imported here: an oracle run builds M, never its chain
+
     ident = Permutation.identity(ctx.n)
     xs = [wreath_conjugator(ctx, i, r) for i in range(2, ctx.k + 1) for r in range(1, ctx.m)]
     xs.append(_slice_map(ctx, 2, 1, parse_cycles("(1 2)", ctx.m)))

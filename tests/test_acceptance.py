@@ -11,7 +11,8 @@ import time
 
 import pytest
 
-from irrbase.affine import affine_chain, build_agl, cycle_power_conjugator
+from irrbase.affine import build_agl
+from irrbase.agl_chain import affine_chain, cycle_power_conjugator
 from irrbase.bounds import (
     affine_mibs_bounds,
     index_growth_check,
@@ -23,23 +24,23 @@ from irrbase.bounds import (
     wreath_mibs_bounds,
 )
 from irrbase.certificate import ChainCertificate
+from irrbase.elements import intersect
 from irrbase.group import (
     LimitExceeded,
     alternating_group,
     from_generators,
-    intersect,
     symmetric_group,
 )
-from irrbase.oracle import build_coset_action, mibs, verify_certificate
+from irrbase.oracle import build_coset_action, mibs
 from irrbase.perm import parse_cycles
+from irrbase.verify import verify_certificate
 from irrbase.wreath import (
     build_wreath,
-    hamming,
     point_to_tuple,
     tuple_to_point,
-    verify_intersection,
     wreath_chain,
 )
+from irrbase.wreath_predict import hamming, verify_intersection
 
 from conftest import brute_closure
 

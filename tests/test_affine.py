@@ -4,24 +4,28 @@ import random
 import pytest
 
 from irrbase.affine import (
-    affine_chain,
     affine_to_permutation,
     build_agl,
+    point_to_vector,
+    prime_factors,
+    smallest_primitive_root,
+    vector_to_point,
+)
+from irrbase.agl_chain import (
+    affine_chain,
     coordinate_power_conjugator,
     cycle_power_conjugator,
     diagonal_chain,
     gl_subspace_stabilizer,
-    point_to_vector,
-    prime_factors,
     scalar_conjugator,
-    smallest_primitive_root,
     subspace_chain,
     subspace_index_pairs,
     subspace_scaling_conjugator,
-    vector_to_point,
 )
-from irrbase.certificate import PRIME_TEST_BOUND, build_chain, check_family_params, is_prime
-from irrbase.group import equals, from_generators, intersect
+from irrbase.certificate import PRIME_TEST_BOUND, check_family_params, is_prime
+from irrbase.chain import build_chain
+from irrbase.elements import equals, intersect
+from irrbase.group import from_generators
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
 
 

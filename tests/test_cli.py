@@ -9,8 +9,9 @@ import time
 
 import pytest
 
-from irrbase import affine, certificate, cli, oracle, wreath
-from irrbase.affine import affine_chain, build_agl
+from irrbase import affine, agl_chain, certificate, cli, elements, oracle, verify, wreath
+from irrbase.affine import build_agl
+from irrbase.agl_chain import affine_chain
 from irrbase.cli import main
 from irrbase.group import PermutationGroup, alternating_group, trivial_group
 from irrbase.perm import Permutation, compose, parse_cycles, print_cycles
@@ -273,6 +274,33 @@ def test_bounds_bad_input_exits_2(capsys, case):
     assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
+# chain and oracle argv -> its one usage-error line: an option that the mode does not read,
+# refused by the rule bounds uses (cli._MODES); each once exited 0 with it ignored
+UNREAD_OPTIONS = {
+    "chain-affine-with-m-k": (["chain", "--family", "affine", "--p", "3", "--d", "2", "--m", "5",
+                               "--k", "9"], "--family affine does not read --m"),
+    "chain-wreath-with-p": (["chain", "--family", "wreath", "--m", "5", "--k", "2", "--p", "3"],
+                            "--family wreath does not read --p"),
+    "oracle-natural-with-p-d-gens": (["oracle", "--ambient", "S", "--subgroup", "natural", "--n",
+                                      "6", "--p", "3", "--d", "7", "--gens-file", "nothere"],
+                                     "--subgroup natural does not read --p"),
+    "oracle-agl-with-n": (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "3", "--d",
+                           "2", "--n", "50"], "--subgroup agl does not read --n"),
+    "oracle-explicit-with-k": (["oracle", "--ambient", "A", "--subgroup", "explicit",
+                                "--gens-file", "nothere", "--k", "2"],
+                               "--subgroup explicit does not read --k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_OPTIONS))
+def test_unread_option_exits_2(monkeypatch, capsys, case):
+    """Refused before any group is built or file read."""
+    argv, message = UNREAD_OPTIONS[case]
+    _refuse_builds(monkeypatch)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {message}\n")
+
+
 # S_m wr S_k lies in A_{m^k} exactly when m is even and k >= 3 or 4 | m: then
 # |H ∩ A_n| = |H| (it was once halved); (m, k) -> "order_h" under --ambient A
 BOUNDS_WREATH_IN_A = {(8, 2): "3251404800", (6, 3): "2239488000"}
@@ -415,47 +443,81 @@ before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
     from irrbase.cli import main
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+added = sorted(set(sys.modules) - before)
+defined = sorted(name for m in added if m.startswith("irrbase.")
+                 for name, obj in vars(sys.modules[m]).items()
+                 if getattr(obj, "__module__", None) == m)
+print(json.dumps([code, added, defined]))
 """
 
 
 @pytest.fixture(scope="module")
 def cert_files(tmp_path_factory):
-    """Certificate paths for affine (3, 2) and wreath (5, 2), written once."""
+    """Certificate paths for affine (3, 2) and wreath (5, 2), written once, and a generator
+    file of AGL(1, 7)."""
     paths = {}
     for key, argv in {"c32": ["affine", "--p", "3", "--d", "2"],
                       "w52": ["wreath", "--m", "5", "--k", "2"]}.items():
         paths[key] = str(tmp_path_factory.mktemp("certs") / f"{key}.json")
         assert main(["chain", "--family", *argv, "--out", paths[key]]) == 0
+    paths["agl71"] = str(tmp_path_factory.mktemp("gens") / "agl71.gens")
+    with open(paths["agl71"], "w") as fh:
+        fh.write("7\n(1 2 3 4 5 6 7)\n(2 4 3 7 5 6)\n")
     return paths
 
 
+# modules and code no subcommand runs, and the code of each side of a certificate:
+# a writer (its producers) and its checker
+UNRUN = ["elements", "coset_points", "wreath_predict", "rho"]
+VERIFIER = ["verify_certificate", "VerificationReport", "from_dict"]
+CONSTRUCTIONS = ["affine_chain", "subspace_chain", "diagonal_chain", "build_chain"]
+
+
 @pytest.mark.parametrize(
-    "argv, used, unused",
+    "argv, used, unused, absent",
     [
-        (["chain", "--family", "affine", "--p", "3", "--d", "2"],
-         ["affine"], ["oracle", "wreath", "bounds", "bounds_cli"]),
-        (["chain", "--family", "wreath", "--m", "5", "--k", "2"],
-         ["wreath"], ["affine", "oracle", "bounds", "bounds_cli"]),
-        (["verify", "{w52}"], [], ["oracle", "affine", "wreath", "bounds", "bounds_cli"]),
-        (["verify", "{c32}"], [], ["oracle", "affine", "wreath", "bounds", "bounds_cli"]),
-        (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"],
-         ["oracle"], ["affine", "wreath", "bounds", "bounds_cli"]),
-        (["bounds", "--n", "9"], ["bounds", "bounds_cli"], ["oracle", "wreath", "affine"]),
+        (["chain", "--family", "affine", "--p", "3", "--d", "2"], ["chain", "affine", "agl_chain"],
+         ["oracle", "wreath", "bounds", "bounds_cli", "verify", *UNRUN], VERIFIER),
+        (["chain", "--family", "wreath", "--m", "5", "--k", "2"], ["chain", "wreath"],
+         ["affine", "agl_chain", "oracle", "bounds", "bounds_cli", "verify", *UNRUN],
+         VERIFIER),
+        (["verify", "{w52}"], ["verify"],
+         ["oracle", "affine", "agl_chain", "wreath", "chain", "bounds", "bounds_cli", *UNRUN],
+         [*CONSTRUCTIONS, "build_agl", "build_wreath", "mibs"]),
+        (["verify", "{c32}"], ["verify"],
+         ["oracle", "affine", "agl_chain", "wreath", "chain", "bounds", "bounds_cli", *UNRUN],
+         [*CONSTRUCTIONS, "build_agl", "build_wreath", "mibs"]),
+        (["oracle", "--ambient", "S", "--subgroup", "natural", "--n", "6"], ["oracle"],
+         ["affine", "agl_chain", "wreath", "chain", "verify", "bounds", "bounds_cli", *UNRUN],
+         [*VERIFIER, *CONSTRUCTIONS]),
+        (["bounds", "--n", "9"], ["bounds", "bounds_cli"],
+         ["oracle", "wreath", "affine", "agl_chain", "chain", "verify", *UNRUN], []),
+        (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "7", "--d", "1"],
+         ["oracle", "affine"],
+         ["agl_chain", "wreath", "chain", "verify", "bounds", "bounds_cli", *UNRUN],
+         [*VERIFIER, *CONSTRUCTIONS]),
+        (["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", "{agl71}"],
+         ["oracle"],
+         ["affine", "agl_chain", "wreath", "chain", "verify", "bounds", "bounds_cli", *UNRUN],
+         [*VERIFIER, *CONSTRUCTIONS]),
     ],
     ids=["chain-affine", "chain-wreath", "verify-wreath", "verify-agl", "oracle-natural",
-         "bounds"],
+         "bounds", "oracle-agl", "oracle-explicit"],
 )
-def test_cli_imports_only_what_it_runs(cert_files, argv, used, unused):
+def test_cli_imports_only_what_it_runs(cert_files, argv, used, unused, absent):
+    """A run imports the modules its subcommand runs and none other: a run without a
+    bytecode cache compiles what it imports.  ``absent`` names code that no module the run
+    loads may define, so that code cannot come back by being moved into one."""
     argv = [a.format(**cert_files) for a in argv]
     r = subprocess.run([sys.executable, "-c", IMPORTS_CHILD, json.dumps(argv)],
                        capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
-    code, added = json.loads(r.stdout)
+    code, added, defined = json.loads(r.stdout)
     assert code == 0
     assert {f"irrbase.{m}" for m in used} <= set(added)
     for name in ["dataclasses", "inspect", *(f"irrbase.{m}" for m in unused)]:
         assert name not in added
+    assert set(defined).isdisjoint(absent)
 
 
 # one plain run of each subcommand; "{c32}" is a certificate from cert_files
@@ -620,8 +682,8 @@ def test_chain_never_enumerates_h(monkeypatch, capsys):
     def enumerated(*args):
         raise AssertionError("chain enumerated a group")
 
-    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
-    monkeypatch.setattr(PermutationGroup, "_conjugate_members", enumerated)
+    monkeypatch.setattr(elements, "_iter_element_tbls", enumerated)
+    monkeypatch.setattr(elements, "_conjugate_members", enumerated)
     calls = []
     stabilizer = PermutationGroup._coset_stabilizer
     monkeypatch.setattr(
@@ -637,14 +699,14 @@ def test_chain_never_enumerates_h(monkeypatch, capsys):
 
 
 def test_chain_build_check_failure_exits_1(monkeypatch, capsys):
-    diagonal_chain = affine.diagonal_chain
+    diagonal_chain = agl_chain.diagonal_chain
 
     def wrong_prediction(ctx):
         steps = diagonal_chain(ctx)
         steps[0].predicted = trivial_group(ctx.n)
         return steps
 
-    monkeypatch.setattr(affine, "diagonal_chain", wrong_prediction)
+    monkeypatch.setattr(agl_chain, "diagonal_chain", wrong_prediction)
     assert main(["chain", "--family", "affine", "--p", "7", "--d", "1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -710,7 +772,7 @@ def test_oracle_ambient_a_refusals_enumerate_nothing(monkeypatch, capsys, case):
     def enumerated(*args):
         raise AssertionError("a refusal enumerated a group")
 
-    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
+    monkeypatch.setattr(elements, "_iter_element_tbls", enumerated)
     assert main(["oracle", "--ambient", "A", *argv]) == 2
     assert capsys.readouterr() == ("", err)
 
@@ -794,7 +856,7 @@ def _refuse_builds(monkeypatch):
     def built(*args):
         raise AssertionError(f"a refusal built a group for {args}")
 
-    for module, name in ((cli, "symmetric_group"), (cli, "alternating_group"),
+    for module, name in ((oracle, "symmetric_group"), (oracle, "alternating_group"),
                          (affine, "build_agl"), (wreath, "build_wreath")):
         monkeypatch.setattr(module, name, built)
 
@@ -840,7 +902,7 @@ def test_oracle_explicit_refusal_reads_only_the_text(monkeypatch, tmp_path, caps
     def tabled(*args):
         raise AssertionError("a generator was tabled before the refusal")
 
-    for module in (cli, group):
+    for module in (oracle, group):
         monkeypatch.setattr(module, "_cycles_tbl", tabled)
     _refuse_builds(monkeypatch)
     tracemalloc.start()
@@ -975,7 +1037,7 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
     def formed(*args):
         raise AssertionError(f"a floor refusal formed the order of {args}")
 
-    monkeypatch.setattr(cli, "family_order", formed)
+    monkeypatch.setattr(certificate, "family_order", formed)
     assert main(["chain", *argv]) == 2
     assert capsys.readouterr() == (
         "", f"refused: subgroup order at least {bound} exceeds enumeration limit 2000000\n")
@@ -1245,7 +1307,7 @@ def test_verify_refuses_a_certificate_too_large_to_check(monkeypatch, tmp_path, 
     path = tmp_path / "c.json"
     path.write_text(json.dumps(data))
     err = err.format(agl_3_60=family_order("agl", {"p": 3, "d": 60}, 3**60, "S"))
-    monkeypatch.setattr(certificate, "parse_cycles", parsed)
+    monkeypatch.setattr(verify, "parse_cycles", parsed)
     start = time.perf_counter()
     assert main(["verify", *flags, str(path)]) == 2
     assert time.perf_counter() - start < 1.0

@@ -15,24 +15,15 @@ from functools import lru_cache
 
 import pytest
 
-from irrbase import group, wreath
-from irrbase.affine import (
-    affine_chain,
-    build_agl,
-    gl_subspace_stabilizer,
-    span_points,
-    subspace_chain,
-)
-from irrbase.group import PermutationGroup, equals, from_generators, symmetric_group
+from irrbase import elements, group, wreath_predict
+from irrbase.affine import build_agl
+from irrbase.agl_chain import affine_chain, gl_subspace_stabilizer, span_points, subspace_chain
+from irrbase.elements import _conjugate_members, _iter_element_tbls, equals
+from irrbase.group import PermutationGroup, from_generators, symmetric_group
 from irrbase.oracle import build_coset_action, mibs
 from irrbase.perm import Permutation, _table, parse_cycles
-from irrbase.wreath import (
-    build_wreath,
-    predicted_stabilizer,
-    verify_intersection,
-    wreath_chain,
-    wreath_conjugator,
-)
+from irrbase.wreath import build_wreath, wreath_chain, wreath_conjugator
+from irrbase.wreath_predict import predicted_stabilizer, verify_intersection
 
 from test_acceptance import AFFINE_CASES
 from test_oracle_reference import M11_GENERATORS
@@ -50,8 +41,8 @@ def enumerated_levels(h, conjugator_sets):
     for conjs in conjugator_sets:
         current = set(conjs)
         if members is None or not prev <= current:
-            members, prev = list(h._iter_element_tbls()), {h._ident}
-        members = h._conjugate_members([x for x in conjs if x not in prev], members)
+            members, prev = list(_iter_element_tbls(h)), {h._ident}
+        members = _conjugate_members(h, [x for x in conjs if x not in prev], members)
         prev = current
         yield members
 
@@ -60,7 +51,7 @@ def assert_levels_match(h, conjugator_sets):
     got = list(h._conjugate_levels(conjugator_sets))
     want = list(enumerated_levels(h, conjugator_sets))
     assert [g.order() for g in got] == [len(w) for w in want]
-    assert [set(g._iter_element_tbls()) for g in got] == [set(w) for w in want]
+    assert [set(_iter_element_tbls(g)) for g in got] == [set(w) for w in want]
     return got
 
 
@@ -137,7 +128,7 @@ def test_agl43_subspace_stabilizer_orders():
 def enumerated_intersection(ctx, r):
     """The tables of M ∩ M^x for marker (2, r), by filtering M's elements through M^x."""
     x = wreath_conjugator(ctx, 2, r)
-    return set(ctx.M._conjugate_members([x._tbl], ctx.M._iter_element_tbls()))
+    return set(_conjugate_members(ctx.M, [x._tbl], _iter_element_tbls(ctx.M)))
 
 
 def is_predicted(members, predicted):
@@ -149,16 +140,16 @@ def is_predicted(members, predicted):
 def test_wreath_intersections_match_enumeration(wreath52, r):
     members = enumerated_intersection(wreath52, r)
     x = wreath_conjugator(wreath52, 2, r)
-    assert set(wreath52.M._coset_stabilizer(wreath52.M, x._tbl)._iter_element_tbls()) == members
+    assert set(_iter_element_tbls(wreath52.M._coset_stabilizer(wreath52.M, x._tbl))) == members
     assert is_predicted(members, predicted_stabilizer(wreath52, 2, r))
     assert verify_intersection(wreath52, 2, r)
 
 
 def test_wreath_wrong_marker_negative_control(wreath52, monkeypatch):
     """Predicting marker r's stabilizer from marker r + 1 fails both checks."""
-    predicted = wreath.predicted_stabilizer
+    predicted = wreath_predict.predicted_stabilizer
     monkeypatch.setattr(
-        wreath, "predicted_stabilizer", lambda ctx, i, r: predicted(ctx, i, r % 5 + 1)
+        wreath_predict, "predicted_stabilizer", lambda ctx, i, r: predicted(ctx, i, r % 5 + 1)
     )
     for r in range(1, 6):
         wrong = predicted(wreath52, 2, r % 5 + 1)
@@ -170,8 +161,8 @@ def test_subspace_and_wreath_stabilizers_list_no_group(wreath52, monkeypatch):
     def enumerated(*args):
         raise AssertionError("a group was enumerated")
 
-    monkeypatch.setattr(PermutationGroup, "_iter_element_tbls", enumerated)
-    monkeypatch.setattr(PermutationGroup, "_conjugate_members", enumerated)
+    monkeypatch.setattr(elements, "_iter_element_tbls", enumerated)
+    monkeypatch.setattr(elements, "_conjugate_members", enumerated)
     assert all(verify_intersection(wreath52, 2, r) for r in range(1, 6))
     ctx = build_agl(3, 3)
     orders = [gl_subspace_stabilizer(ctx, s.basis).order() for s in subspace_chain(ctx)]
@@ -190,7 +181,7 @@ GROUPS = {
 @lru_cache(maxsize=None)
 def group_and_elements(name):
     h = GROUPS[name]()
-    return h, list(h._iter_element_tbls())
+    return h, list(_iter_element_tbls(h))
 
 
 def trivial_level(h, seed=1):
@@ -204,7 +195,7 @@ def trivial_level(h, seed=1):
         x = list(range(h.degree))
         rng.shuffle(x)
         x = _table(x)
-        members = h._conjugate_members([x], k._iter_element_tbls())
+        members = _conjugate_members(h, [x], _iter_element_tbls(k))
         if len(members) == 1:
             return k, x
         if draw % 8 == 0:
@@ -220,7 +211,7 @@ def test_regular_orbit_stops_at_half(name, monkeypatch):
     key = group._coset_key
     monkeypatch.setattr(group, "_coset_key", lambda g, y: calls.append(1) or key(g, y))
     level = h._coset_stabilizer(k, x)
-    assert level.order() == 1 and list(level._iter_element_tbls()) == [h._ident]
+    assert level.order() == 1 and list(_iter_element_tbls(level)) == [h._ident]
     # the whole regular orbit would take one key for the root and |K| per generator
     assert 0 < len(calls) <= k.order() * len(k.generators)
 
@@ -253,8 +244,8 @@ if given is not None:
         k = h.conjugate(Permutation._wrap(sets[0][-1]))
         x = sets[-1][-1]
         got = h._coset_stabilizer(k, x)
-        want = h._conjugate_members([x], k._iter_element_tbls())
-        assert set(got._iter_element_tbls()) == set(want)
+        want = _conjugate_members(h, [x], _iter_element_tbls(k))
+        assert set(_iter_element_tbls(got)) == set(want)
 
 else:
 

@@ -28,18 +28,18 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from irrbase.affine import build_agl
+from irrbase.elements import _iter_element_tbls, intersect
 from irrbase.group import (
     _standard_generators,
     alternating_group,
     from_generators,
-    intersect,
     symmetric_group,
     trivial_group,
 )
-from irrbase import oracle
+from irrbase import coset_points, oracle
+from irrbase.coset_points import _coset_permutation
 from irrbase.oracle import (
     _column,
-    _coset_permutation,
     _fixing,
     _word_tables,
     build_coset_action,
@@ -131,7 +131,7 @@ def test_numbers_cover_h_once():
     action = action_of("S7-agl-7-1")
     h = action.subgroup
     numbered = {element(h, a) for a in range(h.order())}
-    assert numbered == set(h._iter_element_tbls())
+    assert numbered == set(_iter_element_tbls(h))
 
 
 @pytest.mark.parametrize("name", ["S3xS2-in-S5", "S7-agl-7-1"])
@@ -166,7 +166,7 @@ def test_fixer_tables_trivial_subgroup():
 
 def node_elements(node):
     """The element tables of a group node's group."""
-    return set(node[2]._iter_element_tbls())
+    return set(_iter_element_tbls(node[2]))
 
 
 @pytest.mark.parametrize("name", NATURAL + LOPSIDED)
@@ -299,8 +299,8 @@ def test_other_generators_map_through_the_cosets(monkeypatch, name):
     g, h = ACTIONS[name]()
     swapped = from_generators(list(reversed(g.generators)), g.degree)
     mapped = []
-    permutation = oracle._coset_permutation
-    monkeypatch.setattr(oracle, "_coset_permutation",
+    permutation = coset_points._coset_permutation
+    monkeypatch.setattr(coset_points, "_coset_permutation",
                         lambda action, x: mapped.append(x) or permutation(action, x))
     value = mibs(build_coset_action(g, h))[0]
     assert mapped == []

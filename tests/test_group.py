@@ -6,7 +6,9 @@ from operator import getitem
 import pytest
 
 from irrbase import group
-from irrbase.affine import affine_chain, build_agl
+from irrbase.affine import build_agl
+from irrbase.agl_chain import affine_chain
+from irrbase.elements import _conjugate_members, _iter_element_tbls, equals, intersect, subgroup_of
 from irrbase.group import (
     LimitExceeded,
     PermutationGroup,
@@ -15,11 +17,8 @@ from irrbase.group import (
     _stabilizer,
     _tree_tables,
     alternating_group,
-    equals,
     from_generators,
-    intersect,
     read_generator_file,
-    subgroup_of,
     symmetric_group,
 )
 from irrbase.perm import (DegreeMismatchError, Permutation, _inverse_tbl, _table, compose,
@@ -409,8 +408,8 @@ def test_conjugate_levels_match_from_scratch(agl52):
     # as built the sets are nested; reversed, each set lacks the one before
     for seq, orders in ((sets, [80, 16, 4, 1]), (sets[::-1], [1, 4, 16, 80])):
         got = list(h._conjugate_levels(seq))
-        assert [set(g._iter_element_tbls()) for g in got] == [
-            set(h._conjugate_members(c, h._iter_element_tbls())) for c in seq
+        assert [set(_iter_element_tbls(g)) for g in got] == [
+            set(_conjugate_members(h, c, _iter_element_tbls(h))) for c in seq
         ]
         assert [g.order() for g in got] == orders
 

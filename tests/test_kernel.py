@@ -17,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, strategies as st
 
 from irrbase.affine import build_agl
+from irrbase.elements import _conjugate_members, _iter_element_tbls
 from irrbase.group import PermutationGroup, symmetric_group
 from irrbase.oracle import build_coset_action
 from irrbase.perm import (
@@ -167,9 +168,9 @@ def test_conjugate_members_property(case):
     h_gens, k_gens, conjs, n = case
     h = PermutationGroup([Permutation._wrap(t) for t in h_gens], n)
     k = PermutationGroup([Permutation._wrap(t) for t in k_gens], n)
-    assert list(h._iter_element_tbls()) == list(ref_iter_element_tbls(h))
-    pool = list(k._iter_element_tbls())
-    got = h._conjugate_members(conjs, pool)
+    assert list(_iter_element_tbls(h)) == list(ref_iter_element_tbls(h))
+    pool = list(_iter_element_tbls(k))
+    got = _conjugate_members(h, conjs, pool)
     want = ref_conjugate_members(
         h, [Permutation._wrap(x) for x in conjs], [Permutation._wrap(e) for e in pool]
     )
@@ -206,11 +207,11 @@ def test_conjugate_members_matches_permutation_api(request, ctx, group):
     pool = h.elements()
     assert [e._tbl for e in pool] == list(ref_iter_element_tbls(h))
     for conjs in _conjugator_cases(h, h.degree, seed=h.order()):
-        got = h._conjugate_members([x._tbl for x in conjs], h._iter_element_tbls())
+        got = _conjugate_members(h, [x._tbl for x in conjs], _iter_element_tbls(h))
         want = ref_conjugate_members(h, conjs, pool)
         assert got == [e._tbl for e in want]
     # H^x = H for x in H, and for the identity: nothing is filtered out
-    assert len(h._conjugate_members([pool[-1]._tbl], h._iter_element_tbls())) == h.order()
+    assert len(_conjugate_members(h, [pool[-1]._tbl], _iter_element_tbls(h))) == h.order()
 
 
 

@@ -6,23 +6,24 @@ import pytest
 
 from irrbase import oracle
 from irrbase.certificate import ChainCertificate
+from irrbase.coset_points import chain_to_base
+from irrbase.elements import intersect
 from irrbase.group import (
     LimitExceeded,
     PermutationGroup,
     alternating_group,
     from_generators,
-    intersect,
     symmetric_group,
     trivial_group,
 )
 from irrbase.oracle import (
     OracleLimits,
     build_coset_action,
-    chain_to_base,
     mibs,
-    verify_certificate,
 )
-from irrbase.affine import affine_chain, build_agl
+from irrbase.verify import verify_certificate
+from irrbase.affine import build_agl
+from irrbase.agl_chain import affine_chain
 from irrbase.perm import Permutation, _inverse_tbl, compose, parse_cycles
 from irrbase.wreath import build_wreath, wreath_chain
 
@@ -404,7 +405,7 @@ def test_sandwich_alternating(agl71):
 def _brute_mibs(action):
     """Independent cross-check: exhaustive recursion over all points, no memo,
     no pruning, element sets recomputed from scratch at every node."""
-    from irrbase.oracle import _coset_permutation
+    from irrbase.coset_points import _coset_permutation
 
     h = action.subgroup
     tbls = [_coset_permutation(action, e._tbl) for e in h.iter_elements()]

@@ -23,19 +23,19 @@ from functools import lru_cache
 
 import pytest
 
-from irrbase import oracle
+from irrbase import coset_points, oracle
 from irrbase.affine import build_agl
 from irrbase.certificate import CertLevel, ChainCertificate
+from irrbase.coset_points import _coset_permutation
+from irrbase.elements import _conjugate_members, _iter_element_tbls, intersect
 from irrbase.group import (
     PermutationGroup,
     alternating_group,
     from_generators,
-    intersect,
     symmetric_group,
 )
 from irrbase.oracle import (
     OracleLimits,
-    _coset_permutation,
     build_coset_action,
     mibs,
 )
@@ -73,7 +73,7 @@ def reference_mibs(action, max_memo=1_000_000, prune=True, ambient="S", bound=Fa
     ]
     h_hat = PermutationGroup(point_gens, t)
     assert h_hat.order() == h.order(), "coset representation is not faithful"
-    tbls = list(h_hat._iter_element_tbls())
+    tbls = list(_iter_element_tbls(h_hat))
     root = frozenset(range(len(tbls)))
     memo = {}
 
@@ -143,9 +143,9 @@ def reference_core_order(g, h):
             if key not in seen:
                 seen.add(key)
                 reps.append(key)
-    core = list(h._iter_element_tbls())
+    core = list(_iter_element_tbls(h))
     for rep in reps[1:]:
-        core = h._conjugate_members([rep], core)
+        core = _conjugate_members(h, [rep], core)
         if len(core) == 1:
             break
     return len(core)
@@ -366,7 +366,7 @@ def test_core_refused_through_words(monkeypatch, name):
     def mapped(*args):
         raise AssertionError("a strong generator was mapped through the cosets")
 
-    monkeypatch.setattr(oracle, "_coset_permutation", mapped)
+    monkeypatch.setattr(coset_points, "_coset_permutation", mapped)
     assert_core_refused(*NOT_CORE_FREE[name]())
 
 

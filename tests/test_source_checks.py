@@ -101,8 +101,11 @@ def test_groups_are_built_in_group_py(path):
     assert _group_field_writes(ast.parse(path.read_text(), filename=str(path))) == []
 
 
-FAMILY_CODECS = {"affine.py": ("vector_to_point", "point_to_vector"),
-                 "wreath.py": ("tuple_to_point", "point_to_tuple")}
+_AFFINE_CODECS = ("vector_to_point", "point_to_vector")
+_WREATH_CODECS = ("tuple_to_point", "point_to_tuple")
+# each family module, the builder and the modules split from it, with its public codecs
+FAMILY_CODECS = {"affine.py": _AFFINE_CODECS, "agl_chain.py": _AFFINE_CODECS,
+                 "wreath.py": _WREATH_CODECS, "wreath_predict.py": _WREATH_CODECS}
 
 
 def _codec_calls(tree: ast.AST, names: tuple) -> list:
@@ -132,3 +135,42 @@ def test_families_read_their_point_tables(name):
     path = SRC / name
     assert _codec_calls(ast.parse(path.read_text(), filename=str(path)),
                         FAMILY_CODECS[name]) == []
+
+
+#: the modules that write a certificate or build the groups one is written from
+PRODUCERS = {"affine", "agl_chain", "wreath", "wreath_predict", "chain", "oracle",
+             "coset_points"}
+
+
+def _package_imports(tree: ast.AST) -> set:
+    """The package modules that ``from . import`` names, at a module's top or in a function."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else (a.name for a in node.names))
+    return found
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("from .group import x\nfrom . import bounds as b", {"group", "bounds"}),
+        ("def f():\n    from .oracle import mibs", {"oracle"}),
+        ("import json\nfrom irrbase.oracle import mibs", set()),
+    ],
+)
+def test_package_import_detection(code, found):
+    assert _package_imports(ast.parse(code)) == found
+
+
+def test_verifier_imports_no_producer():
+    """The checker trusts nothing of the code that writes what it checks: ``verify.py`` and
+    every package module it imports, and they import in turn, import no producer."""
+    seen, todo = set(), ["verify"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            path = SRC / f"{name}.py"
+            todo += _package_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert "certificate" in seen and seen.isdisjoint(PRODUCERS)

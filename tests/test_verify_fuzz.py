@@ -20,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from irrbase.affine import affine_chain
+from irrbase.agl_chain import affine_chain
 from irrbase.cli import main
 from irrbase.group import symmetric_group
 from irrbase.oracle import build_coset_action, mibs

@@ -2,21 +2,19 @@ import random
 
 import pytest
 
-from irrbase.group import intersect
+from irrbase.elements import intersect
 from irrbase.perm import Permutation, compose, parse_cycles, parity
 from irrbase.wreath import (
     WreathContext,
     _slice_map,
     build_wreath,
     embed_wreath_element,
-    hamming,
     point_to_tuple,
-    predicted_stabilizer,
     tuple_to_point,
-    verify_intersection,
     wreath_chain,
     wreath_conjugator,
 )
+from irrbase.wreath_predict import hamming, predicted_stabilizer, verify_intersection
 
 
 def test_point_encoding():
