@@ -25,11 +25,11 @@ _EXPORTS = {
     "perm": ("CycleParseError", "DegreeMismatchError", "Permutation", "compose",
              "conjugate", "cycle_type", "inverse", "parity", "parse_cycles",
              "print_cycles"),
-    "group": ("ENUM_LIMIT_DEFAULT", "LimitExceeded", "PermutationGroup",
-              "alternating_group", "from_generators", "read_generator_file",
-              "symmetric_group", "trivial_group"),
+    "group": ("PermutationGroup", "alternating_group", "from_generators",
+              "read_generator_file", "symmetric_group", "trivial_group"),
     "elements": ("equals", "intersect", "subgroup_of"),
-    "certificate": ("CertificateFormatError", "CertLevel", "ChainCertificate"),
+    "certificate": ("CertificateFormatError", "CertLevel", "ChainCertificate",
+                    "ENUM_LIMIT_DEFAULT", "LimitExceeded"),
     "verify": ("VerificationReport", "verify_certificate"),
     "affine": ("AffineContext", "affine_to_permutation", "build_agl", "point_to_vector",
                "vector_to_point"),

@@ -12,9 +12,9 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .affine import AffineContext, affine_to_permutation
-from .certificate import ChainCertificate, check_degree, prime_factors
+from .certificate import ENUM_LIMIT_DEFAULT, ChainCertificate, check_degree, prime_factors
 from .chain import build_chain
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, _stabilizer
+from .group import PermutationGroup, _stabilizer
 from .perm import Permutation, compose
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from .certificate import check_degree, check_family, omega
-from .group import LimitExceeded, _about_text
+from .certificate import LimitExceeded, _about_text, check_degree, check_family, omega
 
 TOL = 1e-9
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import json
 
-from . import bounds as bounds_mod
+# by name: ``from . import bounds`` would hide the module from ``-X importtime``
+from .bounds import (CONSTANTS, MATHIEU_LENGTHS, affine_mibs_bounds, binary_weight,
+                     index_growth_check, length_sym, maroti_check, maximality_affine,
+                     maximality_wreath, mibs_upper_bound, relational_complexity_upper,
+                     wreath_mibs_bounds)
 from .certificate import _POWER_PARAMS, check_degree, checked_power, family_order, power_text
 
 
@@ -41,9 +45,7 @@ def cmd_bounds(args) -> int:
 def report(args) -> tuple:
     """The report's text and whether every check in it holds."""
     if args.lemma52:
-        rep = bounds_mod.index_growth_check(
-            args.n, args.order_h, require_proof_range=args.n > 100
-        )
+        rep = index_growth_check(args.n, args.order_h, require_proof_range=args.n > 100)
         result = {
             "n": rep.n,
             "order_h": str(rep.order_h),
@@ -53,7 +55,7 @@ def report(args) -> tuple:
             "milestone_ok": rep.milestone_ok,
             "loglog_ok": rep.loglog_ok,
             "ratio_ok": rep.ratio_ok,
-            "constants": bounds_mod.CONSTANTS,
+            "constants": CONSTANTS,
         }
         if rep.mode == "table":
             result["note"] = (
@@ -70,31 +72,30 @@ def report(args) -> tuple:
     n = args.n
     result = {
         "n": n,
-        "binary_weight": bounds_mod.binary_weight(n),
+        "binary_weight": binary_weight(n),
         "epsilon": {"S": 1, "A": 0},
-        "length": {"S": bounds_mod.length_sym(n, "S"), "A": bounds_mod.length_sym(n, "A")},
-        "upper_bound_generic": bounds_mod.mibs_upper_bound(n, large=False),
-        "upper_bound_large": bounds_mod.mibs_upper_bound(n, large=True),
-        "constants": bounds_mod.CONSTANTS,
+        "length": {"S": length_sym(n, "S"), "A": length_sym(n, "A")},
+        "upper_bound_generic": mibs_upper_bound(n, large=False),
+        "upper_bound_large": mibs_upper_bound(n, large=True),
+        "constants": CONSTANTS,
     }
-    if n in bounds_mod.MATHIEU_LENGTHS:
-        result["mathieu_length"] = bounds_mod.MATHIEU_LENGTHS[n]
+    if n in MATHIEU_LENGTHS:
+        result["mathieu_length"] = MATHIEU_LENGTHS[n]
     if args.family:
         params = {a: getattr(args, a) for a in _POWER_PARAMS[args.family]}
         fam = result["family"] = {"name": args.family, **params}
         if args.family == "agl":
-            ab = bounds_mod.affine_mibs_bounds(args.p, args.d, args.ambient)
+            ab = affine_mibs_bounds(args.p, args.d, args.ambient)
             fam.update(exact=ab.exact, lower=ab.lower, upper=ab.upper,
-                       maximal=bounds_mod.maximality_affine(args.p, args.d, args.ambient))
+                       maximal=maximality_affine(args.p, args.d, args.ambient))
         else:
-            lo, hi = bounds_mod.wreath_mibs_bounds(args.m, args.k, args.ambient)
-            fam.update(lower=lo, upper=hi,
-                       maximal=bounds_mod.maximality_wreath(args.m, args.k, args.ambient))
+            lo, hi = wreath_mibs_bounds(args.m, args.k, args.ambient)
+            fam.update(lower=lo, upper=hi, maximal=maximality_wreath(args.m, args.k, args.ambient))
         order_h = family_order(args.family, params, n, args.ambient)
     else:
         order_h = args.order_h
     if order_h is not None:
-        mar = bounds_mod.maroti_check(n, order_h)
+        mar = maroti_check(n, order_h)
         result["order_h"] = str(order_h)
         keys = ("global_bound", "global_ok", "small_bound", "small_ok")
         result["maroti"] = {key: getattr(mar, key) for key in keys}
@@ -105,7 +106,7 @@ def report(args) -> tuple:
         if v < 1:  # a base of a nontrivial faithful action has a point
             raise ValueError("computed mibs must be positive")
         result["computed_mibs"] = v
-        result["relational_complexity_upper"] = bounds_mod.relational_complexity_upper(v)
+        result["relational_complexity_upper"] = relational_complexity_upper(v)
         lg = result["length"][args.ambient]
 
         def compare(formula, rhs, ok):

@@ -5,12 +5,13 @@ conjugates of a distinguished subgroup H of the ambient symmetric or
 alternating group, with the conjugating permutations as explicit witnesses.
 Level 0 is H itself (witness set {identity}); claimed orders must strictly
 decrease and end at 1, and ``claimed_length`` is the number of levels.  This
-module holds a certificate's fields, its JSON writer and the rules of the
-agl, wreath and natural families that every subcommand checks; the
-certificate rules are written once each, beside the one subcommand that runs
-them: :func:`irrbase.chain.build_chain` assembles a certificate from a
-family's conjugator sets, and :mod:`irrbase.verify` reads one
-(:meth:`ChainCertificate.from_json` is its short delegate) and checks it.
+module holds a certificate's fields, its JSON writer, the agl, wreath and
+natural family rules that every subcommand checks, and every limit and
+refusal text; it imports no irrbase module on load, so ``bounds`` loads no
+group code.  The certificate rules are written once each, beside the one
+subcommand that runs them: :func:`irrbase.chain.build_chain` assembles a
+certificate from a family's conjugator sets, and :mod:`irrbase.verify` reads
+one (:meth:`ChainCertificate.from_json` is its short delegate) and checks it.
 
 The verifier recomputes every certificate level as an intersection of
 conjugates of H from H and the certificate's conjugator witnesses alone: each
@@ -36,15 +37,53 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
-from math import factorial, prod
+from math import factorial, log10, prod
 from typing import Optional
 
-from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, _order_text, check_subgroup_limit
-from .perm import print_cycles
+#: default cap on enumeration-based operations (elements of the smaller group)
+ENUM_LIMIT_DEFAULT = 2_000_000
+#: the oracle's default caps on the coset index t and on the subgroups its search memoizes
+COSET_LIMIT_DEFAULT = 20_000
+MEMO_LIMIT_DEFAULT = 1_000_000
+
+
+class LimitExceeded(RuntimeError):
+    """An enumeration or search limit was exceeded; the result was refused."""
 
 
 class CertificateFormatError(ValueError):
     """Raised when certificate JSON is malformed or violates the schema."""
+
+
+def _order_text(order: int) -> str:
+    """An order in full within CPython's default int-to-str limit, 4300 digits, else as 10^x."""
+    return str(order) if order < 10**4300 else _about_text(log10(order))
+
+
+def _about_text(log10: float) -> str:
+    """A number too large to print or to hold in a float, from its log10."""
+    return f"about 10^{log10:.1f}"
+
+
+def check_subgroup_limit(order: int, limit: int) -> None:
+    """Refuse a subgroup H of the given order above the --limit-enum cap on |H|."""
+    if order > limit:
+        raise LimitExceeded(f"subgroup order {_order_text(order)} exceeds enumeration limit "
+                            f"{limit}")
+
+
+def check_coset_orders(t: int, h_order: int, limit: int) -> None:
+    """Refuse, from orders alone, cosets of H of index t < 2 or a subgroup H over the cap."""
+    if t < 2:
+        raise ValueError("subgroup equals the whole group; the coset action is trivial")
+    check_subgroup_limit(h_order, limit)
+
+
+def check_intersect_limit(smaller: int, limit: int) -> None:
+    """Refuse an intersection whose smaller group, which :func:`intersect` lists, is too large."""
+    if smaller > limit:
+        raise LimitExceeded(f"intersection too large to enumerate: smaller group has order "
+                            f"{_order_text(smaller)}, limit {limit}")
 
 
 #: params whose power base**exp must equal the degree, per family
@@ -258,6 +297,8 @@ class ChainCertificate:
         self.claimed_length = claimed_length
 
     def to_dict(self) -> dict:
+        from .perm import print_cycles
+
         return {
             "degree": self.degree,
             "ambient": self.ambient,
@@ -266,13 +307,8 @@ class ChainCertificate:
                 "params": dict(sorted(self.params.items())),
                 "generators": [print_cycles(g) for g in self.generators],
             },
-            "levels": [
-                {
-                    "conjugators": [print_cycles(x) for x in lvl.conjugators],
-                    "order": str(lvl.order),
-                }
-                for lvl in self.levels
-            ],
+            "levels": [{"conjugators": [print_cycles(x) for x in lvl.conjugators],
+                        "order": str(lvl.order)} for lvl in self.levels],
             "claimed_length": self.claimed_length,
         }
 

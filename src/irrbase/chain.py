@@ -10,8 +10,9 @@ from __future__ import annotations
 import json
 from typing import Callable, Optional
 
-from .certificate import CertLevel, ChainCertificate, check_family_size
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, check_subgroup_limit
+from .certificate import (ENUM_LIMIT_DEFAULT, CertLevel, ChainCertificate, check_family_size,
+                          check_subgroup_limit)
+from .group import PermutationGroup
 from .perm import Permutation
 
 

@@ -29,8 +29,8 @@ import gc
 import sys
 from types import SimpleNamespace
 
-from .certificate import _POWER_PARAMS
-from .group import COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded
+from .certificate import (_POWER_PARAMS, COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT,
+                          MEMO_LIMIT_DEFAULT, LimitExceeded)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

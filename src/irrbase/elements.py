@@ -14,7 +14,8 @@ from __future__ import annotations
 from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
-from .group import ENUM_LIMIT_DEFAULT, LimitExceeded, PermutationGroup, check_intersect_limit
+from .certificate import ENUM_LIMIT_DEFAULT, LimitExceeded, check_intersect_limit
+from .group import PermutationGroup
 from .perm import DegreeMismatchError, Permutation, Table, _inverse_tbl, _then
 
 

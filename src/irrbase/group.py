@@ -20,9 +20,9 @@ module: no other module writes a group's chain, order or generators.  A
 chain of conjugate intersections, built or verified, runs through one level
 pass, :meth:`PermutationGroup._conjugate_levels`: its level K ∩ H^x is the
 stabilizer in K of the coset Hx (:meth:`PermutationGroup._coset_stabilizer`).
-Enumeration, which ``iter_elements`` and ``intersect`` run and which is the
-tests' reference for the stabilizers, is :mod:`irrbase.elements`; a process
-imports it only to list a group.
+Enumeration (``iter_elements``, ``intersect``), the tests' reference for the
+stabilizers, is :mod:`irrbase.elements`, imported only to list a group; the
+limits and their refusal texts are :mod:`irrbase.certificate`'s.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from bisect import bisect_left
 from operator import attrgetter, getitem
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .certificate import ENUM_LIMIT_DEFAULT, LimitExceeded, _order_text
 from .perm import (
     DegreeMismatchError,
     Permutation,
@@ -47,16 +48,6 @@ from .perm import (
     _table,
     _then,
 )
-
-#: default cap on enumeration-based operations (elements of the smaller group)
-ENUM_LIMIT_DEFAULT = 2_000_000
-#: the oracle's default caps on the coset index t and on the subgroups its search memoizes
-COSET_LIMIT_DEFAULT = 20_000
-MEMO_LIMIT_DEFAULT = 1_000_000
-
-
-class LimitExceeded(RuntimeError):
-    """An enumeration or search limit was exceeded; the result was refused."""
 
 
 class _Level:
@@ -461,37 +452,6 @@ def alternating_group(n: int) -> PermutationGroup:
     if g.order() * 2 != math.factorial(n):
         raise RuntimeError(f"alternating group of degree {n} has order {g.order()}")
     return g
-
-
-def _order_text(order: int) -> str:
-    """An order in full within CPython's default int-to-str limit, 4300 digits, else as 10^x."""
-    return str(order) if order < 10**4300 else _about_text(math.log10(order))
-
-
-def _about_text(log10: float) -> str:
-    """A number too large to print or to hold in a float, from its log10."""
-    return f"about 10^{log10:.1f}"
-
-
-def check_subgroup_limit(order: int, limit: int) -> None:
-    """Refuse a subgroup H of the given order above the --limit-enum cap on |H|."""
-    if order > limit:
-        raise LimitExceeded(f"subgroup order {_order_text(order)} exceeds enumeration limit "
-                            f"{limit}")
-
-
-def check_coset_orders(t: int, h_order: int, limit: int) -> None:
-    """Refuse, from orders alone, cosets of H of index t < 2 or a subgroup H over the cap."""
-    if t < 2:
-        raise ValueError("subgroup equals the whole group; the coset action is trivial")
-    check_subgroup_limit(h_order, limit)
-
-
-def check_intersect_limit(smaller: int, limit: int) -> None:
-    """Refuse an intersection whose smaller group, which :func:`intersect` lists, is too large."""
-    if smaller > limit:
-        raise LimitExceeded(f"intersection too large to enumerate: smaller group has order "
-                            f"{_order_text(smaller)}, limit {limit}")
 
 
 def read_generator_file(text: str) -> tuple:

@@ -63,12 +63,13 @@ from itertools import accumulate, compress
 from operator import getitem, itemgetter, mul, ne
 from typing import Optional
 
-from .certificate import (ORACLE_MAX_DEGREE, CertLevel, ChainCertificate, check_family,
+from .certificate import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT,
+                          ORACLE_MAX_DEGREE, CertLevel, ChainCertificate, LimitExceeded,
+                          check_coset_orders, check_family, check_intersect_limit,
                           check_oracle_degree, checked_power, family_order, omega, power_text)
-from .group import (COSET_LIMIT_DEFAULT, ENUM_LIMIT_DEFAULT, MEMO_LIMIT_DEFAULT, LimitExceeded,
-                    PermutationGroup, _coset_key, _group_of_order, _orbit_tree, _stabilizer,
-                    _standard_generators, _tree_tables, alternating_group, check_coset_orders,
-                    check_intersect_limit, read_generator_cycles, symmetric_group)
+from .group import (PermutationGroup, _coset_key, _group_of_order, _orbit_tree, _stabilizer,
+                    _standard_generators, _tree_tables, alternating_group, read_generator_cycles,
+                    symmetric_group)
 from .perm import (Permutation, _compose_tbl, _cycles_even, _cycles_tbl, _identity_tbl,
                    _inverse_tbl, _inverts_in_c, _table, _then)
 

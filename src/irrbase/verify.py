@@ -17,8 +17,9 @@ import sys
 from typing import Optional
 
 from .certificate import (_POWER_PARAMS, CertificateFormatError, CertLevel, ChainCertificate,
-                          check_family_size, check_oracle_degree, checked_power, family_order)
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, check_subgroup_limit
+                          ENUM_LIMIT_DEFAULT, check_family_size, check_oracle_degree,
+                          check_subgroup_limit, checked_power, family_order)
+from .group import PermutationGroup
 from .perm import Permutation, parse_cycles
 
 

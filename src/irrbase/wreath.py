@@ -22,8 +22,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .certificate import ChainCertificate, check_family_params, family_order
-from .group import ENUM_LIMIT_DEFAULT, PermutationGroup, symmetric_group
+from .certificate import ENUM_LIMIT_DEFAULT, ChainCertificate, check_family_params, family_order
+from .group import PermutationGroup, symmetric_group
 from .perm import Permutation, parse_cycles
 
 

@@ -22,8 +22,7 @@ from irrbase.bounds import (
     relational_complexity_upper,
     wreath_mibs_bounds,
 )
-from irrbase.certificate import is_prime, prime_factors
-from irrbase.group import LimitExceeded
+from irrbase.certificate import LimitExceeded, is_prime, prime_factors
 
 
 def test_omega():

@@ -491,7 +491,8 @@ CONSTRUCTIONS = ["affine_chain", "subspace_chain", "diagonal_chain", "build_chai
          ["affine", "agl_chain", "wreath", "chain", "verify", "bounds", "bounds_cli", *UNRUN],
          [*VERIFIER, *CONSTRUCTIONS]),
         (["bounds", "--n", "9"], ["bounds", "bounds_cli"],
-         ["oracle", "wreath", "affine", "agl_chain", "chain", "verify", *UNRUN], []),
+         ["oracle", "wreath", "affine", "agl_chain", "chain", "verify", "group", "perm",
+          *UNRUN], []),
         (["oracle", "--ambient", "S", "--subgroup", "agl", "--p", "7", "--d", "1"],
          ["oracle", "affine"],
          ["agl_chain", "wreath", "chain", "verify", "bounds", "bounds_cli", *UNRUN],
@@ -1051,7 +1052,7 @@ def test_chain_floor_refusal_forms_no_order(monkeypatch, capsys, case):
 ])
 def test_chain_floor_is_a_lower_bound(monkeypatch, family, params):
     """With every bound checked, 2^b never exceeds the family's order."""
-    from irrbase.group import LimitExceeded
+    from irrbase.certificate import LimitExceeded
 
     base, exp = (params["n"], 1) if family == "natural" else params.values()
     order = certificate.family_order(family, params, base**exp, "S")
@@ -1064,7 +1065,7 @@ def test_chain_floor_is_a_lower_bound(monkeypatch, family, params):
 
 def test_natural_floor_admits_every_n_whose_order_forms_quickly():
     """(n-1)! takes well under a second up to n = 135,301, the last n the floor lets through."""
-    from irrbase.group import LimitExceeded
+    from irrbase.certificate import LimitExceeded
 
     certificate.check_family_floor("natural", {"n": 135_301}, 1)
     with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^2097165 "):
@@ -1074,7 +1075,7 @@ def test_natural_floor_admits_every_n_whose_order_forms_quickly():
 def test_wreath_floor_admits_every_m_whose_order_forms_quickly():
     """(m!)^2 2! takes well under a second up to m = 72,315, the last m the floor lets
     through at k = 2; at m = 10^6, (m!)^2 took 10 s to form."""
-    from irrbase.group import LimitExceeded
+    from irrbase.certificate import LimitExceeded
 
     certificate.check_family_floor("wreath", {"m": 72_315, "k": 2}, 1)
     with pytest.raises(LimitExceeded, match=r"^subgroup order at least 2\^2097163 "):
@@ -1089,7 +1090,7 @@ def test_oracle_degree_cap_admits_its_bound(tmp_path, capsys):
 
 
 def test_order_text_full_within_the_int_to_str_limit():
-    from irrbase.group import LimitExceeded, check_intersect_limit, check_subgroup_limit
+    from irrbase.certificate import LimitExceeded, check_intersect_limit, check_subgroup_limit
 
     for order, text in ((10**4300 - 1, "9" * 4300), (10**4300, "about 10^4300.0")):
         with pytest.raises(LimitExceeded) as info:

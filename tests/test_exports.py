@@ -14,10 +14,11 @@ import irrbase
 EXPORTS = {
     "perm": ["CycleParseError", "DegreeMismatchError", "Permutation", "compose", "conjugate",
              "cycle_type", "inverse", "parity", "parse_cycles", "print_cycles"],
-    "group": ["ENUM_LIMIT_DEFAULT", "LimitExceeded", "PermutationGroup", "alternating_group",
-              "from_generators", "read_generator_file", "symmetric_group", "trivial_group"],
+    "group": ["PermutationGroup", "alternating_group", "from_generators", "read_generator_file",
+              "symmetric_group", "trivial_group"],
     "elements": ["equals", "intersect", "subgroup_of"],
-    "certificate": ["CertificateFormatError", "CertLevel", "ChainCertificate"],
+    "certificate": ["CertificateFormatError", "CertLevel", "ChainCertificate",
+                    "ENUM_LIMIT_DEFAULT", "LimitExceeded"],
     "verify": ["VerificationReport", "verify_certificate"],
     "affine": ["AffineContext", "affine_to_permutation", "build_agl", "point_to_vector",
                "vector_to_point"],
@@ -73,3 +74,27 @@ def test_import_runs_no_module():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout) == []
+
+
+def test_group_raises_the_certificate_limit_class():
+    """One LimitExceeded: the class PermutationGroup raises while it is built is the one
+    certificate.py defines and cli.main catches."""
+    from irrbase import certificate, group
+
+    assert group.LimitExceeded is certificate.LimitExceeded
+    with pytest.raises(certificate.LimitExceeded, match="^subgroup order at least 2 "):
+        group.PermutationGroup(group.symmetric_group(5).generators, 5, limit=1)
+
+
+@pytest.mark.parametrize("statement", ["import irrbase.bounds",
+                                       "from irrbase import LimitExceeded"])
+def test_limits_load_no_group_code(statement):
+    """The bounds and the limit vocabulary load certificate.py, and neither group.py nor
+    perm.py."""
+    code = (f"import json, sys; {statement}; "
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('irrbase.'))))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert r.returncode == 0, r.stderr
+    loaded = set(json.loads(r.stdout))
+    assert "irrbase.certificate" in loaded
+    assert loaded.isdisjoint({"irrbase.group", "irrbase.perm"})

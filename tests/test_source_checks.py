@@ -174,3 +174,34 @@ def test_verifier_imports_no_producer():
             path = SRC / f"{name}.py"
             todo += _package_imports(ast.parse(path.read_text(), filename=str(path)))
     assert "certificate" in seen and seen.isdisjoint(PRODUCERS)
+
+
+def _load_imports(tree: ast.Module) -> set:
+    """The package modules a module imports when it loads: :func:`_package_imports` of its
+    top-level statements, leaving out the bodies of its functions and classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return set().union(*(_package_imports(node) for node in tree.body
+                         if not isinstance(node, defs)))
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [
+        ("from .perm import x\ndef f():\n    from .verify import y", {"perm"}),
+        ("class C:\n    def f(self):\n        from .perm import x", set()),
+        ("try:\n    from .group import x\nexcept ImportError:\n    pass", {"group"}),
+    ],
+)
+def test_load_import_detection(code, found):
+    assert _load_imports(ast.parse(code)) == found
+
+
+def test_limits_load_no_group_code():
+    """certificate.py, which holds every limit and refusal text, imports no package module
+    when it loads, and bounds.py imports certificate.py alone: a ``bounds`` run and an
+    ``import irrbase.bounds`` compile neither group.py nor perm.py."""
+    def tree(name):
+        return ast.parse((SRC / f"{name}.py").read_text(), filename=f"{name}.py")
+
+    assert _load_imports(tree("certificate")) == set()
+    assert _package_imports(tree("bounds")) == {"certificate"}
