@@ -37,6 +37,7 @@ JSON schema (all points and cycle strings 1-based, orders decimal strings):
 from __future__ import annotations
 
 import json
+import sys
 from math import factorial, log10, prod
 from typing import Optional
 
@@ -73,9 +74,12 @@ def check_subgroup_limit(order: int, limit: int) -> None:
 
 
 def check_coset_orders(t: int, h_order: int, limit: int) -> None:
-    """Refuse, from orders alone, cosets of H of index t < 2 or a subgroup H over the cap."""
+    """Refuse, from orders alone, an index t < 2 or past any list's length, or an H over the cap."""
     if t < 2:
         raise ValueError("subgroup equals the whole group; the coset action is trivial")
+    if t > sys.maxsize:
+        raise LimitExceeded(f"coset index {_order_text(t)} exceeds {sys.maxsize}, the most points "
+                            "a table can index")
     check_subgroup_limit(h_order, limit)
 
 

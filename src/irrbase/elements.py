@@ -3,10 +3,11 @@
 :func:`_iter_element_tbls` lists a group's element tables and
 :func:`_conjugate_members` keeps the elements lying in H^x; they are the
 tests' reference for the level pass (:meth:`PermutationGroup._conjugate_levels`)
-that ``chain`` and ``verify`` run instead, and :func:`intersect` lists the
-smaller group through them.  Every listing refuses, never truncates, above a
-caller-supplied element limit.  Of the subcommands only an ambient-A
-``oracle`` of an agl or wreath H, through :func:`intersect`, imports this module.
+that ``chain`` and ``verify`` run instead.  :func:`intersect` lists the
+smaller group through the larger's membership test.  Every listing refuses,
+never truncates, above a caller-supplied element limit.  Of the subcommands
+only an ambient-A ``oracle`` of an agl or wreath H, through :func:`intersect`,
+imports this module.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def intersect(
         raise DegreeMismatchError("degree mismatch between groups")
     small, large = (g1, g2) if g1.order() <= g2.order() else (g2, g1)
     check_intersect_limit(small.order(), limit)
-    members = _conjugate_members(large, [large._ident], _iter_element_tbls(small))
+    members = filter(large._contains_tbl, _iter_element_tbls(small))
     return PermutationGroup([Permutation._wrap(t) for t in members], g1.degree)
 
 

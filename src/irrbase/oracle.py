@@ -7,7 +7,7 @@ Hx·s is canonicalized from (xs)⁻¹, the table s⁻¹ then Hx's key.  H acts
 on the t coset points through a homomorphism T, so the tables T(u) of the
 transversal elements u of H's stabilizer chain carry all of H's action:
 they are made once per action, from the strong generators' tables alone
-(:class:`_CosetTables`), which also give H's orbits on the cosets.  The
+(:class:`_CosetTables`), which generate T(H), the group H induces.  The
 breadth-first search that numbers the cosets finds the table of each
 generator of G on the way.  Where G is S_n or A_n given by its standard
 pair, a strong generator's table is the product of those along a
@@ -31,20 +31,23 @@ subgroup of order m has at most Ω(m) steps, Ω counting m's prime factors
 with multiplicity (the bound on an irredundant base of Cameron and
 Fon-Der-Flaass, *European J. Combin.* 16, 1995), so a child that could at
 best tie its node's best depth so far is not entered, and the search stays
-exact.  A node is a point stabilizer of H, of one of two kinds chosen once
-per action from t and |H| (:func:`_group_nodes`).  Where t is small beside
-|H|, as for natural S_n and A_n (t = n), it is a permutation group of
-degree t in T(H), the group the strong generators' tables generate, so
-natural S10's search never lists the 40,320 elements of a point
-stabilizer; each orbit that the scan reads is walked once, and the child
-fixing a point comes from that walk by orbit-stabilizer.  Otherwise it is
-a set of H's element numbers whose images of a point are read through the
-level tables, one pass of length |c| per level, and nothing of length t is
-made: on M11's 5040 cosets in S11 the search reads 3,383 columns, 272,016
-level-table entries in all.  Either kind scans
-only the non-regular orbits a node's parent handed on, as a point regular
-for a subgroup is regular below it, and an H with a nontrivial core is
-refused, from |T(H)| < |H| or at the first node the search would finish.
+exact.  A node is H or a point stabilizer of H, of one of two kinds chosen
+once per action from t and |H| (:func:`_group_nodes`), and H is searched
+as any other node.  Where t is small beside |H|, as for natural S_n and A_n
+(t = n), a node is a permutation group of degree t in T(H), the group the
+strong generators' tables generate, so natural S10's search never lists
+the 40,320 elements of a point stabilizer; each orbit that the scan reads
+is walked once, and the child fixing a point comes from that walk by
+orbit-stabilizer.  Otherwise a node below H is a set of H's element numbers
+whose images of a point are read through the level tables, one pass of
+length |c| per level, and nothing of length t is made: on M11's 5040
+cosets in S11 the search reads 3,383 columns, 272,016 level-table entries
+in all.  H's own numbers are never listed: its orbits are walked over the
+strong generators' tables and its children numbered from the level tables.
+Either kind scans only the non-regular orbits a node's parent handed on,
+as a point regular for a subgroup is regular below it, and an H with a
+nontrivial core is refused, from |T(H)| < |H| or at the first node the
+search would finish.
 
 ``cmd_oracle`` is the ``oracle`` subcommand, and :func:`_build_subgroup`
 makes its G and H, every refusal that orders decide first.  Code that no
@@ -247,23 +250,7 @@ class _CosetTables:
                        for lvl in action.subgroup._levels] or [[ident]]  # a trivial H: one level
         # strides[k]: the place value of level k's choice in a number
         self.strides = list(accumulate((len(level) for level in self.levels[:-1]), mul, initial=1))
-
-        # orbit_min[j]: the smallest point of j's H-orbit, from the strong generators' tables;
-        # one flat list partitions all t points, cheaper than a Schreier vector per orbit
-        self.gens = gens = list(coset_table.values())
-        self.orbit_min = mins = [-1] * action.degree
-        self.orbit_size = {}  # the smallest point of an H-orbit -> the orbit's size
-        for j in range(action.degree):
-            if mins[j] < 0:
-                mins[j] = j
-                orbit = [j]
-                for p in orbit:
-                    for u in gens:
-                        q = u[p]
-                        if mins[q] < 0:
-                            mins[q] = j
-                            orbit.append(q)
-                self.orbit_size[j] = len(orbit)
+        self.gens = list(coset_table.values())
 
     def fixers(self, j: int) -> list:
         """Numbers of the elements of H fixing point j, ascending.
@@ -351,15 +338,16 @@ def mibs(
 def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     """The points and orders of a longest stabilizer chain from H, and the search's memo.
 
-    A node is a point stabilizer c of H, a tuple (key, order, ...) of the kind
-    chosen once per action (:func:`_group_nodes`): a permutation group of
-    degree t (:class:`_GroupNodes`) or H's element numbers read through the
-    level tables (:class:`_LevelNodes`).  The kind gives a point's orbit and
-    the child fixing it; the search, its bound and the witness replay are
-    one for both.  The memo maps every subgroup entered, by its key, to its
-    (depth, best point), in the order the depth-first search finishes them;
-    H comes last, under the key None, its orbits read off the transversal
-    tables.
+    A node is H or a point stabilizer c of H, a tuple (key, order, ...) of
+    the kind chosen once per action (:func:`_group_nodes`): a permutation
+    group of degree t (:class:`_GroupNodes`) or H's element numbers read
+    through the level tables (:class:`_LevelNodes`).  The kind gives a
+    node's orbit of a point and the child fixing it; the search, its bound
+    and the witness replay are one for both kinds and for every node, H
+    included.  H's key is None, and it is searched from all t points with
+    no point regular yet.  The memo maps every subgroup entered, by its
+    key, to its (depth, best point), in the order the depth-first search
+    finishes them, so H comes last.
 
     A chain below a subgroup of order m has at most Ω(m) steps, so a child
     of order m = |c|/|j^c|, its orbit read in the scan, is entered only when
@@ -372,26 +360,24 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     A point j gives c a nontrivial child only when j's c-orbit is
     non-regular; every other point that c moves gives depth 1, through the
     trivial subgroup, and stays regular for every subgroup below.  So a
-    node scans only the non-regular orbits its parent handed on (H's, below
-    H) and hands on its own; with none left, the best depth is 1 at the
-    least point that c moves, and a subgroup of prime order, which has none,
-    reads points only up to that one.  A full scan would recurse on every
-    point a subgroup moves, so the first subgroup it finished would move no
-    point: the trivial subgroup is entered first, and the memo, entry by
-    entry, is that of the full scan under the same bound.  The core K of H
-    fixes every point and lies in every node, so while K != 1 no orbit is
-    regular and every node but K has a moved point to descend through: the
-    first node finished with no moved point, its best point still t, is K,
-    and it is refused there (group nodes refuse it earlier, from T(H)).  The
-    bound leaves that first descent whole, as each node's first child has
-    order at least 2 and its node's best depth is then at most 1.
+    node scans only the non-regular orbits its parent handed on (all t
+    points, at H) and hands on its own; with none left, the best depth is 1
+    at the least point that c moves, and a subgroup of prime order, which
+    has none, reads points only up to that one.  A full scan would recurse
+    on every point a subgroup moves, so the first subgroup it finished
+    would move no point: the trivial subgroup is entered first, and the
+    memo, entry by entry, is that of the full scan under the same bound.
+    The core K of H fixes every point and lies in every node, so while
+    K != 1 no orbit is regular and every node but K has a moved point to
+    descend through: the first node finished with no moved point, its best
+    point still t, is K, and it is refused there (group nodes refuse it
+    earlier, from T(H)).  The bound leaves that first descent whole, as
+    each node's first child has order at least 2 and its node's best depth
+    is then at most 1.
     """
     t = action.degree
-    tables = action._tables
-    mins = tables.orbit_min
-    sizes = tables.orbit_size
     order = action.subgroup.order()
-    kind = _GroupNodes(tables, order) if _group_nodes(t, order) else _LevelNodes(tables)
+    kind = (_GroupNodes if _group_nodes(t, order) else _LevelNodes)(action._tables, order)
     max_steps = cache(omega)  # Ω(m) bounds the steps of a chain below a subgroup of order m
 
     def enter(c, n: int, best_d: int, best_pt) -> None:
@@ -407,11 +393,11 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
     seen = bytearray(t)
 
     def depth_of(node: tuple, cand: Sequence[int], regular: int) -> int:
-        """The depth of a nontrivial subgroup below H.
+        """The depth of a nontrivial subgroup, H or one below it.
 
         ``cand`` is a union of its orbits holding every non-regular one, in
         increasing order; ``regular`` is the least point regular for its
-        parent, and every such point is regular for it.
+        parent (t at H), and every such point is regular for it.
         """
         c, n = node[:2]
         hit = memo.get(c)
@@ -450,40 +436,22 @@ def _longest_chain(action: CosetAction, max_memo: int, prune: bool) -> tuple:
         enter(c, n, best_d, best_pt)
         return best_d
 
-    # H: its orbits come from the transversal tables; a point of a regular
-    # orbit has the trivial stabilizer, and the other stabilizers scan H's
-    # non-regular orbits, listed with T(1)'s int objects rather than new ones
-    root_cand = [j for j in tables.identity if 1 < sizes[mins[j]] < order]
-    root_regular = next((j for j in range(t) if sizes[mins[j]] == order), t)
-    # a nontrivial H that moves no coset is its own core
-    best_d, best_pt, best_node = 0, (t if order > 1 else None), None
-    for j in range(t):
-        size = sizes[mins[j]]
-        if size == 1 or (prune and mins[j] != j) or 1 + max_steps(order // size) <= best_d:
-            continue
-        if size == order:
-            node, d = kind.trivial, 1
-        else:  # the stabilizer of j in H, of order/size elements
-            node = kind.stabilizer(j)
-            d = 1 + depth_of(node, root_cand, root_regular)
-        if d > best_d:
-            best_d, best_pt, best_node = d, j, node
-    enter(None, order, best_d, best_pt)
+    if order > 1:
+        depth_of(kind.h, range(t), t)
+    else:  # a trivial H: the chain is point 1 alone, entered under the memo limit
+        enter(None, 1, 0, None)
     # depth_of refers to itself through its closure; without this the cycle keeps
     # the nodes and memo alive after the search, until the cyclic collector runs
     del depth_of
 
-    # replay the memoized best choices into a witness chain
-    points, orders = [0], [order]
-    pt, node = best_pt, best_node
-    while pt is not None:
+    # replay the memoized best choices from H into a witness chain
+    points, orders, node = [0], [order], kind.h
+    while (pt := memo[node[0]][1]) is not None:
+        node = kind.child(node, pt, kind.orbit(node, pt))
         if node[1] >= orders[-1]:
             raise RuntimeError(f"witness replay does not descend at point {pt}")
         points.append(pt)
         orders.append(node[1])
-        pt = memo[node[0]][1]
-        if pt is not None:
-            node = kind.child(node, pt, kind.orbit(node, pt))
     return points, orders, memo
 
 
@@ -513,36 +481,32 @@ def _group_nodes(t: int, order: int) -> bool:
 
 
 class _GroupNodes:
-    """Search nodes as permutation groups of degree t, each a point stabilizer in T(H).
+    """Search nodes as permutation groups of degree t: T(H) and its point stabilizers.
 
     T(H) is generated by the coset tables of H's strong generators; its
     order is |H| over the order of H's core, which is refused here.  A node
-    is (fixed-point set, order, group, its generators' tables): every node c
-    is a pointwise stabilizer, so c = H_(Fix c) and its fixed points are an
-    exact key.  A point's orbit is walked once, as a Schreier vector
-    (:func:`irrbase.group._orbit_tree`), and the child fixing it is
-    :func:`irrbase.group._stabilizer` of that vector, which at c's first base
-    point is c's chain from its second level.
+    is (fixed-point set, order, group, its generators' tables), and H's key
+    is None: every node c below H is a pointwise stabilizer, so
+    c = H_(Fix c) and its fixed points are an exact key.  A point's orbit
+    is walked once, as a Schreier vector (:func:`irrbase.group._orbit_tree`),
+    and the child fixing it is :func:`irrbase.group._stabilizer` of that
+    vector, which at c's first base point is c's chain from its second level.
     """
 
     def __init__(self, tables: _CosetTables, order: int):
         t = len(tables.identity)
-        self.h = _group_node(_group_of_order(tables.gens, t, order))
-        if self.h[1] < order:
-            raise ValueError("action not faithful: subgroup has a core of order "
-                             f"{order // self.h[1]}")
+        h = _group_node(_group_of_order(tables.gens, t, order))
+        if h[1] < order:
+            raise ValueError(f"action not faithful: subgroup has a core of order {order // h[1]}")
+        self.h = (None, *h[1:])
         self.trivial = _group_node(PermutationGroup([], t))
-
-    def stabilizer(self, j: int) -> tuple:
-        """The stabilizer of point j in H."""
-        return self.child(self.h, j, None)
 
     @staticmethod
     def orbit(node: tuple, j: int) -> dict:
         return _orbit_tree(j, node[3])
 
     @staticmethod
-    def child(node: tuple, j: int, tree: Optional[dict]) -> tuple:
+    def child(node: tuple, j: int, tree: dict) -> tuple:
         return _group_node(_stabilizer(node[2], j, getitem, tree))
 
 
@@ -558,28 +522,31 @@ def _group_node(grp: PermutationGroup) -> tuple:
 class _LevelNodes:
     """Search nodes as H's element numbers, whose images are read through the level tables.
 
-    A node is (the set of element numbers, order, the numbers ascending,
-    level lists (:meth:`_CosetTables.level_lists`)).  A point's orbit is its column
-    (:func:`_column`), and the child fixing it keeps the entries that the
-    column's mask selects (:func:`_fixing`).  Nothing of length t is made.
+    A node below H is (the set of element numbers, order, the numbers
+    ascending, level lists (:meth:`_CosetTables.level_lists`)).  A point's
+    orbit is its column (:func:`_column`), and the child fixing it keeps
+    the entries that the column's mask selects (:func:`_fixing`), so
+    nothing of length t is made.  H is (None, |H|, None, None), its element
+    numbers never listed: its orbit of a point is walked over the strong
+    generators' tables, and its child fixing j is numbered by
+    :meth:`_CosetTables.fixers`.
     """
 
-    def __init__(self, tables: _CosetTables):
+    def __init__(self, tables: _CosetTables, order: int):
         self.tables = tables
+        self.h = (None, order, None, None)
         self.trivial = _level_node([0], [])  # element number 0 is the identity
 
-    def stabilizer(self, j: int) -> tuple:
-        """The stabilizer of point j in H."""
-        numbers = self.tables.fixers(j)
-        return _level_node(numbers, self.tables.level_lists(numbers))
-
-    @staticmethod
-    def orbit(node: tuple, j: int) -> list:
+    def orbit(self, node: tuple, j: int) -> list:
+        if node[0] is None:  # H's orbit as its points alone: the scan holds every non-regular one
+            return list(_orbit_tree(j, self.tables.gens))
         return _column(node[3], j)
 
-    @staticmethod
-    def child(node: tuple, j: int, col: list) -> tuple:
-        return _level_node(*_fixing(node[2], node[3], j, col))
+    def child(self, node: tuple, j: int, read: list) -> tuple:
+        if node[0] is None:
+            numbers = self.tables.fixers(j)
+            return _level_node(numbers, self.tables.level_lists(numbers))
+        return _level_node(*_fixing(node[2], node[3], j, read))
 
 
 def _level_node(numbers: list, lists: list) -> tuple:

@@ -800,6 +800,12 @@ ORACLE_REFUSALS = {
     "S-wreath-5-4": (["--ambient", "S", "--subgroup", "wreath", "--m", "5", "--k", "4"],
                      f"refused: coset index {math.factorial(625)}/4976640000 = "
                      f"{math.factorial(625) // 4976640000} exceeds limit --limit-t 20000\n"),
+    # --limit-t raised past sys.maxsize: t is refused before any list of t entries is made
+    **{f"S-{family}-limit-t-unindexable": (
+        ["--ambient", "S", "--subgroup", family, *params, "--limit-t", str(10**24)],
+        f"refused: coset index {t} exceeds {sys.maxsize}, the most points a table can index\n")
+       for family, params, t in (("wreath", ["--m", "5", "--k", "2"], 538583682060103680000),
+                                 ("agl", ["--p", "5", "--d", "2"], math.factorial(25) // 12000))},
     "S-wreath-4-2": (["--ambient", "S", "--subgroup", "wreath", "--m", "4", "--k", "2"],
                      "invalid parameters: m must be at least 5, got 4\n"),
     "S-agl-3-2-limit-enum": (["--ambient", "S", "--subgroup", "agl", "--p", "3", "--d", "2",
@@ -1537,6 +1543,18 @@ def test_oracle_trivial_subgroup_witness_verifies(tmp_path, capsys):
     assert _verify(tmp_path, capsys, data) == (
         0, "level 0: claimed 1, computed 1: pass\ncertificate VERIFIED\n"
     )
+
+
+def test_oracle_trivial_subgroup_memo(tmp_path, capsys):
+    """Trivial H in S_3: mibs 1 from one memo entry, H's own, which --limit-memo 0 refuses."""
+    gens = tmp_path / "trivial.gens"
+    gens.write_text("3\n")
+    argv = ["oracle", "--ambient", "S", "--subgroup", "explicit", "--gens-file", str(gens),
+            "--format", "text", "--limit-memo"]
+    assert main(argv + ["1"]) == 0
+    assert capsys.readouterr() == ("mibs = 1  (ambient S, degree 3, index 6)\n", "")
+    assert main(argv + ["0"]) == 2
+    assert capsys.readouterr() == ("", "refused: memo table exceeds limit 0 entries\n")
 
 
 def test_verify_degree_one_certificate(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import copy
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -28,6 +29,7 @@ from irrbase.perm import Permutation, _inverse_tbl, compose, parse_cycles
 from irrbase.wreath import build_wreath, wreath_chain
 
 from conftest import min_coset_rep
+from test_oracle_reference import action_of as reference_action
 
 
 def test_coset_action_point_stabilizer_cosets():
@@ -170,37 +172,54 @@ GROUP_NODE_ACTIONS = {
 
 @pytest.mark.parametrize("name", sorted(GROUP_NODE_ACTIONS))
 def test_group_nodes_walk_each_orbit_once(monkeypatch, name):
-    """Below H, a child is made from the orbit that the scan walked, never walked again.
+    """Every child, H's included, is made from the orbit that the scan walked, never walked again.
 
-    Only H's stabilizers of a point, whose orbits the scan reads off the
-    transversal tables, walk an orbit inside ``_stabilizer``.  Natural S8's
-    pruned search takes every child at its node's first base point, with no
-    orbit-stabilizer; the search without pruning also scans the other points.
+    ``_stabilizer`` is always handed the scan's Schreier vector, so it walks
+    no orbit itself.  Natural S8's pruned search takes every child at its
+    node's first base point, with no orbit-stabilizer; the search without
+    pruning also scans the other points.
     """
     act = build_coset_action(*GROUP_NODE_ACTIONS[name]())
     assert oracle._group_nodes(act.degree, act.subgroup.order())
-    stabilizer, root_stabilizer = oracle._stabilizer, oracle._GroupNodes.stabilizer
-    roots, walked, given = [], [], []
+    stabilizer, trees = oracle._stabilizer, []
 
     def counted(k, root, image, tree=None):
-        (walked if tree is None else given).append(bool(roots))
-        if tree is None:
-            return stabilizer(k, root, image)
+        trees.append(tree)
         return stabilizer(k, root, image, tree)
 
-    def at_root(self, j):
-        roots.append(j)
-        try:
-            return root_stabilizer(self, j)
-        finally:
-            roots.pop()
-
     monkeypatch.setattr(oracle, "_stabilizer", counted)
-    monkeypatch.setattr(oracle._GroupNodes, "stabilizer", at_root)
     for prune in (True, False):
         mibs(act, prune=prune)
-    assert all(walked), "a child below H walked its orbit again"
-    assert given and not any(given)
+    assert trees and None not in trees, "a child walked its orbit again"
+
+
+@pytest.mark.parametrize("name, prunes", [("S7-agl-7-1", (True, False)), ("S11-m11", (True,))],
+                         ids=["S7-agl-7-1", "S11-m11"])
+def test_level_nodes_never_list_h(monkeypatch, name, prunes):
+    """No column or mask of the level reads has |H| entries: H's element numbers are never listed.
+
+    H's orbits are walked over the strong generators' tables and its
+    children numbered by ``fixers``; only the subgroups below H are read
+    through level lists.
+    """
+    act = reference_action(name)
+    order = act.subgroup.order()
+    assert not oracle._group_nodes(act.degree, order)
+    column, fixing, sizes = oracle._column, oracle._fixing, []
+
+    def column_read(lists, j):
+        sizes.append(len(lists[0]))
+        return column(lists, j)
+
+    def fixing_read(numbers, lists, j, col):
+        sizes.append(len(numbers))
+        return fixing(numbers, lists, j, col)
+
+    monkeypatch.setattr(oracle, "_column", column_read)
+    monkeypatch.setattr(oracle, "_fixing", fixing_read)
+    for prune in prunes:
+        mibs(act, prune=prune)
+    assert sizes and max(sizes) < order
 
 
 def test_coset_action_rejects_normal_subgroup():
@@ -222,6 +241,14 @@ def test_coset_action_rejects_non_subgroup():
 def test_coset_action_index_limit(agl71):
     with pytest.raises(LimitExceeded, match="limit"):
         build_coset_action(symmetric_group(7), agl71.H, limit_t=100)
+
+
+def test_coset_action_refuses_an_unindexable_index():
+    """S25 on the cosets of S5 wr S2: t = 25!/28800 > sys.maxsize is refused before any list
+    of t entries is made, however high ``limit_t`` is."""
+    with pytest.raises(LimitExceeded, match=rf"^coset index 538583682060103680000 exceeds "
+                                            rf"{sys.maxsize}, the most points a table can index$"):
+        build_coset_action(symmetric_group(25), build_wreath(5, 2).M, limit_t=10**24)
 
 
 def test_min_coset_rep_is_minimal():

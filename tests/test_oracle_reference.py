@@ -176,6 +176,8 @@ INSTANCES = {
     **{f"{a}7-agl-7-1": (lambda a=a: _affine(a, 7, 1)) for a in "SA"},
     **{f"{a}9-agl-3-2": (lambda a=a: _affine(a, 3, 2)) for a in "SA"},
     "S11-m11": _m11,
+    # H of prime order: no orbit is non-regular, so H has no child but the trivial group
+    "S7-c7": lambda: (symmetric_group(7), from_generators([parse_cycles("(1 2 3 4 5 6 7)", 7)], 7)),
 }
 
 
